@@ -34,6 +34,7 @@ from .core import (
     evolve,
     make_permutation,
     make_wave_system,
+    power_blocks,
 )
 from .errors import (
     BoundViolated,
@@ -294,16 +295,19 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
     dec = weighted_singular_values(system.shifted, pi, pi)
     sigma = float(dec.singular_values[1])
     front = np.sqrt(1.0 / w - 1.0)
-    tilde = system.shifted.dense()
-    power = np.eye(system.space.size)
+    outer = np.outer(front, front)
     worst = (0.0, 0)
-    for n in range(1, horizon + 1):
-        power = power @ tilde
-        actual = np.abs(power / w[None, :] - 1.0)
-        bound = scale * sigma**n * np.outer(front, front)
-        excess = float(np.max(actual - bound))
-        if excess > worst[0]:
-            worst = (excess, n)
+    for first, block in power_blocks(system.shifted, horizon):
+        # one power at a time: N x N temporaries stay in cache, which
+        # measured faster than block-wide arrays at N = 81
+        for n, power in enumerate(block.transpose(1, 0, 2), first):
+            excess = power / w
+            excess -= 1.0
+            np.abs(excess, out=excess)
+            excess -= scale * sigma**n * outer
+            e = float(excess.max())
+            if e > worst[0]:
+                worst = (e, n)
     doc = {
         "horizon": horizon,
         "sigma_tilde": sigma,

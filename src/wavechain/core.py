@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from .errors import (
     NegativeEntry,
     NotBijective,
+    NotIrreducible,
     RowSumViolation,
     SpaceMismatch,
     TooLarge,
@@ -38,6 +39,9 @@ from .errors import (
 
 DENSE_LIMIT = 4096
 ROW_SUM_TOL = 1e-12
+# Entries of one block of matrix powers in `power_blocks`: small kernels get
+# many powers per product, kernels of 182 states or more one.
+POWER_BLOCK_ENTRIES = 1 << 16
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
 _MISSING = object()
@@ -303,8 +307,8 @@ class WaveSystem:
 
     `order` is the least k with g^k = id, `shifted` the homogeneous
     reduction.  The invariant measure of `shifted` is computed on first use
-    and cached; the cache write is idempotent, so concurrent readers at
-    worst duplicate the solve.
+    and cached (None when `shifted` is reducible); the cache write is
+    idempotent, so concurrent readers at worst duplicate the solve.
     """
 
     base: MarkovKernel
@@ -319,11 +323,11 @@ class WaveSystem:
     def wave_measure_or_none(self) -> Optional[Distribution]:
         cached = self.__dict__.get("_wave_measure", _MISSING)
         if cached is _MISSING:
-            from .spectral import is_irreducible, stationary_distribution
+            from .spectral import stationary_distribution
 
-            if is_irreducible(self.shifted):
+            try:
                 cached = stationary_distribution(self.shifted)
-            else:
+            except NotIrreducible:
                 cached = None
             object.__setattr__(self, "_wave_measure", cached)
         return cached
@@ -431,31 +435,64 @@ class WaveIdentityReport:
     y: int
 
 
+def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield the powers kernel^1 .. kernel^n_max in order, a block at a time.
+
+    Each item is (first, block) with block[:, j, :] = kernel^(first + j); a
+    block holds at most b = POWER_BLOCK_ENTRIES // size^2 powers (at least
+    one).  The first block is built one product at a time; each later one
+    is the single product P^(first - 1) [P^1 | ... | P^b], so a power past
+    the first block may differ from the step-by-step product in the last
+    bits.  With b = 1 this is the plain sequence P^(n+1) = P^n P, with no
+    copy of P.  Blocks are read-only.
+    """
+    if n_max < 1:
+        return
+    p = kernel.dense()
+    size = kernel.size
+    b = max(1, min(n_max, POWER_BLOCK_ENTRIES // (size * size)))
+    if b == 1:
+        base = p[:, None, :]  # P itself, not a copy
+    else:
+        base = np.empty((size, b, size))
+        base[:, 0] = p
+        for j in range(1, b):
+            base[:, j] = base[:, j - 1] @ p
+        base.setflags(write=False)
+    yield 1, base
+    stacked = base.reshape(size, b * size)  # [P^1 | ... | P^b]
+    last = base[:, -1]
+    for first in range(b + 1, n_max + 1, b):
+        k = min(b, n_max + 1 - first)
+        block = (last @ stacked[:, : k * size]).reshape(size, k, size)
+        yield first, block
+        last = block[:, -1]
+
+
 def verify_wave_identity(system: WaveSystem, n_max: int) -> WaveIdentityReport:
     """Check K_{0,n}(x, y) = shifted^n(x, g^n y) for all n <= n_max.
 
-    Both sides are built incrementally; returns the largest absolute
-    discrepancy and where it occurs.
+    The window side is built one step at a time, the power side by
+    `power_blocks`; returns the largest absolute discrepancy and where it
+    occurs.
     """
     size = system.space.size
     if size > DENSE_LIMIT:
         raise TooLarge("identity check is dense; too many states")
     base = system.base.dense()
-    tilde = system.shifted.dense()
     fwd = system.map.forward
     window = np.eye(size)
-    power = np.eye(size)
     gp = np.arange(size, dtype=np.int64)  # g^{i-1}
     gn = np.arange(size, dtype=np.int64)  # g^n
     worst = (0.0, 0, 0, 0)
-    for n in range(1, n_max + 1):
-        window = window @ base[np.ix_(gp, gp)]
-        gp = fwd[gp]
-        power = power @ tilde
-        gn = fwd[gn]
-        diff = np.abs(window - power[:, gn])
-        k = int(np.argmax(diff))
-        x, y = np.unravel_index(k, diff.shape)
-        if diff[x, y] > worst[0]:
-            worst = (float(diff[x, y]), n, int(x), int(y))
+    for first, block in power_blocks(system.shifted, n_max):
+        for j in range(block.shape[1]):
+            window = window @ base[np.ix_(gp, gp)]
+            gp = fwd[gp]
+            gn = fwd[gn]
+            diff = np.abs(window - block[:, j][:, gn])
+            k = int(np.argmax(diff))
+            x, y = np.unravel_index(k, diff.shape)
+            if diff[x, y] > worst[0]:
+                worst = (float(diff[x, y]), first + j, int(x), int(y))
     return WaveIdentityReport(*worst)

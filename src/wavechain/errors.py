@@ -42,6 +42,14 @@ class NotIrreducible(WavechainError):
     """The kernel's support graph is not strongly connected."""
 
 
+class NotConverged(WavechainError):
+    """An iterative solver stopped before reaching its accuracy target."""
+
+
+class FlowMismatch(WavechainError, ValueError):
+    """A measure pair fails mu_out K = mu_in where a method relies on it."""
+
+
 class ZeroWeight(WavechainError, ValueError):
     """A weight vector that must be strictly positive has a zero entry."""
 

@@ -67,7 +67,7 @@ def load_kernel(path: str, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"not a JSON kernel document: {exc}") from exc
-    return kernel_from_document(doc)
+    return kernel_from_document(doc, dense_limit=dense_limit)
 
 
 def permutation_document(g: Permutation) -> dict:

@@ -3,21 +3,24 @@
 A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
 Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
 triples are read off the ordinary SVD of B.  When mu_out K = mu_in the top
-triple is exactly (1, const, const); the power-iteration path for large
-sparse kernels deflates that pair analytically.
+triple is exactly (1, const, const); the path for large sparse kernels
+deflates that pair analytically and finds the next one with ARPACK
+(Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM 1998).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .core import DENSE_LIMIT, Distribution, MarkovKernel, StateSpace, make_kernel
 from .errors import (
+    FlowMismatch,
+    NotConverged,
     NotIrreducible,
     NotSelfAdjoint,
     NotSymmetric,
@@ -29,6 +32,7 @@ from .errors import (
 
 _DIRECT_SOLVE_LIMIT = 2000
 _STATIONARY_TOL = 1e-12
+_STATIONARY_MAX_STEPS = 100_000
 
 
 def is_irreducible(kernel: MarkovKernel) -> bool:
@@ -47,37 +51,19 @@ def period(kernel: MarkovKernel) -> int:
     if not is_irreducible(kernel):
         raise NotIrreducible("period is only defined per communicating class")
     graph = kernel.support_graph()
-    n = kernel.size
-    indptr, indices = graph.indptr, graph.indices
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lu = level[u]
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if level[v] < 0:
-                    level[v] = lu + 1
-                    nxt.append(int(v))
-                else:
-                    g = math.gcd(g, int(lu + 1 - level[v]))
-        frontier = nxt
-    # remaining edges between already-leveled states
-    for u in range(n):
-        lu = level[u]
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            g = math.gcd(g, int(lu + 1 - level[v]))
-    return abs(g) if g else 1
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    tails = np.repeat(np.arange(kernel.size), np.diff(graph.indptr))
+    g = int(np.gcd.reduce(level[tails] + 1 - level[graph.indices]))
+    return g if g else 1
 
 
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
-    Direct linear solve up to 2000 states, damped power iteration beyond;
-    either way the result is refined until the residual max_x |(pi K - pi)(x)|
-    is at most 1e-12.
+    Direct linear solve up to 2000 states; beyond that the start is the
+    uniform vector.  Either way the result is refined by damped steps
+    pi <- (pi + pi K) / 2 until the residual max_x |(pi K - pi)(x)| is at
+    most 1e-12; NotConverged is raised if 100 000 steps do not get there.
     """
     if not is_irreducible(kernel):
         raise NotIrreducible("stationary distribution needs an irreducible kernel")
@@ -94,17 +80,15 @@ def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     pi = np.where(pi < 0.0, 0.0, pi)
     pi = pi / pi.sum()
     mat = kernel.matrix
-    for _ in range(100_000):
-        step = pi @ mat
-        if sp.issparse(mat):
-            step = np.asarray(step).ravel()
+    for _ in range(_STATIONARY_MAX_STEPS):
+        step = _rmatvec(mat, pi)
         if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
             break
         # lazy damping keeps the iteration convergent for periodic kernels
         pi = 0.5 * (pi + step)
         pi = pi / pi.sum()
     else:
-        raise NotIrreducible("power iteration failed to reach the residual target")
+        raise NotConverged("damped refinement failed to reach the residual target")
     return Distribution(kernel.space, pi / pi.sum())
 
 
@@ -141,10 +125,13 @@ def weighted_singular_values(
     """Singular value decomposition of K: l2(mu_in) -> l2(mu_out).
 
     Dense spaces get the full decomposition.  Above DENSE_LIMIT (or when
-    `top` is given on a sparse kernel) only the leading two triples are
-    computed, by power iteration on the Euclidean avatar with the known
-    (1, const, const) triple deflated analytically; that shortcut requires
-    mu_out K = mu_in, which is checked.
+    `top` is 2 on a sparse kernel) only the leading two triples are
+    computed: the known (1, const, const) triple is deflated analytically
+    and the next one is the top eigenpair of the deflated Gram operator
+    B^T B of the Euclidean avatar, found by ARPACK (`eigsh`) from a fixed
+    start vector.  That shortcut requires mu_out K = mu_in, which is
+    checked (FlowMismatch otherwise); NotConverged is raised if ARPACK
+    stops short of machine precision.
     """
     win = _check_positive(mu_in, "mu_in")
     wout = _check_positive(mu_out, "mu_out")
@@ -171,39 +158,44 @@ def weighted_singular_values(
 
 
 def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecomposition:
-    flow = mu_out.weights @ kernel.matrix
-    if sp.issparse(kernel.matrix):
-        flow = np.asarray(flow).ravel()
+    mat = kernel.matrix
+    flow = _rmatvec(mat, mu_out.weights)
     if float(np.max(np.abs(flow - mu_in.weights))) > 1e-10:
-        raise TooLarge(
+        raise FlowMismatch(
             "large-space singular values need mu_out K = mu_in for the analytic top triple"
         )
-    mat = kernel.matrix
     v0 = sin  # unit top right singular vector of the avatar
+
+    def avatar(w):
+        return sout * _matvec(mat, w / sin)
+
+    def deflated_gram(w):
+        # B^T (B w) with the top triple projected out
+        w = np.ravel(w)
+        btbw = _rmatvec(mat, avatar(w) * sout) / sin
+        return btbw - (v0 @ btbw) * v0
+
     rng = np.random.default_rng(0x5EED)
-    w = rng.standard_normal(kernel.size)
-    w -= (v0 @ w) * v0
-    w /= np.linalg.norm(w)
-    sigma2 = 0.0
-    for _ in range(100_000):
-        # avatar B w, then B^T (B w), with the top triple projected out
-        bw = sout * _matvec(mat, w / sin)
-        btbw = _rmatvec(mat, bw * sout) / sin
-        btbw -= (v0 @ btbw) * v0
-        norm = float(np.linalg.norm(btbw))
-        if norm == 0.0:
-            w = btbw
-            sigma2 = 0.0
-            break
-        new = btbw / norm
-        if float(np.max(np.abs(new - w))) < 1e-13 or float(np.max(np.abs(new + w))) < 1e-13:
-            w = new
-            sigma2 = norm
-            break
-        w = new
-        sigma2 = norm
-    sigma1 = math.sqrt(max(sigma2, 0.0))
-    bw = sout * _matvec(mat, w / sin)
+    start = rng.standard_normal(kernel.size)
+    start -= (v0 @ start) * v0
+    if not np.any(deflated_gram(start)):
+        # the deflated operator vanishes: the top triple is the only one
+        w = np.zeros(kernel.size)
+    else:
+        op = LinearOperator((kernel.size, kernel.size), matvec=deflated_gram, dtype=np.float64)
+        try:
+            _, vecs = eigsh(op, k=1, which="LA", v0=start)
+        except ArpackNoConvergence as exc:
+            raise NotConverged(f"ARPACK found no second singular triple: {exc}") from exc
+        # on a numerically zero operator the returned vector may leave the
+        # deflated subspace, so project it back before reading sigma_1
+        w = vecs[:, 0] - (v0 @ vecs[:, 0]) * v0
+        w /= np.linalg.norm(w)
+        # fix the overall sign as the dense path does: heaviest entry positive
+        if w[int(np.argmax(np.abs(w)))] < 0:
+            w = -w
+    bw = avatar(w)
+    sigma1 = float(np.linalg.norm(bw))
     u1 = bw / sigma1 if sigma1 > 0 else np.zeros_like(bw)
     values = np.array([1.0, sigma1])
     left = np.column_stack([sout / sout, u1 / sout])  # first column is constant 1

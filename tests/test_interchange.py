@@ -56,6 +56,16 @@ def test_row_sum_violation_carries_the_row_index():
     assert "row 1" in str(exc.value)
 
 
+def test_load_kernel_honours_dense_limit(tmp_path):
+    kern, _ = w.circle_kernel(5, 1.0)
+    path = tmp_path / "k.json"
+    w.save_kernel(kern, str(path))
+    assert not w.load_kernel(str(path)).is_sparse
+    small = w.load_kernel(str(path), dense_limit=2)
+    assert small.is_sparse
+    assert np.array_equal(small.dense(), kern.dense())
+
+
 def test_load_kernel_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,0 +1,405 @@
+"""The blocked power-trace engine, the matrix metrics, ARPACK top-two and period.
+
+Each fast path is checked against a plain sequential reference kept here:
+the step-by-step matrix-power loop, the per-pair chi-square double loop,
+the full N^3 pairwise TV and the edge-by-edge breadth-first period.
+"""
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wavechain as w
+import wavechain.core as core
+import wavechain.merging as merging
+import wavechain.spectral as spectral
+from wavechain import cli, errors
+
+METRICS = ("total_variation", "relative_sup", "chi_square")
+TRACE_RTOL = 1e-12
+
+
+# ------------------------------------------------------------ references
+
+def reference_measure(m, metric):
+    if metric == "relative_sup":
+        top, bot = m.max(axis=0), m.min(axis=0)
+        live = top > 0.0
+        if np.any((bot == 0.0) & live):
+            return math.inf
+        return float(np.max(top[live] / bot[live] - 1.0)) if live.any() else 0.0
+    if metric == "total_variation":
+        return 0.5 * float(np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2).max())
+    worst = 0.0
+    for y in range(m.shape[0]):
+        zero = m[y] == 0.0
+        for x in range(m.shape[0]):
+            if np.any(zero & (m[x] > 0.0)):
+                return math.inf
+            b = m[y][~zero]
+            worst = max(worst, float(np.sum((m[x][~zero] - b) ** 2 / b)))
+    return worst
+
+
+def reference_merging(system, epsilon, max_steps, metric):
+    tilde = system.shifted.dense()
+    power = np.eye(system.space.size)
+    values, hit = [], None
+    for n in range(max_steps + 1):
+        if n > 0:
+            power = power @ tilde
+        d = reference_measure(power, metric)
+        values.append((n, d))
+        if d < epsilon:
+            hit = n
+            break
+    return values, hit
+
+
+def reference_bounds(system, horizon, scale):
+    pi = system.wave_measure
+    wts = pi.weights
+    sigma = float(w.weighted_singular_values(system.shifted, pi, pi).singular_values[1])
+    front = np.sqrt(1.0 / wts - 1.0)
+    tilde = system.shifted.dense()
+    power = np.eye(system.space.size)
+    worst = (0.0, 0)
+    for n in range(1, horizon + 1):
+        power = power @ tilde
+        actual = np.abs(power / wts[None, :] - 1.0)
+        excess = float(np.max(actual - scale * sigma**n * np.outer(front, front)))
+        if excess > worst[0]:
+            worst = (excess, n)
+    return worst
+
+
+def reference_period(kernel):
+    graph = kernel.support_graph()
+    indptr, indices = graph.indptr, graph.indices
+    level = np.full(kernel.size, -1, dtype=np.int64)
+    level[0] = 0
+    frontier, g = [0], 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    for u in range(kernel.size):
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            g = math.gcd(g, int(level[u] + 1 - level[v]))
+    return g if g else 1
+
+
+def assert_same_trace(got, want):
+    assert len(got) == len(want)
+    for (n, a), (m, b) in zip(got, want):
+        assert n == m
+        if math.isinf(b) or b == 0.0:
+            assert a == b, (n, a, b)
+        else:
+            assert abs(a - b) <= TRACE_RTOL * abs(b), (n, a, b)
+
+
+def circle_system(n):
+    base, _ = w.circle_kernel(n, 1.0)
+    return w.make_wave_system(base, w.circle_shift(n, -1))
+
+
+def stochastic(rng, n, zeros=0.0):
+    m = rng.random((n, n)) * (rng.random((n, n)) >= zeros)
+    m[np.arange(n), (np.arange(n) + 1) % n] += 0.25
+    return m / m.sum(axis=1, keepdims=True)
+
+
+# -------------------------------------------------------- power engine
+
+def test_single_power_blocks_are_the_sequential_products(monkeypatch):
+    monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", 1)
+    kernel = circle_system(7).shifted
+    blocks = list(core.power_blocks(kernel, 30))
+    assert [first for first, _ in blocks] == list(range(1, 31))
+    assert np.shares_memory(blocks[0][1], kernel.matrix)  # no copy of P^1
+    power = np.eye(7)
+    for _, block in blocks:
+        assert block.shape == (7, 1, 7)
+        power = power @ kernel.dense()
+        assert np.array_equal(block[:, 0], power)
+
+
+def test_multi_power_blocks_cover_every_power_once():
+    kernel = circle_system(9).shifted
+    n_max = 1000
+    b = core.POWER_BLOCK_ENTRIES // 81
+    assert 1 < b < n_max
+    seen = []
+    power = np.eye(9)
+    for first, block in core.power_blocks(kernel, n_max):
+        assert block.shape[1] <= b
+        for j in range(block.shape[1]):
+            power = power @ kernel.dense()
+            seen.append(first + j)
+            if first == 1:
+                assert np.array_equal(block[:, j], power)  # built step by step
+            else:
+                assert np.max(np.abs(block[:, j] - power)) <= 1e-13
+    assert seen == list(range(1, n_max + 1))
+    assert list(core.power_blocks(kernel, 0)) == []
+
+
+# the default block size, and one that splits even the corpus traces into
+# several blocks of 6 to 55 powers
+BLOCK_ENTRIES = pytest.mark.parametrize("entries", [core.POWER_BLOCK_ENTRIES, 500])
+
+
+@BLOCK_ENTRIES
+@pytest.mark.parametrize("epsilon", [1 / math.e, 0.1, 0.01])
+def test_corpus_merging_times_match_the_sequential_loop(corpus, epsilon, entries, monkeypatch):
+    monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", entries)
+    for s in corpus:
+        for metric in METRICS:
+            rep = w.merging_time(s, epsilon, 200, metric)
+            values, hit = reference_merging(s, epsilon, 200, metric)
+            assert rep.merging_time == hit
+            assert_same_trace(rep.values, values)
+
+
+@BLOCK_ENTRIES
+def test_scaling_families_merge_at_the_same_times(entries, monkeypatch):
+    monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", entries)
+    eta = 1 / math.e
+    systems = [(circle_system(n), 100 + 10 * n * n) for n in range(5, 42, 4)]
+    for n in (3, 4, 5):
+        s = w.sticky_permutation_system(n, tuple(range(n)), 0.05)
+        size = s.space.size
+        systems.append((s, int(200 + 40 * size * math.log(size))))
+    for s, cap in systems:
+        rep = w.merging_time(s, eta, cap, "relative_sup")
+        values, hit = reference_merging(s, eta, cap, "relative_sup")
+        assert hit is not None and rep.merging_time == hit
+        assert_same_trace(rep.values, values)
+
+
+def test_repeat_merging_traces_are_bit_identical():
+    s = circle_system(41)
+    for metric in METRICS:
+        first = w.merging_time(s, 1 / math.e, 2000, metric)
+        assert w.merging_time(s, 1 / math.e, 2000, metric).values == first.values
+
+
+def test_never_merging_trace_runs_to_the_horizon():
+    s = w.periodic_class_example(3, 2)
+    rep = w.merging_time(s, 1 / math.e, 3000)
+    values, hit = reference_merging(s, 1 / math.e, 3000, "relative_sup")
+    assert rep.merging_time is hit is None
+    assert_same_trace(rep.values, values)
+
+
+def rotation_system(n):
+    # identity base kernel: the shifted kernel is the rotation itself, so the
+    # relative error is n - 1 at every step and the first worst step is n = 1
+    space = w.StateSpace(n)
+    return w.make_wave_system(w.make_kernel(space, np.eye(n)), w.circle_shift(n, 1))
+
+
+@pytest.mark.parametrize("system, horizon, scale", [
+    (circle_system(9), 300, 1.0), (circle_system(21), 400, 1.0), (circle_system(9), 300, 0.3),
+    (circle_system(41), 200, 0.5), (rotation_system(5), 50, 0.0),
+])
+def test_bound_verdicts_match_the_sequential_loop(system, horizon, scale):
+    out = cli._run_bounds(system, None, {"horizon": horizon, "bound_scale": scale})
+    excess, step = reference_bounds(system, horizon, scale)
+    assert out.doc["dominates"] == (excess <= 1e-12) == (scale == 1.0)
+    assert out.doc["max_excess"] == pytest.approx(excess, rel=1e-9, abs=1e-15)
+    if scale < 1.0:
+        assert out.violations[0]["detail"].endswith(f"at n={step}")
+
+
+def test_wave_identity_holds_across_blocks(monkeypatch):
+    monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", 8 * 36)  # 8 powers per block
+    s = w.sticky_permutation_system(3, (0, 1, 2), 0.1)
+    assert w.verify_wave_identity(s, 60).max_discrepancy < 1e-12
+
+
+# ------------------------------------------------------------- metrics
+
+@st.composite
+def stochastic_with_zeros(draw):
+    n = draw(st.integers(1, 7))
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+    m = np.array(rows)
+    m[m.sum(axis=1) == 0.0, 0] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stochastic_with_zeros())
+def test_chi_square_matrix_formula_matches_the_pair_definition(m):
+    space = w.StateSpace(m.shape[0])
+    rows = [w.Distribution(space, r / r.sum()) for r in m]
+    want = max(w.chi_square_distance(a, b) for a in rows for b in rows)
+    got = merging._pairwise_measure_matrix(m, "chi_square")
+    if math.isinf(want):
+        assert math.isinf(got)
+    else:
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_tv_row_blocks_equal_the_full_pairwise_sum(monkeypatch):
+    m = stochastic(np.random.default_rng(3), 40, zeros=0.5)
+    want = reference_measure(m, "total_variation")
+    assert merging._pairwise_measure_matrix(m, "total_variation") == want
+    monkeypatch.setattr(merging, "_TV_BLOCK_ENTRIES", 3 * 40 * 40)  # 14 blocks
+    assert merging._pairwise_measure_matrix(m, "total_variation") == want
+
+
+def test_tv_measure_memory_stays_far_below_one_cubic_temporary():
+    n = 300  # one n^3 float temporary would take 216 MB
+    m = stochastic(np.random.default_rng(5), n)
+    tracemalloc.start()
+    try:
+        merging._pairwise_measure_matrix(m, "total_variation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_relative_sup_block_matches_each_matrix():
+    rng = np.random.default_rng(11)
+    mats = [stochastic(rng, 6, zeros=z) for z in (0.0, 0.3, 0.7)] + [np.eye(6)]
+    block = np.stack(mats, axis=1)
+    got = merging._relative_sup_block(block)
+    assert got == [reference_measure(m, "relative_sup") for m in mats]
+
+
+# ---------------------------------------------------------------- period
+
+def cyclic_classes_kernel(rng, k, size):
+    """Random kernel moving class i to class i + 1 mod k: period k when irreducible."""
+    n = k * size
+    m = np.zeros((n, n))
+    for x in range(n):
+        nxt = ((x // size + 1) % k) * size
+        m[x, nxt : nxt + size] = rng.random(size) * (rng.random(size) < 0.7)
+        m[x, nxt + x % size] += 0.5
+    return w.make_kernel(w.StateSpace(n), m / m.sum(axis=1, keepdims=True))
+
+
+def test_period_matches_the_breadth_first_loop(corpus):
+    rng = np.random.default_rng(17)
+    kernels = [s.shifted for s in corpus]
+    kernels += [w.periodic_class_example(k, c).shifted for k in (2, 3, 4) for c in (1, 2, 3)]
+    kernels += [w.binary_cycling_system(b).shifted for b in (3, 4, 5)]
+    kernels += [cyclic_classes_kernel(rng, k, c) for k in (2, 3, 4, 6) for c in (1, 2, 3)]
+    kernels = [k for k in kernels if w.is_irreducible(k)]
+    assert len(kernels) > 150
+    periods = [w.period(k) for k in kernels]
+    assert {2, 3, 4, 6} <= set(periods)
+    assert periods == [reference_period(k) for k in kernels]
+
+
+# ------------------------------------------------------------- top two
+
+def test_top_two_on_the_slow_sticky_spectrum():
+    s = w.sticky_permutation_system(7, tuple(range(7)), 0.05)
+    pi = s.wave_measure
+    assert s.shifted.is_sparse
+    dec = w.weighted_singular_values(s.shifted, pi, pi, top=2)
+    assert dec.singular_values[1] == pytest.approx(0.92862971, abs=1e-8)
+    again = w.weighted_singular_values(s.shifted, pi, pi, top=2)
+    assert np.array_equal(dec.singular_values, again.singular_values)
+    assert np.array_equal(dec.right_basis, again.right_basis)
+    assert np.array_equal(dec.left_basis, again.left_basis)
+    # K phi_1 = sigma_1 psi_1, with the heaviest entry of the avatar vector positive
+    phi, psi = dec.right_basis[:, 1], dec.left_basis[:, 1]
+    assert np.max(np.abs(s.shifted.matrix @ phi - dec.singular_values[1] * psi)) < 1e-9
+    v = phi * np.sqrt(pi.weights)
+    assert v[int(np.argmax(np.abs(v)))] > 0
+
+
+def test_top_two_matches_dense_singular_values_on_the_corpus(corpus):
+    for s in corpus[:40]:
+        pi = s.wave_measure_or_none()
+        if pi is None:
+            continue
+        sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
+        top = w.weighted_singular_values(sparse, pi, pi, top=2).singular_values
+        full = w.weighted_singular_values(s.shifted, pi, pi).singular_values
+        assert abs(top[1] - full[1]) < 1e-9
+
+
+def test_top_two_of_a_rank_one_kernel_is_zero():
+    n = 8
+    space = w.StateSpace(n)
+    uniform = w.Distribution.uniform(space)
+    flat = w.make_kernel(space, np.full((n, n), 1.0 / n), dense_limit=2)
+    dec = w.weighted_singular_values(flat, uniform, uniform, top=2)
+    assert dec.singular_values[1] == 0.0
+    pi = np.random.default_rng(2).random(n)
+    pi /= pi.sum()
+    mu = w.Distribution(space, pi)
+    tilted = w.make_kernel(space, np.tile(pi, (n, 1)), dense_limit=2)
+    assert w.weighted_singular_values(tilted, mu, mu, top=2).singular_values[1] < 1e-12
+
+
+# ---------------------------------------------------------- typed errors
+
+def test_top_two_flow_mismatch_is_a_value_error():
+    s = circle_system(7)
+    sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
+    pi = np.arange(1.0, 8.0)
+    mu = w.Distribution(s.space, pi / pi.sum())
+    with pytest.raises(errors.FlowMismatch) as info:
+        w.weighted_singular_values(sparse, mu, mu, top=2)
+    assert isinstance(info.value, ValueError)
+
+
+def test_arpack_non_convergence_is_typed(monkeypatch):
+    s = circle_system(101)  # clustered spectrum: one restart is not enough
+    pi = s.wave_measure
+    sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
+    sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
+    assert w.weighted_singular_values(sparse, pi, pi, top=2).singular_values[1] == (
+        pytest.approx(sigma, abs=1e-10)
+    )
+    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
+    with pytest.raises(errors.NotConverged):
+        w.weighted_singular_values(sparse, pi, pi, top=2)
+
+
+def test_stationary_refinement_failure_is_typed(monkeypatch):
+    s = circle_system(9)
+    monkeypatch.setattr(spectral, "_DIRECT_SOLVE_LIMIT", 0)  # start from uniform
+    monkeypatch.setattr(spectral, "_STATIONARY_MAX_STEPS", 2)
+    with pytest.raises(errors.NotConverged):
+        w.stationary_distribution(s.shifted)
+    with pytest.raises(errors.NotConverged):
+        w.make_wave_system(s.base, s.map).wave_measure_or_none()
+
+
+def test_wave_measure_checks_irreducibility_once(monkeypatch):
+    calls = []
+    real = spectral.is_irreducible
+
+    def counting(kernel):
+        calls.append(kernel)
+        return real(kernel)
+
+    monkeypatch.setattr(spectral, "is_irreducible", counting)
+    fresh = circle_system(9)
+    assert fresh.wave_measure_or_none() is not None
+    assert len(calls) == 1
+    four = w.four_point_example()
+    reducible = w.make_wave_system(four.base, four.map)
+    assert reducible.wave_measure_or_none() is None
+    assert len(calls) == 2
+    assert reducible.wave_measure_or_none() is None  # cached
+    assert len(calls) == 2
