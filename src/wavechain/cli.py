@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -242,8 +241,7 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     shifted = system.shifted
     pi = system.wave_measure_or_none()
     mu = pi if pi is not None else Distribution.uniform(system.space)
-    top = 2 if shifted.is_sparse else None
-    dec = weighted_singular_values(shifted, mu, mu, top=top)
+    dec = weighted_singular_values(shifted, mu, mu)
     eig = eigenvalues(shifted) if system.space.size <= _EIG_LIMIT else None
     doc = spectral_report_document(shifted, dec, eig, pi)
     out = _AnalysisOut(key="spectral", doc=doc)
@@ -520,9 +518,9 @@ def _jsonable(obj):
 def run(config: ExperimentConfig) -> tuple[int, dict]:
     """Execute the configured analyses and write the report files.
 
-    Analyses are independent and run on a small worker pool; assembly of
-    the report is single-threaded and follows the configured order, so the
-    output does not depend on scheduling.
+    Analyses run one after another in the configured order and share the
+    system's cached wave measure; the report is assembled in that order.
+    Nothing is written when an analysis raises.
     """
     config.validate()
     _, knobs = _split_params(config)
@@ -530,13 +528,8 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
     report: dict = {"config": _config_document(config), "results": {}, "violations": []}
     files: dict[str, str] = {}
     lines: list[str] = []
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(config.analyses)))) as pool:
-        jobs = [
-            (name, pool.submit(_ANALYSIS_RUNNERS[name], system, config, knobs))
-            for name in config.analyses
-        ]
-        outs = [(name, job.result()) for name, job in jobs]
-    for _, out in outs:
+    for name in config.analyses:
+        out = _ANALYSIS_RUNNERS[name](system, config, knobs)
         if out.key is not None and out.doc is not None:
             report["results"][out.key] = out.doc
         report["violations"].extend(out.violations)

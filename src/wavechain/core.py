@@ -14,7 +14,10 @@ this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
 All value types are frozen dataclasses wrapping read-only numpy arrays; no
-function mutates its arguments.
+function mutates its arguments.  A kernel matrix is either a read-only
+ndarray or a scipy `csr_array`, chosen by `make_kernel` from the state
+count alone; `x @ K` and `K @ x` are 1-D arrays in both formats, so
+nothing downstream branches on the storage.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ ROW_SUM_TOL = 1e-12
 # Entries of one block of matrix powers in `power_blocks`: small kernels get
 # many powers per product, kernels of 182 states or more one.
 POWER_BLOCK_ENTRIES = 1 << 16
-Matrix = Union[np.ndarray, sp.csr_matrix]
+Matrix = Union[np.ndarray, sp.csr_array]
 
 _MISSING = object()
 
@@ -103,9 +106,6 @@ class Distribution:
     def uniform(cls, space: StateSpace) -> "Distribution":
         return cls(space, np.full(space.size, 1.0 / space.size))
 
-    def entry(self, x: int) -> float:
-        return float(self.weights[x])
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -127,15 +127,6 @@ class Permutation:
         object.__setattr__(self, "forward", _frozen(fwd))
         object.__setattr__(self, "inverse", _frozen(inv))
 
-    def apply(self, x):
-        return self.forward[x]
-
-    def apply_inverse(self, x):
-        return self.inverse[x]
-
-    def is_identity(self) -> bool:
-        return bool(np.all(self.forward == np.arange(self.space.size)))
-
     def power_map(self, k: int) -> np.ndarray:
         """Forward index array of the k-th power (k may be negative)."""
         n = self.space.size
@@ -148,9 +139,6 @@ class Permutation:
             base = base[base]
             k >>= 1
         return result
-
-    def power(self, k: int) -> "Permutation":
-        return Permutation(self.space, self.power_map(k))
 
 
 def make_permutation(space: StateSpace, forward) -> Permutation:
@@ -181,8 +169,9 @@ def permutation_order(g: Permutation) -> int:
 class MarkovKernel:
     """A row-stochastic matrix over a state space.
 
-    Storage is dense up to DENSE_LIMIT states and row-compressed sparse
-    beyond; operations accept either form.
+    `matrix` is a read-only ndarray up to the `dense_limit` of `make_kernel`
+    (DENSE_LIMIT by default) and a `csr_array` above it; every operation
+    works on both through `@`, slicing and `np.ix_` indexing.
     """
 
     space: StateSpace
@@ -205,65 +194,47 @@ class MarkovKernel:
             return self.matrix.toarray()
         return self.matrix
 
-    def entry(self, x: int, y: int) -> float:
-        return float(self.matrix[x, y])
-
-    def row(self, x: int) -> np.ndarray:
-        if self.is_sparse:
-            return self.matrix.getrow(x).toarray().ravel()
-        return np.asarray(self.matrix[x])
-
-    def support_graph(self) -> sp.csr_matrix:
+    def support_graph(self) -> sp.csr_array:
         """Boolean adjacency of the positive entries, as CSR."""
-        if self.is_sparse:
-            g = self.matrix.copy()
-            g.data = (g.data > 0).astype(np.int8)
-            g.eliminate_zeros()
-            return g.tocsr()
-        return sp.csr_matrix((self.matrix > 0).astype(np.int8))
+        return sp.csr_array(self.matrix > 0, dtype=np.int8)
 
 
-def _validate_matrix(space: StateSpace, m: Matrix) -> Matrix:
+def _validate_matrix(space: StateSpace, m: Matrix) -> None:
     n = space.size
     if m.shape != (n, n):
         raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {n}")
     if sp.issparse(m):
-        m = m.tocsr()
         if m.nnz and float(m.data.min()) < 0.0:
             raise NegativeEntry("negative entry in sparse kernel")
-        sums = np.asarray(m.sum(axis=1)).ravel()
-    else:
-        m = np.asarray(m, dtype=np.float64)
-        if np.any(m < 0.0):
-            r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
-            raise NegativeEntry(f"negative entry in row {int(r)}")
-        sums = m.sum(axis=1)
+    elif np.any(m < 0.0):
+        r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
+        raise NegativeEntry(f"negative entry in row {int(r)}")
+    sums = m.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
-    return m
 
 
 def make_kernel(space: StateSpace, entries, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
     """Validate entries as a row-stochastic kernel over the space.
 
-    Dense input is kept dense up to `dense_limit` states and converted to
-    CSR above it; sparse input stays sparse.
+    The one storage rule of the package: the kernel is a read-only ndarray
+    when space.size <= dense_limit and a `csr_array` above it, whatever the
+    input form: nested lists, an ndarray, or any scipy sparse matrix or
+    array.  Every constructor in the package goes through here.
     """
-    if sp.issparse(entries):
-        m = _validate_matrix(space, entries)
+    if space.size > dense_limit:
+        m = sp.csr_array(entries, dtype=np.float64)
     else:
-        m = _validate_matrix(space, np.asarray(entries, dtype=np.float64))
-        if space.size > dense_limit:
-            m = sp.csr_matrix(m)
-    if isinstance(m, np.ndarray):
-        m = _frozen(m)
-    return MarkovKernel(space, m)
+        m = np.asarray(entries.toarray() if sp.issparse(entries) else entries, dtype=np.float64)
+    _validate_matrix(space, m)
+    return _wrap(space, m)
 
 
 def _wrap(space: StateSpace, m: Matrix) -> MarkovKernel:
-    # internal constructor for matrices obtained from a validated kernel by
-    # permuting rows/columns, which preserves row-stochasticity exactly
+    # internal constructor for validated matrices and for matrices obtained
+    # from a validated kernel by permuting rows/columns, which preserves
+    # row-stochasticity exactly
     if isinstance(m, np.ndarray):
         m = _frozen(m)
     return MarkovKernel(space, m)
@@ -280,25 +251,13 @@ def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel
     if i < 1:
         raise ValueError("transport index starts at 1")
     gp = g.power_map(i - 1)
-    return _transport_by_map(base, gp)
-
-
-def _transport_by_map(base: MarkovKernel, gp: np.ndarray) -> MarkovKernel:
-    if base.is_sparse:
-        m = base.matrix[gp][:, gp]
-    else:
-        m = base.matrix[np.ix_(gp, gp)]
-    return _wrap(base.space, m)
+    return _wrap(base.space, base.matrix[np.ix_(gp, gp)])
 
 
 def shift_kernel(base: MarkovKernel, g: Permutation) -> MarkovKernel:
     """Homogeneous reduction shifted(x, y) = base(x, g^{-1} y)."""
     _same_space(base.space, g.space)
-    if base.is_sparse:
-        m = base.matrix[:, g.inverse]
-    else:
-        m = base.matrix[:, g.inverse]
-    return _wrap(base.space, m)
+    return _wrap(base.space, base.matrix[:, g.inverse])
 
 
 @dataclass(frozen=True)
@@ -307,8 +266,7 @@ class WaveSystem:
 
     `order` is the least k with g^k = id, `shifted` the homogeneous
     reduction.  The invariant measure of `shifted` is computed on first use
-    and cached (None when `shifted` is reducible); the cache write is
-    idempotent, so concurrent readers at worst duplicate the solve.
+    and cached (None when `shifted` is reducible).
     """
 
     base: MarkovKernel
@@ -397,10 +355,7 @@ def evolve(mu0: Distribution, system: WaveSystem, n: int) -> Distribution:
     for _ in range(n):
         w = np.empty_like(mu)
         w[gp] = mu
-        z = w @ mat
-        if sp.issparse(mat):
-            z = np.asarray(z).ravel()
-        mu = z[gp]
+        mu = (w @ mat)[gp]
         gp = fwd[gp]
     return Distribution(system.space, _renormalize(mu))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import scipy.sparse as sp
 
 from .core import DENSE_LIMIT, MarkovKernel, Permutation, StateSpace, make_kernel, make_permutation
@@ -17,15 +16,11 @@ from .errors import ConfigInvalid
 
 
 def kernel_document(kernel: MarkovKernel) -> dict:
-    if kernel.is_sparse:
-        coo = kernel.matrix.tocoo()
-        triplets = sorted(
-            (int(r), int(c), float(v)) for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0.0
-        )
-    else:
-        rows, cols = np.nonzero(kernel.matrix)
-        triplets = [(int(r), int(c), float(kernel.matrix[r, c])) for r, c in zip(rows, cols)]
-    doc = {"size": kernel.size, "triplets": [list(t) for t in triplets]}
+    coo = sp.coo_array(kernel.matrix)
+    triplets = sorted(
+        [int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0.0
+    )
+    doc = {"size": kernel.size, "triplets": triplets}
     if kernel.space.labels is not None:
         doc["labels"] = list(kernel.space.labels)
     return doc
@@ -49,10 +44,8 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(size, size))
-    if size <= dense_limit:
-        return make_kernel(space, m.toarray(), dense_limit=dense_limit)
-    return make_kernel(space, m.tocsr(), dense_limit=dense_limit)
+    m = sp.coo_array((vals, (rows, cols)), shape=(size, size))
+    return make_kernel(space, m, dense_limit=dense_limit)
 
 
 def save_kernel(kernel: MarkovKernel, path: str) -> None:

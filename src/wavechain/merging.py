@@ -449,11 +449,13 @@ class BoundaryAnalysis:
             raise BoundViolated("imbalanced columns outside the support boundary")
 
 
-def _column_imbalance(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _imbalance_and_reach(m: np.ndarray, support):
+    """Surplus and deficit columns of m, and the one-step reach of support."""
     colsums = m.sum(axis=0)
     a_plus = tuple(int(i) for i in np.flatnonzero(colsums > 1.0 + _COLSUM_TOL))
     a_minus = tuple(int(i) for i in np.flatnonzero(colsums < 1.0 - _COLSUM_TOL))
-    return a_plus, a_minus
+    reach = (m[sorted(int(s) for s in support)] > 0.0).any(axis=0)
+    return a_plus, a_minus, reach, colsums
 
 
 def boundary_analysis(
@@ -472,11 +474,7 @@ def boundary_analysis(
     w = pi.weights
     if float(np.max(w) - np.min(w)) <= _COLSUM_TOL:
         raise UniformMeasure("invariant measure is uniform; no extremes to locate")
-    m = shifted.dense()
-    a_plus, a_minus = _column_imbalance(m)
-    reach = np.zeros(shifted.size, dtype=bool)
-    for s in sorted(int(s) for s in support):
-        reach |= m[s] > 0.0
+    a_plus, a_minus, reach, _ = _imbalance_and_reach(shifted.dense(), support)
     boundary = tuple(int(i) for i in np.flatnonzero(reach))
     # the extreme values must be attained inside the imbalanced sets, but
     # other states may tie them exactly (e.g. under a symmetry of pi), so
@@ -514,13 +512,9 @@ def minmax_ratio_bound(
     if float(np.max(w) - np.min(w)) <= _COLSUM_TOL:
         return 1.0
     m = shifted.dense()
-    a_plus, a_minus = _column_imbalance(m)
-    reach = np.zeros(shifted.size, dtype=bool)
-    for s in sorted(int(s) for s in support):
-        reach |= m[s] > 0.0
+    a_plus, a_minus, reach, colsums = _imbalance_and_reach(m, support)
     if not all(reach[i] for i in (*a_plus, *a_minus)):
         raise ValueError("support does not cover the imbalanced columns")
-    colsums = m.sum(axis=0)
     worst = 1.0
     for x in a_plus:
         for y in a_minus:

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    DENSE_LIMIT,
     Distribution,
     MarkovKernel,
     Permutation,
@@ -337,23 +336,13 @@ def group_walk_kernel(spec: GroupWalkSpec) -> MarkovKernel:
     space = sn_space(spec.n)
     size = len(elements)
     pairs = sorted(spec.generator_weights.items())
-    if size <= DENSE_LIMIT:
-        mat = np.zeros((size, size))
-        for i, x in enumerate(elements):
-            for s, w in pairs:
-                mat[i, index[multiply(x, s)]] += w
-        return make_kernel(space, mat)
-    rows = []
-    cols = []
-    vals = []
+    rows, cols, vals = [], [], []
     for i, x in enumerate(elements):
         for s, w in pairs:
             rows.append(i)
             cols.append(index[multiply(x, s)])
             vals.append(w)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    mat.sum_duplicates()
-    return MarkovKernel(space, mat)
+    return make_kernel(space, sp.coo_array((vals, (rows, cols)), shape=(size, size)))
 
 
 def conjugation_map(n: int, a: Perm) -> Permutation:
@@ -447,8 +436,7 @@ def sticky_permutation_system(n: int, rho, delta: float) -> WaveSystem:
             rows.append(i)
             cols.append(index[multiply(x, s)])
             vals.append(move - extra / (n - 1))
-    csr = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    sticky = MarkovKernel(space, csr.toarray() if size <= DENSE_LIMIT else csr)
+    sticky = make_kernel(space, sp.coo_array((vals, (rows, cols)), shape=(size, size)))
     return make_wave_system(sticky, conjugation_map(n, _rotation_perm(n)))
 
 
@@ -497,8 +485,7 @@ def binary_cycling_system(n_bits: int) -> WaveSystem:
     indices[1::2] = hi
     data = np.full(2 * size, 0.5)
     indptr = 2 * np.arange(size + 1, dtype=np.int64)
-    csr = sp.csr_matrix((data, indices, indptr), shape=(size, size))
-    kernel = MarkovKernel(space, csr.toarray() if size <= DENSE_LIMIT else csr)
+    kernel = make_kernel(space, sp.csr_array((data, indices, indptr), shape=(size, size)))
     # rotating coordinates left means bit i of g(x) is bit i+1 of x
     fwd = (xs >> 1) | ((xs & 1) << (n - 1))
     return make_wave_system(kernel, make_permutation(space, fwd))

@@ -14,6 +14,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import Distribution, WaveSystem
 from .errors import NotMerging
@@ -44,18 +45,8 @@ class _RowTable:
 
     def __init__(self, kernel):
         size = kernel.size
-        if kernel.is_sparse:
-            csr = kernel.matrix.tocsr()
-            csr.sort_indices()
-            starts = csr.indptr
-            all_idx = csr.indices
-            all_val = csr.data
-        else:
-            m = kernel.matrix
-            rows = [np.flatnonzero(m[r]) for r in range(size)]
-            starts = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-            all_idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            all_val = np.concatenate([m[r][rows[r]] for r in range(size)])
+        csr = sp.csr_array(kernel.matrix).sorted_indices()
+        starts, all_idx, all_val = csr.indptr, csr.indices, csr.data
         width = int(np.max(np.diff(starts)))
         self.indices = np.empty((size, width), dtype=np.int64)
         self.cums = np.full((size, width), 2.0)

@@ -3,7 +3,7 @@
 A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
 Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
 triples are read off the ordinary SVD of B.  When mu_out K = mu_in the top
-triple is exactly (1, const, const); the path for large sparse kernels
+triple is exactly (1, const, const); the path for sparse kernels
 deflates that pair analytically and finds the next one with ARPACK
 (Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM 1998).
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -81,7 +80,7 @@ def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     pi = pi / pi.sum()
     mat = kernel.matrix
     for _ in range(_STATIONARY_MAX_STEPS):
-        step = _rmatvec(mat, pi)
+        step = pi @ mat
         if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
             break
         # lazy damping keeps the iteration convergent for periodic kernels
@@ -120,18 +119,17 @@ def weighted_singular_values(
     kernel: MarkovKernel,
     mu_in: Distribution,
     mu_out: Distribution,
-    top: Optional[int] = None,
 ) -> SpectralDecomposition:
     """Singular value decomposition of K: l2(mu_in) -> l2(mu_out).
 
-    Dense spaces get the full decomposition.  Above DENSE_LIMIT (or when
-    `top` is 2 on a sparse kernel) only the leading two triples are
-    computed: the known (1, const, const) triple is deflated analytically
-    and the next one is the top eigenpair of the deflated Gram operator
-    B^T B of the Euclidean avatar, found by ARPACK (`eigsh`) from a fixed
-    start vector.  That shortcut requires mu_out K = mu_in, which is
-    checked (FlowMismatch otherwise); NotConverged is raised if ARPACK
-    stops short of machine precision.
+    The kernel's storage picks the method.  A dense kernel gets the full
+    decomposition.  A sparse one gets only the leading two triples: the
+    known (1, const, const) triple is deflated analytically and the next
+    one is the top eigenpair of the deflated Gram operator B^T B of the
+    Euclidean avatar, found by ARPACK (`eigsh`) from a fixed start vector.
+    That shortcut requires mu_out K = mu_in, which is checked
+    (FlowMismatch otherwise); NotConverged is raised if ARPACK stops short
+    of machine precision.
     """
     win = _check_positive(mu_in, "mu_in")
     wout = _check_positive(mu_out, "mu_out")
@@ -140,8 +138,8 @@ def weighted_singular_values(
     n = kernel.size
     sin = np.sqrt(win)
     sout = np.sqrt(wout)
-    if n <= DENSE_LIMIT and not (top == 2 and kernel.is_sparse):
-        b = (sout[:, None] * kernel.dense()) / sin[None, :]
+    if not kernel.is_sparse:
+        b = (sout[:, None] * kernel.matrix) / sin[None, :]
         u, s, vt = np.linalg.svd(b)
         v = vt.T
         # fix an overall sign per triple: make the heaviest entry of phi positive
@@ -159,7 +157,7 @@ def weighted_singular_values(
 
 def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecomposition:
     mat = kernel.matrix
-    flow = _rmatvec(mat, mu_out.weights)
+    flow = mu_out.weights @ mat
     if float(np.max(np.abs(flow - mu_in.weights))) > 1e-10:
         raise FlowMismatch(
             "large-space singular values need mu_out K = mu_in for the analytic top triple"
@@ -167,12 +165,12 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
     v0 = sin  # unit top right singular vector of the avatar
 
     def avatar(w):
-        return sout * _matvec(mat, w / sin)
+        return sout * (mat @ (w / sin))
 
     def deflated_gram(w):
         # B^T (B w) with the top triple projected out
         w = np.ravel(w)
-        btbw = _rmatvec(mat, avatar(w) * sout) / sin
+        btbw = ((avatar(w) * sout) @ mat) / sin
         return btbw - (v0 @ btbw) * v0
 
     rng = np.random.default_rng(0x5EED)
@@ -201,16 +199,6 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
     left = np.column_stack([sout / sout, u1 / sout])  # first column is constant 1
     right = np.column_stack([sin / sin, w / sin])
     return SpectralDecomposition(values, left, right, mu_in, mu_out)
-
-
-def _matvec(mat, x):
-    y = mat @ x
-    return np.asarray(y).ravel() if sp.issparse(mat) else y
-
-
-def _rmatvec(mat, x):
-    y = x @ mat
-    return np.asarray(y).ravel() if sp.issparse(mat) else y
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import wavechain as w
 from wavechain import errors
@@ -172,6 +173,43 @@ def test_sticky_large_space_stays_sparse():
     s = w.sticky_permutation_system(5, (0, 1, 2, 3, 4), 0.05)
     assert s.space.size == 120
     assert not s.base.is_sparse or s.base.size <= w.DENSE_LIMIT
+
+
+def zoo_systems():
+    circle, _ = w.circle_kernel(7, 1.0)
+    lazy = w.lazy_circle_kernel(7, 0.5)
+    regular = w.random_regular_graph_walk(8, 3, 0)
+    return [
+        w.make_wave_system(circle, w.circle_shift(7, -1)),
+        w.make_wave_system(lazy, w.circle_shift(7, 2)),
+        w.make_wave_system(regular, w.make_permutation(regular.space, range(8))),
+        w.make_wave_system(
+            w.circle_perturbation_spec(7, 1.0).kernel(), w.circle_shift(7, -1)
+        ),
+        w.binary_cycling_system(3),
+        w.four_point_example(),
+        w.deck_reversal_system(4),
+        w.cyclic_to_random_system(4),
+        w.sticky_permutation_system(4, (0, 1, 2, 3), 0.1),
+        w.sticky_permutation_system(5, 7, 0.05),
+        w.periodic_class_example(3, 2),
+    ]
+
+
+def test_zoo_kernels_are_read_only():
+    for s in zoo_systems():
+        for kernel in (s.base, s.shifted):
+            assert not kernel.is_sparse
+            assert not kernel.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                kernel.matrix[0, 0] = 5.0
+
+
+def test_zoo_kernels_above_the_dense_limit_are_csr_arrays():
+    s = w.binary_cycling_system(13)
+    assert s.space.size > w.DENSE_LIMIT
+    for kernel in (s.base, s.shifted):
+        assert isinstance(kernel.matrix, sp.csr_array)
 
 
 # ------------------------------------------------- other model builders

@@ -312,9 +312,9 @@ def test_top_two_on_the_slow_sticky_spectrum():
     s = w.sticky_permutation_system(7, tuple(range(7)), 0.05)
     pi = s.wave_measure
     assert s.shifted.is_sparse
-    dec = w.weighted_singular_values(s.shifted, pi, pi, top=2)
+    dec = w.weighted_singular_values(s.shifted, pi, pi)
     assert dec.singular_values[1] == pytest.approx(0.92862971, abs=1e-8)
-    again = w.weighted_singular_values(s.shifted, pi, pi, top=2)
+    again = w.weighted_singular_values(s.shifted, pi, pi)
     assert np.array_equal(dec.singular_values, again.singular_values)
     assert np.array_equal(dec.right_basis, again.right_basis)
     assert np.array_equal(dec.left_basis, again.left_basis)
@@ -331,7 +331,7 @@ def test_top_two_matches_dense_singular_values_on_the_corpus(corpus):
         if pi is None:
             continue
         sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
-        top = w.weighted_singular_values(sparse, pi, pi, top=2).singular_values
+        top = w.weighted_singular_values(sparse, pi, pi).singular_values
         full = w.weighted_singular_values(s.shifted, pi, pi).singular_values
         assert abs(top[1] - full[1]) < 1e-9
 
@@ -341,13 +341,13 @@ def test_top_two_of_a_rank_one_kernel_is_zero():
     space = w.StateSpace(n)
     uniform = w.Distribution.uniform(space)
     flat = w.make_kernel(space, np.full((n, n), 1.0 / n), dense_limit=2)
-    dec = w.weighted_singular_values(flat, uniform, uniform, top=2)
+    dec = w.weighted_singular_values(flat, uniform, uniform)
     assert dec.singular_values[1] == 0.0
     pi = np.random.default_rng(2).random(n)
     pi /= pi.sum()
     mu = w.Distribution(space, pi)
     tilted = w.make_kernel(space, np.tile(pi, (n, 1)), dense_limit=2)
-    assert w.weighted_singular_values(tilted, mu, mu, top=2).singular_values[1] < 1e-12
+    assert w.weighted_singular_values(tilted, mu, mu).singular_values[1] < 1e-12
 
 
 # ---------------------------------------------------------- typed errors
@@ -358,7 +358,7 @@ def test_top_two_flow_mismatch_is_a_value_error():
     pi = np.arange(1.0, 8.0)
     mu = w.Distribution(s.space, pi / pi.sum())
     with pytest.raises(errors.FlowMismatch) as info:
-        w.weighted_singular_values(sparse, mu, mu, top=2)
+        w.weighted_singular_values(sparse, mu, mu)
     assert isinstance(info.value, ValueError)
 
 
@@ -367,12 +367,12 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
     pi = s.wave_measure
     sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
-    assert w.weighted_singular_values(sparse, pi, pi, top=2).singular_values[1] == (
+    assert w.weighted_singular_values(sparse, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
     monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
     with pytest.raises(errors.NotConverged):
-        w.weighted_singular_values(sparse, pi, pi, top=2)
+        w.weighted_singular_values(sparse, pi, pi)
 
 
 def test_stationary_refinement_failure_is_typed(monkeypatch):

@@ -54,7 +54,7 @@ def test_top_two_sparse_path_agrees_with_dense():
     pi = s.wave_measure
     sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     assert sparse.is_sparse
-    top = w.weighted_singular_values(sparse, pi, pi, top=2).singular_values
+    top = w.weighted_singular_values(sparse, pi, pi).singular_values
     full = np.sort(
         w.weighted_singular_values(s.shifted, pi, pi).singular_values
     )[::-1]
