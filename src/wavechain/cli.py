@@ -682,6 +682,15 @@ def _cmd_scaling(config: ExperimentConfig, eta_given: bool) -> int:
     return 0
 
 
+# Subcommands that run a fixed set of analyses; `analyze` takes its set
+# from the config.
+_COMMAND_ANALYSES = {
+    "merge-time": ("merging",),
+    "simulate": ("simulate",),
+    "scan": ("scan-permutations",),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -691,26 +700,13 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         config = _config_from_args(args)
-        if args.command == "analyze":
-            code, _ = run(config)
-            return code
-        if args.command == "merge-time":
-            config.analyses = ("merging",)
-            code, _ = run(config)
-            return code
-        if args.command == "simulate":
-            config.analyses = ("simulate",)
-            code, _ = run(config)
-            return code
         if args.command == "wave-profile":
             return _cmd_wave_profile(config)
-        if args.command == "scan":
-            config.analyses = ("scan-permutations",)
-            code, _ = run(config)
-            return code
         if args.command == "scaling":
             return _cmd_scaling(config, eta_given=args.epsilon is not None)
-        raise ConfigInvalid(f"unknown command {args.command!r}")
+        config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
+        code, _ = run(config)
+        return code
     except BoundViolated as exc:
         print(f"bound violated: {exc}", file=sys.stderr)
         return 2

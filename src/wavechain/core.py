@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -84,7 +85,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)  # a copy: the caller's stays writable
         if w.shape != (self.space.size,):
             raise SpaceMismatch(
                 f"weight vector of length {w.shape} on a space of size {self.space.size}"
@@ -116,7 +117,7 @@ class Permutation:
     inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.int64)
+        fwd = np.array(self.forward, dtype=np.int64)  # a copy: the caller's stays writable
         n = self.space.size
         if fwd.shape != (n,):
             raise SpaceMismatch("forward map length differs from space size")
@@ -146,23 +147,24 @@ def make_permutation(space: StateSpace, forward) -> Permutation:
     return Permutation(space, np.asarray(forward))
 
 
-def permutation_order(g: Permutation) -> int:
-    """Least k >= 1 with g^k = identity: the lcm of the cycle lengths."""
-    fwd = g.forward
-    n = g.space.size
-    seen = np.zeros(n, dtype=bool)
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
+def _cycles(g: Permutation) -> Iterator[list[int]]:
+    """Yield the cycles of g by least state, each walked forward from it."""
+    fwd = g.forward.tolist()
+    seen = [False] * len(fwd)
+    for start in range(len(fwd)):
+        cycle = []
         x = start
         while not seen[x]:
             seen[x] = True
+            cycle.append(x)
             x = fwd[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+        if cycle:
+            yield cycle
+
+
+def permutation_order(g: Permutation) -> int:
+    """Least k >= 1 with g^k = identity: the lcm of the cycle lengths."""
+    return math.lcm(*(len(cycle) for cycle in _cycles(g)))
 
 
 @dataclass(frozen=True)
@@ -223,10 +225,13 @@ def make_kernel(space: StateSpace, entries, dense_limit: int = DENSE_LIMIT) -> M
     input form: nested lists, an ndarray, or any scipy sparse matrix or
     array.  Every constructor in the package goes through here.
     """
+    # copies throughout: the caller's arrays stay writable and unshared
     if space.size > dense_limit:
-        m = sp.csr_array(entries, dtype=np.float64)
+        m = sp.csr_array(entries, dtype=np.float64, copy=True)
+    elif sp.issparse(entries):
+        m = entries.toarray().astype(np.float64, copy=False)
     else:
-        m = np.asarray(entries.toarray() if sp.issparse(entries) else entries, dtype=np.float64)
+        m = np.array(entries, dtype=np.float64)
     _validate_matrix(space, m)
     return _wrap(space, m)
 
@@ -315,6 +320,20 @@ def kernel_at(system: WaveSystem, i: int) -> MarkovKernel:
     return transport_kernel(system.base, system.map, i)
 
 
+def _windows(system: WaveSystem, n: int) -> Iterator[np.ndarray]:
+    """Yield the dense window products K_{n,m} for m = n, n+1, ..., in one pass."""
+    if system.space.size > DENSE_LIMIT:
+        raise TooLarge("window products are dense; use evolve on large spaces")
+    base = system.base.dense()
+    fwd = system.map.forward
+    gp = system.map.power_map(n)  # g^{i-1} for the next step i = m+1
+    out = np.eye(system.space.size)
+    while True:
+        yield out
+        out = out @ base[np.ix_(gp, gp)]
+        gp = fwd[gp]
+
+
 def compose_window(system: WaveSystem, n: int, m: int) -> MarkovKernel:
     """The window product K_{n,m} = K_{n+1} K_{n+2} ... K_m.
 
@@ -323,41 +342,41 @@ def compose_window(system: WaveSystem, n: int, m: int) -> MarkovKernel:
     """
     if n > m:
         raise WindowInverted(f"window ({n}, {m}) has n > m")
-    size = system.space.size
-    if size > DENSE_LIMIT:
-        raise TooLarge("window products are dense; use evolve on large spaces")
-    out = np.eye(size)
-    if n == m:
-        return _wrap(system.space, out)
-    gp = system.map.power_map(n)  # g^{i-1} for i = n+1
-    base = system.base.dense()
+    return _wrap(system.space, next(islice(_windows(system, n), m - n, None)))
+
+
+def _shifted_laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]:
+    """Yield mu0 shifted^n for n = 0, 1, ...: the one loop that steps a law."""
+    # v shifted = (v base)(g^{-1} .); a product with the column-permuted
+    # shifted matrix itself may round differently in the last bit under BLAS
+    v = mu0.weights
+    mat = system.base.matrix
+    inv = system.map.inverse
+    while True:
+        yield v
+        v = (v @ mat)[inv]
+
+
+def _laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]:
+    """Yield evolve(mu0, system, n).weights for n = 0, 1, ..., in one pass."""
     fwd = system.map.forward
-    for _ in range(n + 1, m + 1):
-        out = out @ base[np.ix_(gp, gp)]
-        gp = fwd[gp]
-    return _wrap(system.space, out)
+    gn = np.arange(system.space.size, dtype=np.int64)  # g^n
+    for v in _shifted_laws(mu0, system):
+        yield _renormalize(v[gn])
+        gn = fwd[gn]
 
 
 def evolve(mu0: Distribution, system: WaveSystem, n: int) -> Distribution:
     """Distribution after n steps from mu0, i.e. mu0 K_{0,n}.
 
-    Works one step at a time through the transport identity
-    (mu K_i)(y) = (w K)(g^{i-1} y) with w(u) = mu(g^{-(i-1)} u), so the
-    window product is never materialized.
+    Steps the shifted kernel n times and relabels once, by the identity
+    K_{0,n}(x, y) = shifted^n(x, g^n y); no window product is formed.
     """
     _same_space(mu0.space, system.space)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    mu = np.array(mu0.weights)
-    gp = np.arange(system.space.size, dtype=np.int64)  # g^{i-1} for i = 1
-    fwd = system.map.forward
-    mat = system.base.matrix
-    for _ in range(n):
-        w = np.empty_like(mu)
-        w[gp] = mu
-        mu = (w @ mat)[gp]
-        gp = fwd[gp]
-    return Distribution(system.space, _renormalize(mu))
+    v = next(islice(_shifted_laws(mu0, system), n, None))
+    return Distribution(system.space, _renormalize(v[system.map.power_map(n)]))
 
 
 def _renormalize(w: np.ndarray) -> np.ndarray:
@@ -431,21 +450,13 @@ def verify_wave_identity(system: WaveSystem, n_max: int) -> WaveIdentityReport:
     `power_blocks`; returns the largest absolute discrepancy and where it
     occurs.
     """
-    size = system.space.size
-    if size > DENSE_LIMIT:
-        raise TooLarge("identity check is dense; too many states")
-    base = system.base.dense()
-    fwd = system.map.forward
-    window = np.eye(size)
-    gp = np.arange(size, dtype=np.int64)  # g^{i-1}
-    gn = np.arange(size, dtype=np.int64)  # g^n
+    windows = _windows(system, 0)
+    next(windows)  # K_{0,0} = I; refuses spaces above DENSE_LIMIT
     worst = (0.0, 0, 0, 0)
     for first, block in power_blocks(system.shifted, n_max):
         for j in range(block.shape[1]):
-            window = window @ base[np.ix_(gp, gp)]
-            gp = fwd[gp]
-            gn = fwd[gn]
-            diff = np.abs(window - block[:, j][:, gn])
+            gn = system.map.power_map(first + j)
+            diff = np.abs(next(windows) - block[:, j][:, gn])
             k = int(np.argmax(diff))
             x, y = np.unravel_index(k, diff.shape)
             if diff[x, y] > worst[0]:

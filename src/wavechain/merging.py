@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Literal, Optional, Union
 
 import numpy as np
@@ -25,8 +26,9 @@ from .core import (
     Distribution,
     MarkovKernel,
     WaveSystem,
+    _cycles,
+    _laws,
     compose_window,
-    evolve,
     kernel_at,
     power_blocks,
     wave_measures,
@@ -265,19 +267,8 @@ def certify_stability(
         if np.any(mu0.weights <= 0.0):
             raise ZeroWeight("stability ratios need a positive start")
         w = pi.weights
-        fwd = system.map.forward
         best = (1.0, 0, 0)
-        seen = np.zeros(system.space.size, dtype=bool)
-        for start in range(system.space.size):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            x = int(fwd[start])
-            while x != start:
-                seen[x] = True
-                orbit.append(x)
-                x = int(fwd[x])
+        for orbit in _cycles(system.map):
             values = w[orbit]
             hi = int(np.argmax(values))
             lo = int(np.argmin(values))
@@ -294,9 +285,8 @@ def certify_stability(
     if np.any(mu0.weights <= 0.0):
         raise ZeroWeight("stability ratios need a positive start")
     worst = (1.0, 0, 0)
-    for n in range(1, horizon + 1):
-        mu = evolve(mu0, system, n)
-        ratios = mu.weights / mu0.weights
+    for n, law in enumerate(islice(_laws(mu0, system), 1, horizon + 1), 1):
+        ratios = law / mu0.weights
         hi = int(np.argmax(ratios))
         lo = int(np.argmin(ratios))
         for idx in (hi, lo):
@@ -379,7 +369,8 @@ def sv_product_bound(
     if pi is not None and float(np.max(np.abs(mu0.weights - pi.weights))) <= 1e-12:
         mus = [wave_measures(system, i) for i in range(n + 1)]
     else:
-        mus = [mu0] + [evolve(mu0, system, i) for i in range(1, n + 1)]
+        laws = islice(_laws(mu0, system), 1, n + 1)
+        mus = [mu0] + [Distribution(system.space, law) for law in laws]
     product = 1.0
     for i in range(1, n + 1):
         if np.any(mus[i].weights <= 0.0) or np.any(mus[i - 1].weights <= 0.0):

@@ -29,7 +29,6 @@ from .errors import (
     ZeroWeight,
 )
 
-_DIRECT_SOLVE_LIMIT = 2000
 _STATIONARY_TOL = 1e-12
 _STATIONARY_MAX_STEPS = 100_000
 
@@ -59,15 +58,16 @@ def period(kernel: MarkovKernel) -> int:
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
-    Direct linear solve up to 2000 states; beyond that the start is the
-    uniform vector.  Either way the result is refined by damped steps
+    The size rule is the one of `MarkovKernel.dense`: a direct linear solve
+    up to DENSE_LIMIT states, and above it a start from the uniform vector.
+    Either way the result is refined by damped steps
     pi <- (pi + pi K) / 2 until the residual max_x |(pi K - pi)(x)| is at
     most 1e-12; NotConverged is raised if 100 000 steps do not get there.
     """
     if not is_irreducible(kernel):
         raise NotIrreducible("stationary distribution needs an irreducible kernel")
     n = kernel.size
-    if n <= _DIRECT_SOLVE_LIMIT:
+    if n <= DENSE_LIMIT:
         m = kernel.dense()
         a = m.T - np.eye(n)
         a[-1, :] = 1.0

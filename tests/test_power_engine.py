@@ -377,7 +377,7 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
 
 def test_stationary_refinement_failure_is_typed(monkeypatch):
     s = circle_system(9)
-    monkeypatch.setattr(spectral, "_DIRECT_SOLVE_LIMIT", 0)  # start from uniform
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)  # start from uniform
     monkeypatch.setattr(spectral, "_STATIONARY_MAX_STEPS", 2)
     with pytest.raises(errors.NotConverged):
         w.stationary_distribution(s.shifted)

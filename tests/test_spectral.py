@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
+import wavechain.spectral as spectral
 from wavechain import errors
 from wavechain.groups import transposition
 
@@ -167,3 +168,21 @@ def test_spectral_report_document_shape():
     assert doc["flags"]["irreducible"] is True
     assert all(len(pair) == 2 for pair in doc["eigenvalues"])
     assert doc["sigma"][0] == pytest.approx(1.0)
+
+
+def test_stationary_solve_is_direct_on_dense_slow_mixers(monkeypatch):
+    # the heavy-edge circle walk of circle_kernel(2001, 1.0), built with numpy:
+    # from the uniform start its damped iteration needs far more than the
+    # step cap below, so only the direct solve gets there
+    n = 2001
+    m = np.zeros((n, n))
+    x = np.arange(n)
+    m[x, (x + 1) % n] = m[x, (x - 1) % n] = 0.5
+    m[0, 1] = m[1, 0] = 2.0 / 3.0
+    m[0, n - 1] = m[1, 2] = 1.0 / 3.0
+    s = w.make_wave_system(w.make_kernel(w.StateSpace(n), m), w.circle_shift(n, -1))
+    assert not s.shifted.is_sparse
+    monkeypatch.setattr(spectral, "_STATIONARY_MAX_STEPS", 100)
+    pi = w.stationary_distribution(s.shifted)
+    closed = w.tilde_pi_closed_form_shift_minus1(n, 1.0)
+    assert np.max(np.abs(pi.weights - closed.weights)) < 1e-12

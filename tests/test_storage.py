@@ -131,3 +131,34 @@ def test_analyses_share_one_stationary_solve(tmp_path, monkeypatch):
     assert code == 0
     assert set(report["results"]) == {"spectral", "stability", "bounds"}
     assert calls == [9]
+
+
+def test_make_kernel_leaves_the_callers_ndarray_writable():
+    m = np.full((2, 2), 0.5)
+    k = w.make_kernel(w.StateSpace(2), m)
+    m[0, 0] = 1.0
+    assert k.matrix[0, 0] == 0.5
+    assert not k.matrix.flags.writeable
+
+
+def test_make_kernel_does_not_share_the_callers_csr_data():
+    c = sp.csr_array(np.full((3, 3), 1.0 / 3.0))
+    k = w.make_kernel(w.StateSpace(3), c, dense_limit=2)
+    c.data[0] = 5.0
+    assert k.matrix[0, 0] == 1.0 / 3.0
+
+
+def test_distribution_leaves_the_callers_weights_writable():
+    weights = np.array([0.25, 0.75])
+    mu = w.Distribution(w.StateSpace(2), weights)
+    weights[0] = 0.5
+    assert mu.weights[0] == 0.25
+    assert not mu.weights.flags.writeable
+
+
+def test_permutation_leaves_the_callers_forward_map_writable():
+    forward = np.array([1, 2, 0], dtype=np.int64)
+    g = w.make_permutation(w.StateSpace(3), forward)
+    forward[0] = 0
+    assert g.forward.tolist() == [1, 2, 0]
+    assert not g.forward.flags.writeable
