@@ -3,9 +3,10 @@
 Builds a system from the model zoo (or a kernel JSON file), runs the
 requested analyses, and writes machine-readable outputs into the chosen
 directory: report.json plus trace.csv / profile.csv / scan.csv as the
-analyses call for them.  Reports are byte-stable for a fixed config: JSON
-is dumped with sorted keys, CSV rows follow state or step order, and no
-timestamps or environment data are recorded.
+analyses call for them.  Every subcommand writes through `_emit`, once its
+results are complete, so a failing command leaves nothing behind.  Reports
+are byte-stable for a fixed config: JSON is dumped with sorted keys, CSV rows
+follow state or step order, and no timestamps or environment data are recorded.
 
 Exit status: 0 on success, 1 on input errors (bad config, unknown model,
 malformed kernel file), 2 when a quantitative bound the library asserts
@@ -14,8 +15,6 @@ fails numerically; in that case report.json names the violated inequality.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -28,6 +27,7 @@ import numpy as np
 from .core import (
     DENSE_LIMIT,
     Distribution,
+    MarkovKernel,
     Permutation,
     WaveSystem,
     evolve,
@@ -41,8 +41,9 @@ from .errors import (
     ModelUnknown,
     WavechainError,
 )
-from .interchange import load_kernel
+from .interchange import _csv_text, load_kernel
 from .merging import (
+    _sigma_tilde,
     certify_stability,
     merging_time,
     tv_distance,
@@ -50,6 +51,7 @@ from .merging import (
 from .models import (
     binary_cycling_system,
     circle_kernel,
+    circle_shift,
     cyclic_to_random_system,
     deck_reversal_system,
     four_point_example,
@@ -153,13 +155,9 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
 # it knows; leftovers are reported as configuration errors.
 
 
-def _circle_builder(p):
-    kernel, _ = circle_kernel(int(p.pop("n", 5)), float(p.pop("eps", 1.0)))
-    return kernel, "shift:-1"
-
-
-def _lazy_circle_builder(p):
-    return lazy_circle_kernel(int(p.pop("n", 5)), float(p.pop("eps", 1.0))), "shift:-1"
+def _circle_params(p) -> tuple[int, float]:
+    # point count and heavy-edge excess, shared by both circle models
+    return int(p.pop("n", 5)), float(p.pop("eps", 1.0))
 
 
 def _sticky_builder(p):
@@ -176,8 +174,8 @@ def _regular_builder(p):
 
 
 _MODEL_BUILDERS: dict[str, Callable] = {
-    "circle": _circle_builder,
-    "lazy-circle": _lazy_circle_builder,
+    "circle": lambda p: (circle_kernel(*_circle_params(p))[0], "shift:-1"),
+    "lazy-circle": lambda p: (lazy_circle_kernel(*_circle_params(p)), "shift:-1"),
     "binary-cycling": lambda p: binary_cycling_system(int(p.pop("bits", 3))),
     "four-point": lambda p: four_point_example(),
     "deck-reversal": lambda p: deck_reversal_system(int(p.pop("n", 4))),
@@ -221,20 +219,15 @@ def build_system(config: ExperimentConfig) -> WaveSystem:
 
 @dataclass
 class _AnalysisOut:
-    key: Optional[str] = None
-    doc: Optional[dict] = None
+    doc: Optional[dict] = None  # report.json entry under the analysis name
     files: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     lines: list = field(default_factory=list)
 
 
 def _mass_csv(dist: Distribution) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "mass"])
-    for i in range(dist.space.size):
-        writer.writerow([dist.space.label(i), repr(float(dist.weights[i]))])
-    return buf.getvalue()
+    labels = [dist.space.label(i) for i in range(dist.space.size)]
+    return _csv_text(["state", "mass"], zip(labels, dist.weights))
 
 
 def _run_spectral(system, config, knobs) -> _AnalysisOut:
@@ -244,7 +237,7 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     dec = weighted_singular_values(shifted, mu, mu)
     eig = eigenvalues(shifted) if system.space.size <= _EIG_LIMIT else None
     doc = spectral_report_document(shifted, dec, eig, pi)
-    out = _AnalysisOut(key="spectral", doc=doc)
+    out = _AnalysisOut(doc=doc)
     if len(dec.singular_values) > 1:
         out.lines.append(f"spectral: second singular value {float(dec.singular_values[1]):.8f}")
     return out
@@ -254,7 +247,7 @@ def _run_merging(system, config, knobs) -> _AnalysisOut:
     metric = str(knobs.get("metric", "relative_sup"))
     horizon = int(knobs.get("horizon", 200))
     rep = merging_time(system, config.epsilon_threshold, horizon, metric)
-    out = _AnalysisOut(key="merging", doc=rep.to_document(), files={"trace.csv": rep.to_csv()})
+    out = _AnalysisOut(doc=rep.to_document(), files={"trace.csv": rep.to_csv()})
     if rep.merging_time is None:
         tail = f" ({rep.reason})" if rep.reason else ""
         out.lines.append(f"merging: unbounded within {horizon} steps{tail}")
@@ -277,9 +270,7 @@ def _run_stability(system, config, knobs) -> _AnalysisOut:
             "steps": int(cert.witness[1]),
         },
     }
-    return _AnalysisOut(
-        key="stability", doc=doc, lines=[f"stability: c = {float(cert.c):.12g}"]
-    )
+    return _AnalysisOut(doc=doc, lines=[f"stability: c = {float(cert.c):.12g}"])
 
 
 def _run_bounds(system, config, knobs) -> _AnalysisOut:
@@ -288,10 +279,8 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
     # to let callers watch the violation path fire on a healthy instance.
     horizon = int(knobs.get("horizon", 30))
     scale = float(knobs.get("bound_scale", 1.0))
-    pi = system.wave_measure
+    pi, sigma = _sigma_tilde(system)
     w = pi.weights
-    dec = weighted_singular_values(system.shifted, pi, pi)
-    sigma = float(dec.singular_values[1])
     front = np.sqrt(1.0 / w - 1.0)
     outer = np.outer(front, front)
     worst = (0.0, 0)
@@ -313,7 +302,7 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
         "max_excess": worst[0],
         "dominates": worst[0] <= 1e-12,
     }
-    out = _AnalysisOut(key="bounds", doc=doc)
+    out = _AnalysisOut(doc=doc)
     if doc["dominates"]:
         out.lines.append(f"bounds: merging bound dominates exact error up to n={horizon}")
     else:
@@ -352,19 +341,16 @@ def _run_scan(system, config, knobs) -> _AnalysisOut:
     if config.model not in ("circle", "lazy-circle"):
         raise ConfigInvalid("scan-permutations applies to the circle models only")
     model_params, _ = _split_params(config)
+    _, eps = _circle_params(model_params)
     doc = scan_permutations(
-        n_points=int(model_params.get("n", 5)),
-        eps=float(model_params.get("eps", 1.0)),
+        system.base,
+        eps=eps,
         count=int(knobs.get("count", 50)),
         seed=config.seed,
         lazy=config.model == "lazy-circle",
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["map", "ratio", "status"])
-    for row in doc["rows"]:
-        writer.writerow([row["map"], row["ratio"], row["status"]])
-    out = _AnalysisOut(files={"scan.csv": buf.getvalue()})
+    rows = [(row["map"], row["ratio"], row["status"]) for row in doc["rows"]]
+    out = _AnalysisOut(files={"scan.csv": _csv_text(["map", "ratio", "status"], rows)})
     out.lines.append(
         f"scan: worst max/min ratio {doc['worst']:.8f} over {len(doc['rows'])} maps"
     )
@@ -393,19 +379,17 @@ _ANALYSIS_RUNNERS = {
 }
 
 
-def scan_permutations(n_points: int, eps: float, count: int, seed: int, lazy: bool) -> dict:
+def scan_permutations(kernel: MarkovKernel, eps: float, count: int, seed: int, lazy: bool) -> dict:
     """Stability ratios max/min of the invariant measure over a family of maps.
 
+    `kernel` is the heavy-edge circle walk with excess `eps`, lazy or not.
     The first rows are the shifts by ±1 and ±2, followed by `count` seeded
     random permutations.  For the lazy kernel every map carries the proven
     bound 1+eps; for the nonlazy kernel only the four shifts do, and any
     other map is labeled empirical: no bound is known, the value is
     informational only.
     """
-    if lazy:
-        kernel = lazy_circle_kernel(n_points, eps)
-    else:
-        kernel, _ = circle_kernel(n_points, eps)
+    n_points = kernel.size
     rng = np.random.default_rng(seed)
     maps: list[tuple[str, np.ndarray]] = []
     for s in (1, -1, 2, -2):
@@ -442,42 +426,48 @@ def scan_permutations(n_points: int, eps: float, count: int, seed: int, lazy: bo
     }
 
 
+def _scaling_family(family: str, p: dict) -> Callable:
+    """Per-size builder n -> (system, step cap) of a scaling family; pops its
+    parameters from p."""
+    if family == "circle":
+        eps = float(p.pop("eps", 1.0))
+        return lambda n: (
+            make_wave_system(circle_kernel(n, eps)[0], circle_shift(n, -1)),
+            100 + 10 * n * n,
+        )
+    if family == "sticky":
+        delta = float(p.pop("delta", 0.05))
+
+        def build(n):
+            system = sticky_permutation_system(int(n), tuple(range(int(n))), delta)
+            size = system.space.size
+            return system, int(200 + 40 * size * math.log(size))
+
+        return build
+    raise ConfigInvalid(f"unknown scaling family {family!r}; use circle or sticky")
+
+
 def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None) -> dict:
     """Exact merging times across a model family with a log-log fit.
 
     Returns the fitted slope of log T against log n together with the
     per-point residuals, so callers can judge both the growth exponent and
-    the fit quality.
+    the fit quality.  The family, its parameters and the sizes (at least
+    two distinct) are checked before any merging time is computed.
     """
     params = dict(params or {})
-    points = []
-    if family == "circle":
-        eps = float(params.pop("eps", 1.0))
-        for n in n_list:
-            kernel, _ = circle_kernel(n, eps)
-            system = make_wave_system(
-                kernel, make_permutation(kernel.space, (np.arange(n) - 1) % n)
-            )
-            cap = 100 + 10 * n * n
-            rep = merging_time(system, eta, cap, "relative_sup")
-            if rep.merging_time is None:
-                raise ConfigInvalid(f"no merging within {cap} steps at n={n}")
-            points.append((int(n), int(rep.merging_time)))
-    elif family == "sticky":
-        delta = float(params.pop("delta", 0.05))
-        for n in n_list:
-            system = sticky_permutation_system(int(n), tuple(range(int(n))), delta)
-            cap = int(200 + 40 * system.space.size * math.log(system.space.size))
-            rep = merging_time(system, eta, cap, "relative_sup")
-            if rep.merging_time is None:
-                raise ConfigInvalid(f"no merging within {cap} steps at n={n}")
-            points.append((int(n), int(rep.merging_time)))
-    else:
-        raise ConfigInvalid(f"unknown scaling family {family!r}; use circle or sticky")
+    build = _scaling_family(family, params)
     if params:
         raise ConfigInvalid(f"family {family!r} does not take parameters {sorted(params)}")
-    if len(points) < 2:
-        raise ConfigInvalid("a scaling study needs at least two sizes")
+    if len({int(n) for n in n_list}) < 2:
+        raise ConfigInvalid("a scaling study needs at least two distinct sizes")
+    points = []
+    for n in n_list:
+        system, cap = build(n)
+        rep = merging_time(system, eta, cap, "relative_sup")
+        if rep.merging_time is None:
+            raise ConfigInvalid(f"no merging within {cap} steps at n={n}")
+        points.append((int(n), int(rep.merging_time)))
     logs_n = np.log([p[0] for p in points])
     logs_t = np.log([p[1] for p in points])
     slope, intercept = np.polyfit(logs_n, logs_t, 1)
@@ -515,6 +505,21 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(doc: dict) -> str:
+    return json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(output: str, files: dict, lines: list) -> None:
+    """The one output path of every subcommand: create the directory, write
+    the files in name order, then print the summary lines."""
+    os.makedirs(output, exist_ok=True)
+    for fname, text in sorted(files.items()):
+        with open(os.path.join(output, fname), "w") as fh:
+            fh.write(text)
+    for line in lines:
+        print(line)
+
+
 def run(config: ExperimentConfig) -> tuple[int, dict]:
     """Execute the configured analyses and write the report files.
 
@@ -530,20 +535,13 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
     lines: list[str] = []
     for name in config.analyses:
         out = _ANALYSIS_RUNNERS[name](system, config, knobs)
-        if out.key is not None and out.doc is not None:
-            report["results"][out.key] = out.doc
+        if out.doc is not None:
+            report["results"][name] = out.doc
         report["violations"].extend(out.violations)
         files.update(out.files)
         lines.extend(out.lines)
-    files["report.json"] = (
-        json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
-    os.makedirs(config.output, exist_ok=True)
-    for fname, text in sorted(files.items()):
-        with open(os.path.join(config.output, fname), "w") as fh:
-            fh.write(text)
-    for line in lines:
-        print(line)
+    files["report.json"] = _json_text(report)
+    _emit(config.output, files, lines)
     return (2 if report["violations"] else 0), report
 
 
@@ -649,13 +647,11 @@ def _cmd_wave_profile(config: ExperimentConfig) -> int:
     burn_in = int(knobs.get("burn_in", default_burn))
     samples = int(knobs.get("samples", 100_000))
     profile = empirical_wave_profile(system, burn_in, stride, samples, config.seed)
-    os.makedirs(config.output, exist_ok=True)
-    with open(os.path.join(config.output, "profile.csv"), "w") as fh:
-        fh.write(_mass_csv(profile))
-    print(f"wave-profile: {samples} samples, burn-in {burn_in}, stride {stride}")
+    lines = [f"wave-profile: {samples} samples, burn-in {burn_in}, stride {stride}"]
     if system.space.size <= DENSE_LIMIT:
-        exact = system.wave_measure
-        print(f"wave-profile: TV against exact invariant measure {tv_distance(profile, exact):.6f}")
+        tv = tv_distance(profile, system.wave_measure)
+        lines.append(f"wave-profile: TV against exact invariant measure {tv:.6f}")
+    _emit(config.output, {"profile.csv": _mass_csv(profile)}, lines)
     return 0
 
 
@@ -667,18 +663,15 @@ def _cmd_scaling(config: ExperimentConfig, eta_given: bool) -> int:
         n_list = list(range(5, 42, 4)) if family == "circle" else [4, 5]
     eta = config.epsilon_threshold if eta_given else 1.0 / math.e
     doc = scaling_study(family, n_list, eta, model_params)
-    os.makedirs(config.output, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "time"])
-    for n, t in doc["points"]:
-        writer.writerow([n, t])
-    with open(os.path.join(config.output, "scaling.csv"), "w") as fh:
-        fh.write(buf.getvalue())
-    with open(os.path.join(config.output, "scaling.json"), "w") as fh:
-        fh.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
-    print(f"scaling: slope {doc['slope']:.4f} over n in {[p[0] for p in doc['points']]}")
-    print(f"scaling: max |residual| {max(abs(r) for r in doc['residuals']):.4f}")
+    files = {
+        "scaling.csv": _csv_text(["n", "time"], doc["points"]),
+        "scaling.json": _json_text(doc),
+    }
+    lines = [
+        f"scaling: slope {doc['slope']:.4f} over n in {[p[0] for p in doc['points']]}",
+        f"scaling: max |residual| {max(abs(r) for r in doc['residuals']):.4f}",
+    ]
+    _emit(config.output, files, lines)
     return 0
 
 

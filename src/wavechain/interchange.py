@@ -1,12 +1,15 @@
-"""Kernel and permutation interchange documents.
+"""Kernel and permutation interchange documents, and the CSV writer.
 
 Kernels travel as JSON objects {size, labels?, triplets} where triplets is a
 list of [row, col, value] for the nonzero entries, sorted by (row, col) so a
 document is byte-stable for a given kernel.  Loading validates
-row-stochasticity like any other construction path.
+row-stochasticity like any other construction path.  Every CSV the package
+writes comes from `_csv_text`.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import scipy.sparse as sp
@@ -78,3 +81,13 @@ def permutation_from_document(doc: dict, space: StateSpace | None = None) -> Per
     elif space.size != size:
         raise ConfigInvalid("permutation document size differs from the target space")
     return make_permutation(space, forward)
+
+
+def _csv_text(header, rows) -> str:
+    """Header row, then one line per row, `\\n` line ends.  csv writes a float
+    (numpy float64 too) as its shortest round-trip repr, infinity as `inf`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

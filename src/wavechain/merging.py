@@ -12,8 +12,6 @@ math.inf, never an overflow.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -45,6 +43,7 @@ from .errors import (
     UniformMeasure,
     ZeroWeight,
 )
+from .interchange import _csv_text
 from .spectral import is_irreducible, period, weighted_singular_values
 
 Metric = Literal["total_variation", "relative_sup", "chi_square"]
@@ -176,12 +175,7 @@ class MergingReport:
         return doc
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "distance"])
-        for n, v in self.values:
-            writer.writerow([n, "inf" if not math.isfinite(v) else repr(v)])
-        return buf.getvalue()
+        return _csv_text(["n", "distance"], self.values)
 
 
 def merging_time(

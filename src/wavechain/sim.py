@@ -2,16 +2,16 @@
 
 Sampling never touches the step kernels directly: if X follows the
 inhomogeneous chain then Z_n = g^n X_n is a homogeneous chain driven by the
-shifted kernel, so every simulation below steps Z with one padded
-row-support table and maps back through the inverse bijection at the end.
+shifted kernel, so every simulation below reads Z off one walk, `_walk`,
+which steps parallel lanes with one padded row-support table, and maps
+back through the inverse bijection at the end.
 Randomness is a pure function of (seed, replica, step), which keeps every
 replica reproducible when the trial count changes.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,46 +63,56 @@ class _RowTable:
         return self.indices[states, pick]
 
 
+def _walk(system: WaveSystem, z0, seed: int):
+    """Lane states of Z_n = g^n X_n at times n = 0, 1, ...
+
+    Every simulation reads its states off this one generator.  Lane r starts at
+    z0[r] and draws the uniform stream of replica r, (seed, r, n) for the
+    step from time n, so a lane is unchanged when lanes are added.
+    """
+    table = _RowTable(system.shifted)
+    z = np.asarray(z0, dtype=np.int64)
+    replicas = np.arange(z.size, dtype=np.uint64)
+    for n in count():
+        yield z
+        z = table.step(z, uniforms(seed, replicas, n))
+
+
+def _start_state(system: WaveSystem, start) -> int:
+    start = int(start)
+    if not 0 <= start < system.space.size:
+        raise ValueError(f"start state {start} is outside 0..{system.space.size - 1}")
+    return start
+
+
 def sample_path(system: WaveSystem, start: int, n: int, seed: int) -> PathSample:
     """One inhomogeneous trajectory of length n from the given start."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    start = int(start)
-    table = _RowTable(system.shifted)
+    start = _start_state(system, start)
     ginv = system.map.inverse
-    back = np.arange(system.space.size, dtype=np.int64)
-    z = np.array([start], dtype=np.int64)
-    steps = [start]
-    for i in range(1, n + 1):
-        u = uniforms(seed, 0, i - 1)
-        z = table.step(z, u)
-        back = back[ginv]  # now maps through g^{-i}
+    back = np.arange(system.space.size, dtype=np.int64)  # maps through g^{-i}
+    steps = []
+    for z in islice(_walk(system, [start], seed), n + 1):
         steps.append(int(back[z[0]]))
+        back = back[ginv]
     return PathSample(start=start, steps=tuple(steps), seed=int(seed))
-
-
-def _endpoint_states(
-    system: WaveSystem, start: int, n: int, trials: int, seed: int
-) -> np.ndarray:
-    """Endpoint of every replica; replica r is unchanged by growing trials."""
-    table = _RowTable(system.shifted)
-    z = np.full(trials, int(start), dtype=np.int64)
-    replicas = np.arange(trials, dtype=np.uint64)
-    for i in range(1, n + 1):
-        u = uniforms(seed, replicas, i - 1)
-        z = table.step(z, u)
-    return system.map.power_map(-n)[z]
 
 
 def empirical_distribution(
     system: WaveSystem, start: int, n: int, trials: int, seed: int
 ) -> Distribution:
-    """Endpoint histogram over independent replicas of the length-n chain."""
+    """Endpoint histogram over independent replicas of the length-n chain.
+
+    Replica r is unchanged by growing the trial count.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    ends = _endpoint_states(system, int(start), n, int(trials), seed)
+    z0 = np.full(int(trials), _start_state(system, start), dtype=np.int64)
+    z = next(islice(_walk(system, z0, seed), n, None))
+    ends = system.map.power_map(-n)[z]
     counts = np.bincount(ends, minlength=system.space.size).astype(float)
     return Distribution(system.space, counts / counts.sum())
 
@@ -127,33 +137,11 @@ def empirical_wave_profile(
     if not is_irreducible(system.shifted) or period(system.shifted) != 1:
         raise NotMerging("profile needs an irreducible aperiodic shifted kernel")
     lanes = min(_MAX_LANES, samples)
-    per_lane = -(-samples // lanes)  # recordings per replica, ceil
-    table = _RowTable(system.shifted)
-    z = np.zeros(lanes, dtype=np.int64)
-    replicas = np.arange(lanes, dtype=np.uint64)
+    walk = _walk(system, np.zeros(lanes, dtype=np.int64), seed)
     counts = np.zeros(system.space.size, dtype=np.int64)
-    recorded = 0
-    step = 0
-    for _ in range(burn_in):
-        z = table.step(z, uniforms(seed, replicas, step))
-        step += 1
-    for _ in range(per_lane):
-        take = min(lanes, samples - recorded)
-        counts += np.bincount(z[:take], minlength=system.space.size)
-        recorded += take
-        if recorded >= samples:
-            break
-        for _ in range(stride):
-            z = table.step(z, uniforms(seed, replicas, step))
-            step += 1
+    # range comes first so zip stops before the walk steps past the last
+    # recording; that recording takes only the lanes still needed
+    for recorded, z in zip(range(0, samples, lanes), islice(walk, burn_in, None, stride)):
+        counts += np.bincount(z[: samples - recorded], minlength=system.space.size)
     weights = counts.astype(float)
     return Distribution(system.space, weights / weights.sum())
-
-
-def profile_to_csv(dist: Distribution) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "frequency"])
-    for i in range(dist.space.size):
-        writer.writerow([dist.space.label(i), repr(float(dist.weights[i]))])
-    return buf.getvalue()

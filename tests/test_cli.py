@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
+from wavechain import cli, errors
 from wavechain.cli import main
 
 
@@ -224,3 +225,89 @@ def test_kernel_file_runs_with_identity_default(tmp_path):
     assert code == 0
     report = read_report(tmp_path)
     assert report["results"]["spectral"]["flags"]["irreducible"] is True
+
+
+ALL_ANALYSES = "spectral,merging,stability,bounds,simulate,scan-permutations"
+CIRCLE5 = ["--model", "circle", "--param", "n=5"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, prefixes",
+    [
+        (["merge-time", *CIRCLE5], {"report.json", "trace.csv"}, ["merging: time "]),
+        (["simulate", *CIRCLE5, "--param", "trials=500"], {"profile.csv", "report.json"},
+         ["simulate: endpoint TV vs exact "]),
+        (["scan", *CIRCLE5, "--count", "3"], {"report.json", "scan.csv"},
+         ["scan: worst max/min ratio ", "scan: maps beyond shifts "]),
+        (["wave-profile", *CIRCLE5, "--param", "samples=2000", "--param", "burn_in=100"],
+         {"profile.csv"},
+         ["wave-profile: 2000 samples, ", "wave-profile: TV against exact invariant "]),
+        (["scaling", "--family", "circle", "--n-list", "5,7"], {"scaling.csv", "scaling.json"},
+         ["scaling: slope ", "scaling: max |residual| "]),
+        (["analyze", *CIRCLE5, "--param", "trials=500", "--param", "count=3",
+          "--analyses", ALL_ANALYSES],
+         {"profile.csv", "report.json", "scan.csv", "trace.csv"},
+         ["spectral: ", "merging: time ", "stability: c = ", "bounds: merging bound dominates ",
+          "simulate: endpoint TV ", "scan: worst ", "scan: maps beyond "]),
+    ],
+    ids=["merge-time", "simulate", "scan", "wave-profile", "scaling", "analyze"],
+)
+def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, files, prefixes):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(prefixes)
+    for line, prefix in zip(lines, prefixes):
+        assert line.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wave-profile", "--model", "four-point"],
+        ["analyze", "--model", "four-point", "--analyses", "merging,stability"],
+        ["scaling", "--family", "sticky", "--n-list", "3,4", "--param", "eps=1"],
+        ["scaling", "--family", "circle", "--n-list", "5,5"],
+    ],
+    ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes"],
+)
+def test_failing_commands_create_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start", ["-1", "5", "9"])
+def test_simulate_rejects_an_out_of_range_start(tmp_path, capsys, start):
+    out = tmp_path / "out"
+    code = main(["simulate", *CIRCLE5, "--param", f"start={start}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: start state {start} is outside 0..4\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_merging(monkeypatch):
+    """Fails the test if a merging time is computed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("merging time computed before the input was checked")
+
+    monkeypatch.setattr(cli, "merging_time", refuse)
+
+
+def test_scaling_rejects_foreign_parameters_before_the_sweep(no_merging):
+    with pytest.raises(errors.ConfigInvalid, match="does not take parameters \\['eps'\\]"):
+        cli.scaling_study("sticky", [3, 4, 5, 6], 1.0, {"eps": 1})
+    with pytest.raises(errors.ConfigInvalid, match="unknown scaling family"):
+        cli.scaling_study("cube", [5, 7], 1.0)
+
+
+@pytest.mark.parametrize("sizes", [[5, 5], [7], [9, 9, 9]])
+def test_scaling_needs_two_distinct_sizes(no_merging, sizes):
+    with pytest.raises(errors.ConfigInvalid, match="at least two distinct sizes"):
+        cli.scaling_study("circle", sizes, 1.0)
+

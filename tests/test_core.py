@@ -176,3 +176,13 @@ def test_corpus_recipe_is_reproducible():
     b = random_system(rng2)
     assert np.array_equal(a.base.dense(), b.base.dense())
     assert np.array_equal(a.map.forward, b.map.forward)
+
+
+def test_public_names_resolve_exactly_once():
+    names = w.__all__
+    assert sorted(set(names)) == sorted(names)  # no name listed twice
+    missing = [name for name in names if not hasattr(w, name)]
+    assert missing == []
+    namespace = {}
+    exec("from wavechain import *", namespace)
+    assert set(names) <= set(namespace)

@@ -5,6 +5,7 @@ import pytest
 
 import wavechain as w
 from wavechain import errors
+from wavechain.interchange import _csv_text
 
 
 def test_kernel_document_round_trip(tmp_path):
@@ -80,3 +81,15 @@ def test_permutation_document_round_trip():
     back = w.permutation_from_document(doc)
     assert np.array_equal(g.forward, back.forward)
     assert json.dumps(doc)  # plain data, no numpy leakage
+
+
+def test_csv_text_dialect():
+    # the one CSV writer: header row, \n line ends, floats as their repr
+    text = _csv_text(
+        ["state", "mass"],
+        [(0, 0.1), ("b", np.float64(1 / 3)), (2, float("inf")), (3, "inf"), (4, 7),
+         (5, np.float64(2.5e-05))],
+    )
+    assert text == "state,mass\n0,0.1\nb,0.3333333333333333\n2,inf\n3,inf\n4,7\n5,2.5e-05\n"
+    assert "\r" not in text
+    assert _csv_text(["n", "time"], []) == "n,time\n"

@@ -102,13 +102,10 @@ def test_wave_profile_approximates_the_wave_measure():
     assert w.tv_distance(prof, s.wave_measure) < 0.02
 
 
-def test_profile_csv_layout():
+@pytest.mark.parametrize("start", [-1, 5, 9])
+def test_out_of_range_start_is_rejected(start):
     s = circle_system()
-    prof = w.empirical_wave_profile(
-        s, burn_in=100, stride=5, samples=500, seed=2
-    )
-    lines = w.profile_to_csv(prof).splitlines()
-    assert lines[0] == "state,frequency"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert float(first[1]) <= 1.0
+    with pytest.raises(ValueError, match="start state"):
+        w.sample_path(s, start, 3, seed=0)
+    with pytest.raises(ValueError, match="start state"):
+        w.empirical_distribution(s, start, 3, trials=10, seed=0)
