@@ -453,7 +453,8 @@ def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None
     Returns the fitted slope of log T against log n together with the
     per-point residuals, so callers can judge both the growth exponent and
     the fit quality.  The family, its parameters and the sizes (at least
-    two distinct) are checked before any merging time is computed.
+    two distinct, each one the family can build) are checked before any
+    merging time is computed.
     """
     params = dict(params or {})
     build = _scaling_family(family, params)
@@ -461,13 +462,13 @@ def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None
         raise ConfigInvalid(f"family {family!r} does not take parameters {sorted(params)}")
     if len({int(n) for n in n_list}) < 2:
         raise ConfigInvalid("a scaling study needs at least two distinct sizes")
+    systems = [(int(n), *build(n)) for n in n_list]
     points = []
-    for n in n_list:
-        system, cap = build(n)
+    for n, system, cap in systems:
         rep = merging_time(system, eta, cap, "relative_sup")
         if rep.merging_time is None:
             raise ConfigInvalid(f"no merging within {cap} steps at n={n}")
-        points.append((int(n), int(rep.merging_time)))
+        points.append((n, int(rep.merging_time)))
     logs_n = np.log([p[0] for p in points])
     logs_t = np.log([p[1] for p in points])
     slope, intercept = np.polyfit(logs_n, logs_t, 1)
@@ -697,6 +698,8 @@ def main(argv=None) -> int:
             return _cmd_wave_profile(config)
         if args.command == "scaling":
             return _cmd_scaling(config, eta_given=args.epsilon is not None)
+        if args.command == "scan" and config.bijection is not None:
+            raise ConfigInvalid("scan draws its own maps; it takes no bijection")
         config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
         code, _ = run(config)
         return code

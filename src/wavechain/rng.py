@@ -5,6 +5,11 @@ r of a run is unchanged when the total number of replicas grows, and any
 sub-range of a path can be regenerated without replaying the rest.  The
 generator is the splitmix64 finalizer applied to a chained key; it is cheap,
 stateless and vectorizes over numpy arrays.
+
+A draw is made of two pieces.  `_stream_keys` chains (seed, replica) into
+the stream key times the golden gamma, which is fixed for the whole stream;
+`_uniforms_at` finishes one step from it, so a walk computes the keys once
+and pays one finalizer per step.  `uniforms` is exactly these two composed.
 """
 from __future__ import annotations
 
@@ -18,8 +23,9 @@ _INV53 = float(2.0**-53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2^64 by construction
-    z = (z + _GAMMA).astype(np.uint64)
+    # splitmix64 finalizer, in place on a uint64 array the caller owns;
+    # uint64 arithmetic wraps mod 2^64 by construction
+    z += _GAMMA
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
@@ -28,10 +34,22 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _key(seed: int, replica) -> np.ndarray:
-    s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    r = np.asarray(replica, dtype=np.uint64)
-    return _mix(_mix(np.atleast_1d(s)) + r)
+def _stream_keys(seed: int, replica) -> np.ndarray:
+    """Chained key of each replica's stream, times gamma (at least 1-d)."""
+    s = np.atleast_1d(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    k = _mix(_mix(s) + np.asarray(replica, dtype=np.uint64))
+    k *= _GAMMA
+    return k
+
+
+def _uniforms_at(keys: np.ndarray, step) -> np.ndarray:
+    """Uniform [0, 1) variates at `step` of the streams with these keys.
+
+    `keys` come from `_stream_keys` and broadcast against `step`.
+    """
+    z = _mix(np.add(keys, np.asarray(step, dtype=np.uint64), dtype=np.uint64))
+    z >>= _SHIFT53
+    return z * _INV53
 
 
 def uniforms(seed: int, replica, step) -> np.ndarray:
@@ -40,14 +58,4 @@ def uniforms(seed: int, replica, step) -> np.ndarray:
     `replica` and `step` broadcast against each other, so a single call can
     produce one value, a vector over replicas, or a replica-by-step table.
     """
-    k = _key(seed, replica)
-    t = np.asarray(step, dtype=np.uint64)
-    z = _mix(np.add(np.multiply(k, _GAMMA, dtype=np.uint64), t, dtype=np.uint64))
-    return ((z >> _SHIFT53) * _INV53).astype(np.float64)
-
-
-def replica_uniform_table(seed: int, n_replicas: int, n_steps: int) -> np.ndarray:
-    """(n_replicas, n_steps) table; row r is the path stream of replica r."""
-    reps = np.arange(n_replicas, dtype=np.uint64)[:, None]
-    steps = np.arange(n_steps, dtype=np.uint64)[None, :]
-    return uniforms(seed, reps, steps)
+    return _uniforms_at(_stream_keys(seed, replica), step)

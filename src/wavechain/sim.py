@@ -3,10 +3,13 @@
 Sampling never touches the step kernels directly: if X follows the
 inhomogeneous chain then Z_n = g^n X_n is a homogeneous chain driven by the
 shifted kernel, so every simulation below reads Z off one walk, `_walk`,
-which steps parallel lanes with one padded row-support table, and maps
-back through the inverse bijection at the end.
+and maps back through the inverse bijection at the end.
 Randomness is a pure function of (seed, replica, step), which keeps every
 replica reproducible when the trial count changes.
+
+The walk builds each lane's stream key once and finishes one draw per lane
+and step.  It steps lanes in fixed blocks through one flat row table, padded
+to a power-of-two width, with a branchless search of log2(width) gathers.
 """
 from __future__ import annotations
 
@@ -18,9 +21,10 @@ import scipy.sparse as sp
 
 from .core import Distribution, WaveSystem
 from .errors import NotMerging
-from .rng import uniforms
+from .rng import _stream_keys, _uniforms_at
 from .spectral import is_irreducible, period
 
+# lanes of a wave profile, and the block size in which `_walk` steps lanes
 _MAX_LANES = 4096
 
 
@@ -34,33 +38,48 @@ class PathSample:
 
 
 class _RowTable:
-    """Padded sparse rows of a kernel, ready for vectorized inverse transform.
+    """Flat sorted rows of a kernel, ready for vectorized inverse transform.
 
-    indices[r] holds the support of row r in increasing column order, padded
-    by repeating the last support point; cums[r] holds the running sums,
-    padded with 2.0 so a uniform draw never selects padding except when
-    rounding pushes it past the final real cumulative, in which case the
-    repeated last index gives the correct tail behaviour.
+    Each row's support is padded to a power-of-two width W: the row of state
+    r owns entries r*W .. r*W + W - 1 of the flat `indices` (its support in
+    increasing column order, then the last support point repeated) and of
+    `cums` (the running sums, then 2.0).  `step` selects the first column
+    whose cumulative exceeds the draw by a branchless search of log2(W)
+    gathers.  The search never leaves the row, so a draw at or above the
+    final rounded cumulative selects the last support point, also on rows
+    that fill all W columns.
     """
 
     def __init__(self, kernel):
         size = kernel.size
         csr = sp.csr_array(kernel.matrix).sorted_indices()
-        starts, all_idx, all_val = csr.indptr, csr.indices, csr.data
-        width = int(np.max(np.diff(starts)))
-        self.indices = np.empty((size, width), dtype=np.int64)
-        self.cums = np.full((size, width), 2.0)
-        for r in range(size):
-            lo, hi = starts[r], starts[r + 1]
-            k = hi - lo
-            self.indices[r, :k] = all_idx[lo:hi]
-            self.indices[r, k:] = all_idx[hi - 1]
-            self.cums[r, :k] = np.cumsum(all_val[lo:hi])
+        starts, support = csr.indptr, csr.indices.astype(np.int64)
+        counts = np.diff(starts)
+        width = 1 << (int(np.max(counts)) - 1).bit_length()
+        rows = np.repeat(np.arange(size), counts)
+        cols = np.arange(csr.nnz) - starts[rows]
+        values = np.zeros((size, width))
+        values[rows, cols] = csr.data
+        cums = np.cumsum(values, axis=1)  # the same sums as row by row
+        indices = np.repeat(support[starts[1:] - 1], width).reshape(size, width)
+        indices[rows, cols] = support
+        cums[np.arange(width) >= counts[:, None]] = 2.0
+        self.width = width
+        self.indices = indices.ravel()
+        self.cums = cums.ravel()
+        # the probe of half-width h = W/2, W/4, ..., 1 reads cums[pos + h - 1],
+        # a gather on this view of the table
+        halves = [width >> k for k in range(1, width.bit_length())]
+        self._probes = [(h, self.cums[h - 1 :]) for h in halves]
 
-    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # first support point whose cumulative exceeds the draw
-        pick = (u[:, None] < self.cums[states]).argmax(axis=1)
-        return self.indices[states, pick]
+    def step(self, states: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+        """Next state of each lane given its draw; `out` receives them if given."""
+        pos = np.multiply(states, self.width, dtype=np.int64)
+        for h, probe in self._probes:
+            pos += h * (probe[pos] <= u)
+        # positions stay inside the table, so "clip" only skips numpy's
+        # guard copy of `out`
+        return np.take(self.indices, pos, out=out, mode="clip")
 
 
 def _walk(system: WaveSystem, z0, seed: int):
@@ -68,14 +87,20 @@ def _walk(system: WaveSystem, z0, seed: int):
 
     Every simulation reads its states off this one generator.  Lane r starts at
     z0[r] and draws the uniform stream of replica r, (seed, r, n) for the
-    step from time n, so a lane is unchanged when lanes are added.
+    step from time n, so a lane is unchanged when lanes are added.  The
+    stream keys are built once; each step finishes the draws and steps the
+    lanes in blocks of _MAX_LANES, which bounds the temporaries of a wide run.
     """
     table = _RowTable(system.shifted)
     z = np.asarray(z0, dtype=np.int64)
-    replicas = np.arange(z.size, dtype=np.uint64)
+    keys = _stream_keys(seed, np.arange(z.size, dtype=np.uint64))
     for n in count():
         yield z
-        z = table.step(z, uniforms(seed, replicas, n))
+        nxt = np.empty_like(z)
+        for lo in range(0, z.size, _MAX_LANES):
+            hi = lo + _MAX_LANES
+            table.step(z[lo:hi], _uniforms_at(keys[lo:hi], n), out=nxt[lo:hi])
+        z = nxt
 
 
 def _start_state(system: WaveSystem, start) -> int:

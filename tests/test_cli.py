@@ -269,8 +269,11 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["analyze", "--model", "four-point", "--analyses", "merging,stability"],
         ["scaling", "--family", "sticky", "--n-list", "3,4", "--param", "eps=1"],
         ["scaling", "--family", "circle", "--n-list", "5,5"],
+        ["scaling", "--family", "circle", "--n-list", "141,142"],
+        ["scan", *CIRCLE5, "--bijection", "shift:1"],
     ],
-    ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes"],
+    ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
+         "scaling-even-size", "scan-bijection"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -311,3 +314,20 @@ def test_scaling_needs_two_distinct_sizes(no_merging, sizes):
     with pytest.raises(errors.ConfigInvalid, match="at least two distinct sizes"):
         cli.scaling_study("circle", sizes, 1.0)
 
+
+@pytest.mark.parametrize(
+    "family, sizes, error",
+    [("circle", [141, 142], errors.EvenN), ("sticky", [3, 4, 8], errors.TooLarge)],
+)
+def test_scaling_builds_every_size_before_the_first_merging_time(no_merging, family, sizes, error):
+    with pytest.raises(error):
+        cli.scaling_study(family, sizes, 1.0)
+
+
+def test_scan_rejects_a_bijection_from_the_config_document(tmp_path, capsys):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({"model": "circle", "bijection": "identity"}))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: scan draws its own maps; it takes no bijection\n"
+    assert not out.exists()

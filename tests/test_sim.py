@@ -5,7 +5,7 @@ import pytest
 
 import wavechain as w
 from wavechain import errors
-from wavechain.rng import replica_uniform_table, uniforms
+from wavechain.rng import uniforms
 
 
 def circle_system(n=5, eps=1.0):
@@ -29,11 +29,39 @@ def test_uniforms_differ_across_seeds_and_steps():
     assert not np.array_equal(base, uniforms(0, np.arange(50), 1))
 
 
-def test_replica_table_matches_elementwise_queries():
-    table = replica_uniform_table(5, 8, 6)
-    assert table.shape == (8, 6)
+def test_uniforms_broadcast_over_a_replica_step_grid():
+    # a (replica, step) grid holds row r = the path stream of replica r
+    grid = uniforms(5, np.arange(8)[:, None], np.arange(6)[None, :])
+    assert grid.shape == (8, 6)
     for step in range(6):
-        assert np.array_equal(table[:, step], uniforms(5, np.arange(8), step))
+        assert np.array_equal(grid[:, step], uniforms(5, np.arange(8), step))
+    for r in range(8):
+        assert np.array_equal(grid[r], uniforms(5, r, np.arange(6)))
+
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_uniform(seed, replica, step):
+    # the stream definition in Python integers: finalizer of key*gamma + step
+    key = _splitmix((_splitmix(seed & _MASK) + replica) & _MASK)
+    z = _splitmix((key * 0x9E3779B97F4A7C15 + step) & _MASK)
+    return (z >> 11) * 2.0**-53
+
+
+def test_uniforms_match_the_integer_definition():
+    for seed in (0, 1, 2**63 + 5, -3):
+        got = uniforms(seed, np.arange(20)[:, None], np.arange(0, 700, 37)[None, :])
+        for r in range(20):
+            for j, step in enumerate(range(0, 700, 37)):
+                assert got[r, j] == _reference_uniform(seed, r, step)
 
 
 def test_sample_path_shape_and_determinism():
