@@ -27,7 +27,6 @@ import numpy as np
 from .core import (
     DENSE_LIMIT,
     Distribution,
-    MarkovKernel,
     Permutation,
     WaveSystem,
     evolve,
@@ -58,6 +57,7 @@ from .models import (
     lazy_circle_kernel,
     periodic_class_example,
     random_regular_graph_walk,
+    scan_permutations,
     sticky_permutation_system,
 )
 from .sim import empirical_distribution, empirical_wave_profile
@@ -162,13 +162,13 @@ def _circle_params(p) -> tuple[int, float]:
 
 def _sticky_builder(p):
     n = int(p.pop("n", 4))
-    rho = p.pop("rho", None)
-    rho = tuple(range(n)) if rho is None else int(rho)
-    return sticky_permutation_system(n, rho, float(p.pop("delta", 0.05)))
+    return sticky_permutation_system(n, int(p.pop("rho", 0)), float(p.pop("delta", 0.05)))
 
 
 def _regular_builder(p):
     n = int(p.pop("n", 8))
+    if "degree" in p and "r" in p:
+        raise ConfigInvalid("random-regular takes degree or its alias r, not both")
     degree = p.pop("degree", p.pop("r", 3))
     return random_regular_graph_walk(n, int(degree), int(p.pop("graph_seed", 0))), "identity"
 
@@ -377,53 +377,6 @@ _ANALYSIS_RUNNERS = {
     "simulate": _run_simulate,
     "scan-permutations": _run_scan,
 }
-
-
-def scan_permutations(kernel: MarkovKernel, eps: float, count: int, seed: int, lazy: bool) -> dict:
-    """Stability ratios max/min of the invariant measure over a family of maps.
-
-    `kernel` is the heavy-edge circle walk with excess `eps`, lazy or not.
-    The first rows are the shifts by ±1 and ±2, followed by `count` seeded
-    random permutations.  For the lazy kernel every map carries the proven
-    bound 1+eps; for the nonlazy kernel only the four shifts do, and any
-    other map is labeled empirical: no bound is known, the value is
-    informational only.
-    """
-    n_points = kernel.size
-    rng = np.random.default_rng(seed)
-    maps: list[tuple[str, np.ndarray]] = []
-    for s in (1, -1, 2, -2):
-        maps.append((f"shift:{s:+d}", (np.arange(n_points) + s) % n_points))
-    for j in range(count):
-        maps.append((f"random:{j}", rng.permutation(n_points)))
-    rows = []
-    worst = 1.0
-    for name, fwd in maps:
-        system = make_wave_system(kernel, make_permutation(kernel.space, fwd))
-        pi = system.wave_measure_or_none()
-        if pi is None:
-            rows.append({"map": name, "ratio": "inf", "status": "reducible"})
-            continue
-        ratio = float(np.max(pi.weights) / np.min(pi.weights))
-        proven = lazy or name.startswith("shift:")
-        rows.append(
-            {"map": name, "ratio": ratio, "status": "proven" if proven else "empirical"}
-        )
-        worst = max(worst, ratio)
-    note = (
-        None
-        if lazy
-        else "maps beyond shifts by 1 and 2 are empirical only; no proven bound"
-    )
-    return {
-        "model": "lazy-circle" if lazy else "circle",
-        "n_points": n_points,
-        "eps": eps,
-        "proven_bound": 1.0 + eps,
-        "rows": rows,
-        "worst": worst,
-        "note": note,
-    }
 
 
 def _scaling_family(family: str, p: dict) -> Callable:

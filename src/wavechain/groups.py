@@ -8,11 +8,19 @@ functions i -> p[i].  The group product is fixed once and for all as
 so that right multiplication by a generator acts after the current element.
 All constructions in the model zoo rely on this convention; changing it
 silently changes every walk on a symmetric group.
+
+The models work on `sn_table(n)`, S_n as an (n!, n) index array in
+lexicographic order, and its inverse `sn_rank` (the Lehmer code).  With
+table = sn_table(n), x * s for every x is s[table], and a * x * a^{-1} is
+inv_a[table[:, a]].  The tuple functions are the reference for both.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+
+import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -36,20 +44,6 @@ def inverse(p: Perm) -> Perm:
 def conjugate(x: Perm, a: Perm) -> Perm:
     """a * x * a^{-1} in the fixed product convention."""
     return multiply(multiply(a, x), inverse(a))
-
-
-def perm_power(p: Perm, k: int) -> Perm:
-    n = len(p)
-    if k < 0:
-        return perm_power(inverse(p), -k)
-    result = identity_perm(n)
-    base = p
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        k >>= 1
-    return result
 
 
 def from_cycles(n: int, cycles) -> Perm:
@@ -82,6 +76,26 @@ def sn_elements(n: int) -> tuple[Perm, ...]:
 @lru_cache(maxsize=8)
 def sn_index(n: int) -> dict:
     return {p: i for i, p in enumerate(sn_elements(n))}
+
+
+@lru_cache(maxsize=8)
+def sn_table(n: int) -> np.ndarray:
+    """All of S_n as a read-only (n!, n) int64 array; row i is sn_elements(n)[i]."""
+    table = np.array(sn_elements(n), dtype=np.int64).reshape(math.factorial(n), n)
+    table.setflags(write=False)
+    return table
+
+
+def sn_rank(perms) -> np.ndarray:
+    """Lexicographic rank of each row of an (m, n) permutation array: the
+    Lehmer code (smaller entries right of position i) times (n - 1 - i)!."""
+    perms = np.asarray(perms, dtype=np.int64)
+    n = perms.shape[1]
+    rank = np.zeros(perms.shape[0], dtype=np.int64)
+    for i in range(n - 1):
+        smaller_right = np.count_nonzero(perms[:, i + 1 :] < perms[:, i, None], axis=1)
+        rank += smaller_right * math.factorial(n - 1 - i)
+    return rank
 
 
 def one_line_label(p: Perm) -> str:

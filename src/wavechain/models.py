@@ -2,14 +2,16 @@
 
 Circle kernels are assembled in exact rational arithmetic and converted to
 floats at the very end, so detailed balance and row sums hold to the last
-bit.  Symmetric-group walks use the shared lexicographic enumeration from
-`groups`; all of them stay below 7! states.
+bit.  Every walk on S_n (at most 7! states) comes from one builder,
+`_group_walk`, which ranks all products x * s of the index table
+`groups.sn_table` at once; the sticky model only rewrites one weight row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -35,12 +37,13 @@ from .errors import (
 )
 from .groups import (
     Perm,
-    conjugate,
+    from_cycles,
     identity_perm,
-    multiply,
+    inverse,
     one_line_label,
     sn_elements,
-    sn_index,
+    sn_rank,
+    sn_table,
     transposition,
 )
 from .merging import NashParams
@@ -187,6 +190,53 @@ def circle_nash_params(n_points, eps: float) -> NashParams:
     )
 
 
+def scan_permutations(kernel: MarkovKernel, eps: float, count: int, seed: int, lazy: bool) -> dict:
+    """Stability ratios max/min of the invariant measure over a family of maps.
+
+    `kernel` is the heavy-edge circle walk with excess `eps`, lazy or not.
+    The first rows are the shifts by ±1 and ±2, followed by `count` seeded
+    random permutations.  For the lazy kernel every map carries the proven
+    bound 1+eps; for the nonlazy kernel only the four shifts do, and any
+    other map is labeled empirical: no bound is known, the value is
+    informational only.
+    """
+    n_points = kernel.size
+    rng = np.random.default_rng(seed)
+    maps: list[tuple[str, np.ndarray]] = []
+    for s in (1, -1, 2, -2):
+        maps.append((f"shift:{s:+d}", (np.arange(n_points) + s) % n_points))
+    for j in range(count):
+        maps.append((f"random:{j}", rng.permutation(n_points)))
+    rows = []
+    worst = 1.0
+    for name, fwd in maps:
+        system = make_wave_system(kernel, make_permutation(kernel.space, fwd))
+        pi = system.wave_measure_or_none()
+        if pi is None:
+            rows.append({"map": name, "ratio": "inf", "status": "reducible"})
+            continue
+        ratio = float(np.max(pi.weights) / np.min(pi.weights))
+        proven = lazy or name.startswith("shift:")
+        rows.append(
+            {"map": name, "ratio": ratio, "status": "proven" if proven else "empirical"}
+        )
+        worst = max(worst, ratio)
+    note = (
+        None
+        if lazy
+        else "maps beyond shifts by 1 and 2 are empirical only; no proven bound"
+    )
+    return {
+        "model": "lazy-circle" if lazy else "circle",
+        "n_points": n_points,
+        "eps": eps,
+        "proven_bound": 1.0 + eps,
+        "rows": rows,
+        "worst": worst,
+        "note": note,
+    }
+
+
 # ---------------------------------------------------------------------------
 # perturbation framework
 
@@ -324,41 +374,37 @@ class GroupWalkSpec:
             raise ValueError(f"generator weights sum to {total!r}, not 1")
 
 
+@lru_cache(maxsize=8)
 def sn_space(n: int) -> StateSpace:
+    # cached: the kernel and the map of a group system share one frozen space
     elements = sn_elements(n)
     return StateSpace(len(elements), tuple(one_line_label(p) for p in elements))
 
 
+def _group_walk(n: int, generators, weights) -> MarkovKernel:
+    """Kernel with K(x, x s_j) = weights[x, j] for ascending generators s_j;
+    `weights` broadcasts to (n!, len(generators))."""
+    table = sn_table(n)
+    size = table.shape[0]
+    # products[x, j] = x * generators[j], as rows of one-line arrays
+    products = np.asarray(generators, dtype=np.int64)[:, table].transpose(1, 0, 2)
+    cols = sn_rank(products.reshape(-1, n))
+    rows = np.repeat(np.arange(size, dtype=np.int64), len(generators))
+    vals = np.broadcast_to(np.asarray(weights, dtype=np.float64), (size, len(generators)))
+    return make_kernel(sn_space(n), sp.coo_array((vals.ravel(), (rows, cols)), shape=(size, size)))
+
+
 def group_walk_kernel(spec: GroupWalkSpec) -> MarkovKernel:
     """Kernel K(x, y) = sum of weights w(s) over generators with y = x s."""
-    elements = sn_elements(spec.n)
-    index = sn_index(spec.n)
-    space = sn_space(spec.n)
-    size = len(elements)
     pairs = sorted(spec.generator_weights.items())
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(elements):
-        for s, w in pairs:
-            rows.append(i)
-            cols.append(index[multiply(x, s)])
-            vals.append(w)
-    return make_kernel(space, sp.coo_array((vals, (rows, cols)), shape=(size, size)))
+    return _group_walk(spec.n, [s for s, _ in pairs], [w for _, w in pairs])
 
 
 def conjugation_map(n: int, a: Perm) -> Permutation:
     """The bijection x -> a^{-1} o x o a of the lexicographic enumeration."""
-    elements = sn_elements(n)
-    index = sn_index(n)
-    space = sn_space(n)
-    fwd = np.fromiter(
-        (index[conjugate(x, a)] for x in elements), dtype=np.int64, count=len(elements)
-    )
-    return make_permutation(space, fwd)
-
-
-def _rotation_perm(n: int) -> Perm:
-    # the full cycle sending position i to i + 1 mod n
-    return tuple((i + 1) % n for i in range(n))
+    inv_a = np.asarray(inverse(a), dtype=np.int64)
+    images = inv_a[sn_table(n)[:, np.asarray(a, dtype=np.int64)]]
+    return make_permutation(sn_space(n), sn_rank(images))
 
 
 def _check_group_size(n: int, lo: int = 3, hi: int = 7) -> int:
@@ -390,16 +436,19 @@ def cyclic_to_random_system(n: int) -> WaveSystem:
     for j in range(1, n):
         weights[transposition(n, 0, j)] = 1.0 / n
     kernel = group_walk_kernel(GroupWalkSpec(n, weights))
-    return make_wave_system(kernel, conjugation_map(n, _rotation_perm(n)))
+    return make_wave_system(kernel, conjugation_map(n, from_cycles(n, [range(n)])))
 
 
-def _normalize_group_element(n: int, rho: Union[Perm, int]) -> Perm:
+def _element_rank(n: int, rho: Union[Perm, int]) -> int:
+    size = math.factorial(n)
     if isinstance(rho, (int, np.integer)):
-        return sn_elements(n)[int(rho)]
+        if not 0 <= rho < size:
+            raise ValueError(f"rho {int(rho)} outside 0..{size - 1}, the ranks of S_{n}")
+        return int(rho)
     rho = tuple(int(v) for v in rho)
     if sorted(rho) != list(range(n)):
         raise ValueError(f"{rho!r} is not a permutation of 0..{n - 1}")
-    return rho
+    return int(sn_rank([rho])[0])
 
 
 def sticky_permutation_system(n: int, rho, delta: float) -> WaveSystem:
@@ -408,36 +457,26 @@ def sticky_permutation_system(n: int, rho, delta: float) -> WaveSystem:
     The base kernel holds with probability (n+1)/(2n) and transposes the
     top with a random other position with probability 1/(2n) each; the
     sticky row gains delta of holding and loses delta/(n-1) along each
-    transposition move.  The driving bijection matches the
-    cyclic-to-random one, so the sticky spot moves backwards along the
-    rotation as the steps advance.
+    transposition move.  rho is a one-line tuple or its lexicographic rank
+    in 0..n!-1.  The driving bijection matches the cyclic-to-random one, so
+    the sticky spot moves backwards along the rotation as the steps advance.
     """
     n = _check_group_size(n)
     if not 0.0 < delta < (n - 1) / (2.0 * n):
         raise DeltaOutOfRange(
             f"delta {delta} outside (0, {(n - 1) / (2.0 * n)}) for n={n}"
         )
-    rho = _normalize_group_element(n, rho)
+    r = _element_rank(n, rho)
     hold = (n + 1) / (2.0 * n)
     move = 1.0 / (2.0 * n)
-    trans = [transposition(n, 0, j) for j in range(1, n)]
-    elements = sn_elements(n)
-    index = sn_index(n)
-    space = sn_space(n)
-    size = len(elements)
-    r = index[rho]
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(elements):
-        extra = delta if i == r else 0.0
-        rows.append(i)
-        cols.append(i)
-        vals.append(hold + extra)
-        for s in trans:
-            rows.append(i)
-            cols.append(index[multiply(x, s)])
-            vals.append(move - extra / (n - 1))
-    sticky = make_kernel(space, sp.coo_array((vals, (rows, cols)), shape=(size, size)))
-    return make_wave_system(sticky, conjugation_map(n, _rotation_perm(n)))
+    # generators in ascending order: the identity, then the top transpositions
+    generators = [identity_perm(n)] + [transposition(n, 0, j) for j in range(1, n)]
+    weights = np.full((math.factorial(n), n), move)
+    weights[:, 0] = hold
+    weights[r, 0] = hold + delta
+    weights[r, 1:] = move - delta / (n - 1)
+    sticky = _group_walk(n, generators, weights)
+    return make_wave_system(sticky, conjugation_map(n, from_cycles(n, [range(n)])))
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,11 @@ def spectral_report_document(
     eigen: Optional[EigenDecomposition],
     stationary: Optional[Distribution],
 ) -> dict:
-    """Plain-JSON summary used by the command line reports."""
+    """Plain-JSON summary used by the command line reports.
+
+    "sigma" follows the kernel's storage: all singular values of a dense
+    kernel, the top two of a CSR one (sticky n=6 lists 720, n=7 lists two).
+    """
     doc = {
         "sigma": [float(s) for s in decomposition.singular_values],
         "eigenvalues": (

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import wavechain as w
+
+# Every @given test draws the same examples on every run: tier-1 stays
+# deterministic.  Explicit @settings (example counts, deadlines) still apply.
+settings.register_profile("wavechain", derandomize=True, database=None)
+settings.load_profile("wavechain")
 
 CORPUS_SEED = 20260816
 CORPUS_COUNT = 200

@@ -271,9 +271,15 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["scaling", "--family", "circle", "--n-list", "5,5"],
         ["scaling", "--family", "circle", "--n-list", "141,142"],
         ["scan", *CIRCLE5, "--bijection", "shift:1"],
+        ["analyze", "--model", "sticky", "--param", "n=7", "--param", "rho=5040",
+         "--analyses", "spectral"],
+        ["analyze", "--model", "sticky", "--param", "rho=-1", "--analyses", "spectral"],
+        ["analyze", "--model", "random-regular", "--param", "degree=4", "--param", "r=5",
+         "--analyses", "spectral"],
     ],
     ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
-         "scaling-even-size", "scan-bijection"],
+         "scaling-even-size", "scan-bijection", "sticky-rho-past-the-end",
+         "sticky-negative-rho", "regular-degree-and-r"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -331,3 +337,14 @@ def test_scan_rejects_a_bijection_from_the_config_document(tmp_path, capsys):
     assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: scan draws its own maps; it takes no bijection\n"
     assert not out.exists()
+
+
+def test_random_regular_takes_degree_or_its_alias_r():
+    def kernel(*params):
+        argv = ["analyze", "--model", "random-regular", "--param", "n=10"]
+        for param in params:
+            argv += ["--param", param]
+        return cli.build_system(cli._config_from_args(cli.build_parser().parse_args(argv))).base
+
+    assert np.array_equal(kernel("degree=4").dense(), kernel("r=4").dense())
+    assert not np.array_equal(kernel("r=4").dense(), kernel().dense())

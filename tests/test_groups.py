@@ -8,7 +8,6 @@ from wavechain.groups import (
     inverse,
     multiply,
     one_line_label,
-    perm_power,
     sn_elements,
     sn_index,
     transposition,
@@ -49,13 +48,6 @@ def test_from_cycles_zero_based():
 def test_transposition():
     assert transposition(4, 0, 2) == (2, 1, 0, 3)
     assert transposition(4, 0, 2) == from_cycles(4, [(0, 2)])
-
-
-def test_perm_power_cycles():
-    c = from_cycles(5, [(0, 1, 2, 3, 4)])
-    assert perm_power(c, 5) == tuple(range(5))
-    assert perm_power(c, -1) == inverse(c)
-    assert perm_power(c, 7) == perm_power(c, 2)
 
 
 def test_sn_elements_lexicographic_and_complete():

@@ -232,6 +232,13 @@ def test_group_walk_kernel_sums_generator_weights():
     assert m[0, index[transposition(n, 0, 2)]] == pytest.approx(1 / n)
 
 
+@pytest.mark.parametrize("n, rho", [(4, -1), (4, 24), (7, 5040)])
+def test_sticky_rejects_an_out_of_range_rank(n, rho):
+    last = math.factorial(n) - 1
+    with pytest.raises(ValueError, match=f"rho {rho} outside 0..{last},"):
+        w.sticky_permutation_system(n, rho, 0.05)
+
+
 def test_conjugation_map_order_divides_group_order():
     g = w.conjugation_map(4, from_cycles(4, [(0, 1, 2, 3)]))
     assert w.permutation_order(g) == 4
