@@ -18,16 +18,21 @@ function mutates its arguments.  A kernel matrix is either a read-only
 ndarray or a scipy `csr_array`, chosen by `make_kernel` from the state
 count alone; `x @ K` and `K @ x` are 1-D arrays in both formats, so
 nothing downstream branches on the storage.
+
+scipy enters only with CSR storage: this module imports `scipy.sparse`
+to build a kernel above the dense limit or a `support_graph`, and tells
+a sparse input apart without importing it, since no sparse object can
+exist before `scipy.sparse` is loaded.  A dense run never imports scipy.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     NegativeEntry,
@@ -46,7 +51,10 @@ ROW_SUM_TOL = 1e-12
 # Entries of one block of matrix powers in `power_blocks`: small kernels get
 # many powers per product, kernels of 182 states or more one.
 POWER_BLOCK_ENTRIES = 1 << 16
-Matrix = Union[np.ndarray, sp.csr_array]
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    Matrix = Union[np.ndarray, sp.csr_array]
 
 _MISSING = object()
 
@@ -173,7 +181,8 @@ class MarkovKernel:
 
     `matrix` is a read-only ndarray up to the `dense_limit` of `make_kernel`
     (DENSE_LIMIT by default) and a `csr_array` above it; every operation
-    works on both through `@`, slicing and `np.ix_` indexing.
+    works on both through `@`, slicing and `np.ix_` indexing.  Only the CSR
+    form and `support_graph` need scipy.
     """
 
     space: StateSpace
@@ -185,7 +194,7 @@ class MarkovKernel:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+        return _issparse(self.matrix)
 
     def dense(self) -> np.ndarray:
         if self.is_sparse:
@@ -198,14 +207,38 @@ class MarkovKernel:
 
     def support_graph(self) -> sp.csr_array:
         """Boolean adjacency of the positive entries, as CSR."""
+        import scipy.sparse as sp
+
         return sp.csr_array(self.matrix > 0, dtype=np.int8)
+
+
+def _issparse(m) -> bool:
+    # a scipy sparse object can only exist once scipy.sparse is imported
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(m)
+
+
+def _sorted_csr(m: Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of a kernel matrix, columns ascending per row.
+
+    A dense matrix lists its nonzero entries; a CSR one every stored entry,
+    explicit zeros included.
+    """
+    if _issparse(m):
+        csr = m.sorted_indices()
+        return csr.indptr, csr.indices, csr.data
+    # numpy finds the nonzeros of a boolean array many times faster
+    rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
+    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=indptr[1:])
+    return indptr, cols, m[rows, cols]
 
 
 def _validate_matrix(space: StateSpace, m: Matrix) -> None:
     n = space.size
     if m.shape != (n, n):
         raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {n}")
-    if sp.issparse(m):
+    if _issparse(m):
         if m.nnz and float(m.data.min()) < 0.0:
             raise NegativeEntry("negative entry in sparse kernel")
     elif np.any(m < 0.0):
@@ -223,15 +256,39 @@ def make_kernel(space: StateSpace, entries, dense_limit: int = DENSE_LIMIT) -> M
     The one storage rule of the package: the kernel is a read-only ndarray
     when space.size <= dense_limit and a `csr_array` above it, whatever the
     input form: nested lists, an ndarray, or any scipy sparse matrix or
-    array.  Every constructor in the package goes through here.
+    array.  Every constructor in the package goes through here or through
+    `_kernel_from_triplets`, which keeps the same rule.
     """
     # copies throughout: the caller's arrays stay writable and unshared
     if space.size > dense_limit:
+        import scipy.sparse as sp
+
         m = sp.csr_array(entries, dtype=np.float64, copy=True)
-    elif sp.issparse(entries):
+    elif _issparse(entries):
         m = entries.toarray().astype(np.float64, copy=False)
     else:
         m = np.array(entries, dtype=np.float64)
+    _validate_matrix(space, m)
+    return _wrap(space, m)
+
+
+def _kernel_from_triplets(
+    space: StateSpace, rows, cols, vals, dense_limit: int = DENSE_LIMIT
+) -> MarkovKernel:
+    """`make_kernel` of the matrix summing vals[k] into (rows[k], cols[k]).
+
+    Duplicates add up in input order, as scipy's COO-to-dense conversion
+    adds them, so the dense result has the same bits; above the dense limit
+    the COO triplets are converted to CSR as `make_kernel` converts them.
+    """
+    n = space.size
+    if n > dense_limit:
+        import scipy.sparse as sp
+
+        coo = sp.coo_array((vals, (rows, cols)), shape=(n, n))
+        return make_kernel(space, coo, dense_limit=dense_limit)
+    m = np.zeros((n, n))
+    np.add.at(m, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)), vals)
     _validate_matrix(space, m)
     return _wrap(space, m)
 

@@ -12,16 +12,25 @@ import csv
 import io
 import json
 
-import scipy.sparse as sp
+import numpy as np
 
-from .core import DENSE_LIMIT, MarkovKernel, Permutation, StateSpace, make_kernel, make_permutation
+from .core import (
+    DENSE_LIMIT,
+    MarkovKernel,
+    Permutation,
+    StateSpace,
+    _kernel_from_triplets,
+    _sorted_csr,
+    make_permutation,
+)
 from .errors import ConfigInvalid
 
 
 def kernel_document(kernel: MarkovKernel) -> dict:
-    coo = sp.coo_array(kernel.matrix)
+    indptr, cols, vals = _sorted_csr(kernel.matrix)
+    rows = np.repeat(np.arange(kernel.size), np.diff(indptr))
     triplets = sorted(
-        [int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0.0
+        [r, c, v] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()) if v != 0.0
     )
     doc = {"size": kernel.size, "triplets": triplets}
     if kernel.space.labels is not None:
@@ -47,8 +56,7 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    m = sp.coo_array((vals, (rows, cols)), shape=(size, size))
-    return make_kernel(space, m, dense_limit=dense_limit)
+    return _kernel_from_triplets(space, rows, cols, vals, dense_limit=dense_limit)
 
 
 def save_kernel(kernel: MarkovKernel, path: str) -> None:

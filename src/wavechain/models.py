@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Distribution,
@@ -23,6 +22,7 @@ from .core import (
     Permutation,
     StateSpace,
     WaveSystem,
+    _kernel_from_triplets,
     make_kernel,
     make_permutation,
     make_wave_system,
@@ -391,7 +391,7 @@ def _group_walk(n: int, generators, weights) -> MarkovKernel:
     cols = sn_rank(products.reshape(-1, n))
     rows = np.repeat(np.arange(size, dtype=np.int64), len(generators))
     vals = np.broadcast_to(np.asarray(weights, dtype=np.float64), (size, len(generators)))
-    return make_kernel(sn_space(n), sp.coo_array((vals.ravel(), (rows, cols)), shape=(size, size)))
+    return _kernel_from_triplets(sn_space(n), rows, cols, vals.ravel())
 
 
 def group_walk_kernel(spec: GroupWalkSpec) -> MarkovKernel:
@@ -517,14 +517,9 @@ def binary_cycling_system(n_bits: int) -> WaveSystem:
     )
     space = StateSpace(size, labels)
     xs = np.arange(size, dtype=np.int64)
-    lo = xs & ~1
-    hi = xs | 1
-    indices = np.empty(2 * size, dtype=np.int64)
-    indices[0::2] = lo
-    indices[1::2] = hi
-    data = np.full(2 * size, 0.5)
-    indptr = 2 * np.arange(size + 1, dtype=np.int64)
-    kernel = make_kernel(space, sp.csr_array((data, indices, indptr), shape=(size, size)))
+    # row x splits evenly between x with bit 0 cleared and x with bit 0 set
+    cols = np.column_stack([xs & ~1, xs | 1]).ravel()
+    kernel = _kernel_from_triplets(space, np.repeat(xs, 2), cols, np.full(2 * size, 0.5))
     # rotating coordinates left means bit i of g(x) is bit i+1 of x
     fwd = (xs >> 1) | ((xs & 1) << (n - 1))
     return make_wave_system(kernel, make_permutation(space, fwd))

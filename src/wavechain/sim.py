@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import Distribution, WaveSystem
+from .core import Distribution, WaveSystem, _sorted_csr
 from .errors import NotMerging
 from .rng import _stream_keys, _uniforms_at
 from .spectral import is_irreducible, period
@@ -52,14 +51,14 @@ class _RowTable:
 
     def __init__(self, kernel):
         size = kernel.size
-        csr = sp.csr_array(kernel.matrix).sorted_indices()
-        starts, support = csr.indptr, csr.indices.astype(np.int64)
+        starts, support, data = _sorted_csr(kernel.matrix)
+        support = support.astype(np.int64)
         counts = np.diff(starts)
         width = 1 << (int(np.max(counts)) - 1).bit_length()
         rows = np.repeat(np.arange(size), counts)
-        cols = np.arange(csr.nnz) - starts[rows]
+        cols = np.arange(data.size) - starts[rows]
         values = np.zeros((size, width))
-        values[rows, cols] = csr.data
+        values[rows, cols] = data
         cums = np.cumsum(values, axis=1)  # the same sums as row by row
         indices = np.repeat(support[starts[1:] - 1], width).reshape(size, width)
         indices[rows, cols] = support

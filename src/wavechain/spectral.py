@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .core import DENSE_LIMIT, Distribution, MarkovKernel, StateSpace, make_kernel
+from .core import DENSE_LIMIT, Distribution, MarkovKernel, StateSpace, _sorted_csr, make_kernel
 from .errors import (
     FlowMismatch,
     NotConverged,
@@ -33,25 +31,90 @@ _STATIONARY_TOL = 1e-12
 _STATIONARY_MAX_STEPS = 100_000
 
 
-def is_irreducible(kernel: MarkovKernel) -> bool:
-    """True when the support graph is strongly connected."""
-    graph = kernel.support_graph()
+def _search_levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 along a dense boolean adjacency
+    matrix, -1 at the states it never reaches; one numpy pass per level."""
+    n = support.shape[0]
+    level = np.full(n, -1, dtype=np.int64)
+    level[0] = 0
+    unseen = np.ones(n, dtype=bool)
+    unseen[0] = False
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        reached = np.logical_or.reduce(support[frontier], axis=0)
+        reached &= unseen
+        frontier = np.flatnonzero(reached)
+        unseen[frontier] = False
+        level[frontier] = depth
+    return level
+
+
+def _transposed(a: np.ndarray, rows: int = 256) -> np.ndarray:
+    # block by block: numpy's one-shot copy of a large transpose is 3-4x slower
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, a.shape[0], rows):
+        out[:, i : i + rows] = a[i : i + rows].T
+    return out
+
+
+def _strong_levels(support: np.ndarray) -> Optional[np.ndarray]:
+    """Forward breadth-first levels from state 0, or None when the dense
+    boolean support is not strongly connected (some state is unreached
+    forward or cannot reach state 0)."""
+    level = _search_levels(support)
+    if level.min() < 0 or _search_levels(_transposed(support)).min() < 0:
+        return None
+    return level
+
+
+def _csgraph_levels(graph) -> Optional[np.ndarray]:
+    """`_strong_levels` of a CSR support graph, by scipy.sparse.csgraph."""
+    from scipy.sparse.csgraph import shortest_path
+
+    if not _csgraph_strongly_connected(graph):
+        return None
+    return shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+
+
+def _csgraph_strongly_connected(graph) -> bool:
+    from scipy.sparse.csgraph import connected_components
+
     n_components, _ = connected_components(graph, directed=True, connection="strong")
     return int(n_components) == 1
+
+
+def is_irreducible(kernel: MarkovKernel) -> bool:
+    """True when the support graph is strongly connected.
+
+    The storage picks the search: a dense kernel is searched breadth-first
+    in numpy, forward and backward from state 0; a CSR one goes to
+    `scipy.sparse.csgraph`, whose compiled search stays fast on long cycles.
+    """
+    if kernel.is_sparse:
+        return _csgraph_strongly_connected(kernel.support_graph())
+    return _strong_levels(kernel.matrix > 0) is not None
 
 
 def period(kernel: MarkovKernel) -> int:
     """Period of an irreducible kernel: gcd of cycle lengths through state 0.
 
     Computed from breadth-first levels: every edge (u, v) closes a cycle of
-    length level(u) + 1 - level(v) modulo the period.
+    length level(u) + 1 - level(v) modulo the period.  The levels come from
+    the irreducibility check, searched by storage as in `is_irreducible`.
     """
-    if not is_irreducible(kernel):
+    if kernel.is_sparse:
+        graph = kernel.support_graph()
+        level = _csgraph_levels(graph)
+    else:
+        graph = kernel.matrix > 0
+        level = _strong_levels(graph)
+    if level is None:
         raise NotIrreducible("period is only defined per communicating class")
-    graph = kernel.support_graph()
-    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    tails = np.repeat(np.arange(kernel.size), np.diff(graph.indptr))
-    g = int(np.gcd.reduce(level[tails] + 1 - level[graph.indices]))
+    indptr, heads, _ = _sorted_csr(graph)
+    tails = np.repeat(np.arange(kernel.size), np.diff(indptr))
+    g = int(np.gcd.reduce(level[tails] + 1 - level[heads]))
     return g if g else 1
 
 
@@ -180,6 +243,8 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
         # the deflated operator vanishes: the top triple is the only one
         w = np.zeros(kernel.size)
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
         op = LinearOperator((kernel.size, kernel.size), matvec=deflated_gram, dtype=np.float64)
         try:
             _, vecs = eigsh(op, k=1, which="LA", v0=start)

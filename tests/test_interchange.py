@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import wavechain as w
 from wavechain import errors
@@ -72,6 +73,48 @@ def test_load_kernel_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(errors.ConfigInvalid):
         w.load_kernel(str(path))
+
+
+def coo_kernel_document(kernel):
+    """The document as it was built through scipy's COO format."""
+    coo = sp.coo_array(kernel.matrix)
+    triplets = sorted(
+        [int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0.0
+    )
+    doc = {"size": kernel.size, "triplets": triplets}
+    if kernel.space.labels is not None:
+        doc["labels"] = list(kernel.space.labels)
+    return doc
+
+
+def test_saved_documents_equal_the_coo_built_ones(corpus):
+    kernels = [s.shifted for s in corpus[:20]]
+    kernels += [w.make_kernel(k.space, k.dense(), dense_limit=2) for k in kernels]
+    kernels += [w.sticky_permutation_system(7, 5, 0.2).shifted,  # CSR, columns permuted
+                w.binary_cycling_system(13).base,  # CSR above DENSE_LIMIT
+                w.binary_cycling_system(4).shifted,
+                w.four_point_example().base]
+    for kernel in kernels:
+        want = json.dumps(coo_kernel_document(kernel), sort_keys=True)
+        assert json.dumps(w.kernel_document(kernel), sort_keys=True) == want
+
+
+def test_duplicated_triplets_sum_in_input_order():
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 in this order and 1.0 sorted
+    triplets = [[0, 1, 0.7], [0, 1, 0.2], [1, 0, 1.0], [0, 1, 0.1], [2, 2, 0.25],
+                [2, 2, 0.75]]
+    rows, cols, vals = (list(t) for t in zip(*triplets))
+    coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
+    doc = {"size": 3, "triplets": triplets}
+    dense = w.kernel_from_document(doc)
+    assert not dense.is_sparse
+    assert dense.matrix.tobytes() == coo.toarray().tobytes()
+    assert dense.matrix[0, 1] == 0.9999999999999999 != 0.1 + 0.2 + 0.7
+    csr = w.kernel_from_document(doc, dense_limit=2)
+    want = sp.csr_array(coo, dtype=np.float64, copy=True)
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(csr.matrix, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_permutation_document_round_trip():

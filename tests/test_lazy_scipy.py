@@ -1,0 +1,114 @@
+"""scipy is a lazy dependency: dense runs never import it.
+
+Each check runs in a fresh interpreter, since the test process itself has
+scipy loaded.  A run prints the scipy modules it ended with on stderr.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wavechain as w
+
+SRC = str(Path(w.__file__).resolve().parents[1])
+
+PROBE = """\
+import json, sys
+from wavechain import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print("SCIPY " + json.dumps(loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_probe(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        cwd=tmp_path,
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("SCIPY ")]
+    assert lines, proc.stderr
+    return proc.returncode, json.loads(lines[-1][len("SCIPY "):])
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = (
+        "import sys, wavechain, wavechain.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_dense_library_calls_load_no_scipy():
+    # kernels built from triplets at exactly the dense limit, from a
+    # document and from the group and bit models, then searched and stored
+    code = """
+import sys
+import wavechain as w
+doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 0.5], [1, 2, 0.5], [2, 0, 1.0]]}
+k = w.kernel_from_document(doc, dense_limit=3)
+assert not k.is_sparse and w.period(k) == 3 and w.kernel_document(k)["size"] == 3
+for s in (w.binary_cycling_system(4), w.sticky_permutation_system(4, 0, 0.1),
+          w.deck_reversal_system(5)):
+    assert not s.shifted.is_sparse
+    if w.is_irreducible(s.shifted):
+        w.period(s.shifted)
+    w.empirical_distribution(s, 0, 5, 10, 0)
+print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    ).stdout
+    assert out.strip() == "[]"
+
+
+DENSE_RUNS = {
+    "merge-time-circle-41": ["merge-time", "--model", "circle", "--param", "n=41"],
+    "analyze-circle-17": ["analyze", "--model", "circle", "--param", "n=17",
+                          "--analyses", "spectral,stability,merging"],
+    "simulate-deck-5": ["simulate", "--model", "deck-reversal", "--param", "n=5",
+                        "--param", "steps=8", "--param", "trials=2000"],
+    "scan-lazy-circle": ["scan", "--model", "lazy-circle", "--param", "n=9",
+                         "--count", "20"],
+}
+
+
+@pytest.mark.parametrize("argv", DENSE_RUNS.values(), ids=DENSE_RUNS.keys())
+def test_dense_runs_load_no_scipy(tmp_path, argv):
+    code, loaded = run_probe(tmp_path, argv)
+    assert code == 0
+    assert loaded == []
+
+
+def test_a_saved_kernel_file_runs_without_scipy(tmp_path):
+    kernel, _ = w.circle_kernel(9, 1.0)
+    path = tmp_path / "circle.json"
+    w.save_kernel(kernel, str(path))
+    code, loaded = run_probe(
+        tmp_path, ["analyze", "--model", str(path), "--analyses", "spectral,merging"]
+    )
+    assert code == 0
+    assert loaded == []
+
+
+def test_a_csr_run_still_loads_scipy_and_succeeds(tmp_path):
+    code, loaded = run_probe(
+        tmp_path, ["analyze", "--model", "sticky", "--param", "n=7",
+                   "--analyses", "spectral,stability"],
+    )
+    assert code == 0
+    assert "scipy.sparse" in loaded
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["results"]["spectral"]["sigma"]) == 2  # the ARPACK path ran

@@ -370,7 +370,10 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
     assert w.weighted_singular_values(sparse, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
-    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
+    # the top-two path imports eigsh from scipy.sparse.linalg when it runs
+    import scipy.sparse.linalg as arpack
+
+    monkeypatch.setattr(arpack, "eigsh", functools.partial(arpack.eigsh, maxiter=1))
     with pytest.raises(errors.NotConverged):
         w.weighted_singular_values(sparse, pi, pi)
 
