@@ -42,6 +42,7 @@ from .errors import (
 )
 from .interchange import _csv_text, load_kernel
 from .merging import (
+    _METRICS,
     _sigma_tilde,
     certify_stability,
     merging_time,
@@ -279,6 +280,8 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
     # to let callers watch the violation path fire on a healthy instance.
     horizon = int(knobs.get("horizon", 30))
     scale = float(knobs.get("bound_scale", 1.0))
+    if not math.isfinite(scale):
+        raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
     pi, sigma = _sigma_tilde(system)
     w = pi.weights
     front = np.sqrt(1.0 / w - 1.0)
@@ -323,9 +326,7 @@ def _run_simulate(system, config, knobs) -> _AnalysisOut:
     emp = empirical_distribution(system, start, steps, trials, config.seed)
     out = _AnalysisOut(files={"profile.csv": _mass_csv(emp)})
     if system.space.size <= DENSE_LIMIT:
-        one_hot = np.zeros(system.space.size)
-        one_hot[start] = 1.0
-        exact = evolve(Distribution(system.space, one_hot), system, steps)
+        exact = evolve(Distribution.point_mass(system.space, start), system, steps)
         tv = tv_distance(emp, exact)
         gate = 3.0 * math.sqrt(system.space.size / trials)
         out.lines.append(
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("analyze", help="run a set of analyses"), with_analyses=True)
     mt = sub.add_parser("merge-time", help="distance trace and first passage below epsilon")
     _add_common(mt)
-    mt.add_argument("--metric", choices=("total_variation", "relative_sup", "chi_square"))
+    mt.add_argument("--metric", choices=_METRICS)
     _add_common(sub.add_parser("wave-profile", help="occupation estimate of the invariant measure"))
     _add_common(sub.add_parser("simulate", help="endpoint histogram over seeded replicas"))
     sc = sub.add_parser("scan", help="stability ratios over random bijections")

@@ -101,7 +101,7 @@ class Distribution:
         if np.any(w < 0.0):
             raise NegativeEntry(f"negative mass at state {int(np.argmin(w))}")
         total = float(w.sum())
-        if abs(total - 1.0) > ROW_SUM_TOL:
+        if not abs(total - 1.0) <= ROW_SUM_TOL:  # NaN fails too
             raise RowSumViolation(0, total)
         object.__setattr__(self, "weights", _frozen(w))
 
@@ -245,7 +245,7 @@ def _validate_matrix(space: StateSpace, m: Matrix) -> None:
         r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
         raise NegativeEntry(f"negative entry in row {int(r)}")
     sums = m.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN fails too
     if bad.size:
         raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
 

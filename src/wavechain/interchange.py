@@ -29,9 +29,10 @@ from .errors import ConfigInvalid
 def kernel_document(kernel: MarkovKernel) -> dict:
     indptr, cols, vals = _sorted_csr(kernel.matrix)
     rows = np.repeat(np.arange(kernel.size), np.diff(indptr))
-    triplets = sorted(
+    # _sorted_csr lists entries row by row, columns ascending
+    triplets = [
         [r, c, v] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()) if v != 0.0
-    )
+    ]
     doc = {"size": kernel.size, "triplets": triplets}
     if kernel.space.labels is not None:
         doc["labels"] = list(kernel.space.labels)

@@ -8,7 +8,8 @@ The relative-sup distance
 
 is the strictest of the three metrics here and is infinite whenever nu has a
 zero where mu does not; infinity is a legitimate value, reported as
-math.inf, never an overflow.
+math.inf, never an overflow.  The sticky-point check of the single-point
+stability bound lives in `models`, next to the perturbation it checks.
 """
 from __future__ import annotations
 
@@ -37,14 +38,13 @@ from .errors import (
     InvalidPivot,
     NotIrreducible,
     NotMerging,
-    PerturbationShapeViolated,
     SpaceMismatch,
     TooLarge,
     UniformMeasure,
     ZeroWeight,
 )
 from .interchange import _csv_text
-from .spectral import is_irreducible, period, weighted_singular_values
+from .spectral import _merging_obstruction, is_irreducible, weighted_singular_values
 
 Metric = Literal["total_variation", "relative_sup", "chi_square"]
 _METRICS = ("total_variation", "relative_sup", "chi_square")
@@ -197,7 +197,7 @@ def merging_time(
     """
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -212,10 +212,9 @@ def merging_time(
             break
     reason = None
     if hit is None:
-        if not is_irreducible(system.shifted):
-            reason = "shifted kernel reducible; pairwise merging cannot occur"
-        elif period(system.shifted) != 1:
-            reason = "shifted kernel periodic; pairwise merging cannot occur"
+        obstruction = _merging_obstruction(system.shifted)
+        if obstruction is not None:
+            reason = f"shifted kernel {obstruction}; pairwise merging cannot occur"
     return MergingReport(
         metric=metric,
         epsilon=epsilon,
@@ -300,10 +299,9 @@ def _sigma_tilde(system: WaveSystem) -> tuple[Distribution, float]:
 
 
 def _require_merging(system: WaveSystem) -> None:
-    if not is_irreducible(system.shifted):
-        raise NotMerging("shifted kernel reducible; the wave bound does not apply")
-    if period(system.shifted) != 1:
-        raise NotMerging("shifted kernel periodic; the wave bound does not apply")
+    obstruction = _merging_obstruction(system.shifted)
+    if obstruction is not None:
+        raise NotMerging(f"shifted kernel {obstruction}; the wave bound does not apply")
 
 
 def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
@@ -534,71 +532,3 @@ def _pivot_ratio(m, colsums, b, x, y) -> Optional[float]:
     if kbx <= 0.0 or kby <= 0.0 or leftover_x <= 0.0 or leftover_y <= 0.0:
         return None
     return float((kbx * leftover_y) / (kby * leftover_x))
-
-
-def _single_row_asymmetry(k: np.ndarray):
-    """Index of the one row whose edits explain all asymmetry of k, if any."""
-    asym = np.abs(k - k.T)
-    rows = [int(r) for r in np.flatnonzero(asym.max(axis=1) > 1e-14)]
-    if not rows:
-        return None
-    n = k.shape[0]
-    for cand in rows:
-        others = [r for r in rows if r != cand]
-        cols = [c for c in range(n) if c != cand]
-        if all(np.all(asym[r, cols] <= 1e-14) for r in others):
-            return cand
-    raise PerturbationShapeViolated("kernel is not symmetric off a single row")
-
-
-def sticky_stability_check(system: WaveSystem, delta: float) -> tuple[float, float]:
-    """Measured max/min ratio of the wave measure against the sticky bound.
-
-    The base kernel must be a symmetric kernel perturbed on a single row o:
-    extra holding weight at (o, o), at most delta, compensated by reduced
-    mass on the rest of the row.  Returns (measured ratio, 1/(1 - eps))
-    with eps = delta / (1 - Q(o, o)) and checks measured <= bound; also
-    checks that the wave measure peaks at the image of o one map step
-    ahead, where the surplus column of the shifted kernel sits.
-    """
-    k = system.base.dense()
-    o = _single_row_asymmetry(k)
-    if o is None:
-        return 1.0, 1.0
-    # rows other than o are untouched, so column o of k is row o of the
-    # symmetric base; its diagonal entry follows from stochasticity
-    q_row = k[:, o].copy()
-    q_oo = 1.0 - (q_row.sum() - q_row[o])
-    q_row[o] = q_oo
-    d_row = k[o] - q_row
-    if not 0.0 < d_row[o] <= delta + 1e-12:
-        raise PerturbationShapeViolated(
-            f"holding surplus {d_row[o]!r} outside (0, delta={delta}]"
-        )
-    if not 0.0 < delta < 1.0 - q_oo:
-        raise PerturbationShapeViolated("delta must lie in (0, 1 - Q(o, o))")
-    off = np.delete(np.arange(k.shape[0]), o)
-    floor = -delta * q_row[off] / (1.0 - q_oo)
-    if np.any(d_row[off] > 1e-14) or np.any(d_row[off] < floor - 1e-12):
-        raise PerturbationShapeViolated(
-            "off-diagonal perturbation outside the single-point shape"
-        )
-    if np.any((q_row[off] > 0.0) & (d_row[off] > -1e-15)):
-        raise PerturbationShapeViolated(
-            "perturbation must remove mass everywhere the base row has some"
-        )
-    eps = delta / (1.0 - q_oo)
-    pi = system.wave_measure
-    measured = float(np.max(pi.weights) / np.min(pi.weights))
-    bound = 1.0 / (1.0 - eps)
-    peak = int(np.argmax(pi.weights))
-    expected = int(system.map.forward[o])
-    if peak != expected:
-        raise BoundViolated(
-            f"wave measure peaks at {peak}, not at the image {expected} of the sticky row"
-        )
-    if measured > bound + 1e-10:
-        raise BoundViolated(
-            f"sticky ratio {measured} exceeds the certified bound {bound}"
-        )
-    return measured, bound

@@ -1,10 +1,13 @@
 """Model zoo: every concrete kernel and wave system used by the test suites.
 
-Circle kernels are assembled in exact rational arithmetic and converted to
-floats at the very end, so detailed balance and row sums hold to the last
-bit.  Every walk on S_n (at most 7! states) comes from one builder,
-`_group_walk`, which ranks all products x * s of the index table
-`groups.sn_table` at once; the sticky model only rewrites one weight row.
+Circle kernels come from one matrix whose two heavy-edge weights are
+rounded once from exact rationals; every other entry is exact in binary,
+so detailed balance and row sums hold to the last bit.  Every walk on S_n
+(at most 7! states) comes from one builder, `_group_walk`, which ranks all
+products x * s of the index table `groups.sn_table` at once; the sticky
+model only rewrites one weight row.  The single-point shape behind the
+sticky bound is checked in one place, `_single_point_spec`, shared by
+`single_point_perturbation` and `sticky_stability_check`.
 """
 from __future__ import annotations
 
@@ -28,11 +31,13 @@ from .core import (
     make_wave_system,
 )
 from .errors import (
+    BoundViolated,
     ConditionViolated,
     DegreeInfeasible,
     DeltaOutOfRange,
     EvenN,
     NotSymmetric,
+    PerturbationShapeViolated,
     TooLarge,
 )
 from .groups import (
@@ -48,7 +53,7 @@ from .groups import (
 )
 from .merging import NashParams
 
-_DEFAULT_GROUP_CAP = 5040
+_GROUP_CAP = 5040  # 7!, the largest symmetric group walked on
 
 
 # ---------------------------------------------------------------------------
@@ -64,26 +69,19 @@ def _odd_size(n) -> int:
     return n
 
 
-def _circle_entries(n: int, eps: Fraction) -> list[list[Fraction]]:
-    half = Fraction(1, 2)
-    heavy = (1 + eps) / (2 + eps)
-    light = 1 / (2 + eps)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for x in range(n):
-        rows[x][(x + 1) % n] = half
-        rows[x][(x - 1) % n] = half
-    rows[0][1] = heavy
-    rows[0][n - 1] = light
-    rows[1][0] = heavy
-    rows[1][2 % n] = light
-    return rows
-
-
-def _to_float_kernel(rows: list[list[Fraction]], labels=None) -> MarkovKernel:
-    n = len(rows)
-    space = StateSpace(n, labels)
-    mat = np.array([[float(v) for v in row] for row in rows])
-    return make_kernel(space, mat)
+def _circle_matrix(n: int, eps=0) -> np.ndarray:
+    """Circle walk moving 1/2 to each neighbour, except that the edge (0, 1)
+    weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps) along it and
+    1/(2 + eps) away from it.  Those two weights are rounded once from exact
+    rationals; every other entry (1/2 or 0) is exact in binary."""
+    e = Fraction(eps)
+    x = np.arange(n)
+    m = np.zeros((n, n))
+    m[x, (x + 1) % n] = 0.5
+    m[x, (x - 1) % n] = 0.5
+    m[[0, 1], [1, 0]] = float((1 + e) / (2 + e))
+    m[[0, 1], [n - 1, 2 % n]] = float(1 / (2 + e))
+    return m
 
 
 def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
@@ -97,7 +95,7 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
     if not eps > 0:
         raise ValueError("eps must be positive")
     e = Fraction(eps)
-    kernel = _to_float_kernel(_circle_entries(n, e))
+    kernel = make_kernel(StateSpace(n), _circle_matrix(n, e))
     heavy = (1 + e / 2) / (n + e)
     light = 1 / (n + e)
     weights = np.full(n, float(light))
@@ -111,12 +109,8 @@ def lazy_circle_kernel(n_points, eps: float) -> MarkovKernel:
     n = _odd_size(n_points)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    rows = _circle_entries(n, Fraction(eps))
-    half = Fraction(1, 2)
-    for x in range(n):
-        rows[x] = [half * v for v in rows[x]]
-        rows[x][x] += half
-    return _to_float_kernel(rows)
+    # halving and adding 1/2 on the empty diagonal are exact
+    return make_kernel(StateSpace(n), 0.5 * (_circle_matrix(n, eps) + np.eye(n)))
 
 
 def circle_shift(n_points: int, s: int) -> Permutation:
@@ -153,12 +147,7 @@ def circle_perturbation_spec(n_points, eps: float) -> "PerturbationSpec":
     """
     n = _odd_size(n_points)
     e = Fraction(eps)
-    space = StateSpace(n)
-    base = np.zeros((n, n))
-    for x in range(n):
-        base[x][(x + 1) % n] = 0.5
-        base[x][(x - 1) % n] = 0.5
-    q = make_kernel(space, base)
+    q = make_kernel(StateSpace(n), _circle_matrix(n))
     shift = float(e / (4 + 2 * e))
     delta = np.zeros((n, n))
     delta[0, 1] = shift
@@ -247,8 +236,8 @@ class PerturbationSpec:
 
     The edits must keep rows balanced (each row of delta_matrix sums to
     zero), stay above -epsilon * Q entrywise, and vanish outside the
-    support rows.  `delta` is only set for single-point edits validated
-    against the stricter one-row shape.
+    support rows.  `delta` is only set for single-point edits: the holding
+    surplus bound that epsilon was taken from.
     """
 
     base: MarkovKernel
@@ -280,66 +269,93 @@ class PerturbationSpec:
         return make_kernel(self.base.space, self.base.dense() + self.delta_matrix)
 
 
-def single_point_perturbation(
-    q: MarkovKernel,
-    o: int,
-    delta_row: np.ndarray,
-    strict_shape: bool = False,
-) -> PerturbationSpec:
+def _single_point_spec(q: MarkovKernel, o: int, row: np.ndarray, delta: float) -> PerturbationSpec:
+    """The spec of q with row o edited by `row`, in the single-point shape.
+
+    The shape is the one of the sticky bound: a holding surplus row[o] in
+    (0, delta], paid for by losing mass wherever q(o, .) is positive off o
+    and nowhere else.  The spec's own conditions add the rest: the row sums
+    to zero, and with eps = delta / (1 - q(o, o)) it stays above -eps q and
+    eps < 1.
+    """
+    base_row = q.dense()[o]
+    if not 0.0 < row[o] <= delta + 1e-12 or not delta > 0.0:
+        raise PerturbationShapeViolated(f"holding surplus {row[o]!r} outside (0, delta={delta}]")
+    off = np.arange(q.size) != o
+    if not np.all(np.where(base_row > 0.0, row < 0.0, row == 0.0)[off]):
+        raise ConditionViolated(
+            "vertex-prime", "row must lose mass exactly where the base row is positive"
+        )
+    edits = np.zeros((q.size, q.size))
+    edits[o] = row
+    eps = delta / (1.0 - base_row[o])
+    return PerturbationSpec(base=q, support=(o,), delta_matrix=edits, epsilon=eps, delta=delta)
+
+
+def single_point_perturbation(q: MarkovKernel, o: int, delta_row: np.ndarray) -> PerturbationSpec:
     """Validated one-row perturbation of a symmetric kernel.
 
-    The returned spec carries the minimal strength epsilon.  With
-    strict_shape the row must add holding mass at (o, o) and remove mass
-    everywhere the base row is positive, within the floor
-    -delta q(o, y)/(1 - q(o, o)); epsilon is then delta/(1 - q(o, o)).
+    The row must add holding mass delta at (o, o) and remove mass everywhere
+    the base row is positive, within the floor -delta q(o, y)/(1 - q(o, o));
+    the returned spec carries delta and the strength
+    epsilon = delta/(1 - q(o, o)).
     """
-    m = q.dense()
-    if float(np.max(np.abs(m - m.T))) > 1e-12:
-        raise NotSymmetric("single-point perturbation needs a symmetric base")
     o = int(o)
     row = np.asarray(delta_row, dtype=float)
     if row.shape != (q.size,):
         raise ConditionViolated("a", "edit row has the wrong length")
-    if abs(float(row.sum())) > 1e-12:
-        raise ConditionViolated("a", "edit row must sum to zero")
-    base_row = m[o]
-    negative = row < 0.0
-    if np.any(negative & (base_row <= 0.0)):
-        raise ConditionViolated("b", "edit removes mass where the base row has none")
-    eps = 0.0
-    if negative.any():
-        eps = float(np.max(-row[negative] / base_row[negative]))
-    if eps >= 1.0:
-        raise ConditionViolated("b", f"minimal strength {eps} reaches 1")
-    delta_val: Optional[float] = None
-    if strict_shape:
-        hold = float(row[o])
-        if not hold > 0.0:
-            raise ConditionViolated("vertex-prime", "no holding surplus at the point")
-        q_oo = float(base_row[o])
-        if not hold < 1.0 - q_oo:
-            raise ConditionViolated("vertex-prime", "surplus swallows the whole row")
-        others = np.delete(np.arange(q.size), o)
-        r = row[others]
-        b = base_row[others]
-        if np.any((b > 0.0) & (r >= 0.0)):
-            raise ConditionViolated(
-                "vertex-prime", "row must lose mass wherever the base is positive"
-            )
-        if np.any((b <= 0.0) & (np.abs(r) > 0.0)):
-            raise ConditionViolated(
-                "vertex-prime", "row edits a move the base cannot make"
-            )
-        floor = -hold * b / (1.0 - q_oo)
-        if np.any(r < floor - 1e-12):
-            raise ConditionViolated("vertex-prime", "removal dips below the floor")
-        delta_val = hold
-        eps = hold / (1.0 - q_oo)
-    dmat = np.zeros_like(m)
-    dmat[o] = row
-    return PerturbationSpec(
-        base=q, support=(o,), delta_matrix=dmat, epsilon=eps, delta=delta_val
-    )
+    return _single_point_spec(q, o, row, float(row[o]))
+
+
+def _single_row_asymmetry(k: np.ndarray):
+    """Index of the one row whose edits explain all asymmetry of k, if any."""
+    asym = np.abs(k - k.T)
+    rows = [int(r) for r in np.flatnonzero(asym.max(axis=1) > 1e-14)]
+    if not rows:
+        return None
+    n = k.shape[0]
+    for cand in rows:
+        others = [r for r in rows if r != cand]
+        cols = [c for c in range(n) if c != cand]
+        if all(np.all(asym[r, cols] <= 1e-14) for r in others):
+            return cand
+    raise PerturbationShapeViolated("kernel is not symmetric off a single row")
+
+
+def sticky_stability_check(system: WaveSystem, delta: float) -> tuple[float, float]:
+    """Measured max/min ratio of the wave measure against the sticky bound.
+
+    The base kernel must be a symmetric kernel Q perturbed on a single row
+    o in the shape of `single_point_perturbation`, with a holding surplus
+    of at most delta.  Returns (measured ratio, 1/(1 - eps)) with
+    eps = delta / (1 - Q(o, o)) and checks measured <= bound; also checks
+    that the wave measure peaks at the image of o one map step ahead, where
+    the surplus column of the shifted kernel sits.
+    """
+    k = system.base.dense()
+    o = _single_row_asymmetry(k)
+    if o is None:
+        return 1.0, 1.0
+    # rows other than o are untouched, so column o of k is row o of the
+    # symmetric base; its diagonal entry follows from stochasticity
+    q = k.copy()
+    q[o] = k[:, o]
+    q[o, o] = 1.0 - (k[:, o].sum() - k[o, o])
+    eps = _single_point_spec(make_kernel(system.space, q), o, k[o] - q[o], delta).epsilon
+    pi = system.wave_measure
+    measured = float(np.max(pi.weights) / np.min(pi.weights))
+    bound = 1.0 / (1.0 - eps)
+    peak = int(np.argmax(pi.weights))
+    expected = int(system.map.forward[o])
+    if peak != expected:
+        raise BoundViolated(
+            f"wave measure peaks at {peak}, not at the image {expected} of the sticky row"
+        )
+    if measured > bound + 1e-10:
+        raise BoundViolated(
+            f"sticky ratio {measured} exceeds the certified bound {bound}"
+        )
+    return measured, bound
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +372,12 @@ class GroupWalkSpec:
 
     n: int
     generator_weights: dict
-    max_states: int = _DEFAULT_GROUP_CAP
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("deck size must be positive")
-        if math.factorial(self.n) > self.max_states:
-            raise TooLarge(f"{self.n}! exceeds the configured cap {self.max_states}")
+        if math.factorial(self.n) > _GROUP_CAP:
+            raise TooLarge(f"{self.n}! exceeds the configured cap {_GROUP_CAP}")
         total = 0.0
         for g, w in self.generator_weights.items():
             if len(g) != self.n or sorted(g) != list(range(self.n)):
@@ -574,20 +589,13 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
         b = stubs[1::2]
         if np.any(a == b):
             continue
-        seen = set()
-        ok = True
-        for u, v in zip(a, b):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok:
-            mat = np.zeros((n, n))
-            for u, v in zip(a, b):
-                mat[u, v] = mat[v, u] = 1.0 / r
-            np.fill_diagonal(mat, 1.0 / r)
-            return make_kernel(StateSpace(n), mat)
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        if np.unique(keys).size < keys.size:
+            continue
+        mat = np.zeros((n, n))
+        mat[a, b] = mat[b, a] = 1.0 / r
+        np.fill_diagonal(mat, 1.0 / r)
+        return make_kernel(StateSpace(n), mat)
     raise DegreeInfeasible(
         f"no simple {d}-regular pairing found for n={n} after many attempts"
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .core import Distribution, WaveSystem, _sorted_csr
 from .errors import NotMerging
 from .rng import _stream_keys, _uniforms_at
-from .spectral import is_irreducible, period
+from .spectral import _merging_obstruction
 
 # lanes of a wave profile, and the block size in which `_walk` steps lanes
 _MAX_LANES = 4096
@@ -158,7 +158,7 @@ def empirical_wave_profile(
     """
     if burn_in < 0 or stride < 1 or samples < 1:
         raise ValueError("burn_in >= 0, stride >= 1, samples >= 1 required")
-    if not is_irreducible(system.shifted) or period(system.shifted) != 1:
+    if _merging_obstruction(system.shifted) is not None:
         raise NotMerging("profile needs an irreducible aperiodic shifted kernel")
     lanes = min(_MAX_LANES, samples)
     walk = _walk(system, np.zeros(lanes, dtype=np.int64), seed)

@@ -118,6 +118,15 @@ def period(kernel: MarkovKernel) -> int:
     return g if g else 1
 
 
+def _merging_obstruction(kernel: MarkovKernel) -> Optional[str]:
+    """Why the powers of kernel cannot merge: "reducible", "periodic", or
+    None when it is irreducible and aperiodic; one `period` search."""
+    try:
+        return None if period(kernel) == 1 else "periodic"
+    except NotIrreducible:
+        return "reducible"
+
+
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
@@ -419,6 +428,10 @@ def spectral_report_document(
     "sigma" follows the kernel's storage: all singular values of a dense
     kernel, the top two of a CSR one (sticky n=6 lists 720, n=7 lists two).
     """
+    try:
+        per: Optional[int] = period(kernel)
+    except NotIrreducible:
+        per = None
     doc = {
         "sigma": [float(s) for s in decomposition.singular_values],
         "eigenvalues": (
@@ -426,10 +439,10 @@ def spectral_report_document(
         ),
         "stationary": [float(x) for x in stationary.weights] if stationary else None,
         "flags": {
-            "irreducible": is_irreducible(kernel),
+            "irreducible": per is not None,
             "diagonalizable": eigen.flag if eigen else None,
         },
     }
-    if doc["flags"]["irreducible"]:
-        doc["flags"]["period"] = period(kernel)
+    if per is not None:
+        doc["flags"]["period"] = per
     return doc

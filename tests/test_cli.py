@@ -109,6 +109,19 @@ def test_scaled_bounds_violation_exits_two(tmp_path, capsys):
     assert "dominates" in report["violations"][0]["inequality"]
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_bounds_reject_a_scale_that_is_not_finite(tmp_path, capsys, scale):
+    # a NaN or infinite scale compares as "dominates" everywhere
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--model", "circle", "--param", "n=5", "--param",
+         f"bound_scale={scale}", "--analyses", "bounds", "--out", str(out)]
+    )
+    assert code == 1
+    assert "bound_scale must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_analysis_clean_by_default(tmp_path):
     code = main(
         ["analyze", "--model", "circle", "--param", "n=7", "--analyses",

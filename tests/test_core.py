@@ -31,6 +31,20 @@ def test_make_kernel_reports_offending_row():
     assert "row 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("dense_limit", [4096, 0])
+def test_make_kernel_rejects_nan_entries(dense_limit):
+    # every comparison with NaN is False, so the row-sum test must be
+    # written to fail on it
+    space = w.StateSpace(2)
+    with pytest.raises(errors.RowSumViolation):
+        w.make_kernel(space, [[np.nan, 0.0], [0.0, 1.0]], dense_limit=dense_limit)
+
+
+def test_distribution_rejects_nan_mass():
+    with pytest.raises(errors.RowSumViolation):
+        w.Distribution(w.StateSpace(2), np.array([np.nan, 1.0]))
+
+
 def test_make_permutation_rejects_repeats():
     space = w.StateSpace(3)
     with pytest.raises(errors.NotBijective):

@@ -58,6 +58,14 @@ def test_row_sum_violation_carries_the_row_index():
     assert "row 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("dense_limit", [4096, 1])
+def test_nan_triplet_is_rejected(dense_limit):
+    # JSON readers accept the NaN literal
+    doc = json.loads('{"size": 2, "triplets": [[0, 0, NaN], [1, 1, 1.0]]}')
+    with pytest.raises(errors.RowSumViolation):
+        w.kernel_from_document(doc, dense_limit=dense_limit)
+
+
 def test_load_kernel_honours_dense_limit(tmp_path):
     kern, _ = w.circle_kernel(5, 1.0)
     path = tmp_path / "k.json"

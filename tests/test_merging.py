@@ -72,6 +72,13 @@ def test_metric_names_are_validated():
         w.merging_time(s, 0.01, 10, metric="tv")
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+def test_merging_threshold_must_be_positive(epsilon):
+    # a NaN threshold would trace the whole horizon and report no reason
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        w.merging_time(circle_system(), epsilon, 50)
+
+
 def test_four_point_merges_in_tv_but_not_relative_sup():
     s = w.four_point_example()
     tv = w.merging_time(s, 0.01, 100, metric="total_variation")

@@ -273,9 +273,7 @@ def test_single_point_perturbation_strict_shape_strength():
     col[0] = q_oo
     q_mat = dense.copy()
     q_mat[0] = col
-    spec = w.single_point_perturbation(
-        w.make_kernel(s.base.space, q_mat), 0, dense[0] - col, strict_shape=True
-    )
+    spec = w.single_point_perturbation(w.make_kernel(s.base.space, q_mat), 0, dense[0] - col)
     assert spec.epsilon == pytest.approx(0.1 / (1 - q_oo))
     assert spec.support == (0,)
 
@@ -285,3 +283,97 @@ def test_sn_space_labels_are_one_line_words():
     assert space.size == 6
     assert space.labels[0] == "123"
     assert len(set(space.labels)) == 6
+
+
+# ----------------------------------------- builders against their old code
+
+def _reference_circle_rows(n, eps):
+    from fractions import Fraction
+
+    e = Fraction(eps)
+    half = Fraction(1, 2)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        rows[x][(x + 1) % n] = half
+        rows[x][(x - 1) % n] = half
+    rows[0][1] = (1 + e) / (2 + e)
+    rows[0][n - 1] = 1 / (2 + e)
+    rows[1][0] = (1 + e) / (2 + e)
+    rows[1][2 % n] = 1 / (2 + e)
+    return rows
+
+
+def _reference_lazy_rows(n, eps):
+    from fractions import Fraction
+
+    half = Fraction(1, 2)
+    rows = _reference_circle_rows(n, eps)
+    for x in range(n):
+        rows[x] = [half * v for v in rows[x]]
+        rows[x][x] += half
+    return rows
+
+
+def _reference_random_regular(n, r, seed):
+    # the pairing model with a set of seen edges, as first written
+    d = r - 1
+    if r < 3 or r > n or (n * d) % 2 != 0:
+        return None
+    if n == r:
+        return np.full((n, n), 1.0 / r)
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(10_000):
+        rng.shuffle(stubs)
+        a = stubs[0::2]
+        b = stubs[1::2]
+        if np.any(a == b):
+            continue
+        seen = set()
+        ok = True
+        for u, v in zip(a, b):
+            key = (min(int(u), int(v)), max(int(u), int(v)))
+            if key in seen:
+                ok = False
+                break
+            seen.add(key)
+        if ok:
+            mat = np.zeros((n, n))
+            for u, v in zip(a, b):
+                mat[u, v] = mat[v, u] = 1.0 / r
+            np.fill_diagonal(mat, 1.0 / r)
+            return mat
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 17, 41, 101])
+@pytest.mark.parametrize("eps", [1, 0.3, 2, 1 / 3])
+def test_circle_builders_match_the_rational_tables(n, eps):
+    def as_floats(rows):
+        return np.array([[float(v) for v in row] for row in rows])
+
+    k, _ = w.circle_kernel(n, eps)
+    assert k.dense().tobytes() == as_floats(_reference_circle_rows(n, eps)).tobytes()
+    lazy = w.lazy_circle_kernel(n, eps)
+    assert lazy.dense().tobytes() == as_floats(_reference_lazy_rows(n, eps)).tobytes()
+    base = w.circle_perturbation_spec(n, eps).base
+    walk = np.zeros((n, n))
+    walk[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+    walk[np.arange(n), (np.arange(n) - 1) % n] = 0.5
+    assert base.dense().tobytes() == walk.tobytes()
+
+
+def test_random_regular_walk_matches_the_set_search():
+    cases = 0
+    for n in (4, 5, 6, 7, 8, 10, 13, 16):
+        for r in (2, 3, 4, 5, 6, 8):
+            for seed in (0, 1, 7):
+                expected = _reference_random_regular(n, r, seed)
+                if expected is None:
+                    with pytest.raises(errors.DegreeInfeasible):
+                        w.random_regular_graph_walk(n, r, seed)
+                    continue
+                got = w.random_regular_graph_walk(n, r, seed).dense()
+                assert got.tobytes() == expected.tobytes()
+                cases += 1
+    assert cases > 50
