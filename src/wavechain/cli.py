@@ -40,7 +40,7 @@ from .errors import (
     ModelUnknown,
     WavechainError,
 )
-from .interchange import _csv_text, load_kernel
+from .interchange import _csv_text, _integer, load_kernel
 from .merging import (
     _METRICS,
     _sigma_tilde,
@@ -128,10 +128,14 @@ def _coerce(text: str):
     return text
 
 
+def _images(values) -> list[int]:
+    return [_integer(v, "bijection image") for v in values]
+
+
 def _parse_bijection(raw, space, seed: int) -> Permutation:
     size = space.size
     if isinstance(raw, (list, tuple)):
-        return make_permutation(space, [int(v) for v in raw])
+        return make_permutation(space, _images(raw))
     if not isinstance(raw, str):
         raise ConfigInvalid(f"cannot read a bijection from {raw!r}")
     text = raw.strip()
@@ -144,7 +148,7 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
         key = seed if text == "random" else int(text.split(":", 1)[1])
         return make_permutation(space, np.random.default_rng(key).permutation(size))
     if "," in text:
-        return make_permutation(space, [int(v) for v in text.split(",")])
+        return make_permutation(space, _images(text.split(",")))
     raise ConfigInvalid(
         f"bijection {raw!r} not understood; use identity, shift:s, random[:key], "
         "or an explicit comma-separated image list"

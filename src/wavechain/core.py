@@ -14,13 +14,15 @@ this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
 All value types are frozen dataclasses wrapping read-only numpy arrays; no
-function mutates its arguments.  A kernel matrix is either a read-only
-ndarray or a scipy `csr_array`, chosen by `make_kernel` from the state
-count alone; `x @ K` and `K @ x` are 1-D arrays in both formats, so
-nothing downstream branches on the storage.
+function mutates its arguments.  A kernel is stored either as a read-only
+ndarray or as a read-only CSR triple (indptr, indices, data), chosen by
+`make_kernel` from the state count alone; `MarkovKernel.matrix` is the
+ndarray or a scipy `csr_array` over the triple, and `x @ K` and `K @ x` are
+1-D arrays in both formats, so nothing downstream branches on the storage.
 
-scipy enters only with CSR storage: this module imports `scipy.sparse`
-to build a kernel above the dense limit or a `support_graph`, and tells
+scipy runs the products, ARPACK and `csgraph` of a CSR kernel; building,
+relabeling, saving and sampling one need only numpy.  This module imports
+`scipy.sparse` only for the `csr_array` view and `support_graph`, and tells
 a sparse input apart without importing it, since no sparse object can
 exist before `scipy.sparse` is loaded.  A dense run never imports scipy.
 """
@@ -55,6 +57,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
     Matrix = Union[np.ndarray, sp.csr_array]
+
+# a CSR matrix as numpy arrays: (indptr, indices, data)
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _MISSING = object()
 
@@ -125,14 +130,20 @@ class Permutation:
     inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        fwd = np.array(self.forward, dtype=np.int64)  # a copy: the caller's stays writable
+        raw = np.asarray(self.forward)
         n = self.space.size
-        if fwd.shape != (n,):
+        if raw.shape != (n,):
             raise SpaceMismatch("forward map length differs from space size")
-        if np.any(fwd < 0) or np.any(fwd >= n) or len(np.unique(fwd)) != n:
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise NotBijective("forward map has an image that is not an integer")
+        if np.any(raw < 0) or np.any(raw >= n):
             raise NotBijective("forward map is not a bijection of 0..size-1")
-        inv = np.empty(n, dtype=np.int64)
+        fwd = raw.astype(np.int64)  # a copy: the caller's stays writable
+        # every state is hit exactly once iff the inverse fill leaves no hole
+        inv = np.full(n, -1, dtype=np.int64)
         inv[fwd] = np.arange(n, dtype=np.int64)
+        if np.any(inv < 0):
+            raise NotBijective("forward map is not a bijection of 0..size-1")
         object.__setattr__(self, "forward", _frozen(fwd))
         object.__setattr__(self, "inverse", _frozen(inv))
 
@@ -179,14 +190,18 @@ def permutation_order(g: Permutation) -> int:
 class MarkovKernel:
     """A row-stochastic matrix over a state space.
 
-    `matrix` is a read-only ndarray up to the `dense_limit` of `make_kernel`
-    (DENSE_LIMIT by default) and a `csr_array` above it; every operation
-    works on both through `@`, slicing and `np.ix_` indexing.  Only the CSR
-    form and `support_graph` need scipy.
+    `entries` is the storage `make_kernel` picks: a read-only ndarray up to
+    its `dense_limit` (DENSE_LIMIT by default), and above it a read-only CSR
+    triple (indptr, indices, data), columns ascending in each row and none
+    repeated.  `matrix` is the ndarray itself, or a scipy `csr_array` over
+    the triple, built on first access without a copy and then cached; every
+    operation works on both through `@`.  scipy runs the products, ARPACK
+    and `csgraph` of a CSR kernel; building, relabeling, saving and
+    sampling one need only numpy.
     """
 
     space: StateSpace
-    matrix: Matrix
+    entries: Union[np.ndarray, CSR]
 
     @property
     def size(self) -> int:
@@ -194,7 +209,20 @@ class MarkovKernel:
 
     @property
     def is_sparse(self) -> bool:
-        return _issparse(self.matrix)
+        return not isinstance(self.entries, np.ndarray)
+
+    @property
+    def matrix(self) -> Matrix:
+        if not self.is_sparse:
+            return self.entries
+        cached = self.__dict__.get("_csr_array")
+        if cached is None:
+            import scipy.sparse as sp
+
+            indptr, indices, data = self.entries
+            cached = sp.csr_array((data, indices, indptr), shape=(self.size, self.size))
+            object.__setattr__(self, "_csr_array", cached)
+        return cached
 
     def dense(self) -> np.ndarray:
         if self.is_sparse:
@@ -202,8 +230,11 @@ class MarkovKernel:
                 raise TooLarge(
                     f"refusing to densify a {self.size}-state sparse kernel"
                 )
-            return self.matrix.toarray()
-        return self.matrix
+            indptr, indices, data = self.entries
+            m = np.zeros((self.size, self.size))
+            m[_row_of_each_entry(indptr), indices] = data
+            return m
+        return self.entries
 
     def support_graph(self) -> sp.csr_array:
         """Boolean adjacency of the positive entries, as CSR."""
@@ -218,33 +249,97 @@ def _issparse(m) -> bool:
     return sp is not None and sp.issparse(m)
 
 
-def _sorted_csr(m: Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of a kernel matrix, columns ascending per row.
+def _row_of_each_entry(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
-    A dense matrix lists its nonzero entries; a CSR one every stored entry,
-    explicit zeros included.
+
+def _sorted_csr(kernel: MarkovKernel) -> CSR:
+    """(indptr, indices, data) of a kernel, row by row, columns ascending.
+
+    A CSR kernel gives its stored triple, explicit zeros included; a dense
+    one lists its nonzero entries.
     """
-    if _issparse(m):
-        csr = m.sorted_indices()
-        return csr.indptr, csr.indices, csr.data
+    return kernel.entries if kernel.is_sparse else _nonzero_csr(kernel.entries)
+
+
+def _nonzero_csr(m: np.ndarray) -> CSR:
     # numpy finds the nonzeros of a boolean array many times faster
     rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
-    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=indptr[1:])
-    return indptr, cols, m[rows, cols]
+    return _indptr(rows, m.shape[0]), cols, m[rows, cols]
 
 
-def _validate_matrix(space: StateSpace, m: Matrix) -> None:
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers of n rows for entries listed row by row."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _index_dtype(maxval: int, *index_arrays) -> type:
+    # scipy's rule for the index arrays of a sparse array: int32 while maxval
+    # and the dtype of every input index array fit it
+    fits = maxval <= np.iinfo(np.int32).max
+    fits = fits and all(np.can_cast(a.dtype, np.int32) for a in index_arrays)
+    return np.int32 if fits else np.int64
+
+
+def _csr(indptr, indices, data, index_dtype) -> CSR:
+    # the callers pass freshly built arrays, which are frozen in place
+    return (
+        _frozen(indptr.astype(index_dtype, copy=False)),
+        _frozen(indices.astype(index_dtype, copy=False)),
+        _frozen(data.astype(np.float64, copy=False)),
+    )
+
+
+def _csr_from_triplets(n: int, rows, cols, vals) -> CSR:
+    """CSR triple of the n x n matrix summing vals[k] into (rows[k], cols[k]).
+
+    Columns come out ascending in each row.  Duplicates add up in input
+    order, as `np.add.at` adds them into a dense matrix, and entries given
+    as zero stay stored, as scipy keeps them.  The index dtype follows the
+    one scipy picks for the COO-to-CSR conversion of the same triplets.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    vals = np.asarray(vals, dtype=np.float64)
+    r, c = rows.astype(np.int64), cols.astype(np.int64)
+    if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
+        raise SpaceMismatch(f"triplet index outside 0..{n - 1}")
+    key = r * n + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    data = vals[order[first]]
+    later = ~first
+    np.add.at(data, np.cumsum(first)[later] - 1, vals[order[later]])
+    rows_out, cols_out = np.divmod(key[first], n)
+    index_dtype = _index_dtype(max(r.size, n), rows, cols)
+    return _csr(_indptr(rows_out, n), cols_out, data, index_dtype)
+
+
+def _validate_matrix(space: StateSpace, m: np.ndarray) -> None:
     n = space.size
     if m.shape != (n, n):
         raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {n}")
-    if _issparse(m):
-        if m.nnz and float(m.data.min()) < 0.0:
-            raise NegativeEntry("negative entry in sparse kernel")
-    elif np.any(m < 0.0):
+    if np.any(m < 0.0):
         r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
         raise NegativeEntry(f"negative entry in row {int(r)}")
-    sums = m.sum(axis=1)
+    _check_row_sums(m.sum(axis=1))
+
+
+def _validate_csr(csr: CSR) -> None:
+    indptr, _, data = csr
+    if data.size and float(data.min()) < 0.0:
+        raise NegativeEntry("negative entry in sparse kernel")
+    # scipy's row sums of a CSR matrix: one reduceat over the nonempty rows
+    sums = np.zeros(indptr.size - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    sums[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    _check_row_sums(sums)
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN fails too
     if bad.size:
         raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
@@ -254,21 +349,28 @@ def make_kernel(space: StateSpace, entries, dense_limit: int = DENSE_LIMIT) -> M
     """Validate entries as a row-stochastic kernel over the space.
 
     The one storage rule of the package: the kernel is a read-only ndarray
-    when space.size <= dense_limit and a `csr_array` above it, whatever the
-    input form: nested lists, an ndarray, or any scipy sparse matrix or
-    array.  Every constructor in the package goes through here or through
-    `_kernel_from_triplets`, which keeps the same rule.
+    when space.size <= dense_limit and a read-only CSR triple above it,
+    whatever the input form: nested lists, an ndarray, or any scipy sparse
+    matrix or array.  A sparse input keeps its stored entries, duplicates
+    summed; a dense one gives its nonzero entries.  Every constructor in
+    the package goes through here or through `_kernel_from_triplets`,
+    which keeps the same rule.
     """
     # copies throughout: the caller's arrays stay writable and unshared
-    if space.size > dense_limit:
-        import scipy.sparse as sp
-
-        m = sp.csr_array(entries, dtype=np.float64, copy=True)
-    elif _issparse(entries):
+    n = space.size
+    if _issparse(entries):
+        if n > dense_limit:
+            if entries.shape != (n, n):
+                raise SpaceMismatch(f"matrix shape {entries.shape} on a space of size {n}")
+            coo = entries.tocoo()
+            return _kernel_from_triplets(space, coo.row, coo.col, coo.data, dense_limit)
         m = entries.toarray().astype(np.float64, copy=False)
     else:
         m = np.array(entries, dtype=np.float64)
     _validate_matrix(space, m)
+    if n > dense_limit:
+        indptr, cols, data = _nonzero_csr(m)
+        return MarkovKernel(space, _csr(indptr, cols, data, _index_dtype(max(data.size, n))))
     return _wrap(space, m)
 
 
@@ -277,34 +379,55 @@ def _kernel_from_triplets(
 ) -> MarkovKernel:
     """`make_kernel` of the matrix summing vals[k] into (rows[k], cols[k]).
 
-    Duplicates add up in input order, as scipy's COO-to-dense conversion
-    adds them, so the dense result has the same bits; above the dense limit
-    the COO triplets are converted to CSR as `make_kernel` converts them.
+    Duplicates add up in input order in both storages, so a CSR kernel and
+    its dense twin hold the same bits.
     """
     n = space.size
     if n > dense_limit:
-        import scipy.sparse as sp
-
-        coo = sp.coo_array((vals, (rows, cols)), shape=(n, n))
-        return make_kernel(space, coo, dense_limit=dense_limit)
+        csr = _csr_from_triplets(n, rows, cols, vals)
+        _validate_csr(csr)
+        return MarkovKernel(space, csr)
     m = np.zeros((n, n))
     np.add.at(m, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)), vals)
     _validate_matrix(space, m)
     return _wrap(space, m)
 
 
-def _wrap(space: StateSpace, m: Matrix) -> MarkovKernel:
-    # internal constructor for validated matrices and for matrices obtained
-    # from a validated kernel by permuting rows/columns, which preserves
-    # row-stochasticity exactly
-    if isinstance(m, np.ndarray):
-        m = _frozen(m)
-    return MarkovKernel(space, m)
+def _wrap(space: StateSpace, m: np.ndarray) -> MarkovKernel:
+    # internal constructor for validated dense matrices and for matrices
+    # obtained from a validated kernel by permuting rows/columns, which
+    # preserves row-stochasticity exactly
+    return MarkovKernel(space, _frozen(m))
 
 
 def _same_space(a: StateSpace, b: StateSpace) -> None:
     if a != b:
         raise SpaceMismatch("objects live on different state spaces")
+
+
+def _relabeled(
+    kernel: MarkovKernel, rows: Optional[np.ndarray], cols: np.ndarray
+) -> MarkovKernel:
+    """The kernel (x, y) -> kernel(rows[x], cols[y]) for permutations rows
+    and cols of the states; rows=None keeps every row in place."""
+    n = kernel.size
+    if not kernel.is_sparse:
+        m = kernel.entries
+        return _wrap(kernel.space, m[:, cols] if rows is None else m[np.ix_(rows, cols)])
+    indptr, indices, data = kernel.entries
+    rows = np.arange(n) if rows is None else rows
+    counts = np.diff(indptr)[rows]
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_ptr[1:])
+    # entry k of the result is entry src[k] of the kernel
+    src = np.arange(out_ptr[-1]) + np.repeat(indptr[rows] - out_ptr[:-1], counts)
+    col_of = np.empty(n, dtype=np.int64)
+    col_of[cols] = np.arange(n)
+    out_cols = col_of[indices[src]]
+    order = np.argsort(_row_of_each_entry(out_ptr) * n + out_cols)
+    return MarkovKernel(
+        kernel.space, _csr(out_ptr, out_cols[order], data[src[order]], indptr.dtype)
+    )
 
 
 def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel:
@@ -313,13 +436,13 @@ def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel
     if i < 1:
         raise ValueError("transport index starts at 1")
     gp = g.power_map(i - 1)
-    return _wrap(base.space, base.matrix[np.ix_(gp, gp)])
+    return _relabeled(base, gp, gp)
 
 
 def shift_kernel(base: MarkovKernel, g: Permutation) -> MarkovKernel:
     """Homogeneous reduction shifted(x, y) = base(x, g^{-1} y)."""
     _same_space(base.space, g.space)
-    return _wrap(base.space, base.matrix[:, g.inverse])
+    return _relabeled(base, None, g.inverse)
 
 
 @dataclass(frozen=True)

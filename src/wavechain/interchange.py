@@ -20,6 +20,7 @@ from .core import (
     Permutation,
     StateSpace,
     _kernel_from_triplets,
+    _row_of_each_entry,
     _sorted_csr,
     make_permutation,
 )
@@ -27,8 +28,8 @@ from .errors import ConfigInvalid
 
 
 def kernel_document(kernel: MarkovKernel) -> dict:
-    indptr, cols, vals = _sorted_csr(kernel.matrix)
-    rows = np.repeat(np.arange(kernel.size), np.diff(indptr))
+    indptr, cols, vals = _sorted_csr(kernel)
+    rows = _row_of_each_entry(indptr)
     # _sorted_csr lists entries row by row, columns ascending
     triplets = [
         [r, c, v] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()) if v != 0.0
@@ -39,19 +40,32 @@ def kernel_document(kernel: MarkovKernel) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    """An index or size read from a document: an integer, or a float with
+    no fractional part; anything else is ConfigInvalid, never truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, (float, np.floating)) and value != number):
+        raise ConfigInvalid(f"{what} {value!r} is not an integer")
+    return number
+
+
 def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
     try:
-        size = int(doc["size"])
+        size = doc["size"]
         triplets = doc["triplets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"kernel document missing size/triplets: {exc}") from exc
+    size = _integer(size, "kernel size")
     labels = doc.get("labels")
     space = StateSpace(size, tuple(labels) if labels is not None else None)
     rows, cols, vals = [], [], []
     for t in triplets:
         if len(t) != 3:
             raise ConfigInvalid(f"triplet {t!r} is not [row, col, value]")
-        r, c, v = int(t[0]), int(t[1]), float(t[2])
+        r, c, v = _integer(t[0], "triplet row"), _integer(t[1], "triplet column"), float(t[2])
         if not (0 <= r < size and 0 <= c < size):
             raise ConfigInvalid(f"triplet {t!r} indexes outside the space")
         rows.append(r)
@@ -81,10 +95,12 @@ def permutation_document(g: Permutation) -> dict:
 
 def permutation_from_document(doc: dict, space: StateSpace | None = None) -> Permutation:
     try:
-        size = int(doc["size"])
-        forward = [int(v) for v in doc["forward"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        size = doc["size"]
+        images = list(doc["forward"])
+    except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"permutation document missing size/forward: {exc}") from exc
+    size = _integer(size, "permutation size")
+    forward = [_integer(v, "permutation image") for v in images]
     if space is None:
         space = StateSpace(size)
     elif space.size != size:

@@ -260,8 +260,10 @@ class PerturbationSpec:
             raise ConditionViolated("a", "edit rows must sum to zero")
         if np.any(d < -self.epsilon * q - 1e-12):
             raise ConditionViolated("b", "edit removes more than epsilon of the base")
-        outside = np.setdiff1d(np.arange(q.shape[0]), np.asarray(self.support, dtype=int))
-        if outside.size and float(np.max(np.abs(d[outside]))) > 0.0:
+        support = np.asarray(self.support, dtype=int)
+        outside = np.ones(q.shape[0], dtype=bool)  # support points off the space are ignored
+        outside[support[(support >= 0) & (support < q.shape[0])]] = False
+        if np.any(outside) and float(np.max(np.abs(d[outside]))) > 0.0:
             raise ConditionViolated("c", "edits outside the declared support")
         object.__setattr__(self, "delta_matrix", d)
 
@@ -589,8 +591,8 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
         b = stubs[1::2]
         if np.any(a == b):
             continue
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        if np.unique(keys).size < keys.size:
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        if np.any(keys[1:] == keys[:-1]):  # a multi-edge
             continue
         mat = np.zeros((n, n))
         mat[a, b] = mat[b, a] = 1.0 / r

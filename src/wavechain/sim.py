@@ -51,7 +51,7 @@ class _RowTable:
 
     def __init__(self, kernel):
         size = kernel.size
-        starts, support, data = _sorted_csr(kernel.matrix)
+        starts, support, data = _sorted_csr(kernel)
         support = support.astype(np.int64)
         counts = np.diff(starts)
         width = 1 << (int(np.max(counts)) - 1).bit_length()

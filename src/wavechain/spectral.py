@@ -14,7 +14,15 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import DENSE_LIMIT, Distribution, MarkovKernel, StateSpace, _sorted_csr, make_kernel
+from .core import (
+    DENSE_LIMIT,
+    Distribution,
+    MarkovKernel,
+    StateSpace,
+    _row_of_each_entry,
+    _sorted_csr,
+    make_kernel,
+)
 from .errors import (
     FlowMismatch,
     NotConverged,
@@ -105,16 +113,15 @@ def period(kernel: MarkovKernel) -> int:
     the irreducibility check, searched by storage as in `is_irreducible`.
     """
     if kernel.is_sparse:
-        graph = kernel.support_graph()
-        level = _csgraph_levels(graph)
+        level = _csgraph_levels(kernel.support_graph())
     else:
-        graph = kernel.matrix > 0
-        level = _strong_levels(graph)
+        level = _strong_levels(kernel.matrix > 0)
     if level is None:
         raise NotIrreducible("period is only defined per communicating class")
-    indptr, heads, _ = _sorted_csr(graph)
-    tails = np.repeat(np.arange(kernel.size), np.diff(indptr))
-    g = int(np.gcd.reduce(level[tails] + 1 - level[heads]))
+    indptr, heads, vals = _sorted_csr(kernel)
+    tails = _row_of_each_entry(indptr)
+    edge = vals > 0  # a stored zero is no edge
+    g = int(np.gcd.reduce(level[tails[edge]] + 1 - level[heads[edge]]))
     return g if g else 1
 
 

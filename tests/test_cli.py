@@ -227,6 +227,23 @@ def test_explicit_bijection_overrides_the_model_default(tmp_path):
     assert read_report(tmp_path)["config"]["bijection"] == "shift:2"
 
 
+def test_config_bijection_images_must_be_integers(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "model": "circle",
+        "model_params": {"n": 5},
+        "bijection": [0.5, 1.5, 2.5, 3.5, 4.5],
+        "analyses": ["stability"],
+    }))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "not an integer" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(errors.ConfigInvalid):
+        cli._parse_bijection("0,1.5,2", w.StateSpace(3), 0)
+    assert cli._parse_bijection([2.0, 0.0, 1.0], w.StateSpace(3), 0).forward.tolist() == [2, 0, 1]
+
+
 def test_kernel_file_runs_with_identity_default(tmp_path):
     kern, _ = w.circle_kernel(5, 1.0)
     path = tmp_path / "circle.json"

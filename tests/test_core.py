@@ -51,6 +51,17 @@ def test_make_permutation_rejects_repeats():
         w.make_permutation(space, [0, 0, 2])
 
 
+@pytest.mark.parametrize("forward", [[0.5, 1.5, 2.5], [0.0, 1.0, 2.5], [np.nan, 1.0, 2.0]])
+def test_make_permutation_rejects_images_that_are_not_integers(forward):
+    with pytest.raises(errors.NotBijective):
+        w.make_permutation(w.StateSpace(3), forward)
+
+
+def test_make_permutation_accepts_integral_floats():
+    g = w.make_permutation(w.StateSpace(3), [2.0, 0.0, 1.0])
+    assert g.forward.tolist() == [2, 0, 1] and g.inverse.tolist() == [1, 2, 0]
+
+
 def test_wave_system_requires_matching_spaces():
     k, _ = w.circle_kernel(5, 1.0)
     g = w.circle_shift(7, -1)

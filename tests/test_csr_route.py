@@ -1,0 +1,246 @@
+"""Kernels above the dense limit are built, relabeled and read in numpy.
+
+A CSR kernel stores a read-only (indptr, indices, data) triple.  Each
+model, relabeling and reader below is compared, array by array as
+(dtype, shape, bytes), against the scipy route the package took before:
+COO triplets converted to a `csr_array` with sorted indices, the shift as
+`m[:, g.inverse]` and the transport as `m[np.ix_(gp, gp)]`.
+"""
+import functools
+import itertools
+import json
+import operator
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wavechain as w
+from wavechain import core, errors, models
+from wavechain.sim import _RowTable
+
+
+def scipy_csr(n, rows, cols, vals):
+    """The scipy route: COO triplets to a csr_array with sorted indices."""
+    coo = sp.coo_array((vals, (rows, cols)), shape=(n, n))
+    return sp.csr_array(coo, dtype=np.float64, copy=True).sorted_indices()
+
+
+def arrays(csr):
+    return csr.indptr, csr.indices, csr.data
+
+
+def stored(arrs) -> tuple:
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrs)
+
+
+def scipy_document(kernel, csr):
+    """`kernel_document` as it read a scipy CSR matrix."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    triplets = [
+        [r, c, v]
+        for r, c, v in zip(rows.tolist(), csr.indices.tolist(), csr.data.tolist())
+        if v != 0.0
+    ]
+    doc = {"size": kernel.size, "triplets": triplets}
+    if kernel.space.labels is not None:
+        doc["labels"] = list(kernel.space.labels)
+    return doc
+
+
+def assert_same_route(kernel, g, ref):
+    """The base, its shift, transports, document and row table against the
+    scipy route from the reference matrix `ref`."""
+    assert kernel.is_sparse
+    assert stored(kernel.entries) == stored(arrays(ref))
+    shifted = w.shift_kernel(kernel, g)
+    ref_shifted = ref[:, g.inverse].sorted_indices()
+    assert stored(shifted.entries) == stored(arrays(ref_shifted))
+    for i in (1, 2, 5):
+        gp = g.power_map(i - 1)
+        got = w.transport_kernel(kernel, g, i)
+        assert stored(got.entries) == stored(arrays(ref[np.ix_(gp, gp)].sorted_indices()))
+    assert json.dumps(w.kernel_document(shifted)) == json.dumps(
+        scipy_document(shifted, ref_shifted)
+    )
+    table = _RowTable(shifted)
+    want = _RowTable(w.MarkovKernel(shifted.space, arrays(ref_shifted)))
+    assert table.width == want.width
+    assert stored((table.indices, table.cums)) == stored((want.indices, want.cums))
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The triplets each model hands to `_kernel_from_triplets`."""
+    calls = []
+    build = core._kernel_from_triplets
+
+    def record(space, rows, cols, vals, dense_limit=core.DENSE_LIMIT):
+        calls.append((space.size, np.array(rows), np.array(cols), np.array(vals)))
+        return build(space, rows, cols, vals, dense_limit)
+
+    monkeypatch.setattr(models, "_kernel_from_triplets", record)
+    return calls
+
+
+MODELS = {
+    **{
+        f"sticky-7-rho{rho}-delta{delta}": (
+            lambda rho=rho, delta=delta: w.sticky_permutation_system(7, rho, delta)
+        )
+        for rho in (0, 17, 5039)
+        for delta in (0.05, 0.3)
+    },
+    "cyclic-to-random-7": lambda: w.cyclic_to_random_system(7),
+    "deck-reversal-7": lambda: w.deck_reversal_system(7),
+    "binary-cycling-13": lambda: w.binary_cycling_system(13),
+}
+
+
+@pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
+def test_models_store_the_scipy_arrays(recorded, build):
+    system = build()
+    (n, rows, cols, vals), = recorded
+    ref = scipy_csr(n, rows, cols, vals)
+    assert stored(system.shifted.entries) == stored(
+        arrays(ref[:, system.map.inverse].sorted_indices())
+    )
+    assert_same_route(system.base, system.map, ref)
+
+
+def document_triplets():
+    """A 6-state document with explicit zeros and entries given twice."""
+    rng = np.random.default_rng(5)
+    triplets = []
+    for r in range(6):
+        cols = rng.permutation(6).tolist()
+        vals = rng.random(4)
+        vals /= vals.sum()
+        for c, v in zip(cols, vals.tolist()):
+            triplets += [[r, c, v / 2], [r, c, v / 2]] if c % 2 else [[r, c, v]]
+        triplets.append([r, cols[4], 0.0])
+    order = rng.permutation(len(triplets))
+    return [triplets[i] for i in order]
+
+
+def test_documents_below_their_dense_limit_store_the_scipy_arrays():
+    triplets = document_triplets()
+    assert any(t[2] == 0.0 for t in triplets)
+    doc = {"size": 6, "triplets": triplets}
+    kernel = w.kernel_from_document(doc, dense_limit=3)
+    rows, cols, vals = (list(t) for t in zip(*triplets))
+    ref = scipy_csr(6, rows, cols, vals)
+    assert np.any(ref.data == 0.0)  # scipy keeps the explicit zeros
+    assert_same_route(kernel, w.make_permutation(kernel.space, [3, 0, 5, 1, 4, 2]), ref)
+    dense = w.kernel_from_document(doc)
+    assert np.array_equal(kernel.dense(), dense.matrix)
+
+
+def test_a_triplet_given_three_times_sums_in_input_order():
+    # a long row of stored zeros: scipy's unstable index sort is free to
+    # reorder the three copies there, the dense np.add.at path is not
+    n = 40
+    copies = list(itertools.permutations((0.7, 0.2, 0.1)))
+    triplets = []
+    for r, values in enumerate(copies):
+        triplets += [[r, c, 0.0] for c in range(1, n)]
+        triplets += [[r, 0, v] for v in values]
+    triplets += [[r, r, 1.0] for r in range(len(copies), n)]
+    doc = {"size": n, "triplets": triplets}
+    csr = w.kernel_from_document(doc, dense_limit=1)
+    dense = w.kernel_from_document(doc)
+    indptr, indices, data = csr.entries
+    for r, values in enumerate(copies):
+        first = data[indptr[r]]
+        assert indices[indptr[r]] == 0
+        assert first == functools.reduce(operator.add, values) == dense.matrix[r, 0]
+    assert len({float(data[indptr[r]]) for r in range(len(copies))}) == 2
+
+
+def test_the_csr_view_shares_the_stored_arrays_and_is_cached():
+    s = w.sticky_permutation_system(7, 0, 0.05)
+    for kernel in (s.base, s.shifted):
+        m = kernel.matrix
+        assert isinstance(m, sp.csr_array) and kernel.matrix is m
+        for got, want in zip(arrays(m), kernel.entries):
+            assert np.shares_memory(got, want) and not want.flags.writeable
+    # products read the read-only arrays as they read writable copies
+    indptr, indices, data = s.shifted.entries
+    copy = sp.csr_array((data.copy(), indices.copy(), indptr.copy()), shape=(s.space.size,) * 2)
+    x = np.linspace(0.0, 1.0, s.space.size)
+    assert np.array_equal(x @ s.shifted.matrix, x @ copy)
+    assert np.array_equal(s.shifted.matrix @ x, copy @ x)
+
+
+@st.composite
+def triplet_systems(draw):
+    n = draw(st.integers(2, 7))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.0, 1.0)),
+        max_size=4 * n,
+    ))
+    # every row keeps some mass, then each is scaled to sum to one
+    entries += [(r, (r + 1) % n, 0.5) for r in range(n)]
+    totals = np.zeros(n)
+    for r, _, v in entries:
+        totals[r] += v
+    rows, cols, vals = (list(t) for t in zip(*entries))
+    vals = [v / totals[r] for r, v in zip(rows, vals)]
+    forward = draw(st.permutations(range(n)))
+    return n, rows, cols, vals, forward
+
+
+@settings(max_examples=60, deadline=None)
+@given(triplet_systems())
+def test_dense_and_csr_storage_agree(case):
+    n, rows, cols, vals, forward = case
+    space = w.StateSpace(n)
+    try:
+        dense = core._kernel_from_triplets(space, rows, cols, vals)
+    except errors.RowSumViolation:
+        with pytest.raises(errors.RowSumViolation):
+            core._kernel_from_triplets(space, rows, cols, vals, dense_limit=0)
+        return
+    csr = core._kernel_from_triplets(space, rows, cols, vals, dense_limit=0)
+    assert csr.is_sparse and not dense.is_sparse
+    assert np.array_equal(csr.dense(), dense.matrix)
+    g = w.make_permutation(space, forward)
+    a, b = w.make_wave_system(dense, g), w.make_wave_system(csr, g)
+    assert np.array_equal(b.shifted.dense(), a.shifted.matrix)
+    assert np.array_equal(
+        w.empirical_distribution(a, 0, 6, 200, 1).weights,
+        w.empirical_distribution(b, 0, 6, 200, 1).weights,
+    )
+
+
+@pytest.mark.parametrize("dense_limit", [4096, 2])
+def test_a_stored_zero_is_no_edge(dense_limit):
+    # a 3-cycle with an explicit zero on the diagonal keeps period 3
+    doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
+    kernel = w.kernel_from_document(doc, dense_limit=dense_limit)
+    assert kernel.is_sparse == (dense_limit == 2)
+    assert w.is_irreducible(kernel) and w.period(kernel) == 3
+    assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]
+
+
+def test_every_input_form_stores_the_scipy_arrays(corpus):
+    m = np.asarray(corpus[3].base.matrix)
+    space = corpus[3].space
+    forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
+    for entries in forms:
+        kernel = w.make_kernel(space, entries, dense_limit=2)
+        want = sp.csr_array(entries, dtype=np.float64, copy=True).sorted_indices()
+        assert stored(kernel.entries) == stored(arrays(want))
+
+
+def test_csr_kernels_are_validated():
+    space = w.StateSpace(2)
+    with pytest.raises(errors.NegativeEntry):
+        w.make_kernel(space, sp.csr_array([[1.5, -0.5], [0.0, 1.0]]), dense_limit=1)
+    with pytest.raises(errors.RowSumViolation):
+        w.make_kernel(space, sp.csr_array([[0.5, 0.0], [0.0, 1.0]]), dense_limit=1)
+    for rows, cols in (([0, 2], [0, 1]), ([0, 1], [-1, 1])):
+        with pytest.raises(errors.SpaceMismatch):
+            core._kernel_from_triplets(space, rows, cols, [1.0, 1.0], dense_limit=1)

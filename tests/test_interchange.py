@@ -144,3 +144,26 @@ def test_csv_text_dialect():
     assert text == "state,mass\n0,0.1\nb,0.3333333333333333\n2,inf\n3,inf\n4,7\n5,2.5e-05\n"
     assert "\r" not in text
     assert _csv_text(["n", "time"], []) == "n,time\n"
+
+
+def test_permutation_document_rejects_images_that_are_not_integers():
+    with pytest.raises(errors.ConfigInvalid):
+        w.permutation_from_document({"size": 3, "forward": [0.7, 1.2, 2.9]})
+    with pytest.raises(errors.ConfigInvalid):
+        w.permutation_from_document({"size": 3.5, "forward": [0, 1, 2]})
+    g = w.permutation_from_document({"size": 3.0, "forward": [2.0, 0, 1]})
+    assert g.forward.tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("dense_limit", [4096, 1])
+def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit):
+    for doc in (
+        {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
+        {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
+        {"size": 2.5, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
+    ):
+        with pytest.raises(errors.ConfigInvalid):
+            w.kernel_from_document(doc, dense_limit=dense_limit)
+    doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
+    k = w.kernel_from_document(doc, dense_limit=dense_limit)
+    assert k.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]

@@ -1,7 +1,10 @@
-"""scipy is a lazy dependency: dense runs never import it.
+"""scipy is a lazy dependency, and numpy.ma is never loaded by the package.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded.  A run prints the scipy modules it ended with on stderr.
+Dense runs never import scipy.  A CSR kernel (above `DENSE_LIMIT`) is
+built, relabeled, saved and sampled in numpy too; scipy comes in only for
+its products, ARPACK and `csgraph`.  Each check runs in a fresh
+interpreter, since the test process itself has scipy loaded, and reports
+the scipy modules and `numpy.ma` it ended with.
 """
 import json
 import os
@@ -15,14 +18,21 @@ import wavechain as w
 
 SRC = str(Path(w.__file__).resolve().parents[1])
 
+LOADED = """
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"])
+"""
+
 PROBE = """\
 import json, sys
 from wavechain import cli
 code = cli.main(sys.argv[1:])
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print("SCIPY " + json.dumps(loaded), file=sys.stderr)
+""" + LOADED + """
+print("LOADED " + json.dumps(loaded), file=sys.stderr)
 sys.exit(code)
 """
+
+ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 def run_probe(tmp_path, argv):
@@ -30,31 +40,31 @@ def run_probe(tmp_path, argv):
         [sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        env=ENV,
         cwd=tmp_path,
     )
-    lines = [line for line in proc.stderr.splitlines() if line.startswith("SCIPY ")]
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("LOADED ")]
     assert lines, proc.stderr
-    return proc.returncode, json.loads(lines[-1][len("SCIPY "):])
+    return proc.returncode, json.loads(lines[-1][len("LOADED "):])
 
 
-def test_importing_the_package_loads_no_scipy():
-    code = (
-        "import sys, wavechain, wavechain.cli\n"
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
+def loaded_after(code, tmp_path):
+    """The modules a library snippet leaves loaded."""
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", "import sys\n" + code + LOADED + "print(loaded)"],
+        capture_output=True, text=True, check=True, env=ENV, cwd=tmp_path,
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
 
 
-def test_dense_library_calls_load_no_scipy():
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    assert loaded_after("import wavechain, wavechain.cli", tmp_path) == "[]"
+
+
+def test_dense_library_calls_load_no_scipy(tmp_path):
     # kernels built from triplets at exactly the dense limit, from a
     # document and from the group and bit models, then searched and stored
     code = """
-import sys
 import wavechain as w
 doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 0.5], [1, 2, 0.5], [2, 0, 1.0]]}
 k = w.kernel_from_document(doc, dense_limit=3)
@@ -65,13 +75,22 @@ for s in (w.binary_cycling_system(4), w.sticky_permutation_system(4, 0, 0.1),
     if w.is_irreducible(s.shifted):
         w.period(s.shifted)
     w.empirical_distribution(s, 0, 5, 10, 0)
-print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
 """
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    ).stdout
-    assert out.strip() == "[]"
+    assert loaded_after(code, tmp_path) == "[]"
+
+
+def test_csr_kernels_are_built_saved_and_sampled_without_scipy(tmp_path):
+    code = """
+import wavechain as w
+for s in (w.sticky_permutation_system(7, 0, 0.05), w.cyclic_to_random_system(7)):
+    assert s.base.is_sparse and s.shifted.is_sparse
+    assert w.shift_kernel(s.base, s.map).entries[2].tobytes() == s.shifted.entries[2].tobytes()
+    w.transport_kernel(s.base, s.map, 3)
+    w.save_kernel(s.shifted, "kernel.json")
+    assert len(w.sample_path(s, 0, 20, 1).steps) == 21
+    w.empirical_distribution(s, 0, 10, 500, 2)
+"""
+    assert loaded_after(code, tmp_path) == "[]"
 
 
 DENSE_RUNS = {
@@ -101,6 +120,16 @@ def test_a_saved_kernel_file_runs_without_scipy(tmp_path):
     )
     assert code == 0
     assert loaded == []
+
+
+def test_a_csr_simulation_loads_neither(tmp_path):
+    code, loaded = run_probe(
+        tmp_path, ["simulate", "--model", "sticky", "--param", "n=7", "--param", "steps=5",
+                   "--param", "trials=1000"],
+    )
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "out" / "profile.csv").exists()
 
 
 def test_a_csr_run_still_loads_scipy_and_succeeds(tmp_path):

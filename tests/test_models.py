@@ -377,3 +377,27 @@ def test_random_regular_walk_matches_the_set_search():
                 assert got.tobytes() == expected.tobytes()
                 cases += 1
     assert cases > 50
+
+
+def test_perturbation_support_ignores_points_off_the_space_as_before():
+    # the rows outside the support, as np.setdiff1d found them
+    def reference_ok(support, d):
+        outside = np.setdiff1d(np.arange(d.shape[0]), np.asarray(support, dtype=int))
+        return not (outside.size and float(np.max(np.abs(d[outside]))) > 0.0)
+
+    q = w.circle_perturbation_spec(5, 1.0).base  # the symmetric walk
+    checked = 0
+    for edited in ((0,), (4,), (0, 4), ()):
+        d = np.zeros((5, 5))
+        for r in edited:
+            d[r, r], d[r, (r + 1) % 5] = 0.01, -0.01
+        for support in ((0,), (4,), (0, 4), (-1,), (0, -1), (4, 5), (7, 0), (), (0, 0, 4)):
+            try:
+                w.PerturbationSpec(base=q, support=support, delta_matrix=d, epsilon=0.5)
+                ok = True
+            except errors.ConditionViolated as exc:
+                assert exc.condition == "c"
+                ok = False
+            assert ok == reference_ok(support, d), (edited, support)
+            checked += 1
+    assert checked == 36
