@@ -1,12 +1,14 @@
-"""Command-line front end.
+"""Command-line front end: it parses, dispatches and writes.
 
-Builds a system from the model zoo (or a kernel JSON file), runs the
-requested analyses, and writes machine-readable outputs into the chosen
-directory: report.json plus trace.csv / profile.csv / scan.csv as the
-analyses call for them.  Every subcommand writes through `_emit`, once its
-results are complete, so a failing command leaves nothing behind.  Reports
-are byte-stable for a fixed config: JSON is dumped with sorted keys, CSV rows
-follow state or step order, and no timestamps or environment data are recorded.
+Builds a system from the model zoo (or a kernel JSON file), runs each
+requested analysis through one library call, and writes machine-readable
+outputs into the chosen directory: report.json plus trace.csv / profile.csv
+/ scan.csv as the analyses call for them.  Integer parameters must be
+integral: 5.0 reads as 5, 5.5 is an input error.  Every subcommand writes
+through `_emit`, once its results are complete, so a failing command leaves
+nothing behind.  Reports are byte-stable for a fixed config: JSON is dumped
+with sorted keys, CSV rows follow state or step order, and no timestamps or
+environment data are recorded.
 
 Exit status: 0 on success, 1 on input errors (bad config, unknown model,
 malformed kernel file), 2 when a quantitative bound the library asserts
@@ -32,7 +34,6 @@ from .core import (
     evolve,
     make_permutation,
     make_wave_system,
-    power_blocks,
 )
 from .errors import (
     BoundViolated,
@@ -43,7 +44,7 @@ from .errors import (
 from .interchange import _csv_text, _integer, load_kernel
 from .merging import (
     _METRICS,
-    _sigma_tilde,
+    bound_dominance,
     certify_stability,
     merging_time,
     tv_distance,
@@ -51,13 +52,13 @@ from .merging import (
 from .models import (
     binary_cycling_system,
     circle_kernel,
-    circle_shift,
     cyclic_to_random_system,
     deck_reversal_system,
     four_point_example,
     lazy_circle_kernel,
     periodic_class_example,
     random_regular_graph_walk,
+    scaling_study,
     scan_permutations,
     sticky_permutation_system,
 )
@@ -162,32 +163,34 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
 
 def _circle_params(p) -> tuple[int, float]:
     # point count and heavy-edge excess, shared by both circle models
-    return int(p.pop("n", 5)), float(p.pop("eps", 1.0))
+    return _integer(p.pop("n", 5), "n"), float(p.pop("eps", 1.0))
 
 
 def _sticky_builder(p):
-    n = int(p.pop("n", 4))
-    return sticky_permutation_system(n, int(p.pop("rho", 0)), float(p.pop("delta", 0.05)))
+    n = _integer(p.pop("n", 4), "n")
+    rho = _integer(p.pop("rho", 0), "rho")
+    return sticky_permutation_system(n, rho, float(p.pop("delta", 0.05)))
 
 
 def _regular_builder(p):
-    n = int(p.pop("n", 8))
+    n = _integer(p.pop("n", 8), "n")
     if "degree" in p and "r" in p:
         raise ConfigInvalid("random-regular takes degree or its alias r, not both")
-    degree = p.pop("degree", p.pop("r", 3))
-    return random_regular_graph_walk(n, int(degree), int(p.pop("graph_seed", 0))), "identity"
+    degree = _integer(p.pop("degree", p.pop("r", 3)), "degree")
+    graph_seed = _integer(p.pop("graph_seed", 0), "graph_seed")
+    return random_regular_graph_walk(n, degree, graph_seed), "identity"
 
 
 _MODEL_BUILDERS: dict[str, Callable] = {
     "circle": lambda p: (circle_kernel(*_circle_params(p))[0], "shift:-1"),
     "lazy-circle": lambda p: (lazy_circle_kernel(*_circle_params(p)), "shift:-1"),
-    "binary-cycling": lambda p: binary_cycling_system(int(p.pop("bits", 3))),
+    "binary-cycling": lambda p: binary_cycling_system(_integer(p.pop("bits", 3), "bits")),
     "four-point": lambda p: four_point_example(),
-    "deck-reversal": lambda p: deck_reversal_system(int(p.pop("n", 4))),
-    "cyclic-to-random": lambda p: cyclic_to_random_system(int(p.pop("n", 4))),
+    "deck-reversal": lambda p: deck_reversal_system(_integer(p.pop("n", 4), "n")),
+    "cyclic-to-random": lambda p: cyclic_to_random_system(_integer(p.pop("n", 4), "n")),
     "sticky": _sticky_builder,
     "periodic-classes": lambda p: periodic_class_example(
-        int(p.pop("k", 3)), int(p.pop("class_size", 2))
+        _integer(p.pop("k", 3), "k"), _integer(p.pop("class_size", 2), "class_size")
     ),
     "random-regular": _regular_builder,
 }
@@ -250,7 +253,7 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
 
 def _run_merging(system, config, knobs) -> _AnalysisOut:
     metric = str(knobs.get("metric", "relative_sup"))
-    horizon = int(knobs.get("horizon", 200))
+    horizon = _integer(knobs.get("horizon", 200), "horizon")
     rep = merging_time(system, config.epsilon_threshold, horizon, metric)
     out = _AnalysisOut(doc=rep.to_document(), files={"trace.csv": rep.to_csv()})
     if rep.merging_time is None:
@@ -279,35 +282,16 @@ def _run_stability(system, config, knobs) -> _AnalysisOut:
 
 
 def _run_bounds(system, config, knobs) -> _AnalysisOut:
-    # Dominance of the spectral merging bound over the exact relative error.
-    # bound_scale rescales the bound before comparison; values below 1 exist
-    # to let callers watch the violation path fire on a healthy instance.
-    horizon = int(knobs.get("horizon", 30))
+    # dominance of the spectral merging bound over the exact relative error
+    horizon = _integer(knobs.get("horizon", 30), "horizon")
     scale = float(knobs.get("bound_scale", 1.0))
-    if not math.isfinite(scale):
-        raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
-    pi, sigma = _sigma_tilde(system)
-    w = pi.weights
-    front = np.sqrt(1.0 / w - 1.0)
-    outer = np.outer(front, front)
-    worst = (0.0, 0)
-    for first, block in power_blocks(system.shifted, horizon):
-        # one power at a time: N x N temporaries stay in cache, which
-        # measured faster than block-wide arrays at N = 81
-        for n, power in enumerate(block.transpose(1, 0, 2), first):
-            excess = power / w
-            excess -= 1.0
-            np.abs(excess, out=excess)
-            excess -= scale * sigma**n * outer
-            e = float(excess.max())
-            if e > worst[0]:
-                worst = (e, n)
+    excess, step, sigma = bound_dominance(system, horizon, scale)
     doc = {
         "horizon": horizon,
         "sigma_tilde": sigma,
         "bound_scale": scale,
-        "max_excess": worst[0],
-        "dominates": worst[0] <= 1e-12,
+        "max_excess": excess,
+        "dominates": excess <= 1e-12,
     }
     out = _AnalysisOut(doc=doc)
     if doc["dominates"]:
@@ -316,17 +300,17 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
         out.violations.append(
             {
                 "inequality": "spectral merging bound dominates exact relative error",
-                "detail": f"exceeded by {worst[0]:.3e} at n={worst[1]}",
+                "detail": f"exceeded by {excess:.3e} at n={step}",
             }
         )
-        out.lines.append(f"bounds: VIOLATION, bound exceeded by {worst[0]:.3e} at n={worst[1]}")
+        out.lines.append(f"bounds: VIOLATION, bound exceeded by {excess:.3e} at n={step}")
     return out
 
 
 def _run_simulate(system, config, knobs) -> _AnalysisOut:
-    steps = int(knobs.get("steps", 20))
-    trials = int(knobs.get("trials", 10000))
-    start = int(knobs.get("start", 0))
+    steps = _integer(knobs.get("steps", 20), "steps")
+    trials = _integer(knobs.get("trials", 10000), "trials")
+    start = _integer(knobs.get("start", 0), "start")
     emp = empirical_distribution(system, start, steps, trials, config.seed)
     out = _AnalysisOut(files={"profile.csv": _mass_csv(emp)})
     if system.space.size <= DENSE_LIMIT:
@@ -350,7 +334,7 @@ def _run_scan(system, config, knobs) -> _AnalysisOut:
     doc = scan_permutations(
         system.base,
         eps=eps,
-        count=int(knobs.get("count", 50)),
+        count=_integer(knobs.get("count", 50), "count"),
         seed=config.seed,
         lazy=config.model == "lazy-circle",
     )
@@ -382,63 +366,6 @@ _ANALYSIS_RUNNERS = {
     "simulate": _run_simulate,
     "scan-permutations": _run_scan,
 }
-
-
-def _scaling_family(family: str, p: dict) -> Callable:
-    """Per-size builder n -> (system, step cap) of a scaling family; pops its
-    parameters from p."""
-    if family == "circle":
-        eps = float(p.pop("eps", 1.0))
-        return lambda n: (
-            make_wave_system(circle_kernel(n, eps)[0], circle_shift(n, -1)),
-            100 + 10 * n * n,
-        )
-    if family == "sticky":
-        delta = float(p.pop("delta", 0.05))
-
-        def build(n):
-            system = sticky_permutation_system(int(n), tuple(range(int(n))), delta)
-            size = system.space.size
-            return system, int(200 + 40 * size * math.log(size))
-
-        return build
-    raise ConfigInvalid(f"unknown scaling family {family!r}; use circle or sticky")
-
-
-def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None) -> dict:
-    """Exact merging times across a model family with a log-log fit.
-
-    Returns the fitted slope of log T against log n together with the
-    per-point residuals, so callers can judge both the growth exponent and
-    the fit quality.  The family, its parameters and the sizes (at least
-    two distinct, each one the family can build) are checked before any
-    merging time is computed.
-    """
-    params = dict(params or {})
-    build = _scaling_family(family, params)
-    if params:
-        raise ConfigInvalid(f"family {family!r} does not take parameters {sorted(params)}")
-    if len({int(n) for n in n_list}) < 2:
-        raise ConfigInvalid("a scaling study needs at least two distinct sizes")
-    systems = [(int(n), *build(n)) for n in n_list]
-    points = []
-    for n, system, cap in systems:
-        rep = merging_time(system, eta, cap, "relative_sup")
-        if rep.merging_time is None:
-            raise ConfigInvalid(f"no merging within {cap} steps at n={n}")
-        points.append((n, int(rep.merging_time)))
-    logs_n = np.log([p[0] for p in points])
-    logs_t = np.log([p[1] for p in points])
-    slope, intercept = np.polyfit(logs_n, logs_t, 1)
-    residuals = logs_t - (slope * logs_n + intercept)
-    return {
-        "family": family,
-        "eta": float(eta),
-        "points": [[n, t] for n, t in points],
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "residuals": [float(r) for r in residuals],
-    }
 
 
 def _config_document(config: ExperimentConfig) -> dict:
@@ -576,6 +503,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     analyses = doc.get("analyses", ["spectral", "merging"])
     if getattr(args, "analyses", None):
         analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
+    # a scaling study measures merging at 1/e unless a threshold is given
+    epsilon = 1.0 / math.e if args.command == "scaling" else 0.01
     config = ExperimentConfig(
         model=args.model if args.model is not None else doc.get("model", ""),
         model_params=params,
@@ -584,7 +513,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         output=args.out if args.out is not None else doc.get("output", "."),
         seed=int(args.seed if args.seed is not None else doc.get("seed", 0)),
         epsilon_threshold=float(
-            args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", 0.01)
+            args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon)
         ),
     )
     if getattr(args, "metric", None):
@@ -601,10 +530,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_wave_profile(config: ExperimentConfig) -> int:
     _, knobs = _split_params(config)
     system = build_system(config)
-    stride = int(knobs.get("stride", system.order))
+    stride = _integer(knobs.get("stride", system.order), "stride")
     default_burn = max(1000, min(200 * system.space.size, 50_000))
-    burn_in = int(knobs.get("burn_in", default_burn))
-    samples = int(knobs.get("samples", 100_000))
+    burn_in = _integer(knobs.get("burn_in", default_burn), "burn_in")
+    samples = _integer(knobs.get("samples", 100_000), "samples")
     profile = empirical_wave_profile(system, burn_in, stride, samples, config.seed)
     lines = [f"wave-profile: {samples} samples, burn-in {burn_in}, stride {stride}"]
     if system.space.size <= DENSE_LIMIT:
@@ -614,14 +543,10 @@ def _cmd_wave_profile(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_scaling(config: ExperimentConfig, eta_given: bool) -> int:
+def _cmd_scaling(config: ExperimentConfig) -> int:
     model_params, knobs = _split_params(config)
     family = str(knobs.get("family", "circle"))
-    n_list = knobs.get("n_list")
-    if n_list is None:
-        n_list = list(range(5, 42, 4)) if family == "circle" else [4, 5]
-    eta = config.epsilon_threshold if eta_given else 1.0 / math.e
-    doc = scaling_study(family, n_list, eta, model_params)
+    doc = scaling_study(family, knobs.get("n_list"), config.epsilon_threshold, model_params)
     files = {
         "scaling.csv": _csv_text(["n", "time"], doc["points"]),
         "scaling.json": _json_text(doc),
@@ -655,7 +580,7 @@ def main(argv=None) -> int:
         if args.command == "wave-profile":
             return _cmd_wave_profile(config)
         if args.command == "scaling":
-            return _cmd_scaling(config, eta_given=args.epsilon is not None)
+            return _cmd_scaling(config)
         if args.command == "scan" and config.bijection is not None:
             raise ConfigInvalid("scan draws its own maps; it takes no bijection")
         config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)

@@ -60,12 +60,20 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
         raise ConfigInvalid(f"kernel document missing size/triplets: {exc}") from exc
     size = _integer(size, "kernel size")
     labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, (list, tuple)):
+        raise ConfigInvalid(f"kernel labels {labels!r} are not a list")
+    if not isinstance(triplets, (list, tuple)):
+        raise ConfigInvalid(f"kernel triplets {triplets!r} are not a list")
     space = StateSpace(size, tuple(labels) if labels is not None else None)
     rows, cols, vals = [], [], []
     for t in triplets:
-        if len(t) != 3:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise ConfigInvalid(f"triplet {t!r} is not [row, col, value]")
-        r, c, v = _integer(t[0], "triplet row"), _integer(t[1], "triplet column"), float(t[2])
+        r, c = _integer(t[0], "triplet row"), _integer(t[1], "triplet column")
+        try:
+            v = float(t[2])
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"triplet {t!r} value is not a number") from exc
         if not (0 <= r < size and 0 <= c < size):
             raise ConfigInvalid(f"triplet {t!r} indexes outside the space")
         rows.append(r)

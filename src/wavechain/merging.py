@@ -34,6 +34,7 @@ from .core import (
 )
 from .errors import (
     BoundViolated,
+    ConfigInvalid,
     HorizonTooShort,
     InvalidPivot,
     NotIrreducible,
@@ -292,16 +293,22 @@ def certify_stability(
     )
 
 
-def _sigma_tilde(system: WaveSystem) -> tuple[Distribution, float]:
+def _bound_factors(system: WaveSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """pi, sqrt(1/pi - 1) and sigma1_tilde: the factors of every wave bound."""
     pi = system.wave_measure
     dec = weighted_singular_values(system.shifted, pi, pi)
-    return pi, float(dec.singular_values[1])
+    w = pi.weights
+    return w, np.sqrt(1.0 / w - 1.0), float(dec.singular_values[1])
 
 
-def _require_merging(system: WaveSystem) -> None:
+def _merging_bound_factors(system: WaveSystem) -> tuple[np.ndarray, float]:
     obstruction = _merging_obstruction(system.shifted)
     if obstruction is not None:
         raise NotMerging(f"shifted kernel {obstruction}; the wave bound does not apply")
+    w, front, sigma = _bound_factors(system)
+    if np.any(w <= 0.0):
+        raise ZeroWeight("wave bound needs a positive wave measure")
+    return front, sigma
 
 
 def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
@@ -311,28 +318,17 @@ def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
     pi is the wave measure; requires the shifted kernel irreducible and
     aperiodic.
     """
-    _require_merging(system)
-    pi, sigma = _sigma_tilde(system)
-    w = pi.weights
-    if np.any(w <= 0.0):
-        raise ZeroWeight("wave bound needs a positive wave measure")
+    front, sigma = _merging_bound_factors(system)
     gnz = int(system.map.power_map(n)[z])
-    return float(
-        math.sqrt(1.0 / w[x] - 1.0) * math.sqrt(1.0 / w[gnz] - 1.0) * sigma**n
-    )
+    return float(front[x] * front[gnz] * sigma**n)
 
 
 def wave_bound_grid(system: WaveSystem, n_max: int) -> np.ndarray:
     """Array b[n, x, z] of wave bounds for all 0 <= n <= n_max."""
-    _require_merging(system)
-    pi, sigma = _sigma_tilde(system)
-    w = pi.weights
-    if np.any(w <= 0.0):
-        raise ZeroWeight("wave bound needs a positive wave measure")
+    front, sigma = _merging_bound_factors(system)
     size = system.space.size
     if (n_max + 1) * size * size > 50_000_000:
         raise TooLarge("bound grid would not fit; query wave_bound pointwise")
-    front = np.sqrt(1.0 / w - 1.0)
     out = np.empty((n_max + 1, size, size))
     gn = np.arange(size, dtype=np.int64)
     for n in range(n_max + 1):
@@ -340,6 +336,35 @@ def wave_bound_grid(system: WaveSystem, n_max: int) -> np.ndarray:
         out[n] = sigma**n * front[:, None] * back[None, :]
         gn = system.map.forward[gn]
     return out
+
+
+def bound_dominance(
+    system: WaveSystem, horizon: int, scale: float = 1.0
+) -> tuple[float, int, float]:
+    """(max_excess, step, sigma1_tilde): the worst excess, floored at 0, of
+    the exact relative error |K~^n(x, y) / pi(y) - 1| over scale times
+    `wave_bound` for n = 1 .. horizon, and the first step attaining it.
+
+    Streams the powers of the shifted kernel; any system with a wave
+    measure is accepted, periodic ones included.
+    """
+    if not math.isfinite(scale):
+        raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
+    w, front, sigma = _bound_factors(system)
+    outer = np.outer(front, front)
+    worst = (0.0, 0)
+    for first, block in power_blocks(system.shifted, horizon):
+        # one power at a time: N x N temporaries stay in cache, which
+        # measured faster than block-wide arrays at N = 81
+        for n, power in enumerate(block.transpose(1, 0, 2), first):
+            excess = power / w
+            excess -= 1.0
+            np.abs(excess, out=excess)
+            excess -= scale * sigma**n * outer
+            e = float(excess.max())
+            if e > worst[0]:
+                worst = (e, n)
+    return worst[0], worst[1], sigma
 
 
 def sv_product_bound(

@@ -7,7 +7,8 @@ so detailed balance and row sums hold to the last bit.  Every walk on S_n
 products x * s of the index table `groups.sn_table` at once; the sticky
 model only rewrites one weight row.  The single-point shape behind the
 sticky bound is checked in one place, `_single_point_spec`, shared by
-`single_point_perturbation` and `sticky_stability_check`.
+`single_point_perturbation` and `sticky_stability_check`.  The families
+of `scaling_study` are kept in one table, `_SCALING_FAMILIES`.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .core import (
 from .errors import (
     BoundViolated,
     ConditionViolated,
+    ConfigInvalid,
     DegreeInfeasible,
     DeltaOutOfRange,
     EvenN,
@@ -51,7 +53,8 @@ from .groups import (
     sn_table,
     transposition,
 )
-from .merging import NashParams
+from .interchange import _integer
+from .merging import NashParams, merging_time
 
 _GROUP_CAP = 5040  # 7!, the largest symmetric group walked on
 
@@ -601,3 +604,71 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
     raise DegreeInfeasible(
         f"no simple {d}-regular pairing found for n={n} after many attempts"
     )
+
+
+# ---------------------------------------------------------------------------
+# merging-time scaling across a family
+
+
+# family -> (its one float parameter, the parameter's default, builder
+# (n, parameter) -> system, step cap from the state count, default sizes)
+_SCALING_FAMILIES = {
+    "circle": (
+        "eps", 1.0,
+        lambda n, eps: make_wave_system(circle_kernel(n, eps)[0], circle_shift(n, -1)),
+        lambda size: 100 + 10 * size * size,
+        tuple(range(5, 42, 4)),
+    ),
+    "sticky": (
+        "delta", 0.05,
+        lambda n, delta: sticky_permutation_system(n, tuple(range(n)), delta),
+        lambda size: int(200 + 40 * size * math.log(size)),
+        (4, 5),
+    ),
+}
+
+
+def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None) -> dict:
+    """Exact merging times across a model family with a log-log fit.
+
+    Returns the fitted slope of log T against log n together with the
+    per-point residuals, so callers can judge both the growth exponent and
+    the fit quality.  The family, its parameters and the sizes (a list of
+    integers, at least two distinct, each one the family can build; the
+    family's default sizes when None) are checked before any merging time
+    is computed.
+    """
+    params = dict(params or {})
+    if family not in _SCALING_FAMILIES:
+        raise ConfigInvalid(f"unknown scaling family {family!r}; use circle or sticky")
+    parameter, default, build, cap, default_sizes = _SCALING_FAMILIES[family]
+    value = float(params.pop(parameter, default))
+    if params:
+        raise ConfigInvalid(f"family {family!r} does not take parameters {sorted(params)}")
+    if n_list is None:
+        n_list = default_sizes
+    if not isinstance(n_list, (list, tuple)):
+        raise ConfigInvalid(f"scaling sizes {n_list!r} are not a list of integers")
+    sizes = [_integer(n, "scaling size") for n in n_list]
+    if len(set(sizes)) < 2:
+        raise ConfigInvalid("a scaling study needs at least two distinct sizes")
+    systems = [(n, build(n, value)) for n in sizes]
+    points = []
+    for n, system in systems:
+        steps = cap(system.space.size)
+        rep = merging_time(system, eta, steps, "relative_sup")
+        if rep.merging_time is None:
+            raise ConfigInvalid(f"no merging within {steps} steps at n={n}")
+        points.append((n, int(rep.merging_time)))
+    logs_n = np.log([p[0] for p in points])
+    logs_t = np.log([p[1] for p in points])
+    slope, intercept = np.polyfit(logs_n, logs_t, 1)
+    residuals = logs_t - (slope * logs_n + intercept)
+    return {
+        "family": family,
+        "eta": float(eta),
+        "points": [[n, t] for n, t in points],
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "residuals": [float(r) for r in residuals],
+    }

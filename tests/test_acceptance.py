@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import wavechain as w
-from wavechain.cli import scaling_study
+from wavechain import scaling_study
 from wavechain.groups import from_cycles, sn_index, transposition
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
-from wavechain import cli, errors
+from wavechain import cli, errors, models
 from wavechain.cli import main
 
 
@@ -79,6 +79,19 @@ def test_malformed_kernel_file_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "row 0" in err
+
+
+@pytest.mark.parametrize("triplets", [[1, 2], 5], ids=["triplet-not-a-list", "not-a-list"])
+def test_misshapen_kernel_file_is_one_error_line(tmp_path, capsys, triplets):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"size": 2, "triplets": triplets}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", str(bad), "--analyses", "spectral", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_unknown_model_exits_one(tmp_path, capsys):
@@ -200,6 +213,29 @@ def test_scaling_command_has_quadratic_slope(tmp_path):
     assert (tmp_path / "scaling.csv").exists()
 
 
+@pytest.mark.parametrize("family, sizes", [("circle", list(range(5, 42, 4))), ("sticky", [4, 5])])
+def test_scaling_studies_the_family_default_sizes(tmp_path, family, sizes):
+    assert main(["scaling", "--family", family, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "scaling.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == sizes
+
+
+def test_scaling_reads_the_threshold_of_the_config_document(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"epsilon_threshold": 0.1}))
+    runs = {
+        "document": ["--config", str(cfg)],
+        "flag": ["--epsilon", "0.1"],
+        "default": [],
+    }
+    for name, args in runs.items():
+        argv = ["scaling", *args, "--n-list", "5,9", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert (tmp_path / "document" / "scaling.csv").read_text() == "n,time\n5,17\n9,59\n"
+    assert (tmp_path / "flag" / "scaling.csv").read_text() == "n,time\n5,17\n9,59\n"
+    assert (tmp_path / "default" / "scaling.csv").read_text() == "n,time\n5,12\n9,40\n"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
@@ -306,10 +342,11 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["analyze", "--model", "sticky", "--param", "rho=-1", "--analyses", "spectral"],
         ["analyze", "--model", "random-regular", "--param", "degree=4", "--param", "r=5",
          "--analyses", "spectral"],
+        ["scaling", "--family", "circle", "--param", "n_list=5"],
     ],
     ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
          "scaling-even-size", "scan-bijection", "sticky-rho-past-the-end",
-         "sticky-negative-rho", "regular-degree-and-r"],
+         "sticky-negative-rho", "regular-degree-and-r", "scaling-sizes-not-a-list"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -329,26 +366,79 @@ def test_simulate_rejects_an_out_of_range_start(tmp_path, capsys, start):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["analyze", "--model", "circle", "--param", "n=5.5", "--analyses", "spectral"], "n 5.5"),
+        (["simulate", *CIRCLE5, "--param", "steps=2.7"], "steps 2.7"),
+        (["simulate", *CIRCLE5, "--param", "trials=100.5"], "trials 100.5"),
+        (["simulate", *CIRCLE5, "--param", "start=1.5"], "start 1.5"),
+        (["merge-time", *CIRCLE5, "--param", "horizon=9.5"], "horizon 9.5"),
+        (["analyze", *CIRCLE5, "--analyses", "bounds", "--param", "horizon=9.5"], "horizon 9.5"),
+        (["scan", *CIRCLE5, "--param", "count=2.5"], "count 2.5"),
+        (["wave-profile", *CIRCLE5, "--param", "samples=10.5"], "samples 10.5"),
+        (["wave-profile", *CIRCLE5, "--param", "burn_in=10.5"], "burn_in 10.5"),
+        (["wave-profile", *CIRCLE5, "--param", "stride=1.5"], "stride 1.5"),
+        (["merge-time", "--model", "binary-cycling", "--param", "bits=3.5"], "bits 3.5"),
+        (["merge-time", "--model", "sticky", "--param", "rho=1.5"], "rho 1.5"),
+        (["merge-time", "--model", "periodic-classes", "--param", "k=2.5"], "k 2.5"),
+        (["merge-time", "--model", "periodic-classes", "--param", "class_size=2.5"],
+         "class_size 2.5"),
+        (["merge-time", "--model", "deck-reversal", "--param", "n=4.5"], "n 4.5"),
+        (["merge-time", "--model", "random-regular", "--param", "r=3.5"], "degree 3.5"),
+        (["merge-time", "--model", "random-regular", "--param", "graph_seed=0.5"],
+         "graph_seed 0.5"),
+    ],
+)
+def test_integer_parameters_are_rejected_not_truncated(tmp_path, capsys, argv, bad):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad} is not an integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, param",
+    [
+        (["analyze", "--model", "circle", "--analyses", "spectral,merging"], "n=5"),
+        (["simulate", *CIRCLE5, "--param", "trials=300"], "steps=3"),
+    ],
+)
+def test_integral_float_parameters_load(tmp_path, argv, param):
+    for name, value in (("int", param), ("float", param + ".0")):
+        assert main(argv + ["--param", value, "--out", str(tmp_path / name)]) == 0
+    for path in (tmp_path / "int").iterdir():
+        if path.name != "report.json":  # its config block records the value as given
+            assert path.read_text() == (tmp_path / "float" / path.name).read_text()
+    assert read_report(tmp_path / "int")["results"] == read_report(tmp_path / "float")["results"]
+
+
 @pytest.fixture
 def no_merging(monkeypatch):
     """Fails the test if a merging time is computed."""
     def refuse(*args, **kwargs):
         raise AssertionError("merging time computed before the input was checked")
 
-    monkeypatch.setattr(cli, "merging_time", refuse)
+    monkeypatch.setattr(models, "merging_time", refuse)
 
 
 def test_scaling_rejects_foreign_parameters_before_the_sweep(no_merging):
     with pytest.raises(errors.ConfigInvalid, match="does not take parameters \\['eps'\\]"):
-        cli.scaling_study("sticky", [3, 4, 5, 6], 1.0, {"eps": 1})
+        w.scaling_study("sticky", [3, 4, 5, 6], 1.0, {"eps": 1})
     with pytest.raises(errors.ConfigInvalid, match="unknown scaling family"):
-        cli.scaling_study("cube", [5, 7], 1.0)
+        w.scaling_study("cube", [5, 7], 1.0)
 
 
-@pytest.mark.parametrize("sizes", [[5, 5], [7], [9, 9, 9]])
+@pytest.mark.parametrize("sizes", [[5, 5], [7], [9, 9, 9], [5.0, 5]])
 def test_scaling_needs_two_distinct_sizes(no_merging, sizes):
     with pytest.raises(errors.ConfigInvalid, match="at least two distinct sizes"):
-        cli.scaling_study("circle", sizes, 1.0)
+        w.scaling_study("circle", sizes, 1.0)
+
+
+@pytest.mark.parametrize("sizes", [5, "5,9", {5: 1, 9: 1}, [5, 9.5], [5, "nine"], [5, None]])
+def test_scaling_sizes_must_be_a_list_of_integers(no_merging, sizes):
+    with pytest.raises(errors.ConfigInvalid, match="is not an integer|are not a list of integers"):
+        w.scaling_study("circle", sizes, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +447,7 @@ def test_scaling_needs_two_distinct_sizes(no_merging, sizes):
 )
 def test_scaling_builds_every_size_before_the_first_merging_time(no_merging, family, sizes, error):
     with pytest.raises(error):
-        cli.scaling_study(family, sizes, 1.0)
+        w.scaling_study(family, sizes, 1.0)
 
 
 def test_scan_rejects_a_bijection_from_the_config_document(tmp_path, capsys):

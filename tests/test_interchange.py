@@ -48,6 +48,22 @@ def test_kernel_document_validation():
         w.kernel_from_document({"size": 2, "triplets": [[0, 0, 1.0, 9]]})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"size": 2, "triplets": [1, 2]},
+        {"size": 2, "triplets": 5},
+        {"size": 2, "triplets": [[0, 0, None], [1, 1, 1.0]]},
+        {"size": 2, "triplets": [[0, 0, [1.0]], [1, 1, 1.0]]},
+        {"size": 2, "labels": 5, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]},
+    ],
+    ids=["triplet-not-a-list", "triplets-not-a-list", "null-value", "list-value", "labels-number"],
+)
+def test_kernel_document_shapes_are_checked(doc):
+    with pytest.raises(errors.ConfigInvalid):
+        w.kernel_from_document(doc)
+
+
 def test_row_sum_violation_carries_the_row_index():
     doc = {
         "size": 2,

@@ -199,6 +199,41 @@ def test_wave_bound_grid_matches_pointwise_calls():
                 )
 
 
+def _separate_wave_bound(s, x, z, n):
+    # the pointwise formula before the bound's factors had one home
+    pi = s.wave_measure
+    sigma = float(w.weighted_singular_values(s.shifted, pi, pi).singular_values[1])
+    wts = pi.weights
+    gnz = int(s.map.power_map(n)[z])
+    return float(math.sqrt(1.0 / wts[x] - 1.0) * math.sqrt(1.0 / wts[gnz] - 1.0) * sigma**n)
+
+
+def _separate_wave_bound_grid(s, n_max):
+    pi = s.wave_measure
+    sigma = float(w.weighted_singular_values(s.shifted, pi, pi).singular_values[1])
+    size = s.space.size
+    front = np.sqrt(1.0 / pi.weights - 1.0)
+    out = np.empty((n_max + 1, size, size))
+    gn = np.arange(size, dtype=np.int64)
+    for n in range(n_max + 1):
+        back = front[gn]
+        out[n] = sigma**n * front[:, None] * back[None, :]
+        gn = s.map.forward[gn]
+    return out
+
+
+@pytest.mark.parametrize("member", [None, 5])
+def test_wave_bounds_are_bit_equal_to_the_separate_formulas(merging_corpus, member):
+    s = circle_system(7) if member is None else merging_corpus[member]
+    size = s.space.size
+    for n in (0, 1, 3, 8, 40):
+        for x in range(size):
+            for z in range(size):
+                assert w.wave_bound(s, x, z, n) == _separate_wave_bound(s, x, z, n)
+    grid = w.wave_bound_grid(s, 12)
+    assert grid.tobytes() == _separate_wave_bound_grid(s, 12).tobytes()
+
+
 def test_sv_product_bound_collapses_at_the_wave_measure(merging_corpus):
     s = merging_corpus[2]
     pi = s.wave_measure

@@ -17,7 +17,7 @@ import wavechain as w
 import wavechain.core as core
 import wavechain.merging as merging
 import wavechain.spectral as spectral
-from wavechain import cli, errors
+from wavechain import errors
 
 METRICS = ("total_variation", "relative_sup", "chi_square")
 TRACE_RTOL = 1e-12
@@ -213,12 +213,12 @@ def rotation_system(n):
     (circle_system(41), 200, 0.5), (rotation_system(5), 50, 0.0),
 ])
 def test_bound_verdicts_match_the_sequential_loop(system, horizon, scale):
-    out = cli._run_bounds(system, None, {"horizon": horizon, "bound_scale": scale})
-    excess, step = reference_bounds(system, horizon, scale)
-    assert out.doc["dominates"] == (excess <= 1e-12) == (scale == 1.0)
-    assert out.doc["max_excess"] == pytest.approx(excess, rel=1e-9, abs=1e-15)
+    excess, step, _ = merging.bound_dominance(system, horizon, scale)
+    want_excess, want_step = reference_bounds(system, horizon, scale)
+    assert (excess <= 1e-12) == (want_excess <= 1e-12) == (scale == 1.0)
+    assert excess == pytest.approx(want_excess, rel=1e-9, abs=1e-15)
     if scale < 1.0:
-        assert out.violations[0]["detail"].endswith(f"at n={step}")
+        assert step == want_step
 
 
 def test_wave_identity_holds_across_blocks(monkeypatch):
