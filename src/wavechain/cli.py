@@ -494,7 +494,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigInvalid("config document must be a JSON object")
-    params = dict(doc.get("model_params", {}))
+    params = doc.get("model_params", {})
+    if not isinstance(params, dict):
+        raise ConfigInvalid(f"model_params {params!r} is not an object")
+    params = dict(params)
     for item in args.param:
         if "=" not in item:
             raise ConfigInvalid(f"--param needs K=V, got {item!r}")
@@ -511,7 +514,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         bijection=args.bijection if args.bijection is not None else doc.get("bijection"),
         analyses=tuple(analyses),
         output=args.out if args.out is not None else doc.get("output", "."),
-        seed=int(args.seed if args.seed is not None else doc.get("seed", 0)),
+        seed=_integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed"),
         epsilon_threshold=float(
             args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon)
         ),

@@ -20,11 +20,12 @@ ndarray or as a read-only CSR triple (indptr, indices, data), chosen by
 ndarray or a scipy `csr_array` over the triple, and `x @ K` and `K @ x` are
 1-D arrays in both formats, so nothing downstream branches on the storage.
 
-scipy runs the products, ARPACK and `csgraph` of a CSR kernel; building,
-relabeling, saving and sampling one need only numpy.  This module imports
-`scipy.sparse` only for the `csr_array` view and `support_graph`, and tells
-a sparse input apart without importing it, since no sparse object can
-exist before `scipy.sparse` is loaded.  A dense run never imports scipy.
+scipy runs only the products and ARPACK of a CSR kernel; building,
+relabeling, saving, searching and sampling one need only numpy.  This
+module imports `scipy.sparse` only for the `csr_array` view, and tells a
+sparse input apart without importing it, since no sparse object can exist
+before `scipy.sparse` is loaded.  A dense run never imports scipy.  No
+module but this one reads a kernel's storage.
 """
 from __future__ import annotations
 
@@ -195,8 +196,8 @@ class MarkovKernel:
     triple (indptr, indices, data), columns ascending in each row and none
     repeated.  `matrix` is the ndarray itself, or a scipy `csr_array` over
     the triple, built on first access without a copy and then cached; every
-    operation works on both through `@`.  scipy runs the products, ARPACK
-    and `csgraph` of a CSR kernel; building, relabeling, saving and
+    operation works on both through `@`.  scipy runs only the products and
+    ARPACK of a CSR kernel; building, relabeling, saving, searching and
     sampling one need only numpy.
     """
 
@@ -235,12 +236,6 @@ class MarkovKernel:
             m[_row_of_each_entry(indptr), indices] = data
             return m
         return self.entries
-
-    def support_graph(self) -> sp.csr_array:
-        """Boolean adjacency of the positive entries, as CSR."""
-        import scipy.sparse as sp
-
-        return sp.csr_array(self.matrix > 0, dtype=np.int8)
 
 
 def _issparse(m) -> bool:

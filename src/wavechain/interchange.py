@@ -62,6 +62,9 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, (list, tuple)):
         raise ConfigInvalid(f"kernel labels {labels!r} are not a list")
+    for label in labels or ():
+        if isinstance(label, (list, dict)):
+            raise ConfigInvalid(f"kernel label {label!r} is not a string or a number")
     if not isinstance(triplets, (list, tuple)):
         raise ConfigInvalid(f"kernel triplets {triplets!r} are not a list")
     space = StateSpace(size, tuple(labels) if labels is not None else None)

@@ -3,9 +3,12 @@
 A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
 Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
 triples are read off the ordinary SVD of B.  When mu_out K = mu_in the top
-triple is exactly (1, const, const); the path for sparse kernels
+triple is exactly (1, const, const); above DENSE_LIMIT states the path
 deflates that pair analytically and finds the next one with ARPACK
 (Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM 1998).
+
+No routine here asks how a kernel is stored: the graph search runs in
+numpy over the positive entries, and the state count picks the SVD path.
 """
 from __future__ import annotations
 
@@ -39,89 +42,64 @@ _STATIONARY_TOL = 1e-12
 _STATIONARY_MAX_STEPS = 100_000
 
 
-def _search_levels(support: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from state 0 along a dense boolean adjacency
-    matrix, -1 at the states it never reaches; one numpy pass per level."""
-    n = support.shape[0]
+def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads) of the kernel's positive entries."""
+    indptr, heads, vals = _sorted_csr(kernel)
+    edge = vals > 0  # a stored zero is no edge
+    return _row_of_each_entry(indptr)[edge], heads[edge]
+
+
+def _search_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 along the edges tails[k] -> heads[k],
+    -1 at the states it never reaches.  Each level is one numpy pass over
+    the whole edge list: fewer calls per level than gathering the frontier's
+    rows, which is what the many searches on small kernels pay for."""
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
-    unseen = np.ones(n, dtype=bool)
-    unseen[0] = False
-    frontier = np.zeros(1, dtype=np.int64)
+    frontier = level == 0
     depth = 0
-    while frontier.size:
+    while True:
+        reached = heads[frontier[tails]]
+        reached = reached[level[reached] < 0]
+        if not reached.size:
+            return level
         depth += 1
-        reached = np.logical_or.reduce(support[frontier], axis=0)
-        reached &= unseen
-        frontier = np.flatnonzero(reached)
-        unseen[frontier] = False
-        level[frontier] = depth
-    return level
+        level[reached] = depth
+        frontier = level == depth
 
 
-def _transposed(a: np.ndarray, rows: int = 256) -> np.ndarray:
-    # block by block: numpy's one-shot copy of a large transpose is 3-4x slower
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    for i in range(0, a.shape[0], rows):
-        out[:, i : i + rows] = a[i : i + rows].T
-    return out
-
-
-def _strong_levels(support: np.ndarray) -> Optional[np.ndarray]:
-    """Forward breadth-first levels from state 0, or None when the dense
-    boolean support is not strongly connected (some state is unreached
-    forward or cannot reach state 0)."""
-    level = _search_levels(support)
-    if level.min() < 0 or _search_levels(_transposed(support)).min() < 0:
+def _strong_levels(
+    kernel: MarkovKernel,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Forward levels from state 0 with the positive edges (tails, heads),
+    or None when the support graph is not strongly connected: some state is
+    unreached forward, or along the reversed edges."""
+    tails, heads = _edges(kernel)
+    level = _search_levels(kernel.size, tails, heads)
+    if level.min() < 0 or _search_levels(kernel.size, heads, tails).min() < 0:
         return None
-    return level
-
-
-def _csgraph_levels(graph) -> Optional[np.ndarray]:
-    """`_strong_levels` of a CSR support graph, by scipy.sparse.csgraph."""
-    from scipy.sparse.csgraph import shortest_path
-
-    if not _csgraph_strongly_connected(graph):
-        return None
-    return shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-
-
-def _csgraph_strongly_connected(graph) -> bool:
-    from scipy.sparse.csgraph import connected_components
-
-    n_components, _ = connected_components(graph, directed=True, connection="strong")
-    return int(n_components) == 1
+    return level, tails, heads
 
 
 def is_irreducible(kernel: MarkovKernel) -> bool:
-    """True when the support graph is strongly connected.
-
-    The storage picks the search: a dense kernel is searched breadth-first
-    in numpy, forward and backward from state 0; a CSR one goes to
-    `scipy.sparse.csgraph`, whose compiled search stays fast on long cycles.
-    """
-    if kernel.is_sparse:
-        return _csgraph_strongly_connected(kernel.support_graph())
-    return _strong_levels(kernel.matrix > 0) is not None
+    """True when the support graph is strongly connected: a numpy
+    breadth-first search from state 0 reaches every state along the positive
+    entries and along them reversed, whatever the kernel's storage."""
+    return _strong_levels(kernel) is not None
 
 
 def period(kernel: MarkovKernel) -> int:
     """Period of an irreducible kernel: gcd of cycle lengths through state 0.
 
     Computed from breadth-first levels: every edge (u, v) closes a cycle of
-    length level(u) + 1 - level(v) modulo the period.  The levels come from
-    the irreducibility check, searched by storage as in `is_irreducible`.
+    length level(u) + 1 - level(v) modulo the period.  The levels and the
+    edge list are those of the irreducibility check, `is_irreducible`.
     """
-    if kernel.is_sparse:
-        level = _csgraph_levels(kernel.support_graph())
-    else:
-        level = _strong_levels(kernel.matrix > 0)
-    if level is None:
+    found = _strong_levels(kernel)
+    if found is None:
         raise NotIrreducible("period is only defined per communicating class")
-    indptr, heads, vals = _sorted_csr(kernel)
-    tails = _row_of_each_entry(indptr)
-    edge = vals > 0  # a stored zero is no edge
-    g = int(np.gcd.reduce(level[tails[edge]] + 1 - level[heads[edge]]))
+    level, tails, heads = found
+    g = int(np.gcd.reduce(level[tails] + 1 - level[heads]))
     return g if g else 1
 
 
@@ -201,14 +179,14 @@ def weighted_singular_values(
 ) -> SpectralDecomposition:
     """Singular value decomposition of K: l2(mu_in) -> l2(mu_out).
 
-    The kernel's storage picks the method.  A dense kernel gets the full
-    decomposition.  A sparse one gets only the leading two triples: the
-    known (1, const, const) triple is deflated analytically and the next
-    one is the top eigenpair of the deflated Gram operator B^T B of the
-    Euclidean avatar, found by ARPACK (`eigsh`) from a fixed start vector.
-    That shortcut requires mu_out K = mu_in, which is checked
-    (FlowMismatch otherwise); NotConverged is raised if ARPACK stops short
-    of machine precision.
+    The state count picks the method, whatever the kernel's storage.  Up to
+    DENSE_LIMIT states the decomposition is full.  Above it only the leading
+    two triples are computed: the known (1, const, const) triple is deflated
+    analytically and the next one is the top eigenpair of the deflated Gram
+    operator B^T B of the Euclidean avatar, found by ARPACK (`eigsh`) from a
+    fixed start vector.  That shortcut requires mu_out K = mu_in, which is
+    checked (FlowMismatch otherwise); NotConverged is raised if ARPACK stops
+    short of machine precision.
     """
     win = _check_positive(mu_in, "mu_in")
     wout = _check_positive(mu_out, "mu_out")
@@ -217,8 +195,8 @@ def weighted_singular_values(
     n = kernel.size
     sin = np.sqrt(win)
     sout = np.sqrt(wout)
-    if not kernel.is_sparse:
-        b = (sout[:, None] * kernel.matrix) / sin[None, :]
+    if n <= DENSE_LIMIT:
+        b = (sout[:, None] * kernel.dense()) / sin[None, :]
         u, s, vt = np.linalg.svd(b)
         v = vt.T
         # fix an overall sign per triple: make the heaviest entry of phi positive
@@ -432,8 +410,8 @@ def spectral_report_document(
 ) -> dict:
     """Plain-JSON summary used by the command line reports.
 
-    "sigma" follows the kernel's storage: all singular values of a dense
-    kernel, the top two of a CSR one (sticky n=6 lists 720, n=7 lists two).
+    "sigma" follows the state count: all singular values up to DENSE_LIMIT
+    states, the top two above it (sticky n=6 lists 720, n=7 lists two).
     """
     try:
         per: Optional[int] = period(kernel)

@@ -81,10 +81,18 @@ def test_malformed_kernel_file_exits_one(tmp_path, capsys):
     assert "row 0" in err
 
 
-@pytest.mark.parametrize("triplets", [[1, 2], 5], ids=["triplet-not-a-list", "not-a-list"])
-def test_misshapen_kernel_file_is_one_error_line(tmp_path, capsys, triplets):
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"size": 2, "triplets": [1, 2]},
+        {"size": 2, "triplets": 5},
+        {"size": 2, "labels": [[1], [2]], "triplets": [[0, 0, 1.0], [1, 1, 1.0]]},
+    ],
+    ids=["triplet-not-a-list", "not-a-list", "label-arrays"],
+)
+def test_misshapen_kernel_file_is_one_error_line(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"size": 2, "triplets": triplets}))
+    bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["analyze", "--model", str(bad), "--analyses", "spectral", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -456,6 +464,24 @@ def test_scan_rejects_a_bijection_from_the_config_document(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: scan draws its own maps; it takes no bijection\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"model": "circle", "model_params": 5}, "error: model_params 5 is not an object\n"),
+        ({"model": "circle", "seed": 1.5, "analyses": ["simulate"]},
+         "error: seed 1.5 is not an integer\n"),
+    ],
+    ids=["model-params-not-an-object", "seed-not-an-integer"],
+)
+def test_config_document_fields_are_checked(tmp_path, capsys, doc, message):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

@@ -1,9 +1,9 @@
-"""The numpy level search of dense kernels against scipy.sparse.csgraph.
+"""The numpy level search against scipy.sparse.csgraph.
 
-`is_irreducible` and `period` search a dense kernel breadth-first in numpy
-and hand a CSR kernel to csgraph.  Both storages are checked against
-csgraph computed here and against the plain breadth-first loop
-`reference_period`.
+`is_irreducible` and `period` search the positive entries of a kernel
+breadth-first in numpy, forward and on the reversed edges, whatever its
+storage.  Both storages are checked against csgraph computed here and
+against the plain breadth-first loop `reference_period`.
 """
 import numpy as np
 import pytest

@@ -37,6 +37,8 @@ def test_labels_survive_the_round_trip():
     assert doc["labels"] == ["1", "2", "3", "4"]
     back = w.kernel_from_document(doc)
     assert back.space.labels == ("1", "2", "3", "4")
+    doc = {"size": 2, "labels": ["a", 2], "triplets": [[0, 0, 1.0], [1, 1, 1.0]]}
+    assert w.kernel_from_document(doc).space.labels == ("a", 2)  # a number label loads
 
 
 def test_kernel_document_validation():
@@ -56,8 +58,11 @@ def test_kernel_document_validation():
         {"size": 2, "triplets": [[0, 0, None], [1, 1, 1.0]]},
         {"size": 2, "triplets": [[0, 0, [1.0]], [1, 1, 1.0]]},
         {"size": 2, "labels": 5, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]},
+        {"size": 2, "labels": [[1], [2]], "triplets": [[0, 0, 1.0], [1, 1, 1.0]]},
+        {"size": 2, "labels": [{"a": 1}, "b"], "triplets": [[0, 0, 1.0], [1, 1, 1.0]]},
     ],
-    ids=["triplet-not-a-list", "triplets-not-a-list", "null-value", "list-value", "labels-number"],
+    ids=["triplet-not-a-list", "triplets-not-a-list", "null-value", "list-value", "labels-number",
+         "label-arrays", "label-object"],
 )
 def test_kernel_document_shapes_are_checked(doc):
     with pytest.raises(errors.ConfigInvalid):

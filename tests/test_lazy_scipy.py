@@ -1,8 +1,8 @@
 """scipy is a lazy dependency, and numpy.ma is never loaded by the package.
 
 Dense runs never import scipy.  A CSR kernel (above `DENSE_LIMIT`) is
-built, relabeled, saved and sampled in numpy too; scipy comes in only for
-its products, ARPACK and `csgraph`.  Each check runs in a fresh
+built, relabeled, saved, searched and sampled in numpy too; scipy comes in
+only for its products and ARPACK.  Each check runs in a fresh
 interpreter, since the test process itself has scipy loaded, and reports
 the scipy modules and `numpy.ma` it ended with.
 """
@@ -126,6 +126,17 @@ def test_a_csr_simulation_loads_neither(tmp_path):
     code, loaded = run_probe(
         tmp_path, ["simulate", "--model", "sticky", "--param", "n=7", "--param", "steps=5",
                    "--param", "trials=1000"],
+    )
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "out" / "profile.csv").exists()
+
+
+def test_a_csr_wave_profile_loads_neither(tmp_path):
+    # the irreducibility and period search runs in numpy on a CSR kernel too
+    code, loaded = run_probe(
+        tmp_path, ["wave-profile", "--model", "sticky", "--param", "n=7",
+                   "--param", "samples=1000", "--param", "burn_in=10"],
     )
     assert code == 0
     assert loaded == []

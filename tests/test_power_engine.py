@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,7 +79,7 @@ def reference_bounds(system, horizon, scale):
 
 
 def reference_period(kernel):
-    graph = kernel.support_graph()
+    graph = sp.csr_array(kernel.dense() > 0, dtype=np.int8)
     indptr, indices = graph.indptr, graph.indices
     level = np.full(kernel.size, -1, dtype=np.int64)
     level[0] = 0
@@ -325,40 +326,48 @@ def test_top_two_on_the_slow_sticky_spectrum():
     assert v[int(np.argmax(np.abs(v)))] > 0
 
 
-def test_top_two_matches_dense_singular_values_on_the_corpus(corpus):
+def top_two(monkeypatch, kernel, mu_in, mu_out):
+    """`weighted_singular_values` on the ARPACK top-two path, which the
+    state count picks above DENSE_LIMIT."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "DENSE_LIMIT", 0)
+        return w.weighted_singular_values(kernel, mu_in, mu_out)
+
+
+def test_top_two_matches_dense_singular_values_on_the_corpus(corpus, monkeypatch):
     for s in corpus[:40]:
         pi = s.wave_measure_or_none()
         if pi is None:
             continue
         sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
-        top = w.weighted_singular_values(sparse, pi, pi).singular_values
+        top = top_two(monkeypatch, sparse, pi, pi).singular_values
         full = w.weighted_singular_values(s.shifted, pi, pi).singular_values
         assert abs(top[1] - full[1]) < 1e-9
 
 
-def test_top_two_of_a_rank_one_kernel_is_zero():
+def test_top_two_of_a_rank_one_kernel_is_zero(monkeypatch):
     n = 8
     space = w.StateSpace(n)
     uniform = w.Distribution.uniform(space)
     flat = w.make_kernel(space, np.full((n, n), 1.0 / n), dense_limit=2)
-    dec = w.weighted_singular_values(flat, uniform, uniform)
+    dec = top_two(monkeypatch, flat, uniform, uniform)
     assert dec.singular_values[1] == 0.0
     pi = np.random.default_rng(2).random(n)
     pi /= pi.sum()
     mu = w.Distribution(space, pi)
     tilted = w.make_kernel(space, np.tile(pi, (n, 1)), dense_limit=2)
-    assert w.weighted_singular_values(tilted, mu, mu).singular_values[1] < 1e-12
+    assert top_two(monkeypatch, tilted, mu, mu).singular_values[1] < 1e-12
 
 
 # ---------------------------------------------------------- typed errors
 
-def test_top_two_flow_mismatch_is_a_value_error():
+def test_top_two_flow_mismatch_is_a_value_error(monkeypatch):
     s = circle_system(7)
     sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     pi = np.arange(1.0, 8.0)
     mu = w.Distribution(s.space, pi / pi.sum())
     with pytest.raises(errors.FlowMismatch) as info:
-        w.weighted_singular_values(sparse, mu, mu)
+        top_two(monkeypatch, sparse, mu, mu)
     assert isinstance(info.value, ValueError)
 
 
@@ -367,7 +376,7 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
     pi = s.wave_measure
     sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
-    assert w.weighted_singular_values(sparse, pi, pi).singular_values[1] == (
+    assert top_two(monkeypatch, sparse, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
     # the top-two path imports eigsh from scipy.sparse.linalg when it runs
@@ -375,7 +384,7 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
 
     monkeypatch.setattr(arpack, "eigsh", functools.partial(arpack.eigsh, maxiter=1))
     with pytest.raises(errors.NotConverged):
-        w.weighted_singular_values(sparse, pi, pi)
+        top_two(monkeypatch, sparse, pi, pi)
 
 
 def test_stationary_refinement_failure_is_typed(monkeypatch):

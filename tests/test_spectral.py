@@ -50,16 +50,38 @@ def test_singular_values_transport_along_the_wave(merging_corpus):
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
-def test_top_two_sparse_path_agrees_with_dense():
+def test_top_two_sparse_path_agrees_with_dense(monkeypatch):
     s = circle_system()
     pi = s.wave_measure
     sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     assert sparse.is_sparse
-    top = w.weighted_singular_values(sparse, pi, pi).singular_values
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "DENSE_LIMIT", 0)  # the top-two path above the limit
+        top = w.weighted_singular_values(sparse, pi, pi).singular_values
     full = np.sort(
         w.weighted_singular_values(s.shifted, pi, pi).singular_values
     )[::-1]
     assert np.max(np.abs(top - full[:2])) < 1e-9
+
+
+def test_storage_twins_agree(corpus):
+    """The CSR twin of a shifted kernel gets the dense kernel's irreducibility,
+    period and full list of singular values: no answer follows the storage."""
+
+    def verdict(kernel):
+        irreducible = w.is_irreducible(kernel)
+        return irreducible, w.period(kernel) if irreducible else None
+
+    for s in corpus:
+        twin = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
+        assert twin.is_sparse and not s.shifted.is_sparse
+        assert verdict(twin) == verdict(s.shifted)
+        pi = s.wave_measure_or_none()
+        mu = pi if pi is not None else w.Distribution.uniform(s.space)
+        want = w.weighted_singular_values(s.shifted, mu, mu).singular_values
+        got = w.weighted_singular_values(twin, mu, mu).singular_values
+        assert len(got) == len(want) == s.space.size
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_transpose_top_second_singular_value():
