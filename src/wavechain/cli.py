@@ -1,14 +1,15 @@
 """Command-line front end: it parses, dispatches and writes.
 
-Builds a system from the model zoo (or a kernel JSON file), runs each
-requested analysis through one library call, and writes machine-readable
-outputs into the chosen directory: report.json plus trace.csv / profile.csv
-/ scan.csv as the analyses call for them.  Integer parameters must be
+Builds a system through the model registry `models.MODELS`, or from a
+kernel JSON file with the identity map; runs each requested analysis
+through one library call; and writes machine-readable outputs into the
+chosen directory: report.json plus trace.csv / profile.csv / scan.csv as
+the analyses call for them.  Integer parameters and flag values must be
 integral: 5.0 reads as 5, 5.5 is an input error.  Every subcommand writes
-through `_emit`, once its results are complete, so a failing command leaves
-nothing behind.  Reports are byte-stable for a fixed config: JSON is dumped
-with sorted keys, CSV rows follow state or step order, and no timestamps or
-environment data are recorded.
+through `_emit`, once its results are complete, so a failing command
+leaves nothing behind.  Reports are byte-stable for a fixed config: JSON
+is dumped with sorted keys, CSV rows follow state or step order, and no
+timestamps or environment data are recorded.
 
 Exit status: 0 on success, 1 on input errors (bad config, unknown model,
 malformed kernel file), 2 when a quantitative bound the library asserts
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -49,19 +50,7 @@ from .merging import (
     merging_time,
     tv_distance,
 )
-from .models import (
-    binary_cycling_system,
-    circle_kernel,
-    cyclic_to_random_system,
-    deck_reversal_system,
-    four_point_example,
-    lazy_circle_kernel,
-    periodic_class_example,
-    random_regular_graph_walk,
-    scaling_study,
-    scan_permutations,
-    sticky_permutation_system,
-)
+from .models import MODELS, build_model, scaling_study, scan_permutations
 from .sim import empirical_distribution, empirical_wave_profile
 from .spectral import (
     eigenvalues,
@@ -105,10 +94,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.model:
             raise ConfigInvalid("a model name or kernel file is required")
-        if self.model not in _MODEL_BUILDERS and not os.path.exists(self.model):
+        if self.model not in MODELS and not os.path.exists(self.model):
             raise ModelUnknown(
                 f"model {self.model!r} is not in the registry and is not a file; "
-                f"known models: {', '.join(sorted(_MODEL_BUILDERS))}"
+                f"known models: {', '.join(sorted(MODELS))}"
             )
         bad = [a for a in self.analyses if a not in ANALYSES]
         if bad:
@@ -143,10 +132,10 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
     if text == "identity":
         return make_permutation(space, np.arange(size))
     if text.startswith("shift:"):
-        s = int(text.split(":", 1)[1])
+        s = _integer(text.split(":", 1)[1], "bijection shift")
         return make_permutation(space, (np.arange(size) + s) % size)
     if text == "random" or text.startswith("random:"):
-        key = seed if text == "random" else int(text.split(":", 1)[1])
+        key = seed if text == "random" else _integer(text.split(":", 1)[1], "bijection random key")
         return make_permutation(space, np.random.default_rng(key).permutation(size))
     if "," in text:
         return make_permutation(space, _images(text.split(",")))
@@ -154,46 +143,6 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
         f"bijection {raw!r} not understood; use identity, shift:s, random[:key], "
         "or an explicit comma-separated image list"
     )
-
-
-# Builders return either a complete WaveSystem (models that carry their own
-# bijection) or a (kernel, default-bijection) pair.  Each pops the parameters
-# it knows; leftovers are reported as configuration errors.
-
-
-def _circle_params(p) -> tuple[int, float]:
-    # point count and heavy-edge excess, shared by both circle models
-    return _integer(p.pop("n", 5), "n"), float(p.pop("eps", 1.0))
-
-
-def _sticky_builder(p):
-    n = _integer(p.pop("n", 4), "n")
-    rho = _integer(p.pop("rho", 0), "rho")
-    return sticky_permutation_system(n, rho, float(p.pop("delta", 0.05)))
-
-
-def _regular_builder(p):
-    n = _integer(p.pop("n", 8), "n")
-    if "degree" in p and "r" in p:
-        raise ConfigInvalid("random-regular takes degree or its alias r, not both")
-    degree = _integer(p.pop("degree", p.pop("r", 3)), "degree")
-    graph_seed = _integer(p.pop("graph_seed", 0), "graph_seed")
-    return random_regular_graph_walk(n, degree, graph_seed), "identity"
-
-
-_MODEL_BUILDERS: dict[str, Callable] = {
-    "circle": lambda p: (circle_kernel(*_circle_params(p))[0], "shift:-1"),
-    "lazy-circle": lambda p: (lazy_circle_kernel(*_circle_params(p)), "shift:-1"),
-    "binary-cycling": lambda p: binary_cycling_system(_integer(p.pop("bits", 3), "bits")),
-    "four-point": lambda p: four_point_example(),
-    "deck-reversal": lambda p: deck_reversal_system(_integer(p.pop("n", 4), "n")),
-    "cyclic-to-random": lambda p: cyclic_to_random_system(_integer(p.pop("n", 4), "n")),
-    "sticky": _sticky_builder,
-    "periodic-classes": lambda p: periodic_class_example(
-        _integer(p.pop("k", 3), "k"), _integer(p.pop("class_size", 2), "class_size")
-    ),
-    "random-regular": _regular_builder,
-}
 
 
 def _split_params(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -204,25 +153,22 @@ def _split_params(config: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def build_system(config: ExperimentConfig) -> WaveSystem:
+    """The configured model with its default bijection, or a kernel file with
+    the identity; a configured bijection replaces either."""
     model_params, _ = _split_params(config)
-    params = dict(model_params)
-    if config.model in _MODEL_BUILDERS:
-        built = _MODEL_BUILDERS[config.model](params)
-    else:
-        built = load_kernel(config.model), "identity"
-    if params:
-        raise ConfigInvalid(
-            f"model {config.model!r} does not take parameters {sorted(params)}"
-        )
-    if isinstance(built, WaveSystem):
+    if config.model in MODELS:
+        system = build_model(config.model, model_params)
         if config.bijection is None:
-            return built
-        g = _parse_bijection(config.bijection, built.space, config.seed)
-        return make_wave_system(built.base, g)
-    kernel, default = built
-    raw = config.bijection if config.bijection is not None else default
-    g = _parse_bijection(raw, kernel.space, config.seed)
-    return make_wave_system(kernel, g)
+            return system
+        kernel = system.base
+    else:
+        kernel = load_kernel(config.model)
+        if model_params:
+            raise ConfigInvalid(
+                f"model {config.model!r} does not take parameters {sorted(model_params)}"
+            )
+    raw = config.bijection if config.bijection is not None else "identity"
+    return make_wave_system(kernel, _parse_bijection(raw, kernel.space, config.seed))
 
 
 @dataclass
@@ -327,17 +273,8 @@ def _run_simulate(system, config, knobs) -> _AnalysisOut:
 
 
 def _run_scan(system, config, knobs) -> _AnalysisOut:
-    if config.model not in ("circle", "lazy-circle"):
-        raise ConfigInvalid("scan-permutations applies to the circle models only")
     model_params, _ = _split_params(config)
-    _, eps = _circle_params(model_params)
-    doc = scan_permutations(
-        system.base,
-        eps=eps,
-        count=_integer(knobs.get("count", 50), "count"),
-        seed=config.seed,
-        lazy=config.model == "lazy-circle",
-    )
+    doc = scan_permutations(config.model, model_params, knobs.get("count", 50), config.seed)
     rows = [(row["map"], row["ratio"], row["status"]) for row in doc["rows"]]
     out = _AnalysisOut(files={"scan.csv": _csv_text(["map", "ratio", "status"], rows)})
     out.lines.append(
@@ -432,14 +369,17 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1)
-        start, stop, step = parts
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
+    bounds = text.strip().split(":")
+    if len(bounds) == 1:
+        return [_integer(v, "--n-list size") for v in bounds[0].split(",")]
+    if len(bounds) == 2:
+        bounds.append("1")
+    if len(bounds) != 3:
+        raise ConfigInvalid(f"--n-list {text!r} is not a,b,c or start:stop[:step]")
+    start, stop, step = [_integer(v, "--n-list bound") for v in bounds]
+    if step == 0:
+        raise ConfigInvalid(f"--n-list {text!r} has step 0")
+    return list(range(start, stop + 1, step))
 
 
 def _add_common(sp: argparse.ArgumentParser, with_analyses: bool = False) -> None:
@@ -531,6 +471,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_wave_profile(config: ExperimentConfig) -> int:
+    config.validate()
     _, knobs = _split_params(config)
     system = build_system(config)
     stride = _integer(knobs.get("stride", system.order), "stride")
@@ -562,9 +503,10 @@ def _cmd_scaling(config: ExperimentConfig) -> int:
     return 0
 
 
-# Subcommands that run a fixed set of analyses; `analyze` takes its set
-# from the config.
+# Subcommands that run a fixed set of analyses (wave-profile runs none of
+# them); `analyze` takes its set from the config.
 _COMMAND_ANALYSES = {
+    "wave-profile": (),
     "merge-time": ("merging",),
     "simulate": ("simulate",),
     "scan": ("scan-permutations",),
@@ -580,13 +522,13 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         config = _config_from_args(args)
+        config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
         if args.command == "wave-profile":
             return _cmd_wave_profile(config)
         if args.command == "scaling":
             return _cmd_scaling(config)
         if args.command == "scan" and config.bijection is not None:
             raise ConfigInvalid("scan draws its own maps; it takes no bijection")
-        config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
         code, _ = run(config)
         return code
     except BoundViolated as exc:

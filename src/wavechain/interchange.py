@@ -67,6 +67,8 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
             raise ConfigInvalid(f"kernel label {label!r} is not a string or a number")
     if not isinstance(triplets, (list, tuple)):
         raise ConfigInvalid(f"kernel triplets {triplets!r} are not a list")
+    if size > len(triplets):  # a stochastic row needs at least one entry
+        raise ConfigInvalid(f"kernel size {size} exceeds its {len(triplets)} triplets")
     space = StateSpace(size, tuple(labels) if labels is not None else None)
     rows, cols, vals = [], [], []
     for t in triplets:

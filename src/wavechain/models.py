@@ -7,8 +7,13 @@ so detailed balance and row sums hold to the last bit.  Every walk on S_n
 products x * s of the index table `groups.sn_table` at once; the sticky
 model only rewrites one weight row.  The single-point shape behind the
 sticky bound is checked in one place, `_single_point_spec`, shared by
-`single_point_perturbation` and `sticky_stability_check`.  The families
-of `scaling_study` are kept in one table, `_SCALING_FAMILIES`.
+`single_point_perturbation` and `sticky_stability_check`.  `MODELS` is
+the one registry of named models: it alone knows each model's parameters,
+their defaults and its default bijection.  `build_model` builds through it,
+and so do the CLI, `scan_permutations` and `scaling_study`, whose table
+`_SCALING_FAMILIES` keeps only each family's parameter, step cap and
+default sizes.  Every size is read through `interchange._integer`, so a
+non-integral one is ConfigInvalid, never truncated.
 """
 from __future__ import annotations
 
@@ -64,12 +69,20 @@ _GROUP_CAP = 5040  # 7!, the largest symmetric group walked on
 
 
 def _odd_size(n) -> int:
-    n = int(n)
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError("circle needs at least 3 points")
     if n % 2 == 0:
         raise EvenN(f"point count {n} is even; the unperturbed walk would be periodic")
     return n
+
+
+def _check_eps(eps) -> None:
+    """The one check of a heavy-edge excess: finite and positive."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if eps == math.inf:
+        raise ValueError("eps must be finite")
 
 
 def _circle_matrix(n: int, eps=0) -> np.ndarray:
@@ -95,8 +108,7 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
     (1 + eps/2)/(n + eps) and everyone else 1/(n + eps).
     """
     n = _odd_size(n_points)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     e = Fraction(eps)
     kernel = make_kernel(StateSpace(n), _circle_matrix(n, e))
     heavy = (1 + e / 2) / (n + e)
@@ -110,15 +122,14 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
 def lazy_circle_kernel(n_points, eps: float) -> MarkovKernel:
     """Half-lazy version of the heavy-edge circle walk: P = I/2 + K/2."""
     n = _odd_size(n_points)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     # halving and adding 1/2 on the empty diagonal are exact
     return make_kernel(StateSpace(n), 0.5 * (_circle_matrix(n, eps) + np.eye(n)))
 
 
 def circle_shift(n_points: int, s: int) -> Permutation:
     """The rotation x -> x + s mod n_points."""
-    n = int(n_points)
+    n = _integer(n_points, "n")
     if n < 1:
         raise ValueError("empty circle")
     space = StateSpace(n)
@@ -133,6 +144,7 @@ def tilde_pi_closed_form_shift_minus1(n_points, eps: float) -> Distribution:
     0, (2+eps)/d at 1 and 2(1+eps)/d elsewhere.
     """
     n = _odd_size(n_points)
+    _check_eps(eps)
     e = Fraction(eps)
     d = e * e + 2 * n * e + 2 * n
     weights = np.full(n, float(2 * (1 + e) / d))
@@ -149,6 +161,7 @@ def circle_perturbation_spec(n_points, eps: float) -> "PerturbationSpec":
     minimal strength eps/(2 + eps).
     """
     n = _odd_size(n_points)
+    _check_eps(eps)
     e = Fraction(eps)
     q = make_kernel(StateSpace(n), _circle_matrix(n))
     shift = float(e / (4 + 2 * e))
@@ -171,6 +184,7 @@ def circle_nash_params(n_points, eps: float) -> NashParams:
     the stability constant, and the perturbation strength is eps/(2+eps).
     """
     n = _odd_size(n_points)
+    _check_eps(eps)
     t = 4.0 * (n + 1) ** 2
     return NashParams(
         C1=(2.0**7) * n * n / t,
@@ -182,16 +196,22 @@ def circle_nash_params(n_points, eps: float) -> NashParams:
     )
 
 
-def scan_permutations(kernel: MarkovKernel, eps: float, count: int, seed: int, lazy: bool) -> dict:
+def scan_permutations(model: str, params: dict, count: int, seed: int) -> dict:
     """Stability ratios max/min of the invariant measure over a family of maps.
 
-    `kernel` is the heavy-edge circle walk with excess `eps`, lazy or not.
+    `model` is circle or lazy-circle, built from `params` through `MODELS`.
     The first rows are the shifts by ±1 and ±2, followed by `count` seeded
     random permutations.  For the lazy kernel every map carries the proven
     bound 1+eps; for the nonlazy kernel only the four shifts do, and any
     other map is labeled empirical: no bound is known, the value is
     informational only.
     """
+    if model not in ("circle", "lazy-circle"):
+        raise ConfigInvalid("scan-permutations applies to the circle models only")
+    kernel = build_model(model, params).base
+    _, eps = _circle_params(dict(params))
+    count = _integer(count, "count")
+    lazy = model == "lazy-circle"
     n_points = kernel.size
     rng = np.random.default_rng(seed)
     maps: list[tuple[str, np.ndarray]] = []
@@ -219,7 +239,7 @@ def scan_permutations(kernel: MarkovKernel, eps: float, count: int, seed: int, l
         else "maps beyond shifts by 1 and 2 are empirical only; no proven bound"
     )
     return {
-        "model": "lazy-circle" if lazy else "circle",
+        "model": model,
         "n_points": n_points,
         "eps": eps,
         "proven_bound": 1.0 + eps,
@@ -428,7 +448,7 @@ def conjugation_map(n: int, a: Perm) -> Permutation:
 
 
 def _check_group_size(n: int, lo: int = 3, hi: int = 7) -> int:
-    n = int(n)
+    n = _integer(n, "n")
     if n < lo:
         raise ValueError(f"deck size must be at least {lo}")
     if n > hi:
@@ -526,7 +546,7 @@ def binary_cycling_system(n_bits: int) -> WaveSystem:
     coordinate 1 first); step kernel i then randomizes coordinate i, and
     the window of length n_bits lands exactly on the uniform measure.
     """
-    n = int(n_bits)
+    n = _integer(n_bits, "bits")
     if n < 2:
         raise ValueError("need at least 2 bits")
     if n > 16:
@@ -548,8 +568,8 @@ def binary_cycling_system(n_bits: int) -> WaveSystem:
 def periodic_class_example(k: int, class_size: int) -> WaveSystem:
     """Blocks C_0..C_{k-1}; the kernel spreads uniformly over the next
     block while the bijection rotates blocks one step back."""
-    k = int(k)
-    cs = int(class_size)
+    k = _integer(k, "k")
+    cs = _integer(class_size, "class_size")
     if k < 2:
         raise ValueError("need at least two classes")
     if cs < 1:
@@ -574,8 +594,8 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
     drawn from the pairing model with rejection of loops and multi-edges.
     degree == n_vertices forces the complete graph.
     """
-    n = int(n_vertices)
-    r = int(degree)
+    n = _integer(n_vertices, "n")
+    r = _integer(degree, "degree")
     if r < 3:
         raise DegreeInfeasible("degree must be at least 3")
     if r > n:
@@ -607,24 +627,69 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
 
 
 # ---------------------------------------------------------------------------
+# the model registry
+
+
+def _circle_params(p: dict) -> tuple[int, float]:
+    # point count and heavy-edge excess, shared by both circle models
+    return _integer(p.pop("n", 5), "n"), float(p.pop("eps", 1.0))
+
+
+def _circle_system(kernel: MarkovKernel) -> WaveSystem:
+    return make_wave_system(kernel, circle_shift(kernel.size, -1))
+
+
+def _sticky(p: dict) -> WaveSystem:
+    n = _integer(p.pop("n", 4), "n")
+    rho = _integer(p.pop("rho", 0), "rho")
+    return sticky_permutation_system(n, rho, float(p.pop("delta", 0.05)))
+
+
+def _random_regular(p: dict) -> WaveSystem:
+    n = _integer(p.pop("n", 8), "n")
+    if "degree" in p and "r" in p:
+        raise ConfigInvalid("random-regular takes degree or its alias r, not both")
+    degree = _integer(p.pop("degree", p.pop("r", 3)), "degree")
+    kernel = random_regular_graph_walk(n, degree, _integer(p.pop("graph_seed", 0), "graph_seed"))
+    return make_wave_system(kernel, make_permutation(kernel.space, np.arange(n)))
+
+
+# Model name -> builder.  A builder pops the parameters it reads from a dict
+# and returns the system with the model's default bijection.  Builders call
+# the model functions by their module names, never through stored
+# references, so a wrapper installed on the module sees every build.
+MODELS = {
+    "circle": lambda p: _circle_system(circle_kernel(*_circle_params(p))[0]),
+    "lazy-circle": lambda p: _circle_system(lazy_circle_kernel(*_circle_params(p))),
+    "binary-cycling": lambda p: binary_cycling_system(p.pop("bits", 3)),
+    "four-point": lambda p: four_point_example(),
+    "deck-reversal": lambda p: deck_reversal_system(p.pop("n", 4)),
+    "cyclic-to-random": lambda p: cyclic_to_random_system(p.pop("n", 4)),
+    "sticky": _sticky,
+    "periodic-classes": lambda p: periodic_class_example(p.pop("k", 3), p.pop("class_size", 2)),
+    "random-regular": _random_regular,
+}
+
+
+def build_model(name: str, params: dict) -> WaveSystem:
+    """The named model of `MODELS`, built from a copy of `params`; a
+    parameter the model does not read is ConfigInvalid."""
+    params = dict(params)
+    system = MODELS[name](params)
+    if params:
+        raise ConfigInvalid(f"model {name!r} does not take parameters {sorted(params)}")
+    return system
+
+
+# ---------------------------------------------------------------------------
 # merging-time scaling across a family
 
 
-# family -> (its one float parameter, the parameter's default, builder
-# (n, parameter) -> system, step cap from the state count, default sizes)
+# family -> (its one parameter, step cap from the state count, default
+# sizes); the systems, and the parameter's default, come from MODELS
 _SCALING_FAMILIES = {
-    "circle": (
-        "eps", 1.0,
-        lambda n, eps: make_wave_system(circle_kernel(n, eps)[0], circle_shift(n, -1)),
-        lambda size: 100 + 10 * size * size,
-        tuple(range(5, 42, 4)),
-    ),
-    "sticky": (
-        "delta", 0.05,
-        lambda n, delta: sticky_permutation_system(n, tuple(range(n)), delta),
-        lambda size: int(200 + 40 * size * math.log(size)),
-        (4, 5),
-    ),
+    "circle": ("eps", lambda size: 100 + 10 * size * size, tuple(range(5, 42, 4))),
+    "sticky": ("delta", lambda size: int(200 + 40 * size * math.log(size)), (4, 5)),
 }
 
 
@@ -638,13 +703,13 @@ def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None
     family's default sizes when None) are checked before any merging time
     is computed.
     """
-    params = dict(params or {})
+    params = params or {}
     if family not in _SCALING_FAMILIES:
         raise ConfigInvalid(f"unknown scaling family {family!r}; use circle or sticky")
-    parameter, default, build, cap, default_sizes = _SCALING_FAMILIES[family]
-    value = float(params.pop(parameter, default))
-    if params:
-        raise ConfigInvalid(f"family {family!r} does not take parameters {sorted(params)}")
+    parameter, cap, default_sizes = _SCALING_FAMILIES[family]
+    foreign = sorted(set(params) - {parameter})
+    if foreign:
+        raise ConfigInvalid(f"family {family!r} does not take parameters {foreign}")
     if n_list is None:
         n_list = default_sizes
     if not isinstance(n_list, (list, tuple)):
@@ -652,7 +717,7 @@ def scaling_study(family: str, n_list, eta: float, params: Optional[dict] = None
     sizes = [_integer(n, "scaling size") for n in n_list]
     if len(set(sizes)) < 2:
         raise ConfigInvalid("a scaling study needs at least two distinct sizes")
-    systems = [(n, build(n, value)) for n in sizes]
+    systems = [(n, build_model(family, {**params, "n": n})) for n in sizes]
     points = []
     for n, system in systems:
         steps = cap(system.space.size)

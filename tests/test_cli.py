@@ -494,3 +494,79 @@ def test_random_regular_takes_degree_or_its_alias_r():
 
     assert np.array_equal(kernel("degree=4").dense(), kernel("r=4").dense())
     assert not np.array_equal(kernel("r=4").dense(), kernel().dense())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--model", "circle", "--param", "eps=inf"],
+        ["analyze", "--model", "lazy-circle", "--param", "eps=inf"],
+        ["analyze", "--model", "circle", "--param", "eps=1e400"],
+        ["scan", "--model", "circle", "--param", "eps=inf", "--count", "1"],
+        ["scaling", "--family", "circle", "--param", "eps=inf"],
+    ],
+    ids=["circle", "lazy-circle", "overflowing-literal", "scan", "scaling"],
+)
+def test_an_infinite_circle_eps_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: eps must be finite\n"
+    assert not out.exists()
+
+
+def test_a_kernel_document_larger_than_its_triplets_is_one_error_line(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"size": 100_000_000_000, "triplets": []}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", str(big), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: kernel size 100000000000 exceeds its 0 triplets\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "nosuch"], "error: model 'nosuch' is not in the registry and is not a file;"),
+        ([], "error: a model name or kernel file is required\n"),
+        (["--model", "circle", "--epsilon", "-1"], "error: epsilon_threshold must be positive\n"),
+    ],
+    ids=["unknown-model", "no-model", "negative-epsilon"],
+)
+def test_wave_profile_validates_its_config(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["wave-profile", *argv, "--param", "samples=100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scaling", "--n-list", "5:41:4:2"],
+         "--n-list '5:41:4:2' is not a,b,c or start:stop[:step]"),
+        (["scaling", "--n-list", "5:41:0"], "--n-list '5:41:0' has step 0"),
+        (["scaling", "--n-list", "5,nine"], "--n-list size 'nine' is not an integer"),
+        (["scaling", "--n-list", "5:x"], "--n-list bound 'x' is not an integer"),
+        (["analyze", *CIRCLE5, "--bijection", "shift:abc"],
+         "bijection shift 'abc' is not an integer"),
+        (["analyze", *CIRCLE5, "--bijection", "random:1.5"],
+         "bijection random key '1.5' is not an integer"),
+    ],
+    ids=["n-list-four-parts", "n-list-zero-step", "n-list-size", "n-list-bound",
+         "bijection-shift", "bijection-random-key"],
+)
+def test_flag_values_name_themselves(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_flag_values_that_parse_are_unchanged():
+    assert cli._parse_int_list("5:13:4") == [5, 9, 13]
+    assert cli._parse_int_list(" 5:7 ") == [5, 6, 7]
+    assert cli._parse_int_list("3,4,5") == [3, 4, 5]
+    space = w.StateSpace(5)
+    assert cli._parse_bijection("shift:-1", space, 0).forward.tolist() == [4, 0, 1, 2, 3]
+    assert (cli._parse_bijection("random:3", space, 0).forward.tolist()
+            == np.random.default_rng(3).permutation(5).tolist())

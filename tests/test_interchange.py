@@ -188,3 +188,14 @@ def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit):
     doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
     k = w.kernel_from_document(doc, dense_limit=dense_limit)
     assert k.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_a_document_larger_than_its_triplets_allocates_nothing():
+    # a stochastic kernel has at least one entry per row; the size is
+    # checked against the triplets before any array is made
+    with pytest.raises(errors.ConfigInvalid, match="kernel size 100000000000 exceeds its 0"):
+        w.kernel_from_document({"size": 100_000_000_000, "triplets": []})
+    with pytest.raises(errors.ConfigInvalid, match="kernel size 3 exceeds its 2 triplets"):
+        w.kernel_from_document({"size": 3, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]})
+    one_per_row = {"size": 2, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]}
+    assert w.kernel_from_document(one_per_row).dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]

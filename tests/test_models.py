@@ -24,6 +24,53 @@ def test_circle_needs_odd_size_and_positive_eps():
         w.circle_kernel(5, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, 1e400, -1.0, 0.0, math.nan, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        w.circle_kernel,
+        w.lazy_circle_kernel,
+        w.circle_perturbation_spec,
+        w.tilde_pi_closed_form_shift_minus1,
+        w.circle_nash_params,
+    ],
+)
+def test_every_circle_builder_checks_eps_once(build, eps):
+    message = "eps must be finite" if eps == math.inf else "eps must be positive"
+    with pytest.raises(ValueError, match=message):
+        build(5, eps)
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: w.circle_kernel(5.5, 1.0), "n 5.5"),
+        (lambda: w.lazy_circle_kernel(5.5, 1.0), "n 5.5"),
+        (lambda: w.circle_shift(5.5, -1), "n 5.5"),
+        (lambda: w.binary_cycling_system(3.7), "bits 3.7"),
+        (lambda: w.periodic_class_example(2.5, 3), "k 2.5"),
+        (lambda: w.periodic_class_example(2, 3.9), "class_size 3.9"),
+        (lambda: w.deck_reversal_system(4.5), "n 4.5"),
+        (lambda: w.cyclic_to_random_system(4.5), "n 4.5"),
+        (lambda: w.sticky_permutation_system(4.2, 0, 0.05), "n 4.2"),
+        (lambda: w.random_regular_graph_walk(10.7, 4, 0), "n 10.7"),
+        (lambda: w.random_regular_graph_walk(10, 4.2, 0), "degree 4.2"),
+    ],
+    ids=["circle", "lazy-circle", "shift", "bits", "k", "class-size", "deck", "cyclic",
+         "sticky", "regular-n", "regular-degree"],
+)
+def test_library_builders_reject_fractional_sizes(build, what):
+    with pytest.raises(errors.ConfigInvalid, match=f"^{what} is not an integer$"):
+        build()
+
+
+def test_library_builders_take_integral_floats():
+    assert w.circle_kernel(5.0, 1.0)[0].size == 5
+    assert w.binary_cycling_system(3.0).space.size == 8
+    assert w.periodic_class_example(2.0, 3.0).space.size == 6
+    assert w.deck_reversal_system(4.0).space.size == 24
+
+
 def test_circle_kernel_edge_weights():
     k, pi = w.circle_kernel(5, 1.0)
     m = k.dense()
