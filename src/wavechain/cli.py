@@ -5,11 +5,14 @@ kernel JSON file with the identity map; runs each requested analysis
 through one library call; and writes machine-readable outputs into the
 chosen directory: report.json plus trace.csv / profile.csv / scan.csv as
 the analyses call for them.  Integer parameters and flag values must be
-integral: 5.0 reads as 5, 5.5 is an input error.  Every subcommand writes
+integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
+error wherever a number is read.  Every subcommand writes
 through `_emit`, once its results are complete, so a failing command
 leaves nothing behind.  Reports are byte-stable for a fixed config: JSON
 is dumped with sorted keys, CSV rows follow state or step order, and no
-timestamps or environment data are recorded.
+timestamps or environment data are recorded.  The JSON files are written
+in one pass, byte for byte as `json.dumps(..., sort_keys=True, indent=2)`
+writes them, with non-finite floats as the strings "inf", "-inf", "nan".
 
 Exit status: 0 on success, 1 on input errors (bad config, unknown model,
 malformed kernel file), 2 when a quantitative bound the library asserts
@@ -23,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 import numpy as np
@@ -42,7 +46,7 @@ from .errors import (
     ModelUnknown,
     WavechainError,
 )
-from .interchange import _csv_text, _integer, load_kernel
+from .interchange import _csv_text, _integer, _number, load_kernel
 from .merging import (
     _METRICS,
     bound_dominance,
@@ -230,7 +234,7 @@ def _run_stability(system, config, knobs) -> _AnalysisOut:
 def _run_bounds(system, config, knobs) -> _AnalysisOut:
     # dominance of the spectral merging bound over the exact relative error
     horizon = _integer(knobs.get("horizon", 30), "horizon")
-    scale = float(knobs.get("bound_scale", 1.0))
+    scale = _number(knobs.get("bound_scale", 1.0), "bound_scale")
     excess, step, sigma = bound_dominance(system, horizon, scale)
     doc = {
         "horizon": horizon,
@@ -316,20 +320,56 @@ def _config_document(config: ExperimentConfig) -> dict:
     }
 
 
-def _jsonable(obj):
+def _float_text(x: float) -> str:
+    # a non-finite value is written as the string "inf", "-inf" or "nan"
+    text = float.__repr__(x)
+    return text if math.isfinite(x) else f'"{text}"'
+
+
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as `json.dumps(..., sort_keys=True, indent=2)` writes it at the
+    indent that `newline` opens, with numpy scalars read as Python ones,
+    keys read through str, tuples written as lists and non-finite floats
+    as strings.  A list of plain scalars is written with one join."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    inner = newline + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in items
+        )
+        return "{" + inner + body + newline + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        try:
+            parts = [_SCALAR_TEXT[type(v)](v) for v in obj]
+        except KeyError:
+            parts = [_json_value(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
+        return _json_value(obj.item(), newline)
+    for kind, write in _SCALAR_TEXT.items():  # subclasses of the plain scalars
+        if isinstance(obj, kind):
+            return write(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_value(doc, "\n") + "\n"
 
 
 def _emit(output: str, files: dict, lines: list) -> None:
@@ -455,8 +495,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         analyses=tuple(analyses),
         output=args.out if args.out is not None else doc.get("output", "."),
         seed=_integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed"),
-        epsilon_threshold=float(
-            args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon)
+        epsilon_threshold=_number(
+            args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon),
+            "epsilon_threshold",
         ),
     )
     if getattr(args, "metric", None):

@@ -42,14 +42,23 @@ def kernel_document(kernel: MarkovKernel) -> dict:
 
 def _integer(value, what: str) -> int:
     """An index or size read from a document: an integer, or a float with
-    no fractional part; anything else is ConfigInvalid, never truncated."""
+    no fractional part; anything else, a boolean too, is ConfigInvalid,
+    never truncated or read as 0 or 1."""
     try:
-        number = int(value)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, (float, np.floating)) and value != number):
         raise ConfigInvalid(f"{what} {value!r} is not an integer")
     return number
+
+
+def _number(value, what: str) -> float:
+    """A real parameter read from a flag or a document: float(value), but a
+    boolean is ConfigInvalid, never read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigInvalid(f"{what} {value!r} is not a number")
+    return float(value)
 
 
 def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
@@ -76,7 +85,7 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
             raise ConfigInvalid(f"triplet {t!r} is not [row, col, value]")
         r, c = _integer(t[0], "triplet row"), _integer(t[1], "triplet column")
         try:
-            v = float(t[2])
+            v = _number(t[2], "triplet value")
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"triplet {t!r} value is not a number") from exc
         if not (0 <= r < size and 0 <= c < size):

@@ -9,11 +9,15 @@ deflates that pair analytically and finds the next one with ARPACK
 
 No routine here asks how a kernel is stored: the graph search runs in
 numpy over the positive entries, and the state count picks the SVD path.
+The invariant measures of many shifted kernels of one base are found a
+batch at a time: one level search over the union of their support graphs
+and one stacked direct solve, the solver `stationary_distribution` runs
+as a batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .core import (
     Distribution,
     MarkovKernel,
     StateSpace,
+    _relabeled,
     _row_of_each_entry,
     _sorted_csr,
     make_kernel,
@@ -49,13 +54,17 @@ def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
     return _row_of_each_entry(indptr)[edge], heads[edge]
 
 
-def _search_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from state 0 along the edges tails[k] -> heads[k],
-    -1 at the states it never reaches.  Each level is one numpy pass over
-    the whole edge list: fewer calls per level than gathering the frontier's
-    rows, which is what the many searches on small kernels pay for."""
+def _search_levels(
+    n: int, tails: np.ndarray, heads: np.ndarray, starts: Sequence[int]
+) -> np.ndarray:
+    """Breadth-first levels from the states `starts` along the edges
+    tails[k] -> heads[k], -1 at the states it never reaches.  Each level is
+    one numpy pass over the whole edge list: fewer calls per level than
+    gathering the frontier's rows, which is what the many searches on small
+    kernels pay for.  On a disjoint union of graphs with one start each, the
+    levels are those of the separate searches."""
     level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
+    level[np.asarray(starts, dtype=np.int64)] = 0
     frontier = level == 0
     depth = 0
     while True:
@@ -75,8 +84,8 @@ def _strong_levels(
     or None when the support graph is not strongly connected: some state is
     unreached forward, or along the reversed edges."""
     tails, heads = _edges(kernel)
-    level = _search_levels(kernel.size, tails, heads)
-    if level.min() < 0 or _search_levels(kernel.size, heads, tails).min() < 0:
+    level = _search_levels(kernel.size, tails, heads, [0])
+    if level.min() < 0 or _search_levels(kernel.size, heads, tails, [0]).min() < 0:
         return None
     return level, tails, heads
 
@@ -112,6 +121,36 @@ def _merging_obstruction(kernel: MarkovKernel) -> Optional[str]:
         return "reducible"
 
 
+def _bordered_solves(mats: np.ndarray) -> np.ndarray:
+    """Row k solves pi (M_k - I) = 0 with its last equation replaced by
+    sum(pi) = 1, for the stack of dense kernels mats[k]: one stacked
+    LAPACK solve, each system as the lone one would be."""
+    n = mats.shape[-1]
+    a = mats.transpose(0, 2, 1) - np.eye(n)
+    a[:, -1, :] = 1.0
+    b = np.zeros((len(mats), n, 1))
+    b[:, -1] = 1.0
+    return np.linalg.solve(a, b)[..., 0]
+
+
+def _refined(pi: np.ndarray, mat) -> np.ndarray:
+    """A start vector refined by damped steps pi <- (pi + pi K) / 2 until
+    the residual max_x |(pi K - pi)(x)| is at most 1e-12; NotConverged
+    if _STATIONARY_MAX_STEPS steps do not get there."""
+    pi = np.where(pi < 0.0, 0.0, pi)
+    pi = pi / pi.sum()
+    for _ in range(_STATIONARY_MAX_STEPS):
+        step = pi @ mat
+        if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
+            break
+        # lazy damping keeps the iteration convergent for periodic kernels
+        pi = 0.5 * (pi + step)
+        pi = pi / pi.sum()
+    else:
+        raise NotConverged("damped refinement failed to reach the residual target")
+    return pi / pi.sum()
+
+
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
@@ -125,27 +164,54 @@ def stationary_distribution(kernel: MarkovKernel) -> Distribution:
         raise NotIrreducible("stationary distribution needs an irreducible kernel")
     n = kernel.size
     if n <= DENSE_LIMIT:
-        m = kernel.dense()
-        a = m.T - np.eye(n)
-        a[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
+        pi = _bordered_solves(kernel.dense()[None])[0]
     else:
         pi = np.full(n, 1.0 / n)
-    pi = np.where(pi < 0.0, 0.0, pi)
-    pi = pi / pi.sum()
-    mat = kernel.matrix
-    for _ in range(_STATIONARY_MAX_STEPS):
-        step = pi @ mat
-        if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
-            break
-        # lazy damping keeps the iteration convergent for periodic kernels
-        pi = 0.5 * (pi + step)
-        pi = pi / pi.sum()
-    else:
-        raise NotConverged("damped refinement failed to reach the residual target")
-    return Distribution(kernel.space, pi / pi.sum())
+    return Distribution(kernel.space, _refined(pi, kernel.matrix))
+
+
+# Entries of one stack of shifted kernels in `_shifted_stationary_weights`.
+_STACK_ENTRIES = 1 << 17
+
+
+def _shifted_stationary_weights(
+    base: MarkovKernel, forwards: Sequence[np.ndarray]
+) -> list[Optional[np.ndarray]]:
+    """For each forward map g, the `stationary_distribution` weights of the
+    shifted kernel base(x, g^{-1} y), or None where it is reducible.
+
+    The maps go in batches of at most _STACK_ENTRIES kernel entries.  A
+    batch is one level search, forward and reversed, over the disjoint
+    union of its shifted support graphs (a base edge x -> z is the shifted
+    edge x -> g z), one stacked direct solve up to DENSE_LIMIT states, and
+    the damped refinement of each solution against its own shifted kernel.
+    """
+    n = base.size
+    tails, heads = _edges(base)
+    dense = base.dense() if n <= DENSE_LIMIT else None
+    per_batch = max(1, _STACK_ENTRIES // (n * n))
+    out: list[Optional[np.ndarray]] = []
+    for lo in range(0, len(forwards), per_batch):
+        fwd = np.asarray(forwards[lo : lo + per_batch], dtype=np.int64)
+        k = len(fwd)
+        starts = np.arange(k) * n
+        t = (tails + starts[:, None]).ravel()
+        h = (fwd[:, heads] + starts[:, None]).ravel()
+        strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
+        strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
+        inv = np.argsort(fwd[strong], axis=1)
+        if dense is not None:
+            pis = _bordered_solves(dense[:, inv].transpose(1, 0, 2))
+        else:
+            pis = np.full((len(inv), n), 1.0 / n)
+        solved = iter(zip(pis, inv))
+        for live in strong:
+            if not live:
+                out.append(None)
+                continue
+            pi, cols = next(solved)
+            out.append(_refined(pi, _relabeled(base, None, cols).matrix))
+    return out
 
 
 @dataclass(frozen=True)

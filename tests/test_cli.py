@@ -570,3 +570,48 @@ def test_flag_values_that_parse_are_unchanged():
     assert cli._parse_bijection("shift:-1", space, 0).forward.tolist() == [4, 0, 1, 2, 3]
     assert (cli._parse_bijection("random:3", space, 0).forward.tolist()
             == np.random.default_rng(3).permutation(5).tolist())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--model", "circle", "--param", "steps=true", "--param", "trials=100"],
+         "steps True is not an integer"),
+        (["analyze", "--model", "circle", "--param", "eps=true", "--param", "n=7"],
+         "eps True is not a number"),
+        (["analyze", "--model", "lazy-circle", "--param", "eps=false"],
+         "eps False is not a number"),
+        (["analyze", "--model", "sticky", "--param", "delta=true"], "delta True is not a number"),
+        (["analyze", *CIRCLE5, "--analyses", "bounds", "--param", "bound_scale=true"],
+         "bound_scale True is not a number"),
+        (["analyze", "--model", "circle", "--param", "n=true"], "n True is not an integer"),
+        (["scan", "--model", "circle", "--param", "count=true"], "count True is not an integer"),
+        (["scaling", "--param", "eps=true"], "eps True is not a number"),
+    ],
+    ids=["steps", "eps", "lazy-eps", "delta", "bound-scale", "n", "count", "scaling-eps"],
+)
+def test_a_boolean_parameter_is_not_a_number(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"epsilon_threshold": True}, "epsilon_threshold True is not a number"),
+        ({"seed": False}, "seed False is not an integer"),
+        ({"model_params": {"n": True}}, "n True is not an integer"),
+        ({"model_params": {"eps": True}}, "eps True is not a number"),
+        ({"bijection": [True, 0, 2, 3, 4]}, "bijection image True is not an integer"),
+    ],
+    ids=["epsilon-threshold", "seed", "n", "eps", "bijection-image"],
+)
+def test_a_boolean_config_document_number_is_rejected(tmp_path, capsys, field, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "circle", **field}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -1,0 +1,355 @@
+"""The batched and screened fast paths against the code they replaced.
+
+Each reference below is the earlier implementation, kept verbatim in
+behaviour: the ordered-pair row-block TV, the per-power bound loop, the
+per-map wave system of the circle scan, the single dense stationary solve,
+the single-start level search and the `json.dumps` report writer.  Every
+comparison is bit for bit.
+"""
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wavechain as w
+import wavechain.cli as cli
+import wavechain.merging as merging
+import wavechain.models as models
+import wavechain.spectral as spectral
+from wavechain.core import power_blocks
+from test_power_engine import circle_system, stochastic
+
+
+# ------------------------------------------------------------ references
+
+def old_tv(m, block_entries=1 << 20):
+    """Worst TV over ordered row pairs, in row blocks of |row_x - row_y|."""
+    n = m.shape[0]
+    rows = max(1, block_entries // (n * n))
+    worst = 0.0
+    for r in range(0, n, rows):
+        diff = np.abs(m[r : r + rows, None, :] - m[None, :, :]).sum(axis=2)
+        worst = max(worst, float(diff.max()))
+    return 0.5 * worst
+
+
+def old_bound_dominance(system, horizon, scale=1.0):
+    """The per-power loop: every entry of every power against its bound."""
+    w_, front, sigma = merging._bound_factors(system)
+    outer = np.outer(front, front)
+    worst = (0.0, 0)
+    for first, block in power_blocks(system.shifted, horizon):
+        for n, power in enumerate(block.transpose(1, 0, 2), first):
+            excess = power / w_
+            excess -= 1.0
+            np.abs(excess, out=excess)
+            excess -= scale * sigma**n * outer
+            e = float(excess.max())
+            if e > worst[0]:
+                worst = (e, n)
+    return worst[0], worst[1], sigma
+
+
+def old_stationary(kernel):
+    """One bordered dense solve, then the damped refinement."""
+    n = kernel.size
+    a = kernel.dense().T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    pi = np.where(pi < 0.0, 0.0, pi)
+    pi = pi / pi.sum()
+    mat = kernel.matrix
+    for _ in range(100_000):
+        step = pi @ mat
+        if float(np.max(np.abs(step - pi))) <= 1e-12:
+            break
+        pi = 0.5 * (pi + step)
+        pi = pi / pi.sum()
+    return pi / pi.sum()
+
+
+def old_search_levels(n, tails, heads, start):
+    level = np.full(n, -1, dtype=np.int64)
+    level[start] = 0
+    frontier = level == 0
+    depth = 0
+    while True:
+        reached = heads[frontier[tails]]
+        reached = reached[level[reached] < 0]
+        if not reached.size:
+            return level
+        depth += 1
+        level[reached] = depth
+        frontier = level == depth
+
+
+def old_jsonable(obj):
+    """The report preparation pass, with NaN written as "nan"."""
+    if isinstance(obj, dict):
+        return {str(k): old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    return obj
+
+
+def old_json_text(doc):
+    return json.dumps(old_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# ------------------------------------------------------------ pairwise TV
+
+def test_tv_equals_the_ordered_pair_formula_on_the_corpus_powers(merging_corpus):
+    for system in merging_corpus:
+        p = system.shifted.dense()
+        power = np.eye(system.space.size)
+        for _ in range(4):
+            assert merging._pairwise_measure_matrix(power, "total_variation") == old_tv(power)
+            power = power @ p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.sampled_from([0.0, 0.3, 0.8]), st.integers(0, 2**32 - 1))
+def test_tv_equals_the_ordered_pair_formula_on_random_matrices(n, zeros, seed):
+    m = stochastic(np.random.default_rng(seed), n, zeros=zeros)
+    assert merging._pairwise_measure_matrix(m, "total_variation") == old_tv(m)
+
+
+def test_tv_of_one_state_is_zero():
+    assert merging._pairwise_measure_matrix(np.ones((1, 1)), "total_variation") == 0.0
+
+
+@pytest.mark.parametrize("entries", [1, 7, 40, 41 * 3 + 5])
+def test_tv_chunks_that_split_rows_give_the_same_value(entries, monkeypatch):
+    m = stochastic(np.random.default_rng(4), 41, zeros=0.5)
+    monkeypatch.setattr(merging, "_TV_BLOCK_ENTRIES", entries)
+    assert merging._pairwise_measure_matrix(m, "total_variation") == old_tv(m)
+
+
+def test_tv_traces_are_unchanged():
+    system = circle_system(41)
+    got = w.merging_time(system, 1 / math.e, 1000, "total_variation")
+    assert got.merging_time == 418
+    for first, block in power_blocks(system.shifted, 60):
+        for j in range(block.shape[1]):
+            assert got.values[first + j][1] == old_tv(block[:, j])
+
+
+# ------------------------------------------------------------ bound loop
+
+def periodic_identity(k, class_size):
+    # the identity map keeps the period-k base as the shifted kernel, which
+    # has a wave measure (the model's own map makes it reducible)
+    base = w.periodic_class_example(k, class_size).base
+    return w.make_wave_system(base, w.make_permutation(base.space, np.arange(base.size)))
+
+
+BOUND_SYSTEMS = {
+    "circle-5": lambda: circle_system(5),
+    "circle-9": lambda: circle_system(9),
+    "circle-21": lambda: circle_system(21),
+    "circle-41": lambda: circle_system(41),
+    "sticky-3": lambda: models.build_model("sticky", {"n": 3}),
+    "lazy-circle-9": lambda: models.build_model("lazy-circle", {"n": 9}),
+    "periodic-classes-2-2": lambda: periodic_identity(2, 2),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.3, 0.0, -1.0, 1e-6])
+@pytest.mark.parametrize("name", BOUND_SYSTEMS)
+def test_bound_dominance_equals_the_per_power_loop(name, scale):
+    system = BOUND_SYSTEMS[name]()
+    got = merging.bound_dominance(system, 300, scale)
+    assert got == old_bound_dominance(system, 300, scale)
+
+
+def test_bound_dominance_equals_the_per_power_loop_on_the_corpus(merging_corpus):
+    for system in merging_corpus[::4]:
+        for scale in (1.0, 0.3, 0.0):
+            assert merging.bound_dominance(system, 40, scale) == old_bound_dominance(
+                system, 40, scale
+            )
+
+
+# ------------------------------------------------------------ stationary solves
+
+def test_dense_stationary_solve_is_the_single_solve(corpus):
+    for system in corpus:
+        if w.is_irreducible(system.shifted):
+            got = w.stationary_distribution(system.shifted).weights
+            assert same_bits(got, old_stationary(system.shifted))
+
+
+def per_map_weights(base, forwards):
+    out = []
+    for fwd in forwards:
+        pi = w.make_wave_system(base, w.make_permutation(base.space, fwd)).wave_measure_or_none()
+        out.append(None if pi is None else pi.weights)
+    return out
+
+
+def assert_same_weights(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("stack_entries", [1, 3 * 9 * 9, 1 << 18])
+def test_batched_shift_solves_equal_the_wave_systems(corpus, stack_entries, monkeypatch):
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(9)
+    reducible = 0
+    for system in corpus[::5]:
+        n = system.space.size
+        forwards = [system.map.forward, np.arange(n)] + [rng.permutation(n) for _ in range(5)]
+        want = per_map_weights(system.base, forwards)
+        reducible += sum(pi is None for pi in want)
+        assert_same_weights(spectral._shifted_stationary_weights(system.base, forwards), want)
+    assert reducible  # the identity map of a base without loops, among others
+
+
+def test_batched_shift_solves_from_the_uniform_start(corpus, monkeypatch):
+    # above DENSE_LIMIT states there is no direct solve: each map starts
+    # from the uniform vector, as stationary_distribution does
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    rng = np.random.default_rng(10)
+    for system in corpus[:20]:
+        n = system.space.size
+        base = w.make_kernel(system.space, system.base.dense(), dense_limit=0)
+        forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
+        want = per_map_weights(base, forwards)
+        assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)
+
+
+def reference_scan_rows(model, n, count, seed):
+    kernel = models.build_model(model, {"n": n}).base
+    rng = np.random.default_rng(seed)
+    maps = [(f"shift:{s:+d}", (np.arange(n) + s) % n) for s in (1, -1, 2, -2)]
+    maps += [(f"random:{j}", rng.permutation(n)) for j in range(count)]
+    rows = []
+    for (name, _), pi in zip(maps, per_map_weights(kernel, [fwd for _, fwd in maps])):
+        if pi is None:
+            rows.append({"map": name, "ratio": "inf", "status": "reducible"})
+            continue
+        proven = model == "lazy-circle" or name.startswith("shift:")
+        status = "proven" if proven else "empirical"
+        rows.append({"map": name, "ratio": float(np.max(pi) / np.min(pi)), "status": status})
+    return rows
+
+
+@pytest.mark.parametrize("stack_entries", [5 * 5 * 7, 1 << 18])
+@pytest.mark.parametrize("n", [5, 9, 41])
+@pytest.mark.parametrize("model", ["circle", "lazy-circle"])
+def test_scan_rows_equal_the_per_map_wave_systems(model, n, stack_entries, monkeypatch):
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", stack_entries)
+    doc = models.scan_permutations(model, {"n": n}, 60, 3)
+    assert doc["rows"] == reference_scan_rows(model, n, 60, 3)
+
+
+def test_scan_memory_stays_bounded_by_its_batches():
+    # batched, the scan peaks near 3.4 MB; one unbatched stack of the 1004
+    # shifted kernels peaked near 31 MB
+    models.scan_permutations("lazy-circle", {"n": 41}, 10, 1)  # warm caches first
+    tracemalloc.start()
+    try:
+        models.scan_permutations("lazy-circle", {"n": 41}, 1000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# ------------------------------------------------------------ level search
+
+@st.composite
+def disjoint_graphs(draw):
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 9))
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        graphs.append((n, edges, draw(st.integers(0, n - 1))))
+    return graphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_graphs())
+def test_a_multi_start_search_equals_the_separate_searches(graphs):
+    tails, heads, starts, want = [], [], [], []
+    offset = 0
+    for n, edges, start in graphs:
+        t = np.array([a for a, _ in edges], dtype=np.int64)
+        h = np.array([b for _, b in edges], dtype=np.int64)
+        want.append(old_search_levels(n, t, h, start))
+        tails.append(t + offset)
+        heads.append(h + offset)
+        starts.append(start + offset)
+        offset += n
+    got = spectral._search_levels(offset, np.concatenate(tails), np.concatenate(heads), starts)
+    assert got.tolist() == np.concatenate(want).tolist()
+
+
+# ------------------------------------------------------------ report encoder
+
+keys = st.one_of(st.text(max_size=6), st.integers(-50, 50), st.booleans(), st.none())
+numpy_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats(width=32).map(np.float32),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(["", "é", " ", "tab\there", 'quote"back\\slash', "\U0001f600", "\ud800"]),
+    numpy_scalars,
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(keys, inner, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, documents, max_size=6))
+def test_the_report_encoder_writes_what_json_dumps_writes(doc):
+    assert cli._json_text(doc) == old_json_text(doc)
+
+
+def test_the_report_encoder_on_a_merging_report():
+    rep = w.merging_time(w.periodic_class_example(3, 2), 1 / math.e, 200)
+    doc = {"results": {"merging": rep.to_document()}, "violations": [], "n": np.int64(3)}
+    assert cli._json_text(doc) == old_json_text(doc)
+
+
+def test_nan_is_written_as_nan():
+    text = cli._json_text({"a": float("nan"), "b": [np.float64("nan"), -math.inf]})
+    assert json.loads(text) == {"a": "nan", "b": ["nan", "-inf"]}
+
+
+def test_the_report_encoder_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"a": object()})

@@ -190,6 +190,25 @@ def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit):
     assert k.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+def test_booleans_are_neither_integers_nor_numbers():
+    from wavechain.interchange import _integer, _number
+
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(errors.ConfigInvalid, match="steps .* is not an integer"):
+            _integer(value, "steps")
+        with pytest.raises(errors.ConfigInvalid, match="eps .* is not a number"):
+            _number(value, "eps")
+    assert _integer(np.int64(3), "n") == 3 and _integer(4.0, "n") == 4
+    assert _number(1, "eps") == 1.0 and _number("0.5", "eps") == 0.5
+    for doc in (
+        {"size": 2, "triplets": [[0, 1, True], [1, 0, 1.0]]},
+        {"size": 2, "triplets": [[0, True, 1.0], [1, 0, 1.0]]},
+        {"size": True, "triplets": [[0, 0, 1.0]]},
+    ):
+        with pytest.raises(errors.ConfigInvalid):
+            w.kernel_from_document(doc)
+
+
 def test_a_document_larger_than_its_triplets_allocates_nothing():
     # a stochastic kernel has at least one entry per row; the size is
     # checked against the triplets before any array is made

@@ -101,6 +101,8 @@ DENSE_RUNS = {
                         "--param", "steps=8", "--param", "trials=2000"],
     "scan-lazy-circle": ["scan", "--model", "lazy-circle", "--param", "n=9",
                          "--count", "20"],
+    # several batches of stacked solves
+    "scan-circle-41": ["scan", "--model", "circle", "--param", "n=41", "--count", "400"],
 }
 
 
