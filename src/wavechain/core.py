@@ -54,6 +54,16 @@ ROW_SUM_TOL = 1e-12
 # Entries of one block of matrix powers in `power_blocks`: small kernels get
 # many powers per product, kernels of 182 states or more one.
 POWER_BLOCK_ENTRIES = 1 << 16
+# `power_blocks` steps a kernel of N states and widest row support d by row
+# gathers when N >= GATHER_MIN_STATES and N >= GATHER_ROW_RATIO * d, and by
+# dense products otherwise.  The crossover, measured per power on one core
+# with one BLAS thread: random kernels with d = 1, 2, 3, 4 broke even near
+# N = 85-100, with d = 6, 8, 12 near N = 125, 160, 175, and the circle
+# (d = 2) near N = 75.  Circle-41 stays dense (3.2 us a power, against 10 us
+# by gathers); circle-101 takes 34 us against 43 us, and sticky-6 (N = 720,
+# d = 6) 2.5 ms against 11 ms.
+GATHER_MIN_STATES = 80
+GATHER_ROW_RATIO = 20
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -589,17 +599,88 @@ def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.nda
 
     Each item is (first, block) with block[:, j, :] = kernel^(first + j); a
     block holds at most b = POWER_BLOCK_ENTRIES // size^2 powers (at least
-    one).  The first block is built one product at a time; each later one
-    is the single product P^(first - 1) [P^1 | ... | P^b], so a power past
-    the first block may differ from the step-by-step product in the last
-    bits.  With b = 1 this is the plain sequence P^(n+1) = P^n P, with no
-    copy of P.  Blocks are read-only.
+    one), and blocks are read-only.  There are two stepping rules, chosen
+    by the state count N and the widest row support d (see
+    GATHER_MIN_STATES for the crossover):
+
+    - dense products, for small or dense kernels: the first block is built
+      one product at a time, and each later one is the single product
+      P^(first - 1) [P^1 | ... | P^b], O(N^3) per power.  With b = 1 this
+      is the plain sequence P^(n+1) = P^n P, with no copy of P;
+    - row gathers, for sparse kernels: P^(n+1) = P P^n, row x being the
+      weighted sum of the d rows of P^n that row x of P reaches, O(N^2 d)
+      per power.  The rows come from a padded (N, d) table of indices and
+      weights (0 on the padding), and are taken in chunks whose gathered
+      rows hold at most POWER_BLOCK_ENTRIES entries (or one row).
+
+    Either way a power may differ from the step-by-step product P^n P in
+    the last bits (relative 1e-12 is the tested contract), and the same
+    call gives the same bits every time.
     """
     if n_max < 1:
         return
     p = kernel.dense()
     size = kernel.size
     b = max(1, min(n_max, POWER_BLOCK_ENTRIES // (size * size)))
+    csr = _sorted_csr(kernel)
+    support = int(np.diff(csr[0]).max())
+    if size >= max(GATHER_MIN_STATES, GATHER_ROW_RATIO * support):
+        yield from _gathered_blocks(p, *_row_table(csr, support), b, n_max)
+    else:
+        yield from _multiplied_blocks(p, b, n_max)
+
+
+def _row_table(csr: CSR, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, width) column indices and (N, 1, width) weights of each row's
+    stored entries, padded with index 0 and weight 0."""
+    indptr, indices, data = csr
+    size = indptr.size - 1
+    rows = _row_of_each_entry(indptr)
+    slot = np.arange(rows.size) - indptr[rows]
+    idx = np.zeros((size, width), dtype=np.intp)
+    weights = np.zeros((size, 1, width))
+    idx[rows, slot] = indices
+    weights[rows, 0, slot] = data
+    return idx, weights
+
+
+def _gathered_blocks(p: np.ndarray, idx: np.ndarray, weights: np.ndarray, b: int, n_max: int):
+    """`power_blocks` by row gathers: block[:, j] = P block[:, j - 1]."""
+    size, width = idx.shape
+    # chunks of at most POWER_BLOCK_ENTRIES gathered entries stay in cache:
+    # at sticky-6 a power took 2.5 ms so, against 3.6 ms in chunks of N^2
+    chunk = max(1, min(size, POWER_BLOCK_ENTRIES // (width * size)))
+    gathered = np.empty((chunk, width, size))
+    chunks = [
+        (slice(lo, lo + chunk), idx[lo : lo + chunk], weights[lo : lo + chunk],
+         gathered[: min(chunk, size - lo)])
+        for lo in range(0, size, chunk)
+    ]
+
+    def step(src: np.ndarray, out: np.ndarray) -> None:
+        # out[x, 0] = sum_k weights[x, 0, k] src[idx[x, k]], chunk by chunk
+        for rows, chunk_idx, chunk_weights, buffer in chunks:
+            # mode="clip" takes straight into `buffer` (every index is in
+            # range); the default "raise" would buffer a copy
+            src.take(chunk_idx, axis=0, out=buffer, mode="clip")
+            np.matmul(chunk_weights, buffer, out=out[rows])
+
+    last = None
+    for first in range(1, n_max + 1, b):
+        block = np.empty((size, min(b, n_max + 1 - first), size))
+        for j in range(block.shape[1]):
+            if last is None:
+                block[:, 0] = p
+            else:
+                step(last, block[:, j : j + 1])
+            last = block[:, j]
+        block.setflags(write=False)
+        yield first, block
+
+
+def _multiplied_blocks(p: np.ndarray, b: int, n_max: int):
+    """`power_blocks` by dense products."""
+    size = p.shape[0]
     if b == 1:
         base = p[:, None, :]  # P itself, not a copy
     else:

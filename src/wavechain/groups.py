@@ -41,11 +41,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def conjugate(x: Perm, a: Perm) -> Perm:
-    """a * x * a^{-1} in the fixed product convention."""
-    return multiply(multiply(a, x), inverse(a))
-
-
 def from_cycles(n: int, cycles) -> Perm:
     """Permutation sending a -> b for consecutive entries a, b of each cycle.
 
@@ -71,11 +66,6 @@ def transposition(n: int, a: int, b: int) -> Perm:
 def sn_elements(n: int) -> tuple[Perm, ...]:
     """All of S_n in lexicographic one-line order."""
     return tuple(itertools.permutations(range(n)))
-
-
-@lru_cache(maxsize=8)
-def sn_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(sn_elements(n))}
 
 
 @lru_cache(maxsize=8)

@@ -205,9 +205,12 @@ def merging_time(
     The trace is produced with powers of the shifted kernel: the rows of
     K_{0,n} are the rows of shifted^n up to one common column relabeling,
     which none of the three metrics can see.  The powers come from
-    `core.power_blocks`, so on kernels small enough for several powers per
-    block a traced distance may differ from the one of the step-by-step
-    product in the last bits (relative 1e-12 is the tested contract).  The
+    `core.power_blocks`: by dense products for small or dense kernels, and
+    by row gathers, O(N^2 d) per power, once the state count N reaches
+    max(GATHER_MIN_STATES, GATHER_ROW_RATIO d) for the widest row support
+    d.  Either rule may round a traced distance differently from the
+    step-by-step product in the last bits (relative 1e-12 is the tested
+    contract); the same call gives the same trace every time.  The
     relative-sup distances of a block are taken in one pass; chi-square and
     TV go one power at a time, TV over the unordered row pairs only.
     """

@@ -13,7 +13,9 @@ their defaults and its default bijection.  `build_model` builds through it,
 and so do the CLI, `scan_permutations` and `scaling_study`, whose table
 `_SCALING_FAMILIES` keeps only each family's parameter, step cap and
 default sizes.  Every size is read through `interchange._integer`, so a
-non-integral one is ConfigInvalid, never truncated.
+non-integral one is ConfigInvalid, never truncated.  A model built as a
+dense n x n array (the circles, the periodic classes, the random regular
+graph) refuses more than 2^14 states with TooLarge before allocating it.
 """
 from __future__ import annotations
 
@@ -63,6 +65,17 @@ from .merging import NashParams, merging_time
 from .spectral import _shifted_stationary_weights
 
 _GROUP_CAP = 5040  # 7!, the largest symmetric group walked on
+# States of a model built as a dense n x n float array: 2^14, a 2 GiB array.
+_DENSE_BUILD_CAP = 1 << 14
+
+
+def _check_dense_build(size: int) -> None:
+    """Refuse a dense n x n model array above _DENSE_BUILD_CAP states,
+    before any of it is allocated."""
+    if size > _DENSE_BUILD_CAP:
+        raise TooLarge(
+            f"{size} states exceed the cap of {_DENSE_BUILD_CAP} for a dense model"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +104,7 @@ def _circle_matrix(n: int, eps=0) -> np.ndarray:
     weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps) along it and
     1/(2 + eps) away from it.  Those two weights are rounded once from exact
     rationals; every other entry (1/2 or 0) is exact in binary."""
+    _check_dense_build(n)
     e = Fraction(eps)
     x = np.arange(n)
     m = np.zeros((n, n))
@@ -576,6 +590,7 @@ def periodic_class_example(k: int, class_size: int) -> WaveSystem:
     if cs < 1:
         raise ValueError("classes must be nonempty")
     size = k * cs
+    _check_dense_build(size)
     labels = tuple(f"c{j}s{i}" for j in range(k) for i in range(cs))
     space = StateSpace(size, labels)
     mat = np.zeros((size, size))
@@ -604,6 +619,7 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
     d = r - 1  # simple-neighbour count
     if (n * d) % 2 != 0:
         raise DegreeInfeasible(f"{d}-regular graph on {n} vertices has odd degree sum")
+    _check_dense_build(n)
     if n == r:
         mat = np.full((n, n), 1.0 / r)
         return make_kernel(StateSpace(n), mat)

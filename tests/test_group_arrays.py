@@ -32,17 +32,17 @@ from wavechain.core import (
 from wavechain.errors import DeltaOutOfRange
 from wavechain.groups import (
     Perm,
-    conjugate,
     from_cycles,
     multiply,
     one_line_label,
     sn_elements,
-    sn_index,
     sn_rank,
     sn_table,
     transposition,
 )
 from wavechain.models import GroupWalkSpec, _check_group_size
+
+from group_reference import conjugate, sn_index
 
 # ------------------------------------------------------------ references
 

@@ -103,6 +103,10 @@ DENSE_RUNS = {
                          "--count", "20"],
     # several batches of stacked solves
     "scan-circle-41": ["scan", "--model", "circle", "--param", "n=41", "--count", "400"],
+    # merging traces stepped by row gathers
+    "merge-time-circle-101": ["merge-time", "--model", "circle", "--param", "n=101"],
+    "analyze-merging-sticky-6": ["analyze", "--model", "sticky", "--param", "n=6",
+                                 "--analyses", "merging"],
 }
 
 

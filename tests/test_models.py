@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from wavechain.groups import (
     from_cycles,
     multiply,
     sn_elements,
-    sn_index,
     transposition,
 )
+
+from group_reference import sn_index
 
 
 # ---------------------------------------------------------------- circle
@@ -330,6 +332,42 @@ def test_sn_space_labels_are_one_line_words():
     assert space.size == 6
     assert space.labels[0] == "123"
     assert len(set(space.labels)) == 6
+
+
+# ------------------------------------------------------ dense size cap
+
+DENSE_CAP = 1 << 14
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: w.circle_kernel(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
+    (lambda: w.lazy_circle_kernel(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
+    (lambda: w.circle_perturbation_spec(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
+    (lambda: w.periodic_class_example(2, DENSE_CAP // 2 + 1), DENSE_CAP + 2),
+    (lambda: w.random_regular_graph_walk(DENSE_CAP + 2, 3, 0), DENSE_CAP + 2),
+    (lambda: w.random_regular_graph_walk(DENSE_CAP + 1, DENSE_CAP + 1, 0), DENSE_CAP + 1),
+], ids=["circle", "lazy-circle", "circle-spec", "periodic-classes", "random-regular",
+        "complete-graph"])
+def test_dense_builders_refuse_sizes_above_the_cap_before_allocating(build, size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TooLarge, match=f"^{size} states exceed the cap of {DENSE_CAP} "):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one n x n float array would take 2 GiB
+
+
+def test_a_model_above_the_dense_cap_is_one_error_line(tmp_path, capsys):
+    from wavechain.cli import main
+
+    argv = ["merge-time", "--model", "circle", "--param", f"n={DENSE_CAP + 1}",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {DENSE_CAP + 1} states exceed the cap of {DENSE_CAP} "
+                   "for a dense model"]
 
 
 # ----------------------------------------- builders against their old code

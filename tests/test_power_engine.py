@@ -2,11 +2,14 @@
 
 Each fast path is checked against a plain sequential reference kept here:
 the step-by-step matrix-power loop, the per-pair chi-square double loop,
-the full N^3 pairwise TV and the edge-by-edge breadth-first period.
+the full N^3 pairwise TV and the edge-by-edge breadth-first period.  The
+engine's two stepping rules, dense products and row gathers, are each
+forced in turn by moving the crossover.
 """
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +229,177 @@ def test_wave_identity_holds_across_blocks(monkeypatch):
     monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", 8 * 36)  # 8 powers per block
     s = w.sticky_permutation_system(3, (0, 1, 2), 0.1)
     assert w.verify_wave_identity(s, 60).max_discrepancy < 1e-12
+
+
+# ------------------------------------------------------ stepping rules
+
+def stepping(rule, entries=core.POWER_BLOCK_ENTRIES):
+    """A context forcing `power_blocks` onto one stepping rule, "gather" or
+    "dense", with the given block size."""
+    crossover = 0 if rule == "gather" else math.inf
+    return mock.patch.multiple(
+        core, GATHER_MIN_STATES=crossover, GATHER_ROW_RATIO=crossover,
+        POWER_BLOCK_ENTRIES=entries,
+    )
+
+
+def band_kernel(n, width):
+    """n states, each row spread evenly over the next `width` states."""
+    m = np.zeros((n, n))
+    for k in range(width):
+        m[np.arange(n), (np.arange(n) + k) % n] = 1.0 / width
+    return w.make_kernel(w.StateSpace(n), m)
+
+
+def test_the_rule_reads_the_state_count_and_the_widest_row(monkeypatch):
+    chosen = []
+    real = core._gathered_blocks
+    monkeypatch.setattr(core, "_gathered_blocks", lambda *a: chosen.append(True) or real(*a))
+    cases = [
+        (w.periodic_class_example(3, 2).shifted, False),
+        (circle_system(41).shifted, False),
+        (circle_system(79).shifted, False),  # below GATHER_MIN_STATES
+        (circle_system(81).shifted, True),
+        (circle_system(101).shifted, True),
+        (w.sticky_permutation_system(6, tuple(range(6)), 0.05).shifted, True),
+        (band_kernel(100, 5), True),  # 100 = GATHER_ROW_RATIO * 5
+        (band_kernel(100, 6), False),
+        (band_kernel(100, 100), False),
+    ]
+    for kernel, gathers in cases:
+        chosen.clear()
+        next(core.power_blocks(kernel, 3))
+        assert chosen == ([True] if gathers else []), kernel.size
+
+
+@pytest.mark.parametrize("entries", [core.POWER_BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize("epsilon", [1 / math.e, 0.1, 0.01])
+def test_gathered_corpus_merging_times_match_the_sequential_loop(
+    merging_corpus, epsilon, entries
+):
+    # entries = 1: one power per block and one row per chunk
+    with stepping("gather", entries):
+        for s in merging_corpus:
+            for metric in METRICS:
+                rep = w.merging_time(s, epsilon, 200, metric)
+                values, hit = reference_merging(s, epsilon, 200, metric)
+                assert rep.merging_time == hit
+                assert_same_trace(rep.values, values)
+
+
+def test_gathered_scaling_families_merge_at_the_same_times():
+    eta = 1 / math.e
+    systems = [(circle_system(n), 100 + 10 * n * n) for n in range(5, 42, 4)]
+    for n in (3, 4, 5):
+        s = w.sticky_permutation_system(n, tuple(range(n)), 0.05)
+        size = s.space.size
+        systems.append((s, int(200 + 40 * size * math.log(size))))
+    with stepping("gather"):
+        for s, cap in systems:
+            rep = w.merging_time(s, eta, cap, "relative_sup")
+            values, hit = reference_merging(s, eta, cap, "relative_sup")
+            assert hit is not None and rep.merging_time == hit
+            assert_same_trace(rep.values, values)
+
+
+@pytest.mark.parametrize("system, horizon", [
+    (circle_system(81), 4000),
+    (circle_system(101), 6000),
+    (w.sticky_permutation_system(6, tuple(range(6)), 0.05), 400),
+], ids=["circle-81", "circle-101", "sticky-6"])
+def test_gathered_traces_of_the_default_rule_match_the_sequential_loop(system, horizon):
+    rep = w.merging_time(system, 1 / math.e, horizon, "relative_sup")
+    values, hit = reference_merging(system, 1 / math.e, horizon, "relative_sup")
+    assert hit is not None and rep.merging_time == hit
+    assert_same_trace(rep.values, values)
+    assert w.merging_time(system, 1 / math.e, horizon, "relative_sup").values == rep.values
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_repeat_gathered_traces_are_bit_identical(metric):
+    s = circle_system(81)
+    first = w.merging_time(s, 1e-3, 400, metric)
+    assert w.merging_time(s, 1e-3, 400, metric).values == first.values
+
+
+def test_gathered_wave_identity_and_bound_verdicts():
+    s = w.sticky_permutation_system(3, (0, 1, 2), 0.1)
+    cases = [(circle_system(9), 300, 1.0), (circle_system(21), 400, 0.3)]
+    with stepping("gather"):
+        assert w.verify_wave_identity(s, 60).max_discrepancy < 1e-12
+        for system, horizon, scale in cases:
+            excess, step, _ = merging.bound_dominance(system, horizon, scale)
+            want_excess, want_step = reference_bounds(system, horizon, scale)
+            assert excess == pytest.approx(want_excess, rel=1e-9, abs=1e-15)
+            assert scale == 1.0 or step == want_step
+
+
+@st.composite
+def sparse_kernels(draw):
+    """A random kernel with stored zeros, in dense or CSR storage."""
+    n = draw(st.integers(1, 10))
+    cells = st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))
+    rows, cols, vals = [], [], []
+    for x in range(n):
+        row = draw(st.lists(cells, min_size=n, max_size=n))
+        if not any(v for v in row if v is not None):
+            row[draw(st.integers(0, n - 1))] = 1.0
+        total = sum(v for v in row if v is not None)
+        for y, v in enumerate(row):
+            if v is not None:  # None is absent; 0.0 is a stored zero
+                rows.append(x)
+                cols.append(y)
+                vals.append(v / total)
+    limit = draw(st.sampled_from([0, core.DENSE_LIMIT]))
+    return core._kernel_from_triplets(w.StateSpace(n), rows, cols, vals, dense_limit=limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_kernels(), st.sampled_from([core.POWER_BLOCK_ENTRIES, 40, 1]))
+def test_gathered_powers_match_the_sequential_products(kernel, entries):
+    p = kernel.dense()
+    with stepping("gather", entries):
+        blocks = list(core.power_blocks(kernel, 20))
+    power = np.eye(kernel.size)
+    n = 0
+    for first, block in blocks:
+        assert not block.flags.writeable
+        for j in range(block.shape[1]):
+            n += 1
+            power = power @ p
+            assert first + j == n
+            got = block[:, j]
+            assert np.array_equal(got == 0.0, power == 0.0)
+            assert np.all(np.abs(got - power) <= TRACE_RTOL * power)
+    assert n == 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_kernels(), st.sampled_from(METRICS), st.sampled_from(["dense", "gather"]))
+def test_distance_traces_never_increase(kernel, metric, rule):
+    # rows of P^(n+1) = P^n P are rows of P^n pushed through P, and no
+    # metric here grows under a Markov kernel; 1e-12 of slack relative to
+    # max(d, 1) covers the rounding
+    with stepping(rule, 40):
+        trace = [d for _, d in merging._distance_trace(kernel, metric, 25)]
+    for before, after in zip(trace, trace[1:]):
+        assert after <= before + TRACE_RTOL * max(before, 1.0), (before, after)
+
+
+def test_gather_memory_stays_within_a_few_powers():
+    s = w.sticky_permutation_system(6, tuple(range(6)), 0.05)
+    kernel = s.shifted
+    n = kernel.size
+    tracemalloc.start()
+    try:
+        for _ in core.power_blocks(kernel, 6):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two powers and one chunk of gathered rows; one unchunked (N, d, N)
+    # gather alone would take d = 6 powers
+    assert peak < 3 * n * n * 8
 
 
 # ------------------------------------------------------------- metrics
