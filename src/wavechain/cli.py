@@ -419,7 +419,8 @@ def _parse_int_list(text: str) -> list[int]:
     start, stop, step = [_integer(v, "--n-list bound") for v in bounds]
     if step == 0:
         raise ConfigInvalid(f"--n-list {text!r} has step 0")
-    return list(range(start, stop + 1, step))
+    # stop is inclusive in either direction
+    return list(range(start, stop + (1 if step > 0 else -1), step))
 
 
 def _add_common(sp: argparse.ArgumentParser, with_analyses: bool = False) -> None:

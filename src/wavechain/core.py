@@ -14,18 +14,19 @@ this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
 All value types are frozen dataclasses wrapping read-only numpy arrays; no
-function mutates its arguments.  A kernel is stored either as a read-only
-ndarray or as a read-only CSR triple (indptr, indices, data), chosen by
-`make_kernel` from the state count alone; `MarkovKernel.matrix` is the
-ndarray or a scipy `csr_array` over the triple, and `x @ K` and `K @ x` are
-1-D arrays in both formats, so nothing downstream branches on the storage.
+function mutates its arguments.  A kernel is stored one way at every size:
+a read-only CSR triple (indptr, indices, data).  `MarkovKernel.dense` is an
+ndarray scattered from it on first use and cached, up to DENSE_LIMIT
+states; `MarkovKernel.matrix` is that ndarray up to DENSE_LIMIT and a scipy
+`csr_array` over the triple above it.  `x @ K` and `K @ x` are 1-D arrays
+either way, so nothing downstream branches on the state count to multiply.
 
-scipy runs only the products and ARPACK of a CSR kernel; building,
-relabeling, saving, searching and sampling one need only numpy.  This
-module imports `scipy.sparse` only for the `csr_array` view, and tells a
-sparse input apart without importing it, since no sparse object can exist
-before `scipy.sparse` is loaded.  A dense run never imports scipy.  No
-module but this one reads a kernel's storage.
+scipy runs only the products and ARPACK of a kernel above DENSE_LIMIT;
+building, relabeling, saving, searching and sampling any kernel need only
+numpy.  This module imports `scipy.sparse` only for the `csr_array` view,
+and tells a sparse input apart without importing it, since no sparse object
+can exist before `scipy.sparse` is loaded.  A run below DENSE_LIMIT never
+imports scipy.
 """
 from __future__ import annotations
 
@@ -201,31 +202,26 @@ def permutation_order(g: Permutation) -> int:
 class MarkovKernel:
     """A row-stochastic matrix over a state space.
 
-    `entries` is the storage `make_kernel` picks: a read-only ndarray up to
-    its `dense_limit` (DENSE_LIMIT by default), and above it a read-only CSR
-    triple (indptr, indices, data), columns ascending in each row and none
-    repeated.  `matrix` is the ndarray itself, or a scipy `csr_array` over
-    the triple, built on first access without a copy and then cached; every
-    operation works on both through `@`.  scipy runs only the products and
-    ARPACK of a CSR kernel; building, relabeling, saving, searching and
-    sampling one need only numpy.
+    `entries` is a read-only CSR triple (indptr, indices, data), columns
+    ascending in each row and none repeated, at every size.  `dense()` is
+    the read-only ndarray scattered from it, built on first use and cached;
+    it refuses kernels above DENSE_LIMIT.  `matrix` is `dense()` up to
+    DENSE_LIMIT and above it a scipy `csr_array` over the triple, built on
+    first access without a copy and then cached; every product works on
+    both through `@`.
     """
 
     space: StateSpace
-    entries: Union[np.ndarray, CSR]
+    entries: CSR
 
     @property
     def size(self) -> int:
         return self.space.size
 
     @property
-    def is_sparse(self) -> bool:
-        return not isinstance(self.entries, np.ndarray)
-
-    @property
     def matrix(self) -> Matrix:
-        if not self.is_sparse:
-            return self.entries
+        if self.size <= DENSE_LIMIT:
+            return self.dense()
         cached = self.__dict__.get("_csr_array")
         if cached is None:
             import scipy.sparse as sp
@@ -236,16 +232,16 @@ class MarkovKernel:
         return cached
 
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
+        cached = self.__dict__.get("_dense")
+        if cached is None:
             if self.size > DENSE_LIMIT:
-                raise TooLarge(
-                    f"refusing to densify a {self.size}-state sparse kernel"
-                )
+                raise TooLarge(f"refusing to densify a {self.size}-state kernel")
             indptr, indices, data = self.entries
-            m = np.zeros((self.size, self.size))
-            m[_row_of_each_entry(indptr), indices] = data
-            return m
-        return self.entries
+            cached = np.zeros((self.size, self.size))
+            cached[_row_of_each_entry(indptr), indices] = data
+            cached = _frozen(cached)
+            object.__setattr__(self, "_dense", cached)
+        return cached
 
 
 def _issparse(m) -> bool:
@@ -256,21 +252,6 @@ def _issparse(m) -> bool:
 
 def _row_of_each_entry(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-
-
-def _sorted_csr(kernel: MarkovKernel) -> CSR:
-    """(indptr, indices, data) of a kernel, row by row, columns ascending.
-
-    A CSR kernel gives its stored triple, explicit zeros included; a dense
-    one lists its nonzero entries.
-    """
-    return kernel.entries if kernel.is_sparse else _nonzero_csr(kernel.entries)
-
-
-def _nonzero_csr(m: np.ndarray) -> CSR:
-    # numpy finds the nonzeros of a boolean array many times faster
-    rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
-    return _indptr(rows, m.shape[0]), cols, m[rows, cols]
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -335,8 +316,10 @@ def _validate_matrix(space: StateSpace, m: np.ndarray) -> None:
 
 def _validate_csr(csr: CSR) -> None:
     indptr, _, data = csr
-    if data.size and float(data.min()) < 0.0:
-        raise NegativeEntry("negative entry in sparse kernel")
+    if np.any(data < 0.0):
+        # the row `_validate_matrix` names: entries run row by row
+        row = int(np.searchsorted(indptr, np.argmin(data), "right")) - 1
+        raise NegativeEntry(f"negative entry in row {row}")
     # scipy's row sums of a CSR matrix: one reduceat over the nonempty rows
     sums = np.zeros(indptr.size - 1)
     nonempty = np.flatnonzero(np.diff(indptr))
@@ -350,59 +333,42 @@ def _check_row_sums(sums: np.ndarray) -> None:
         raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
 
 
-def make_kernel(space: StateSpace, entries, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
+def make_kernel(space: StateSpace, entries) -> MarkovKernel:
     """Validate entries as a row-stochastic kernel over the space.
 
-    The one storage rule of the package: the kernel is a read-only ndarray
-    when space.size <= dense_limit and a read-only CSR triple above it,
-    whatever the input form: nested lists, an ndarray, or any scipy sparse
-    matrix or array.  A sparse input keeps its stored entries, duplicates
-    summed; a dense one gives its nonzero entries.  Every constructor in
-    the package goes through here or through `_kernel_from_triplets`,
-    which keeps the same rule.
+    The input may be nested lists, an ndarray, or any scipy sparse matrix
+    or array; the kernel stores its read-only CSR triple whatever the form
+    and the size.  A sparse input keeps its stored entries, explicit zeros
+    too, and sums duplicates in input order; a dense one gives its nonzero
+    entries.  Every constructor in the package goes through here or
+    through `_kernel_from_triplets`.
     """
     # copies throughout: the caller's arrays stay writable and unshared
-    n = space.size
     if _issparse(entries):
-        if n > dense_limit:
-            if entries.shape != (n, n):
-                raise SpaceMismatch(f"matrix shape {entries.shape} on a space of size {n}")
-            coo = entries.tocoo()
-            return _kernel_from_triplets(space, coo.row, coo.col, coo.data, dense_limit)
-        m = entries.toarray().astype(np.float64, copy=False)
-    else:
-        m = np.array(entries, dtype=np.float64)
-    _validate_matrix(space, m)
-    if n > dense_limit:
-        indptr, cols, data = _nonzero_csr(m)
-        return MarkovKernel(space, _csr(indptr, cols, data, _index_dtype(max(data.size, n))))
-    return _wrap(space, m)
-
-
-def _kernel_from_triplets(
-    space: StateSpace, rows, cols, vals, dense_limit: int = DENSE_LIMIT
-) -> MarkovKernel:
-    """`make_kernel` of the matrix summing vals[k] into (rows[k], cols[k]).
-
-    Duplicates add up in input order in both storages, so a CSR kernel and
-    its dense twin hold the same bits.
-    """
-    n = space.size
-    if n > dense_limit:
-        csr = _csr_from_triplets(n, rows, cols, vals)
-        _validate_csr(csr)
-        return MarkovKernel(space, csr)
-    m = np.zeros((n, n))
-    np.add.at(m, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)), vals)
+        if entries.shape != (space.size, space.size):
+            raise SpaceMismatch(f"matrix shape {entries.shape} on a space of size {space.size}")
+        coo = entries.tocoo()
+        return _kernel_from_triplets(space, coo.row, coo.col, coo.data)
+    m = np.array(entries, dtype=np.float64)
     _validate_matrix(space, m)
     return _wrap(space, m)
+
+
+def _kernel_from_triplets(space: StateSpace, rows, cols, vals) -> MarkovKernel:
+    """`make_kernel` of the matrix summing vals[k] into (rows[k], cols[k])."""
+    csr = _csr_from_triplets(space.size, rows, cols, vals)
+    _validate_csr(csr)
+    return MarkovKernel(space, csr)
 
 
 def _wrap(space: StateSpace, m: np.ndarray) -> MarkovKernel:
-    # internal constructor for validated dense matrices and for matrices
-    # obtained from a validated kernel by permuting rows/columns, which
-    # preserves row-stochasticity exactly
-    return MarkovKernel(space, _frozen(m))
+    # the nonzero entries of a validated dense matrix, or of a product of
+    # validated kernels, which is row-stochastic up to rounding; numpy finds
+    # the nonzeros of a boolean array many times faster
+    n = space.size
+    rows, cols = np.divmod(np.flatnonzero(m != 0), n)
+    data = m[rows, cols]
+    return MarkovKernel(space, _csr(_indptr(rows, n), cols, data, _index_dtype(max(data.size, n))))
 
 
 def _same_space(a: StateSpace, b: StateSpace) -> None:
@@ -416,9 +382,6 @@ def _relabeled(
     """The kernel (x, y) -> kernel(rows[x], cols[y]) for permutations rows
     and cols of the states; rows=None keeps every row in place."""
     n = kernel.size
-    if not kernel.is_sparse:
-        m = kernel.entries
-        return _wrap(kernel.space, m[:, cols] if rows is None else m[np.ix_(rows, cols)])
     indptr, indices, data = kernel.entries
     rows = np.arange(n) if rows is None else rows
     counts = np.diff(indptr)[rows]
@@ -622,10 +585,9 @@ def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.nda
     p = kernel.dense()
     size = kernel.size
     b = max(1, min(n_max, POWER_BLOCK_ENTRIES // (size * size)))
-    csr = _sorted_csr(kernel)
-    support = int(np.diff(csr[0]).max())
+    support = int(np.diff(kernel.entries[0]).max())
     if size >= max(GATHER_MIN_STATES, GATHER_ROW_RATIO * support):
-        yield from _gathered_blocks(p, *_row_table(csr, support), b, n_max)
+        yield from _gathered_blocks(p, *_row_table(kernel.entries, support), b, n_max)
     else:
         yield from _multiplied_blocks(p, b, n_max)
 

@@ -2,8 +2,10 @@
 
 Kernels travel as JSON objects {size, labels?, triplets} where triplets is a
 list of [row, col, value] for the nonzero entries, sorted by (row, col) so a
-document is byte-stable for a given kernel.  Loading validates
-row-stochasticity like any other construction path.  Every CSV the package
+document is byte-stable for a given kernel; it is read straight off the
+kernel's CSR triple, and a stored zero is left out.  Loading sums repeated
+triplets in document order and validates row-stochasticity like any other
+construction path.  Every CSV the package
 writes comes from `_csv_text`.
 """
 from __future__ import annotations
@@ -15,22 +17,20 @@ import json
 import numpy as np
 
 from .core import (
-    DENSE_LIMIT,
     MarkovKernel,
     Permutation,
     StateSpace,
     _kernel_from_triplets,
     _row_of_each_entry,
-    _sorted_csr,
     make_permutation,
 )
 from .errors import ConfigInvalid
 
 
 def kernel_document(kernel: MarkovKernel) -> dict:
-    indptr, cols, vals = _sorted_csr(kernel)
+    indptr, cols, vals = kernel.entries
     rows = _row_of_each_entry(indptr)
-    # _sorted_csr lists entries row by row, columns ascending
+    # the stored entries run row by row, columns ascending
     triplets = [
         [r, c, v] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()) if v != 0.0
     ]
@@ -61,7 +61,7 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
+def kernel_from_document(doc: dict) -> MarkovKernel:
     try:
         size = doc["size"]
         triplets = doc["triplets"]
@@ -93,7 +93,7 @@ def kernel_from_document(doc: dict, dense_limit: int = DENSE_LIMIT) -> MarkovKer
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    return _kernel_from_triplets(space, rows, cols, vals, dense_limit=dense_limit)
+    return _kernel_from_triplets(space, rows, cols, vals)
 
 
 def save_kernel(kernel: MarkovKernel, path: str) -> None:
@@ -102,13 +102,13 @@ def save_kernel(kernel: MarkovKernel, path: str) -> None:
         fh.write("\n")
 
 
-def load_kernel(path: str, dense_limit: int = DENSE_LIMIT) -> MarkovKernel:
+def load_kernel(path: str) -> MarkovKernel:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"not a JSON kernel document: {exc}") from exc
-    return kernel_from_document(doc, dense_limit=dense_limit)
+    return kernel_from_document(doc)
 
 
 def permutation_document(g: Permutation) -> dict:

@@ -18,7 +18,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .core import Distribution, WaveSystem, _sorted_csr
+from .core import Distribution, WaveSystem, _row_table
 from .errors import NotMerging
 from .rng import _stream_keys, _uniforms_at
 from .spectral import _merging_obstruction
@@ -50,19 +50,14 @@ class _RowTable:
     """
 
     def __init__(self, kernel):
-        size = kernel.size
-        starts, support, data = _sorted_csr(kernel)
-        support = support.astype(np.int64)
-        counts = np.diff(starts)
+        counts = np.diff(kernel.entries[0])
         width = 1 << (int(np.max(counts)) - 1).bit_length()
-        rows = np.repeat(np.arange(size), counts)
-        cols = np.arange(data.size) - starts[rows]
-        values = np.zeros((size, width))
-        values[rows, cols] = data
-        cums = np.cumsum(values, axis=1)  # the same sums as row by row
-        indices = np.repeat(support[starts[1:] - 1], width).reshape(size, width)
-        indices[rows, cols] = support
-        cums[np.arange(width) >= counts[:, None]] = 2.0
+        indices, weights = _row_table(kernel.entries, width)
+        cums = np.cumsum(weights[:, 0], axis=1)  # the same sums as row by row
+        pad = np.arange(width) >= counts[:, None]
+        cums[pad] = 2.0
+        last = indices[np.arange(kernel.size), counts - 1]
+        indices = np.where(pad, last[:, None], indices)
         self.width = width
         self.indices = indices.ravel()
         self.cums = cums.ravel()

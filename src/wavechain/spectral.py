@@ -7,8 +7,9 @@ triple is exactly (1, const, const); above DENSE_LIMIT states the path
 deflates that pair analytically and finds the next one with ARPACK
 (Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM 1998).
 
-No routine here asks how a kernel is stored: the graph search runs in
-numpy over the positive entries, and the state count picks the SVD path.
+The graph search runs in numpy over the positive entries of the kernel's
+CSR triple, and the state count picks the SVD path and the stationary
+solve.
 The invariant measures of many shifted kernels of one base are found a
 batch at a time: one level search over the union of their support graphs
 and one stacked direct solve, the solver `stationary_distribution` runs
@@ -28,7 +29,6 @@ from .core import (
     StateSpace,
     _relabeled,
     _row_of_each_entry,
-    _sorted_csr,
     make_kernel,
 )
 from .errors import (
@@ -49,7 +49,7 @@ _STATIONARY_MAX_STEPS = 100_000
 
 def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
     """(tails, heads) of the kernel's positive entries."""
-    indptr, heads, vals = _sorted_csr(kernel)
+    indptr, heads, vals = kernel.entries
     edge = vals > 0  # a stored zero is no edge
     return _row_of_each_entry(indptr)[edge], heads[edge]
 
@@ -93,7 +93,7 @@ def _strong_levels(
 def is_irreducible(kernel: MarkovKernel) -> bool:
     """True when the support graph is strongly connected: a numpy
     breadth-first search from state 0 reaches every state along the positive
-    entries and along them reversed, whatever the kernel's storage."""
+    entries and along them reversed."""
     return _strong_levels(kernel) is not None
 
 
@@ -210,7 +210,10 @@ def _shifted_stationary_weights(
                 out.append(None)
                 continue
             pi, cols = next(solved)
-            out.append(_refined(pi, _relabeled(base, None, cols).matrix))
+            # below DENSE_LIMIT the columns come straight from `dense`: a CSR
+            # relabel per map slowed the lazy-circle-41 scan by half
+            mat = dense[:, cols] if dense is not None else _relabeled(base, None, cols).matrix
+            out.append(_refined(pi, mat))
     return out
 
 
@@ -245,9 +248,9 @@ def weighted_singular_values(
 ) -> SpectralDecomposition:
     """Singular value decomposition of K: l2(mu_in) -> l2(mu_out).
 
-    The state count picks the method, whatever the kernel's storage.  Up to
-    DENSE_LIMIT states the decomposition is full.  Above it only the leading
-    two triples are computed: the known (1, const, const) triple is deflated
+    The state count picks the method.  Up to DENSE_LIMIT states the
+    decomposition is full.  Above it only the leading two triples are
+    computed: the known (1, const, const) triple is deflated
     analytically and the next one is the top eigenpair of the deflated Gram
     operator B^T B of the Euclidean avatar, found by ARPACK (`eigsh`) from a
     fixed start vector.  That shortcut requires mu_out K = mu_in, which is
@@ -266,12 +269,9 @@ def weighted_singular_values(
         u, s, vt = np.linalg.svd(b)
         v = vt.T
         # fix an overall sign per triple: make the heaviest entry of phi positive
-        for j in range(n):
-            col = v[:, j]
-            k = int(np.argmax(np.abs(col)))
-            if col[k] < 0:
-                v[:, j] = -col
-                u[:, j] = -u[:, j]
+        flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0
+        v[:, flip] = -v[:, flip]
+        u[:, flip] = -u[:, flip]
         left = u / sout[:, None]
         right = v / sin[:, None]
         return SpectralDecomposition(s, left, right, mu_in, mu_out)

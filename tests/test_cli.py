@@ -573,6 +573,28 @@ def test_flag_values_that_parse_are_unchanged():
 
 
 @pytest.mark.parametrize(
+    "text, sizes",
+    [
+        ("41:5:-4", [41, 37, 33, 29, 25, 21, 17, 13, 9, 5]),
+        ("9:5:-2", [9, 7, 5]),
+        ("9:6:-2", [9, 7]),
+        ("5:9:2", [5, 7, 9]),
+        ("5:5:-1", [5]),
+        ("5:9:-1", []),
+    ],
+)
+def test_an_n_list_range_includes_its_stop_in_either_direction(text, sizes):
+    assert cli._parse_int_list(text) == sizes
+
+
+def test_a_descending_n_list_runs_every_size(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scaling", "--family", "circle", "--n-list", "9:5:-2", "--out", str(out)]) == 0
+    rows = (out / "scaling.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["9", "7", "5"]
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["simulate", "--model", "circle", "--param", "steps=true", "--param", "trials=100"],

@@ -31,13 +31,16 @@ def test_make_kernel_reports_offending_row():
     assert "row 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("dense_limit", [4096, 0])
-def test_make_kernel_rejects_nan_entries(dense_limit):
+def test_make_kernel_rejects_nan_entries():
     # every comparison with NaN is False, so the row-sum test must be
-    # written to fail on it
+    # written to fail on it, on a dense and on a sparse input
+    import scipy.sparse as sp
+
     space = w.StateSpace(2)
-    with pytest.raises(errors.RowSumViolation):
-        w.make_kernel(space, [[np.nan, 0.0], [0.0, 1.0]], dense_limit=dense_limit)
+    m = [[np.nan, 0.0], [0.0, 1.0]]
+    for entries in (m, sp.csr_array(m)):
+        with pytest.raises(errors.RowSumViolation):
+            w.make_kernel(space, entries)
 
 
 def test_distribution_rejects_nan_mass():
@@ -177,12 +180,42 @@ def test_period_of_directed_cycle():
     assert w.period(k) == 6
 
 
-def test_dense_limit_switches_storage():
-    space = w.StateSpace(3)
-    m = np.full((3, 3), 1 / 3)
-    k = w.make_kernel(space, m, dense_limit=2)
-    assert k.is_sparse
-    assert np.allclose(k.dense(), m)
+def assert_csr_triple(kernel):
+    """`entries` is a read-only (indptr, indices, data) triple, columns
+    ascending in each row."""
+    indptr, indices, data = kernel.entries
+    assert indptr.shape == (kernel.size + 1,) and indptr[0] == 0
+    assert indices.shape == data.shape == (indptr[-1],)
+    assert indices.dtype.kind == indptr.dtype.kind == "i" and data.dtype == np.float64
+    assert not any(a.flags.writeable for a in kernel.entries)
+    rows = np.repeat(np.arange(kernel.size), np.diff(indptr))
+    assert np.all(np.diff(rows * kernel.size + indices) > 0)
+
+
+def test_dense_limit_switches_the_matrix_view():
+    import scipy.sparse as sp
+
+    small = w.make_kernel(w.StateSpace(3), np.full((3, 3), 1 / 3))
+    n = w.DENSE_LIMIT + 1
+    large = w.make_kernel(w.StateSpace(n), sp.identity(n, format="csr"))
+    for kernel in (small, large, w.binary_cycling_system(4).shifted,
+                   w.binary_cycling_system(13).shifted):
+        assert_csr_triple(kernel)
+    assert small.matrix is small.dense()
+    assert isinstance(large.matrix, sp.csr_array) and large.matrix is large.matrix
+
+
+def test_the_dense_view_is_a_cached_read_only_scatter(corpus):
+    for kernel in [s.shifted for s in corpus[:20]] + [w.four_point_example().base]:
+        dense = kernel.dense()
+        assert kernel.dense() is dense and kernel.matrix is dense
+        assert not dense.flags.writeable
+        indptr, indices, data = kernel.entries
+        want = np.zeros((kernel.size, kernel.size))
+        want[np.repeat(np.arange(kernel.size), np.diff(indptr)), indices] = data
+        assert dense.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1.0
 
 
 def test_densify_guard_on_huge_sparse_kernels():
@@ -190,8 +223,9 @@ def test_densify_guard_on_huge_sparse_kernels():
 
     n = w.DENSE_LIMIT + 1
     k = w.make_kernel(w.StateSpace(n), sp.identity(n, format="csr"))
-    with pytest.raises(errors.TooLarge):
-        k.dense()
+    for _ in range(2):  # a refusal caches nothing
+        with pytest.raises(errors.TooLarge):
+            k.dense()
 
 
 def test_corpus_recipe_is_reproducible():

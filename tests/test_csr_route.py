@@ -1,10 +1,12 @@
-"""Kernels above the dense limit are built, relabeled and read in numpy.
+"""Kernels are built, relabeled and read in numpy, at every size.
 
-A CSR kernel stores a read-only (indptr, indices, data) triple.  Each
+Every kernel stores a read-only (indptr, indices, data) triple.  Each
 model, relabeling and reader below is compared, array by array as
-(dtype, shape, bytes), against the scipy route the package took before:
-COO triplets converted to a `csr_array` with sorted indices, the shift as
-`m[:, g.inverse]` and the transport as `m[np.ix_(gp, gp)]`.
+(dtype, shape, bytes), against the scipy route the package took above
+DENSE_LIMIT before: COO triplets, or a dense matrix, converted to a
+`csr_array` with sorted indices, the shift as `m[:, g.inverse]` and the
+transport as `m[np.ix_(gp, gp)]`.  The models are checked on both sides
+of DENSE_LIMIT.
 """
 import functools
 import itertools
@@ -53,7 +55,6 @@ def scipy_document(kernel, csr):
 def assert_same_route(kernel, g, ref):
     """The base, its shift, transports, document and row table against the
     scipy route from the reference matrix `ref`."""
-    assert kernel.is_sparse
     assert stored(kernel.entries) == stored(arrays(ref))
     shifted = w.shift_kernel(kernel, g)
     ref_shifted = ref[:, g.inverse].sorted_indices()
@@ -73,16 +74,23 @@ def assert_same_route(kernel, g, ref):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The triplets each model hands to `_kernel_from_triplets`."""
-    calls = []
-    build = core._kernel_from_triplets
+    """The scipy route's matrix of each kernel a model builds: from the
+    triplets it hands to `_kernel_from_triplets`, or from the dense matrix
+    it hands to `make_kernel`."""
+    refs = []
+    from_triplets, from_matrix = core._kernel_from_triplets, core.make_kernel
 
-    def record(space, rows, cols, vals, dense_limit=core.DENSE_LIMIT):
-        calls.append((space.size, np.array(rows), np.array(cols), np.array(vals)))
-        return build(space, rows, cols, vals, dense_limit)
+    def record_triplets(space, rows, cols, vals):
+        refs.append(scipy_csr(space.size, np.array(rows), np.array(cols), np.array(vals)))
+        return from_triplets(space, rows, cols, vals)
 
-    monkeypatch.setattr(models, "_kernel_from_triplets", record)
-    return calls
+    def record_matrix(space, entries):
+        refs.append(sp.csr_array(np.asarray(entries, dtype=np.float64)).sorted_indices())
+        return from_matrix(space, entries)
+
+    monkeypatch.setattr(models, "_kernel_from_triplets", record_triplets)
+    monkeypatch.setattr(models, "make_kernel", record_matrix)
+    return refs
 
 
 MODELS = {
@@ -96,14 +104,23 @@ MODELS = {
     "cyclic-to-random-7": lambda: w.cyclic_to_random_system(7),
     "deck-reversal-7": lambda: w.deck_reversal_system(7),
     "binary-cycling-13": lambda: w.binary_cycling_system(13),
+    # below DENSE_LIMIT
+    "circle-41": lambda: models.build_model("circle", {"n": 41}),
+    "lazy-circle-9": lambda: models.build_model("lazy-circle", {"n": 9}),
+    "four-point": lambda: models.build_model("four-point", {}),
+    "periodic-classes-3-2": lambda: models.build_model(
+        "periodic-classes", {"k": 3, "class_size": 2}
+    ),
+    "binary-cycling-4": lambda: models.build_model("binary-cycling", {"bits": 4}),
+    "sticky-4": lambda: w.sticky_permutation_system(4, (0, 1, 2, 3), 0.1),
+    "deck-reversal-5": lambda: models.build_model("deck-reversal", {"n": 5}),
 }
 
 
 @pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
 def test_models_store_the_scipy_arrays(recorded, build):
     system = build()
-    (n, rows, cols, vals), = recorded
-    ref = scipy_csr(n, rows, cols, vals)
+    ref, = recorded
     assert stored(system.shifted.entries) == stored(
         arrays(ref[:, system.map.inverse].sorted_indices())
     )
@@ -125,17 +142,23 @@ def document_triplets():
     return [triplets[i] for i in order]
 
 
+def added_in_order(n, rows, cols, vals):
+    """The dense matrix summing vals[k] into (rows[k], cols[k]) in input order."""
+    m = np.zeros((n, n))
+    np.add.at(m, (np.asarray(rows), np.asarray(cols)), vals)
+    return m
+
+
 def test_documents_below_their_dense_limit_store_the_scipy_arrays():
     triplets = document_triplets()
     assert any(t[2] == 0.0 for t in triplets)
     doc = {"size": 6, "triplets": triplets}
-    kernel = w.kernel_from_document(doc, dense_limit=3)
+    kernel = w.kernel_from_document(doc)
     rows, cols, vals = (list(t) for t in zip(*triplets))
     ref = scipy_csr(6, rows, cols, vals)
     assert np.any(ref.data == 0.0)  # scipy keeps the explicit zeros
     assert_same_route(kernel, w.make_permutation(kernel.space, [3, 0, 5, 1, 4, 2]), ref)
-    dense = w.kernel_from_document(doc)
-    assert np.array_equal(kernel.dense(), dense.matrix)
+    assert kernel.dense().tobytes() == added_in_order(6, rows, cols, vals).tobytes()
 
 
 def test_a_triplet_given_three_times_sums_in_input_order():
@@ -149,13 +172,14 @@ def test_a_triplet_given_three_times_sums_in_input_order():
         triplets += [[r, 0, v] for v in values]
     triplets += [[r, r, 1.0] for r in range(len(copies), n)]
     doc = {"size": n, "triplets": triplets}
-    csr = w.kernel_from_document(doc, dense_limit=1)
-    dense = w.kernel_from_document(doc)
-    indptr, indices, data = csr.entries
+    kernel = w.kernel_from_document(doc)
+    rows, cols, vals = (list(t) for t in zip(*triplets))
+    dense = added_in_order(n, rows, cols, vals)
+    indptr, indices, data = kernel.entries
     for r, values in enumerate(copies):
         first = data[indptr[r]]
         assert indices[indptr[r]] == 0
-        assert first == functools.reduce(operator.add, values) == dense.matrix[r, 0]
+        assert first == functools.reduce(operator.add, values) == dense[r, 0]
     assert len({float(data[indptr[r]]) for r in range(len(copies))}) == 2
 
 
@@ -195,32 +219,28 @@ def triplet_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(triplet_systems())
 def test_dense_and_csr_storage_agree(case):
+    # the dense view of a kernel, and of its shift, is the matrix the
+    # triplets add up to in input order; it is validated like that matrix
     n, rows, cols, vals, forward = case
     space = w.StateSpace(n)
+    want = added_in_order(n, rows, cols, vals)
+    sums_to_one = np.all(np.abs(want.sum(axis=1) - 1.0) <= core.ROW_SUM_TOL)
     try:
-        dense = core._kernel_from_triplets(space, rows, cols, vals)
+        kernel = core._kernel_from_triplets(space, rows, cols, vals)
     except errors.RowSumViolation:
-        with pytest.raises(errors.RowSumViolation):
-            core._kernel_from_triplets(space, rows, cols, vals, dense_limit=0)
+        assert not sums_to_one
         return
-    csr = core._kernel_from_triplets(space, rows, cols, vals, dense_limit=0)
-    assert csr.is_sparse and not dense.is_sparse
-    assert np.array_equal(csr.dense(), dense.matrix)
+    assert kernel.dense().tobytes() == want.tobytes()
     g = w.make_permutation(space, forward)
-    a, b = w.make_wave_system(dense, g), w.make_wave_system(csr, g)
-    assert np.array_equal(b.shifted.dense(), a.shifted.matrix)
-    assert np.array_equal(
-        w.empirical_distribution(a, 0, 6, 200, 1).weights,
-        w.empirical_distribution(b, 0, 6, 200, 1).weights,
-    )
+    shifted = w.make_wave_system(kernel, g).shifted
+    assert shifted.dense().tobytes() == want[:, g.inverse].tobytes()
 
 
-@pytest.mark.parametrize("dense_limit", [4096, 2])
-def test_a_stored_zero_is_no_edge(dense_limit):
+def test_a_stored_zero_is_no_edge():
     # a 3-cycle with an explicit zero on the diagonal keeps period 3
     doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
-    kernel = w.kernel_from_document(doc, dense_limit=dense_limit)
-    assert kernel.is_sparse == (dense_limit == 2)
+    kernel = w.kernel_from_document(doc)
+    assert kernel.entries[2].tolist() == [0.0, 1.0, 1.0, 1.0]
     assert w.is_irreducible(kernel) and w.period(kernel) == 3
     assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]
 
@@ -229,18 +249,32 @@ def test_every_input_form_stores_the_scipy_arrays(corpus):
     m = np.asarray(corpus[3].base.matrix)
     space = corpus[3].space
     forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
+    # COO input with every entry split in two halves, in reverse order,
+    # and an explicit zero in each row: scipy keeps the zeros and sums
+    # the halves, exactly in either order
+    rows, cols = np.nonzero(m)
+    rows = np.concatenate([rows, rows[::-1], np.arange(space.size)])
+    cols = np.concatenate([cols, cols[::-1], (np.arange(space.size) + 2) % space.size])
+    halves = m[np.nonzero(m)] / 2
+    vals = np.concatenate([halves, halves[::-1], np.zeros(space.size)])
+    assert np.any(m[np.arange(space.size), cols[-space.size:]] == 0.0)
+    forms += [sp.coo_array((vals, (rows, cols)), shape=m.shape),
+              sp.coo_matrix((vals, (rows, cols)), shape=m.shape)]
     for entries in forms:
-        kernel = w.make_kernel(space, entries, dense_limit=2)
+        kernel = w.make_kernel(space, entries)
         want = sp.csr_array(entries, dtype=np.float64, copy=True).sorted_indices()
         assert stored(kernel.entries) == stored(arrays(want))
+        assert kernel.dense().tobytes() == m.tobytes()
 
 
 def test_csr_kernels_are_validated():
     space = w.StateSpace(2)
-    with pytest.raises(errors.NegativeEntry):
-        w.make_kernel(space, sp.csr_array([[1.5, -0.5], [0.0, 1.0]]), dense_limit=1)
+    # the offending row is named as for a dense input
+    for entries in ([[1.0, 0.0], [1.5, -0.5]], sp.csr_array([[1.0, 0.0], [1.5, -0.5]])):
+        with pytest.raises(errors.NegativeEntry, match="negative entry in row 1"):
+            w.make_kernel(space, entries)
     with pytest.raises(errors.RowSumViolation):
-        w.make_kernel(space, sp.csr_array([[0.5, 0.0], [0.0, 1.0]]), dense_limit=1)
+        w.make_kernel(space, sp.csr_array([[0.5, 0.0], [0.0, 1.0]]))
     for rows, cols in (([0, 2], [0, 1]), ([0, 1], [-1, 1])):
         with pytest.raises(errors.SpaceMismatch):
-            core._kernel_from_triplets(space, rows, cols, [1.0, 1.0], dense_limit=1)
+            core._kernel_from_triplets(space, rows, cols, [1.0, 1.0])

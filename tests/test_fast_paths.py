@@ -230,7 +230,7 @@ def test_batched_shift_solves_from_the_uniform_start(corpus, monkeypatch):
     rng = np.random.default_rng(10)
     for system in corpus[:20]:
         n = system.space.size
-        base = w.make_kernel(system.space, system.base.dense(), dense_limit=0)
+        base = system.base
         forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
         want = per_map_weights(base, forwards)
         assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)

@@ -1,8 +1,9 @@
 """The numpy level search against scipy.sparse.csgraph.
 
 `is_irreducible` and `period` search the positive entries of a kernel
-breadth-first in numpy, forward and on the reversed edges, whatever its
-storage.  Both storages are checked against csgraph computed here and
+breadth-first in numpy, forward and on the reversed edges.  Each matrix
+is stored two ways, as its nonzero entries only and as every entry, zeros
+too, and both kernels are checked against csgraph computed here and
 against the plain breadth-first loop `reference_period`.
 """
 import numpy as np
@@ -30,11 +31,14 @@ def csgraph_verdict(m):
 
 
 def both_storages(m):
-    space = w.StateSpace(m.shape[0])
-    dense = w.make_kernel(space, m)
-    csr = w.make_kernel(space, m, dense_limit=0)
-    assert not dense.is_sparse and csr.is_sparse
-    return dense, csr
+    """The kernel of m storing its nonzero entries, and storing them all."""
+    n = m.shape[0]
+    space = w.StateSpace(n)
+    nonzero = w.make_kernel(space, m)
+    full = sp.csr_array((m.ravel(), np.tile(np.arange(n), n), np.arange(n + 1) * n), shape=(n, n))
+    every = w.make_kernel(space, full)
+    assert every.entries[2].size == n * n > nonzero.entries[2].size or np.all(m)
+    return nonzero, every
 
 
 def assert_matches_csgraph(m):

@@ -79,22 +79,11 @@ def test_row_sum_violation_carries_the_row_index():
     assert "row 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("dense_limit", [4096, 1])
-def test_nan_triplet_is_rejected(dense_limit):
+def test_nan_triplet_is_rejected():
     # JSON readers accept the NaN literal
     doc = json.loads('{"size": 2, "triplets": [[0, 0, NaN], [1, 1, 1.0]]}')
     with pytest.raises(errors.RowSumViolation):
-        w.kernel_from_document(doc, dense_limit=dense_limit)
-
-
-def test_load_kernel_honours_dense_limit(tmp_path):
-    kern, _ = w.circle_kernel(5, 1.0)
-    path = tmp_path / "k.json"
-    w.save_kernel(kern, str(path))
-    assert not w.load_kernel(str(path)).is_sparse
-    small = w.load_kernel(str(path), dense_limit=2)
-    assert small.is_sparse
-    assert np.array_equal(small.dense(), kern.dense())
+        w.kernel_from_document(doc)
 
 
 def test_load_kernel_rejects_malformed_json(tmp_path):
@@ -118,7 +107,6 @@ def coo_kernel_document(kernel):
 
 def test_saved_documents_equal_the_coo_built_ones(corpus):
     kernels = [s.shifted for s in corpus[:20]]
-    kernels += [w.make_kernel(k.space, k.dense(), dense_limit=2) for k in kernels]
     kernels += [w.sticky_permutation_system(7, 5, 0.2).shifted,  # CSR, columns permuted
                 w.binary_cycling_system(13).base,  # CSR above DENSE_LIMIT
                 w.binary_cycling_system(4).shifted,
@@ -135,14 +123,12 @@ def test_duplicated_triplets_sum_in_input_order():
     rows, cols, vals = (list(t) for t in zip(*triplets))
     coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
     doc = {"size": 3, "triplets": triplets}
-    dense = w.kernel_from_document(doc)
-    assert not dense.is_sparse
-    assert dense.matrix.tobytes() == coo.toarray().tobytes()
-    assert dense.matrix[0, 1] == 0.9999999999999999 != 0.1 + 0.2 + 0.7
-    csr = w.kernel_from_document(doc, dense_limit=2)
+    kernel = w.kernel_from_document(doc)
+    assert kernel.matrix.tobytes() == coo.toarray().tobytes()
+    assert kernel.matrix[0, 1] == 0.9999999999999999 != 0.1 + 0.2 + 0.7
     want = sp.csr_array(coo, dtype=np.float64, copy=True)
-    for name in ("indptr", "indices", "data"):
-        got, ref = getattr(csr.matrix, name), getattr(want, name)
+    for got, name in zip(kernel.entries, ("indptr", "indices", "data")):
+        ref = getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
@@ -176,17 +162,16 @@ def test_permutation_document_rejects_images_that_are_not_integers():
     assert g.forward.tolist() == [2, 0, 1]
 
 
-@pytest.mark.parametrize("dense_limit", [4096, 1])
-def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit):
+def test_kernel_document_rejects_indices_that_are_not_integers():
     for doc in (
         {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
         {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
         {"size": 2.5, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
     ):
         with pytest.raises(errors.ConfigInvalid):
-            w.kernel_from_document(doc, dense_limit=dense_limit)
+            w.kernel_from_document(doc)
     doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
-    k = w.kernel_from_document(doc, dense_limit=dense_limit)
+    k = w.kernel_from_document(doc)
     assert k.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 

@@ -1,6 +1,6 @@
 """scipy is a lazy dependency, and numpy.ma is never loaded by the package.
 
-Dense runs never import scipy.  A CSR kernel (above `DENSE_LIMIT`) is
+Runs up to `DENSE_LIMIT` states never import scipy.  A kernel above it is
 built, relabeled, saved, searched and sampled in numpy too; scipy comes in
 only for its products and ARPACK.  Each check runs in a fresh
 interpreter, since the test process itself has scipy loaded, and reports
@@ -62,16 +62,17 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
 
 
 def test_dense_library_calls_load_no_scipy(tmp_path):
-    # kernels built from triplets at exactly the dense limit, from a
-    # document and from the group and bit models, then searched and stored
+    # kernels built from triplets, from a document and from the group and
+    # bit models, then searched, multiplied and stored
     code = """
 import wavechain as w
 doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 0.5], [1, 2, 0.5], [2, 0, 1.0]]}
-k = w.kernel_from_document(doc, dense_limit=3)
-assert not k.is_sparse and w.period(k) == 3 and w.kernel_document(k)["size"] == 3
+k = w.kernel_from_document(doc)
+assert w.period(k) == 3 and w.kernel_document(k)["size"] == 3
+assert (k.dense()[0] @ k.matrix).tolist() == [0.0, 0.0, 1.0]
 for s in (w.binary_cycling_system(4), w.sticky_permutation_system(4, 0, 0.1),
           w.deck_reversal_system(5)):
-    assert not s.shifted.is_sparse
+    assert not s.shifted.matrix.flags.writeable
     if w.is_irreducible(s.shifted):
         w.period(s.shifted)
     w.empirical_distribution(s, 0, 5, 10, 0)
@@ -83,7 +84,7 @@ def test_csr_kernels_are_built_saved_and_sampled_without_scipy(tmp_path):
     code = """
 import wavechain as w
 for s in (w.sticky_permutation_system(7, 0, 0.05), w.cyclic_to_random_system(7)):
-    assert s.base.is_sparse and s.shifted.is_sparse
+    assert s.space.size > w.DENSE_LIMIT
     assert w.shift_kernel(s.base, s.map).entries[2].tobytes() == s.shifted.entries[2].tobytes()
     w.transport_kernel(s.base, s.map, 3)
     w.save_kernel(s.shifted, "kernel.json")

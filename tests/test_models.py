@@ -221,7 +221,8 @@ def test_sticky_delta_range():
 def test_sticky_large_space_stays_sparse():
     s = w.sticky_permutation_system(5, (0, 1, 2, 3, 4), 0.05)
     assert s.space.size == 120
-    assert not s.base.is_sparse or s.base.size <= w.DENSE_LIMIT
+    # the kernel stores its nonzero entries only
+    assert s.base.entries[2].size == np.count_nonzero(s.base.dense()) < s.space.size ** 2 / 10
 
 
 def zoo_systems():
@@ -248,7 +249,7 @@ def zoo_systems():
 def test_zoo_kernels_are_read_only():
     for s in zoo_systems():
         for kernel in (s.base, s.shifted):
-            assert not kernel.is_sparse
+            assert not any(a.flags.writeable for a in kernel.entries)
             assert not kernel.matrix.flags.writeable
             with pytest.raises(ValueError):
                 kernel.matrix[0, 0] = 5.0

@@ -350,8 +350,7 @@ def sparse_kernels(draw):
                 rows.append(x)
                 cols.append(y)
                 vals.append(v / total)
-    limit = draw(st.sampled_from([0, core.DENSE_LIMIT]))
-    return core._kernel_from_triplets(w.StateSpace(n), rows, cols, vals, dense_limit=limit)
+    return core._kernel_from_triplets(w.StateSpace(n), rows, cols, vals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -390,6 +389,7 @@ def test_gather_memory_stays_within_a_few_powers():
     s = w.sticky_permutation_system(6, tuple(range(6)), 0.05)
     kernel = s.shifted
     n = kernel.size
+    kernel.dense()  # the kernel's cached view, built once, is not the stepping's
     tracemalloc.start()
     try:
         for _ in core.power_blocks(kernel, 6):
@@ -486,7 +486,7 @@ def test_period_matches_the_breadth_first_loop(corpus):
 def test_top_two_on_the_slow_sticky_spectrum():
     s = w.sticky_permutation_system(7, tuple(range(7)), 0.05)
     pi = s.wave_measure
-    assert s.shifted.is_sparse
+    assert s.space.size > w.DENSE_LIMIT
     dec = w.weighted_singular_values(s.shifted, pi, pi)
     assert dec.singular_values[1] == pytest.approx(0.92862971, abs=1e-8)
     again = w.weighted_singular_values(s.shifted, pi, pi)
@@ -502,9 +502,11 @@ def test_top_two_on_the_slow_sticky_spectrum():
 
 def top_two(monkeypatch, kernel, mu_in, mu_out):
     """`weighted_singular_values` on the ARPACK top-two path, which the
-    state count picks above DENSE_LIMIT."""
+    state count picks above DENSE_LIMIT, with the kernel's products taken
+    through its `csr_array` view as they are there."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "DENSE_LIMIT", 0)
+        patch.setattr(core, "DENSE_LIMIT", 0)
         return w.weighted_singular_values(kernel, mu_in, mu_out)
 
 
@@ -513,8 +515,7 @@ def test_top_two_matches_dense_singular_values_on_the_corpus(corpus, monkeypatch
         pi = s.wave_measure_or_none()
         if pi is None:
             continue
-        sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
-        top = top_two(monkeypatch, sparse, pi, pi).singular_values
+        top = top_two(monkeypatch, s.shifted, pi, pi).singular_values
         full = w.weighted_singular_values(s.shifted, pi, pi).singular_values
         assert abs(top[1] - full[1]) < 1e-9
 
@@ -523,13 +524,13 @@ def test_top_two_of_a_rank_one_kernel_is_zero(monkeypatch):
     n = 8
     space = w.StateSpace(n)
     uniform = w.Distribution.uniform(space)
-    flat = w.make_kernel(space, np.full((n, n), 1.0 / n), dense_limit=2)
+    flat = w.make_kernel(space, np.full((n, n), 1.0 / n))
     dec = top_two(monkeypatch, flat, uniform, uniform)
     assert dec.singular_values[1] == 0.0
     pi = np.random.default_rng(2).random(n)
     pi /= pi.sum()
     mu = w.Distribution(space, pi)
-    tilted = w.make_kernel(space, np.tile(pi, (n, 1)), dense_limit=2)
+    tilted = w.make_kernel(space, np.tile(pi, (n, 1)))
     assert top_two(monkeypatch, tilted, mu, mu).singular_values[1] < 1e-12
 
 
@@ -537,20 +538,18 @@ def test_top_two_of_a_rank_one_kernel_is_zero(monkeypatch):
 
 def test_top_two_flow_mismatch_is_a_value_error(monkeypatch):
     s = circle_system(7)
-    sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     pi = np.arange(1.0, 8.0)
     mu = w.Distribution(s.space, pi / pi.sum())
     with pytest.raises(errors.FlowMismatch) as info:
-        top_two(monkeypatch, sparse, mu, mu)
+        top_two(monkeypatch, s.shifted, mu, mu)
     assert isinstance(info.value, ValueError)
 
 
 def test_arpack_non_convergence_is_typed(monkeypatch):
     s = circle_system(101)  # clustered spectrum: one restart is not enough
     pi = s.wave_measure
-    sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
     sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
-    assert top_two(monkeypatch, sparse, pi, pi).singular_values[1] == (
+    assert top_two(monkeypatch, s.shifted, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
     # the top-two path imports eigsh from scipy.sparse.linalg when it runs
@@ -558,7 +557,7 @@ def test_arpack_non_convergence_is_typed(monkeypatch):
 
     monkeypatch.setattr(arpack, "eigsh", functools.partial(arpack.eigsh, maxiter=1))
     with pytest.raises(errors.NotConverged):
-        top_two(monkeypatch, sparse, pi, pi)
+        top_two(monkeypatch, s.shifted, pi, pi)
 
 
 def test_stationary_refinement_failure_is_typed(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import wavechain as w
 import wavechain.spectral as spectral
-from wavechain import errors
+from wavechain import core, errors
 from wavechain.groups import transposition
 
 
@@ -53,35 +53,15 @@ def test_singular_values_transport_along_the_wave(merging_corpus):
 def test_top_two_sparse_path_agrees_with_dense(monkeypatch):
     s = circle_system()
     pi = s.wave_measure
-    sparse = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
-    assert sparse.is_sparse
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "DENSE_LIMIT", 0)  # the top-two path above the limit
-        top = w.weighted_singular_values(sparse, pi, pi).singular_values
+        # the top-two path and the csr_array products above the limit
+        patch.setattr(spectral, "DENSE_LIMIT", 0)
+        patch.setattr(core, "DENSE_LIMIT", 0)
+        top = w.weighted_singular_values(s.shifted, pi, pi).singular_values
     full = np.sort(
         w.weighted_singular_values(s.shifted, pi, pi).singular_values
     )[::-1]
     assert np.max(np.abs(top - full[:2])) < 1e-9
-
-
-def test_storage_twins_agree(corpus):
-    """The CSR twin of a shifted kernel gets the dense kernel's irreducibility,
-    period and full list of singular values: no answer follows the storage."""
-
-    def verdict(kernel):
-        irreducible = w.is_irreducible(kernel)
-        return irreducible, w.period(kernel) if irreducible else None
-
-    for s in corpus:
-        twin = w.make_kernel(s.space, s.shifted.dense(), dense_limit=2)
-        assert twin.is_sparse and not s.shifted.is_sparse
-        assert verdict(twin) == verdict(s.shifted)
-        pi = s.wave_measure_or_none()
-        mu = pi if pi is not None else w.Distribution.uniform(s.space)
-        want = w.weighted_singular_values(s.shifted, mu, mu).singular_values
-        got = w.weighted_singular_values(twin, mu, mu).singular_values
-        assert len(got) == len(want) == s.space.size
-        assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_transpose_top_second_singular_value():
@@ -203,7 +183,7 @@ def test_stationary_solve_is_direct_on_dense_slow_mixers(monkeypatch):
     m[0, 1] = m[1, 0] = 2.0 / 3.0
     m[0, n - 1] = m[1, 2] = 1.0 / 3.0
     s = w.make_wave_system(w.make_kernel(w.StateSpace(n), m), w.circle_shift(n, -1))
-    assert not s.shifted.is_sparse
+    assert s.space.size <= w.DENSE_LIMIT
     monkeypatch.setattr(spectral, "_STATIONARY_MAX_STEPS", 100)
     pi = w.stationary_distribution(s.shifted)
     closed = w.tilde_pi_closed_form_shift_minus1(n, 1.0)

@@ -1,115 +1,133 @@
-"""One storage rule: a kernel is dense up to `dense_limit` and a csr_array above.
+"""One storage: every kernel is its read-only CSR triple, at every size.
 
-Every corpus system is rebuilt with `dense_limit=2`, so its kernels are
-sparse, and each operation is compared against the dense original.
+The dense view `dense()` and the matrix view read the triple.  Each
+operation below is checked against a dense reference computed here from
+that view: relabeling by fancy indexing, a kernel document listing the
+nonzero entries, a padded row table built row by row and inverse-transform
+sampling on the cumulative rows.  The two algorithm paths that
+DENSE_LIMIT chooses between are checked against each other.
 """
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 import wavechain as w
+import wavechain.core as core
 import wavechain.spectral as spectral
 from wavechain import cli
+from wavechain.rng import uniforms
 from wavechain.sim import _RowTable
 
 
-def sparse_twin(system):
-    base = w.make_kernel(system.space, system.base.matrix, dense_limit=2)
-    return w.make_wave_system(base, system.map)
-
-
-@pytest.fixture(scope="module")
-def pairs(corpus):
-    return [(s, sparse_twin(s)) for s in corpus]
-
-
-def test_twins_differ_only_in_storage(pairs):
-    for dense, sparse in pairs:
-        assert not dense.base.is_sparse and not dense.shifted.is_sparse
-        assert isinstance(sparse.base.matrix, sp.csr_array)
-        assert isinstance(sparse.shifted.matrix, sp.csr_array)
-        assert np.array_equal(sparse.base.dense(), dense.base.matrix)
-
-
-def test_evolve_agrees_to_the_last_bit(pairs):
-    # BLAS and the CSR loop sum a vector-matrix product in different
-    # orders, so single entries may differ by one rounding
-    for dense, sparse in pairs:
-        mu0 = w.Distribution.point_mass(dense.space, 0)
-        for n in (1, 5, 17):
-            a = w.evolve(mu0, dense, n).weights
-            b = w.evolve(mu0, sparse, n).weights
-            assert np.max(np.abs(a - b)) <= 1e-15
-
-
-def test_transport_and_shift_are_identical(pairs):
-    for dense, sparse in pairs:
+def test_transport_and_shift_are_identical(corpus):
+    for s in corpus:
+        m = s.base.dense()
         for i in (1, 2, 5):
-            got = w.transport_kernel(sparse.base, sparse.map, i)
-            assert got.is_sparse
-            assert np.array_equal(
-                got.dense(), w.transport_kernel(dense.base, dense.map, i).matrix
-            )
-        shifted = w.shift_kernel(sparse.base, sparse.map)
-        assert shifted.is_sparse
-        assert np.array_equal(shifted.dense(), dense.shifted.matrix)
+            gp = s.map.power_map(i - 1)
+            got = w.transport_kernel(s.base, s.map, i).dense()
+            assert got.tobytes() == m[np.ix_(gp, gp)].tobytes()
+        assert w.shift_kernel(s.base, s.map).dense().tobytes() == m[:, s.map.inverse].tobytes()
 
 
-def test_irreducibility_and_period_are_identical(pairs):
-    for dense, sparse in pairs:
-        irreducible = w.is_irreducible(dense.shifted)
-        assert w.is_irreducible(sparse.shifted) == irreducible
-        if irreducible:
-            assert w.period(sparse.shifted) == w.period(dense.shifted)
+def test_evolve_agrees_to_the_last_bit(corpus, monkeypatch):
+    # above DENSE_LIMIT the products run on the csr_array view; BLAS and
+    # the CSR loop sum a vector-matrix product in different orders, so
+    # single entries may differ by one rounding
+    starts = [w.Distribution.point_mass(s.space, 0) for s in corpus]
+    want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(corpus, starts)]
+    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    for s, mu0, laws in zip(corpus, starts, want):
+        assert isinstance(s.base.matrix, sp.csr_array)
+        for n, law in zip((1, 5, 17), laws):
+            assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
 
 
-def test_stationary_distribution_agrees(pairs):
+def test_stationary_distribution_agrees(corpus, monkeypatch):
+    # the direct solve against the refinement from the uniform start that
+    # runs above DENSE_LIMIT
     compared = 0
-    for dense, sparse in pairs:
-        pi = dense.wave_measure_or_none()
+    for s in corpus:
+        pi = s.wave_measure_or_none()
         if pi is None:
-            assert sparse.wave_measure_or_none() is None
             continue
-        got = w.stationary_distribution(sparse.shifted).weights
-        assert np.max(np.abs(got - pi.weights)) <= 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "DENSE_LIMIT", 0)
+            got = w.stationary_distribution(s.shifted).weights
+        assert np.max(np.abs(got @ s.shifted.dense() - got)) <= 1e-12
+        assert np.max(np.abs(got - pi.weights)) <= 1e-11
         compared += 1
     assert compared > 150
 
 
-def test_kernel_document_is_identical(pairs):
-    for dense, sparse in pairs:
-        assert w.kernel_document(sparse.shifted) == w.kernel_document(dense.shifted)
+def test_kernel_document_is_identical(corpus):
+    # the document lists the nonzero entries of the dense view, row by row
+    for s in corpus:
+        m = s.shifted.dense()
+        rows, cols = np.nonzero(m)
+        want = [[int(r), int(c), float(m[r, c])] for r, c in zip(rows, cols)]
+        doc = w.kernel_document(s.shifted)
+        assert doc == {"size": s.space.size, "triplets": want}
+        assert w.kernel_from_document(doc).dense().tobytes() == m.tobytes()
 
 
-def test_row_tables_are_identical(pairs):
-    for dense, sparse in pairs:
-        a, b = _RowTable(dense.shifted), _RowTable(sparse.shifted)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.cums, b.cums)
+def reference_row_table(kernel):
+    """(width, indices, cums) of the sampling table, built row by row from
+    the stored entries: each row padded to a power-of-two width with its
+    last support point and a cumulative of 2.0."""
+    indptr, support, data = kernel.entries
+    counts = np.diff(indptr)
+    width = 1 << (int(counts.max()) - 1).bit_length()
+    indices = np.empty((kernel.size, width), dtype=np.int64)
+    cums = np.full((kernel.size, width), 2.0)
+    for r in range(kernel.size):
+        lo, hi = indptr[r], indptr[r + 1]
+        indices[r] = support[hi - 1]
+        indices[r, : hi - lo] = support[lo:hi]
+        cums[r, : hi - lo] = np.cumsum(data[lo:hi])
+    return width, indices.ravel(), cums.ravel()
 
 
-def test_sampling_is_identical(pairs):
-    for seed, (dense, sparse) in enumerate(pairs[:40]):
-        assert w.sample_path(dense, 0, 30, seed) == w.sample_path(sparse, 0, 30, seed)
-        assert np.array_equal(
-            w.empirical_distribution(dense, 1, 12, 500, seed).weights,
-            w.empirical_distribution(sparse, 1, 12, 500, seed).weights,
-        )
+def test_row_tables_are_identical(corpus):
+    kernels = [s.shifted for s in corpus]
+    kernels += [w.sticky_permutation_system(4, 0, 0.1).shifted, w.deck_reversal_system(5).shifted]
+    for kernel in kernels:
+        table = _RowTable(kernel)
+        width, indices, cums = reference_row_table(kernel)
+        assert table.width == width
+        assert (table.indices.dtype, table.indices.tobytes()) == (indices.dtype, indices.tobytes())
+        assert (table.cums.dtype, table.cums.tobytes()) == (cums.dtype, cums.tobytes())
+
+
+def dense_row_path(system, start, n, seed):
+    """`sample_path` by inverse transform on the cumulative dense rows of
+    the shifted kernel: the first column whose cumulative exceeds the draw."""
+    cums = np.cumsum(system.shifted.dense(), axis=1)
+    back = np.arange(system.space.size)
+    z, steps = start, [start]
+    for i in range(n):
+        z = int(np.argmax(cums[z] > uniforms(seed, 0, i)[0]))
+        back = back[system.map.inverse]
+        steps.append(int(back[z]))
+    return tuple(steps)
+
+
+def test_sampling_is_identical(corpus):
+    for seed, s in enumerate(corpus[:40]):
+        assert w.sample_path(s, 0, 30, seed).steps == dense_row_path(s, 0, 30, seed)
 
 
 def test_every_input_form_gets_the_same_storage(corpus):
     m = np.asarray(corpus[0].base.matrix)
     space = corpus[0].space
     forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
-    for limit, sparse in ((space.size, False), (space.size - 1, True)):
-        for entries in forms:
-            k = w.make_kernel(space, entries, dense_limit=limit)
-            assert k.is_sparse is sparse
-            if sparse:
-                assert isinstance(k.matrix, sp.csr_array)
-            else:
-                assert not k.matrix.flags.writeable
-            assert np.array_equal(k.dense(), m)
+    stored = {
+        tuple((a.dtype.str, a.shape, a.tobytes()) for a in w.make_kernel(space, f).entries)
+        for f in forms
+    }
+    assert len(stored) == 1
+    for entries in forms:
+        k = w.make_kernel(space, entries)
+        assert not k.matrix.flags.writeable
+        assert np.array_equal(k.dense(), m)
 
 
 def test_analyses_share_one_stationary_solve(tmp_path, monkeypatch):
@@ -143,9 +161,10 @@ def test_make_kernel_leaves_the_callers_ndarray_writable():
 
 def test_make_kernel_does_not_share_the_callers_csr_data():
     c = sp.csr_array(np.full((3, 3), 1.0 / 3.0))
-    k = w.make_kernel(w.StateSpace(3), c, dense_limit=2)
+    k = w.make_kernel(w.StateSpace(3), c)
     c.data[0] = 5.0
     assert k.matrix[0, 0] == 1.0 / 3.0
+    assert not np.shares_memory(k.entries[2], c.data)
 
 
 def test_distribution_leaves_the_callers_weights_writable():

@@ -204,7 +204,7 @@ def test_fast_systems_have_the_intended_shapes():
     assert widths == {
         "sticky-7": 8, "deck-5": 2, "width-1": 1, "width-5": 8, "width-9": 16, "circle-41": 2
     }
-    assert FAST_SYSTEMS["sticky-7"].shifted.is_sparse
+    assert FAST_SYSTEMS["sticky-7"].space.size > w.DENSE_LIMIT
 
 
 @pytest.mark.parametrize("name", sorted(FAST_SYSTEMS))
