@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
-from wavechain import errors
+from wavechain import core, errors
 from conftest import random_system
 
 
@@ -31,11 +31,14 @@ def test_make_kernel_reports_offending_row():
     assert "row 1" in str(exc.value)
 
 
-def test_make_kernel_rejects_nan_entries():
+@pytest.mark.parametrize("dense_limit", [0, 4096])
+def test_make_kernel_rejects_nan_entries(dense_limit, monkeypatch):
     # every comparison with NaN is False, so the row-sum test must be
-    # written to fail on it, on a dense and on a sparse input
+    # written to fail on it, on a dense and on a sparse input, whichever
+    # side of DENSE_LIMIT the kernel's matrix view falls on
     import scipy.sparse as sp
 
+    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     space = w.StateSpace(2)
     m = [[np.nan, 0.0], [0.0, 1.0]]
     for entries in (m, sp.csr_array(m)):

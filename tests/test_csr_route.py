@@ -236,10 +236,14 @@ def test_dense_and_csr_storage_agree(case):
     assert shifted.dense().tobytes() == want[:, g.inverse].tobytes()
 
 
-def test_a_stored_zero_is_no_edge():
-    # a 3-cycle with an explicit zero on the diagonal keeps period 3
+@pytest.mark.parametrize("dense_limit", [2, 4096])
+def test_a_stored_zero_is_no_edge(dense_limit, monkeypatch):
+    # a 3-cycle with an explicit zero on the diagonal keeps period 3, with
+    # a csr_array matrix view above DENSE_LIMIT and a dense one below
+    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
     kernel = w.kernel_from_document(doc)
+    assert isinstance(kernel.matrix, np.ndarray) == (dense_limit >= 3)
     assert kernel.entries[2].tolist() == [0.0, 1.0, 1.0, 1.0]
     assert w.is_irreducible(kernel) and w.period(kernel) == 3
     assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import wavechain as w
-from wavechain import errors
+from wavechain import core, errors
 from wavechain.interchange import _csv_text
 
 
@@ -79,8 +79,10 @@ def test_row_sum_violation_carries_the_row_index():
     assert "row 1" in str(exc.value)
 
 
-def test_nan_triplet_is_rejected():
-    # JSON readers accept the NaN literal
+@pytest.mark.parametrize("dense_limit", [1, 4096])
+def test_nan_triplet_is_rejected(dense_limit, monkeypatch):
+    # JSON readers accept the NaN literal, on either side of DENSE_LIMIT
+    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     doc = json.loads('{"size": 2, "triplets": [[0, 0, NaN], [1, 1, 1.0]]}')
     with pytest.raises(errors.RowSumViolation):
         w.kernel_from_document(doc)
@@ -162,7 +164,9 @@ def test_permutation_document_rejects_images_that_are_not_integers():
     assert g.forward.tolist() == [2, 0, 1]
 
 
-def test_kernel_document_rejects_indices_that_are_not_integers():
+@pytest.mark.parametrize("dense_limit", [1, 4096])
+def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit, monkeypatch):
+    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     for doc in (
         {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
         {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
@@ -172,7 +176,8 @@ def test_kernel_document_rejects_indices_that_are_not_integers():
             w.kernel_from_document(doc)
     doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
     k = w.kernel_from_document(doc)
-    assert k.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert [a.tolist() for a in k.entries] == [[0, 1, 2], [1, 0], [1.0, 1.0]]
+    assert np.asarray(sp.csr_array(k.matrix).todense()).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_booleans_are_neither_integers_nor_numbers():
