@@ -17,16 +17,15 @@ All value types are frozen dataclasses wrapping read-only numpy arrays; no
 function mutates its arguments.  A kernel is stored one way at every size:
 a read-only CSR triple (indptr, indices, data).  `MarkovKernel.dense` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
-states; `MarkovKernel.matrix` is that ndarray up to DENSE_LIMIT and a scipy
-`csr_array` over the triple above it.  `x @ K` and `K @ x` are 1-D arrays
-either way, so nothing downstream branches on the state count to multiply.
+states.  A product with a vector is BLAS `@` on `dense()` up to
+DENSE_LIMIT and above it `_vec_mat` or `_mat_vec`, one `np.bincount` over
+the triple that sums each entry's terms in the order scipy's CSR product
+sums them, so the result has the same bits.
 
-scipy runs only the products and ARPACK of a kernel above DENSE_LIMIT;
-building, relabeling, saving, searching and sampling any kernel need only
-numpy.  This module imports `scipy.sparse` only for the `csr_array` view,
-and tells a sparse input apart without importing it, since no sparse object
-can exist before `scipy.sparse` is loaded.  A run below DENSE_LIMIT never
-imports scipy.
+The package runs in numpy alone at every size: building, relabeling,
+saving, searching, sampling and multiplying a kernel import no scipy.  A
+scipy sparse input is told apart without importing scipy, since no sparse
+object can exist before `scipy.sparse` is loaded.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -65,11 +64,6 @@ POWER_BLOCK_ENTRIES = 1 << 16
 # d = 6) 2.5 ms against 11 ms.
 GATHER_MIN_STATES = 80
 GATHER_ROW_RATIO = 20
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-    Matrix = Union[np.ndarray, sp.csr_array]
-
 # a CSR matrix as numpy arrays: (indptr, indices, data)
 CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -205,10 +199,7 @@ class MarkovKernel:
     `entries` is a read-only CSR triple (indptr, indices, data), columns
     ascending in each row and none repeated, at every size.  `dense()` is
     the read-only ndarray scattered from it, built on first use and cached;
-    it refuses kernels above DENSE_LIMIT.  `matrix` is `dense()` up to
-    DENSE_LIMIT and above it a scipy `csr_array` over the triple, built on
-    first access without a copy and then cached; every product works on
-    both through `@`.
+    it refuses kernels above DENSE_LIMIT.
     """
 
     space: StateSpace
@@ -217,19 +208,6 @@ class MarkovKernel:
     @property
     def size(self) -> int:
         return self.space.size
-
-    @property
-    def matrix(self) -> Matrix:
-        if self.size <= DENSE_LIMIT:
-            return self.dense()
-        cached = self.__dict__.get("_csr_array")
-        if cached is None:
-            import scipy.sparse as sp
-
-            indptr, indices, data = self.entries
-            cached = sp.csr_array((data, indices, indptr), shape=(self.size, self.size))
-            object.__setattr__(self, "_csr_array", cached)
-        return cached
 
     def dense(self) -> np.ndarray:
         cached = self.__dict__.get("_dense")
@@ -252,6 +230,31 @@ def _issparse(m) -> bool:
 
 def _row_of_each_entry(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _vec_mat(x: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
+    """x K from the CSR triple.  Each column adds up its terms in row
+    order, starting from zero, as scipy's CSR product does: same bits."""
+    indptr, indices, data = kernel.entries
+    # np.repeat is x[row of each entry], twice as fast
+    terms = data * np.repeat(x, np.diff(indptr))
+    return np.bincount(indices, weights=terms, minlength=kernel.size)
+
+
+def _mat_vec(kernel: MarkovKernel, x: np.ndarray) -> np.ndarray:
+    """K x from the CSR triple, each row summed in column order as scipy
+    sums it."""
+    indptr, indices, data = kernel.entries
+    rows = _row_of_each_entry(indptr)
+    return np.bincount(rows, weights=data * x[indices], minlength=kernel.size)
+
+
+def _vec_mat_op(kernel: MarkovKernel) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> x K: BLAS `@` on `dense()` up to DENSE_LIMIT, `_vec_mat` above."""
+    if kernel.size <= DENSE_LIMIT:
+        mat = kernel.dense()
+        return lambda x: x @ mat
+    return lambda x: _vec_mat(x, kernel)
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -498,11 +501,11 @@ def _shifted_laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]
     # v shifted = (v base)(g^{-1} .); a product with the column-permuted
     # shifted matrix itself may round differently in the last bit under BLAS
     v = mu0.weights
-    mat = system.base.matrix
+    step = _vec_mat_op(system.base)
     inv = system.map.inverse
     while True:
         yield v
-        v = (v @ mat)[inv]
+        v = step(v)[inv]
 
 
 def _laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]:

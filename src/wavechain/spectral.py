@@ -4,8 +4,10 @@ A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
 Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
 triples are read off the ordinary SVD of B.  When mu_out K = mu_in the top
 triple is exactly (1, const, const); above DENSE_LIMIT states the path
-deflates that pair analytically and finds the next one with ARPACK
-(Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM 1998).
+deflates that pair analytically and finds the next one by thick-restart
+Lanczos in numpy (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000), on
+products taken straight from the kernel's CSR triple.  No scipy is needed
+at any size.
 
 The graph search runs in numpy over the positive entries of the kernel's
 CSR triple, and the state count picks the SVD path and the stationary
@@ -18,7 +20,7 @@ as a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +29,11 @@ from .core import (
     Distribution,
     MarkovKernel,
     StateSpace,
+    _mat_vec,
     _relabeled,
     _row_of_each_entry,
+    _vec_mat,
+    _vec_mat_op,
     make_kernel,
 )
 from .errors import (
@@ -133,14 +138,15 @@ def _bordered_solves(mats: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)[..., 0]
 
 
-def _refined(pi: np.ndarray, mat) -> np.ndarray:
-    """A start vector refined by damped steps pi <- (pi + pi K) / 2 until
-    the residual max_x |(pi K - pi)(x)| is at most 1e-12; NotConverged
-    if _STATIONARY_MAX_STEPS steps do not get there."""
+def _refined(pi: np.ndarray, vec_mat: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A start vector refined by damped steps pi <- (pi + pi K) / 2, with
+    pi K = vec_mat(pi), until the residual max_x |(pi K - pi)(x)| is at
+    most 1e-12; NotConverged if _STATIONARY_MAX_STEPS steps do not get
+    there."""
     pi = np.where(pi < 0.0, 0.0, pi)
     pi = pi / pi.sum()
     for _ in range(_STATIONARY_MAX_STEPS):
-        step = pi @ mat
+        step = vec_mat(pi)
         if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
             break
         # lazy damping keeps the iteration convergent for periodic kernels
@@ -167,7 +173,7 @@ def stationary_distribution(kernel: MarkovKernel) -> Distribution:
         pi = _bordered_solves(kernel.dense()[None])[0]
     else:
         pi = np.full(n, 1.0 / n)
-    return Distribution(kernel.space, _refined(pi, kernel.matrix))
+    return Distribution(kernel.space, _refined(pi, _vec_mat_op(kernel)))
 
 
 # Entries of one stack of shifted kernels in `_shifted_stationary_weights`.
@@ -212,8 +218,11 @@ def _shifted_stationary_weights(
             pi, cols = next(solved)
             # below DENSE_LIMIT the columns come straight from `dense`: a CSR
             # relabel per map slowed the lazy-circle-41 scan by half
-            mat = dense[:, cols] if dense is not None else _relabeled(base, None, cols).matrix
-            out.append(_refined(pi, mat))
+            if dense is not None:
+                mat = dense[:, cols]
+                out.append(_refined(pi, lambda x: x @ mat))
+            else:
+                out.append(_refined(pi, _vec_mat_op(_relabeled(base, None, cols))))
     return out
 
 
@@ -252,10 +261,11 @@ def weighted_singular_values(
     decomposition is full.  Above it only the leading two triples are
     computed: the known (1, const, const) triple is deflated
     analytically and the next one is the top eigenpair of the deflated Gram
-    operator B^T B of the Euclidean avatar, found by ARPACK (`eigsh`) from a
-    fixed start vector.  That shortcut requires mu_out K = mu_in, which is
-    checked (FlowMismatch otherwise); NotConverged is raised if ARPACK stops
-    short of machine precision.
+    operator B^T B of the Euclidean avatar, found by thick-restart Lanczos
+    (`_top_eigenvector`) from a fixed start vector, with numpy products on
+    the CSR triple.  That shortcut requires mu_out K = mu_in, which is
+    checked (FlowMismatch otherwise); NotConverged is raised if the Lanczos
+    product budget runs out before the residual reaches machine precision.
     """
     win = _check_positive(mu_in, "mu_in")
     wout = _check_positive(mu_out, "mu_out")
@@ -279,8 +289,7 @@ def weighted_singular_values(
 
 
 def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecomposition:
-    mat = kernel.matrix
-    flow = mu_out.weights @ mat
+    flow = _vec_mat(mu_out.weights, kernel)
     if float(np.max(np.abs(flow - mu_in.weights))) > 1e-10:
         raise FlowMismatch(
             "large-space singular values need mu_out K = mu_in for the analytic top triple"
@@ -288,12 +297,13 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
     v0 = sin  # unit top right singular vector of the avatar
 
     def avatar(w):
-        return sout * (mat @ (w / sin))
+        return sout * _mat_vec(kernel, w / sin)
 
     def deflated_gram(w):
-        # B^T (B w) with the top triple projected out
-        w = np.ravel(w)
-        btbw = ((avatar(w) * sout) @ mat) / sin
+        # P B^T B P w with P = I - v0 v0^T; projecting on both sides keeps
+        # the computed operator symmetric to rounding
+        w = w - (v0 @ w) * v0
+        btbw = _vec_mat(avatar(w) * sout, kernel) / sin
         return btbw - (v0 @ btbw) * v0
 
     rng = np.random.default_rng(0x5EED)
@@ -303,16 +313,10 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
         # the deflated operator vanishes: the top triple is the only one
         w = np.zeros(kernel.size)
     else:
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        op = LinearOperator((kernel.size, kernel.size), matvec=deflated_gram, dtype=np.float64)
-        try:
-            _, vecs = eigsh(op, k=1, which="LA", v0=start)
-        except ArpackNoConvergence as exc:
-            raise NotConverged(f"ARPACK found no second singular triple: {exc}") from exc
-        # on a numerically zero operator the returned vector may leave the
+        # on a numerically zero operator the Ritz vector may leave the
         # deflated subspace, so project it back before reading sigma_1
-        w = vecs[:, 0] - (v0 @ vecs[:, 0]) * v0
+        w = _top_eigenvector(deflated_gram, start, kernel.size - 1)
+        w = w - (v0 @ w) * v0
         w /= np.linalg.norm(w)
         # fix the overall sign as the dense path does: heaviest entry positive
         if w[int(np.argmax(np.abs(w)))] < 0:
@@ -324,6 +328,68 @@ def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecompos
     left = np.column_stack([sout / sout, u1 / sout])  # first column is constant 1
     right = np.column_stack([sin / sin, w / sin])
     return SpectralDecomposition(values, left, right, mu_in, mu_out)
+
+
+# Thick-restart Lanczos in `_top_eigenvector`: basis size, Ritz vectors
+# kept at each restart, and the budget of operator products.  Sticky-7
+# stops within the first basis (32-38 products), cyclic-to-random n=7
+# after 7; the lazy cycle on 4500 states, whose top eigenvalue is double
+# and 2.9e-6 from the next, takes about 5100 (2.5 s on one core).
+_LANCZOS_BASIS = 40
+_LANCZOS_KEEP = 12
+_LANCZOS_MAX_PRODUCTS = 20_000
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _top_eigenvector(
+    op: Callable[[np.ndarray], np.ndarray], start: np.ndarray, rank: int
+) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of the symmetric positive
+    semidefinite operator `op`, whose range has dimension at most `rank`.
+
+    Thick-restart Lanczos (Wu and Simon 2000) from `start`: a basis of
+    _LANCZOS_BASIS vectors, each orthogonalized twice against all earlier
+    ones, is reduced by Rayleigh-Ritz; the top _LANCZOS_KEEP Ritz vectors
+    and the residual direction start the next basis.  After each product
+    it stops when the top Ritz pair's residual norm is at most machine
+    epsilon times its Ritz value, which a basis spanning an invariant
+    subspace passes at once, or when the basis holds `rank` vectors;
+    NotConverged once _LANCZOS_MAX_PRODUCTS products do not get there.
+    """
+    m = min(_LANCZOS_BASIS, rank)  # a restart comes only after a full basis
+    k = _LANCZOS_KEEP
+    basis = np.empty((m + 1, start.size))
+    basis[0] = start / np.linalg.norm(start)
+    h = np.zeros((m, m))  # the operator projected on the basis
+    first = products = 0
+    while True:
+        for j in range(first, m):
+            if products == _LANCZOS_MAX_PRODUCTS:
+                raise NotConverged(
+                    f"Lanczos found no second singular triple in {products} products"
+                )
+            r = op(basis[j])
+            products += 1
+            q = basis[: j + 1]
+            c = q @ r
+            r -= c @ q
+            again = q @ r
+            r -= again @ q
+            h[j, : j + 1] = h[: j + 1, j] = c + again
+            beta = np.linalg.norm(r)
+            theta, y = np.linalg.eigh(h[: j + 1, : j + 1])
+            # beta |y[-1, -1]| is the residual norm of the top Ritz pair;
+            # a basis of `rank` vectors spans the whole range
+            if beta * abs(y[-1, -1]) <= _EPS * theta[-1] or j + 1 == rank:
+                return y[:, -1] @ basis[: j + 1]
+            basis[j + 1] = r / beta
+        # restart from the top Ritz vectors and the residual direction,
+        # with the projected operator diagonal on them
+        basis[:k] = y[:, -k:].T @ basis[:m]
+        basis[k] = basis[m]
+        h[:] = 0.0
+        h[np.arange(k), np.arange(k)] = theta[-k:]
+        first = k
 
 
 @dataclass(frozen=True)
@@ -477,7 +543,8 @@ def spectral_report_document(
     """Plain-JSON summary used by the command line reports.
 
     "sigma" follows the state count: all singular values up to DENSE_LIMIT
-    states, the top two above it (sticky n=6 lists 720, n=7 lists two).
+    states, the top two above it, from the Lanczos path of
+    `weighted_singular_values` (sticky n=6 lists 720, n=7 lists two).
     """
     try:
         per: Optional[int] = period(kernel)

@@ -35,7 +35,7 @@ def test_make_kernel_reports_offending_row():
 def test_make_kernel_rejects_nan_entries(dense_limit, monkeypatch):
     # every comparison with NaN is False, so the row-sum test must be
     # written to fail on it, on a dense and on a sparse input, whichever
-    # side of DENSE_LIMIT the kernel's matrix view falls on
+    # side of DENSE_LIMIT the kernel falls on
     import scipy.sparse as sp
 
     monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
@@ -204,14 +204,21 @@ def test_dense_limit_switches_the_matrix_view():
     for kernel in (small, large, w.binary_cycling_system(4).shifted,
                    w.binary_cycling_system(13).shifted):
         assert_csr_triple(kernel)
-    assert small.matrix is small.dense()
-    assert isinstance(large.matrix, sp.csr_array) and large.matrix is large.matrix
+    # products go through the cached dense view up to the limit and
+    # through the CSR triple above it, where the view is refused
+    x = np.arange(3.0)
+    assert core._vec_mat_op(small)(x).tobytes() == (x @ small.dense()).tobytes()
+    assert small.dense() is small.dense()
+    x = np.arange(float(n))
+    assert np.array_equal(core._vec_mat_op(large)(x), x)
+    with pytest.raises(errors.TooLarge):
+        large.dense()
 
 
 def test_the_dense_view_is_a_cached_read_only_scatter(corpus):
     for kernel in [s.shifted for s in corpus[:20]] + [w.four_point_example().base]:
         dense = kernel.dense()
-        assert kernel.dense() is dense and kernel.matrix is dense
+        assert kernel.dense() is dense
         assert not dense.flags.writeable
         indptr, indices, data = kernel.entries
         want = np.zeros((kernel.size, kernel.size))

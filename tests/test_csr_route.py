@@ -183,19 +183,51 @@ def test_a_triplet_given_three_times_sums_in_input_order():
     assert len({float(data[indptr[r]]) for r in range(len(copies))}) == 2
 
 
-def test_the_csr_view_shares_the_stored_arrays_and_is_cached():
+def test_the_csr_products_read_the_stored_arrays():
+    # the numpy products read the stored read-only arrays, and give the
+    # bits of scipy's products on a view that shares them
     s = w.sticky_permutation_system(7, 0, 0.05)
     for kernel in (s.base, s.shifted):
-        m = kernel.matrix
-        assert isinstance(m, sp.csr_array) and kernel.matrix is m
-        for got, want in zip(arrays(m), kernel.entries):
+        indptr, indices, data = kernel.entries
+        view = sp.csr_array((data, indices, indptr), shape=(s.space.size,) * 2)
+        for got, want in zip(arrays(view), kernel.entries):
             assert np.shares_memory(got, want) and not want.flags.writeable
-    # products read the read-only arrays as they read writable copies
-    indptr, indices, data = s.shifted.entries
-    copy = sp.csr_array((data.copy(), indices.copy(), indptr.copy()), shape=(s.space.size,) * 2)
-    x = np.linspace(0.0, 1.0, s.space.size)
-    assert np.array_equal(x @ s.shifted.matrix, x @ copy)
-    assert np.array_equal(s.shifted.matrix @ x, copy @ x)
+        x = np.linspace(0.0, 1.0, s.space.size)
+        assert core._vec_mat(x, kernel).tobytes() == (x @ view).tobytes()
+        assert core._mat_vec(kernel, x).tobytes() == (view @ x).tobytes()
+
+
+@st.composite
+def kernels_with_stored_zeros(draw):
+    """A random kernel from triplets, some given as zero, and a vector of
+    mixed signs and magnitudes."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([0.0, 1e-300, 0.1, 0.25, 1.0 / 3.0, 0.7, 1.0])),
+        max_size=5 * n,
+    ))
+    entries += [(r, (r + 1) % n, 0.5) for r in range(n)]
+    totals = np.zeros(n)
+    for r, _, v in entries:
+        totals[r] += v
+    rows, cols, vals = (list(t) for t in zip(*entries))
+    vals = [v / totals[r] for r, v in zip(rows, vals)]
+    x = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n))
+    return n, rows, cols, vals, np.array(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernels_with_stored_zeros())
+def test_numpy_csr_products_equal_scipy_bit_for_bit(case):
+    # the stationary refinement and `evolve` above DENSE_LIMIT ran on
+    # scipy's csr_array products; the numpy ones must keep their bits
+    n, rows, cols, vals, x = case
+    kernel = core._kernel_from_triplets(w.StateSpace(n), rows, cols, vals)
+    indptr, indices, data = kernel.entries
+    csr = sp.csr_array((data.copy(), indices.copy(), indptr.copy()), shape=(n, n))
+    assert core._vec_mat(x, kernel).tobytes() == (x @ csr).tobytes()
+    assert core._mat_vec(kernel, x).tobytes() == (csr @ x).tobytes()
 
 
 @st.composite
@@ -239,18 +271,18 @@ def test_dense_and_csr_storage_agree(case):
 @pytest.mark.parametrize("dense_limit", [2, 4096])
 def test_a_stored_zero_is_no_edge(dense_limit, monkeypatch):
     # a 3-cycle with an explicit zero on the diagonal keeps period 3, with
-    # a csr_array matrix view above DENSE_LIMIT and a dense one below
+    # CSR products above DENSE_LIMIT and dense ones below
     monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
     kernel = w.kernel_from_document(doc)
-    assert isinstance(kernel.matrix, np.ndarray) == (dense_limit >= 3)
+    assert core._vec_mat_op(kernel)(np.array([1.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0]
     assert kernel.entries[2].tolist() == [0.0, 1.0, 1.0, 1.0]
     assert w.is_irreducible(kernel) and w.period(kernel) == 3
     assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]
 
 
 def test_every_input_form_stores_the_scipy_arrays(corpus):
-    m = np.asarray(corpus[3].base.matrix)
+    m = np.asarray(corpus[3].base.dense())
     space = corpus[3].space
     forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
     # COO input with every entry split in two halves, in reverse order,

@@ -64,7 +64,7 @@ def old_stationary(kernel):
     pi = np.linalg.solve(a, b)
     pi = np.where(pi < 0.0, 0.0, pi)
     pi = pi / pi.sum()
-    mat = kernel.matrix
+    mat = kernel.dense()
     for _ in range(100_000):
         step = pi @ mat
         if float(np.max(np.abs(step - pi))) <= 1e-12:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import wavechain as w
 import wavechain.core as core
@@ -28,11 +29,20 @@ def reference_renormalize(v):
     return v / v.sum()
 
 
+def scipy_or_dense(kernel):
+    """The matrix the products ran on before numpy took them over: the
+    dense view up to DENSE_LIMIT, a scipy `csr_array` above it."""
+    if kernel.size <= w.DENSE_LIMIT:
+        return kernel.dense()
+    indptr, indices, data = kernel.entries
+    return sp.csr_array((data, indices, indptr), shape=(kernel.size, kernel.size))
+
+
 def reference_evolve(mu0, system, n):
     mu = np.array(mu0.weights)
     gp = np.arange(system.space.size, dtype=np.int64)  # g^{i-1} for i = 1
     fwd = system.map.forward
-    mat = system.base.matrix
+    mat = scipy_or_dense(system.base)
     for _ in range(n):
         v = np.empty_like(mu)
         v[gp] = mu

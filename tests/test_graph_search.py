@@ -54,8 +54,8 @@ def assert_matches_csgraph(m):
 
 
 def test_the_corpus_agrees_with_csgraph_in_both_storages(corpus):
-    base = [assert_matches_csgraph(np.array(s.base.matrix)) for s in corpus]
-    shifted = [assert_matches_csgraph(np.array(s.shifted.matrix)) for s in corpus]
+    base = [assert_matches_csgraph(np.array(s.base.dense())) for s in corpus]
+    shifted = [assert_matches_csgraph(np.array(s.shifted.dense())) for s in corpus]
     assert all(irreducible for irreducible, _ in base)  # a cycle is built in
     assert sum(1 for verdict in shifted if verdict == (True, 1)) == 184  # the merging corpus
     assert any(not irreducible for irreducible, _ in shifted)

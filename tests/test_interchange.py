@@ -97,7 +97,8 @@ def test_load_kernel_rejects_malformed_json(tmp_path):
 
 def coo_kernel_document(kernel):
     """The document as it was built through scipy's COO format."""
-    coo = sp.coo_array(kernel.matrix)
+    indptr, indices, data = kernel.entries
+    coo = sp.csr_array((data, indices, indptr), shape=(kernel.size,) * 2).tocoo()
     triplets = sorted(
         [int(r), int(c), float(v)] for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0.0
     )
@@ -126,8 +127,8 @@ def test_duplicated_triplets_sum_in_input_order():
     coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
     doc = {"size": 3, "triplets": triplets}
     kernel = w.kernel_from_document(doc)
-    assert kernel.matrix.tobytes() == coo.toarray().tobytes()
-    assert kernel.matrix[0, 1] == 0.9999999999999999 != 0.1 + 0.2 + 0.7
+    assert kernel.dense().tobytes() == coo.toarray().tobytes()
+    assert kernel.dense()[0, 1] == 0.9999999999999999 != 0.1 + 0.2 + 0.7
     want = sp.csr_array(coo, dtype=np.float64, copy=True)
     for got, name in zip(kernel.entries, ("indptr", "indices", "data")):
         ref = getattr(want, name)
@@ -177,7 +178,9 @@ def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit, monk
     doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
     k = w.kernel_from_document(doc)
     assert [a.tolist() for a in k.entries] == [[0, 1, 2], [1, 0], [1.0, 1.0]]
-    assert np.asarray(sp.csr_array(k.matrix).todense()).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    indptr, indices, data = k.entries
+    csr = sp.csr_array((data, indices, indptr), shape=(2, 2))
+    assert csr.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_booleans_are_neither_integers_nor_numbers():

@@ -1,10 +1,12 @@
-"""scipy is a lazy dependency, and numpy.ma is never loaded by the package.
+"""The package never loads scipy, nor numpy.ma.
 
-Runs up to `DENSE_LIMIT` states never import scipy.  A kernel above it is
-built, relabeled, saved, searched and sampled in numpy too; scipy comes in
-only for its products and ARPACK.  Each check runs in a fresh
-interpreter, since the test process itself has scipy loaded, and reports
-the scipy modules and `numpy.ma` it ended with.
+Runs on either side of `DENSE_LIMIT` states import no scipy: a kernel
+above it is built, relabeled, saved, searched, sampled and multiplied in
+numpy, and its top two singular values come from numpy's Lanczos.  scipy
+stays a test dependency, as a reference and as a sparse input to
+`make_kernel`.  Each check runs in a fresh interpreter, since the test
+process itself has scipy loaded, and reports the scipy modules and
+`numpy.ma` it ended with.
 """
 import json
 import os
@@ -69,10 +71,10 @@ import wavechain as w
 doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 0.5], [1, 2, 0.5], [2, 0, 1.0]]}
 k = w.kernel_from_document(doc)
 assert w.period(k) == 3 and w.kernel_document(k)["size"] == 3
-assert (k.dense()[0] @ k.matrix).tolist() == [0.0, 0.0, 1.0]
+assert (k.dense()[0] @ k.dense()).tolist() == [0.0, 0.0, 1.0]
 for s in (w.binary_cycling_system(4), w.sticky_permutation_system(4, 0, 0.1),
           w.deck_reversal_system(5)):
-    assert not s.shifted.matrix.flags.writeable
+    assert not s.shifted.dense().flags.writeable
     if w.is_irreducible(s.shifted):
         w.period(s.shifted)
     w.empirical_distribution(s, 0, 5, 10, 0)
@@ -150,12 +152,26 @@ def test_a_csr_wave_profile_loads_neither(tmp_path):
     assert (tmp_path / "out" / "profile.csv").exists()
 
 
-def test_a_csr_run_still_loads_scipy_and_succeeds(tmp_path):
-    code, loaded = run_probe(
-        tmp_path, ["analyze", "--model", "sticky", "--param", "n=7",
-                   "--analyses", "spectral,stability"],
-    )
-    assert code == 0
-    assert "scipy.sparse" in loaded
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(report["results"]["spectral"]["sigma"]) == 2  # the ARPACK path ran
+def test_a_csr_run_loads_no_scipy_and_reports_two_sigmas(tmp_path):
+    for model in ("sticky", "cyclic-to-random"):
+        code, loaded = run_probe(
+            tmp_path, ["analyze", "--model", model, "--param", "n=7",
+                       "--analyses", "spectral,stability"],
+        )
+        assert code == 0
+        assert loaded == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["results"]["spectral"]["sigma"]) == 2  # the top-two path ran
+
+
+def test_csr_evolve_and_spectra_load_no_scipy(tmp_path):
+    code = """
+import wavechain as w
+s = w.sticky_permutation_system(7, 0, 0.05)
+assert s.space.size > w.DENSE_LIMIT
+mu = w.evolve(w.Distribution.point_mass(s.space, 0), s, 30)
+assert abs(mu.weights.sum() - 1.0) < 1e-12
+pi = s.wave_measure
+assert len(w.weighted_singular_values(s.shifted, pi, pi).singular_values) == 2
+"""
+    assert loaded_after(code, tmp_path) == "[]"

@@ -250,16 +250,21 @@ def test_zoo_kernels_are_read_only():
     for s in zoo_systems():
         for kernel in (s.base, s.shifted):
             assert not any(a.flags.writeable for a in kernel.entries)
-            assert not kernel.matrix.flags.writeable
+            assert not kernel.dense().flags.writeable
             with pytest.raises(ValueError):
-                kernel.matrix[0, 0] = 5.0
+                kernel.dense()[0, 0] = 5.0
 
 
 def test_zoo_kernels_above_the_dense_limit_are_csr_arrays():
+    # above the limit a kernel is its CSR triple alone: the dense view is
+    # refused, and scipy reads the triple as a canonical csr_array
     s = w.binary_cycling_system(13)
     assert s.space.size > w.DENSE_LIMIT
     for kernel in (s.base, s.shifted):
-        assert isinstance(kernel.matrix, sp.csr_array)
+        with pytest.raises(errors.TooLarge):
+            kernel.dense()
+        indptr, indices, data = kernel.entries
+        assert sp.csr_array((data, indices, indptr), shape=(kernel.size,) * 2).has_canonical_format
 
 
 # ------------------------------------------------- other model builders

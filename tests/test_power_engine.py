@@ -1,4 +1,4 @@
-"""The blocked power-trace engine, the matrix metrics, ARPACK top-two and period.
+"""The blocked power-trace engine, the matrix metrics, Lanczos top-two and period.
 
 Each fast path is checked against a plain sequential reference kept here:
 the step-by-step matrix-power loop, the per-pair chi-square double loop,
@@ -6,7 +6,6 @@ the full N^3 pairwise TV and the edge-by-edge breadth-first period.  The
 engine's two stepping rules, dense products and row gathers, are each
 forced in turn by moving the crossover.
 """
-import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -129,7 +128,7 @@ def test_single_power_blocks_are_the_sequential_products(monkeypatch):
     kernel = circle_system(7).shifted
     blocks = list(core.power_blocks(kernel, 30))
     assert [first for first, _ in blocks] == list(range(1, 31))
-    assert np.shares_memory(blocks[0][1], kernel.matrix)  # no copy of P^1
+    assert np.shares_memory(blocks[0][1], kernel.dense())  # no copy of P^1
     power = np.eye(7)
     for _, block in blocks:
         assert block.shape == (7, 1, 7)
@@ -495,15 +494,67 @@ def test_top_two_on_the_slow_sticky_spectrum():
     assert np.array_equal(dec.left_basis, again.left_basis)
     # K phi_1 = sigma_1 psi_1, with the heaviest entry of the avatar vector positive
     phi, psi = dec.right_basis[:, 1], dec.left_basis[:, 1]
-    assert np.max(np.abs(s.shifted.matrix @ phi - dec.singular_values[1] * psi)) < 1e-9
+    assert np.max(np.abs(core._mat_vec(s.shifted, phi) - dec.singular_values[1] * psi)) < 1e-9
     v = phi * np.sqrt(pi.weights)
     assert v[int(np.argmax(np.abs(v)))] > 0
 
 
+# sigma_1 as the ARPACK (scipy eigsh) top-two path computed it before the
+# Lanczos solver replaced it, on the wave measure where the shifted kernel
+# has one and on the uniform measure otherwise
+ARPACK_SIGMA1 = {
+    "sticky-7": (lambda: w.sticky_permutation_system(7, 0, 0.05), 0.9286297132291346),
+    "sticky-7-delta-0.3": (lambda: w.sticky_permutation_system(7, 0, 0.3), 0.9311327587558048),
+    "cyclic-to-random-7": (lambda: w.cyclic_to_random_system(7), 0.8571428571428571),
+    "deck-reversal-7": (lambda: w.deck_reversal_system(7), 1.0),
+    "binary-cycling-13": (lambda: w.binary_cycling_system(13), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ARPACK_SIGMA1)
+def test_top_two_keeps_the_arpack_sigma1(name):
+    build, want = ARPACK_SIGMA1[name]
+    s = build()
+    assert s.space.size > w.DENSE_LIMIT
+    mu = s.wave_measure_or_none()
+    if mu is None:
+        mu = w.Distribution.uniform(s.space)
+    got = w.weighted_singular_values(s.shifted, mu, mu).singular_values[1]
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_top_two_reaches_the_slow_lazy_cycle(monkeypatch):
+    # the lazy walk on a 4500-cycle: sigma_1 = 1/2 + cos(2 pi / n) / 2 is a
+    # double eigenvalue of the Gram operator, 2.9e-6 from the next one, so it
+    # takes thousands of products (2-3 s on one core)
+    n = 4500
+    x = np.arange(n)
+    rows = np.concatenate([x, x, x])
+    cols = np.concatenate([x, (x + 1) % n, (x - 1) % n])
+    vals = np.repeat([0.5, 0.25, 0.25], n)
+    space = w.StateSpace(n)
+    kernel = core._kernel_from_triplets(space, rows, cols, vals)
+    uniform = w.Distribution.uniform(space)
+    products = []
+    solve = spectral._top_eigenvector
+
+    def counted(op, start, rank):
+        def counting_op(v):
+            products.append(1)
+            return op(v)
+
+        return solve(counting_op, start, rank)
+
+    monkeypatch.setattr(spectral, "_top_eigenvector", counted)
+    sigma = w.weighted_singular_values(kernel, uniform, uniform).singular_values[1]
+    assert sigma == pytest.approx(0.5 + 0.5 * math.cos(2 * math.pi / n), rel=1e-13)
+    assert len(products) < 6000
+
+
 def top_two(monkeypatch, kernel, mu_in, mu_out):
-    """`weighted_singular_values` on the ARPACK top-two path, which the
+    """`weighted_singular_values` on the Lanczos top-two path, which the
     state count picks above DENSE_LIMIT, with the kernel's products taken
-    through its `csr_array` view as they are there."""
+    from its CSR triple as they are there."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "DENSE_LIMIT", 0)
         patch.setattr(core, "DENSE_LIMIT", 0)
@@ -511,7 +562,7 @@ def top_two(monkeypatch, kernel, mu_in, mu_out):
 
 
 def test_top_two_matches_dense_singular_values_on_the_corpus(corpus, monkeypatch):
-    for s in corpus[:40]:
+    for s in corpus:
         pi = s.wave_measure_or_none()
         if pi is None:
             continue
@@ -545,17 +596,14 @@ def test_top_two_flow_mismatch_is_a_value_error(monkeypatch):
     assert isinstance(info.value, ValueError)
 
 
-def test_arpack_non_convergence_is_typed(monkeypatch):
-    s = circle_system(101)  # clustered spectrum: one restart is not enough
+def test_lanczos_non_convergence_is_typed(monkeypatch):
+    s = circle_system(101)  # clustered spectrum: one basis is not enough
     pi = s.wave_measure
     sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
     assert top_two(monkeypatch, s.shifted, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
-    # the top-two path imports eigsh from scipy.sparse.linalg when it runs
-    import scipy.sparse.linalg as arpack
-
-    monkeypatch.setattr(arpack, "eigsh", functools.partial(arpack.eigsh, maxiter=1))
+    monkeypatch.setattr(spectral, "_LANCZOS_MAX_PRODUCTS", spectral._LANCZOS_BASIS)
     with pytest.raises(errors.NotConverged):
         top_two(monkeypatch, s.shifted, pi, pi)
 

@@ -54,7 +54,7 @@ def test_top_two_sparse_path_agrees_with_dense(monkeypatch):
     s = circle_system()
     pi = s.wave_measure
     with monkeypatch.context() as patch:
-        # the top-two path and the csr_array products above the limit
+        # the top-two path and the CSR products above the limit
         patch.setattr(spectral, "DENSE_LIMIT", 0)
         patch.setattr(core, "DENSE_LIMIT", 0)
         top = w.weighted_singular_values(s.shifted, pi, pi).singular_values

@@ -1,6 +1,6 @@
 """One storage: every kernel is its read-only CSR triple, at every size.
 
-The dense view `dense()` and the matrix view read the triple.  Each
+The dense view `dense()` and the numpy CSR products read the triple.  Each
 operation below is checked against a dense reference computed here from
 that view: relabeling by fancy indexing, a kernel document listing the
 nonzero entries, a padded row table built row by row and inverse-transform
@@ -29,14 +29,15 @@ def test_transport_and_shift_are_identical(corpus):
 
 
 def test_evolve_agrees_to_the_last_bit(corpus, monkeypatch):
-    # above DENSE_LIMIT the products run on the csr_array view; BLAS and
-    # the CSR loop sum a vector-matrix product in different orders, so
-    # single entries may differ by one rounding
+    # above DENSE_LIMIT the products run on the CSR triple; BLAS and the
+    # CSR sum take a vector-matrix product in different orders, so single
+    # entries may differ by one rounding
     starts = [w.Distribution.point_mass(s.space, 0) for s in corpus]
     want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(corpus, starts)]
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     for s, mu0, laws in zip(corpus, starts, want):
-        assert isinstance(s.base.matrix, sp.csr_array)
+        x = mu0.weights
+        assert core._vec_mat_op(s.base)(x).tobytes() == core._vec_mat(x, s.base).tobytes()
         for n, law in zip((1, 5, 17), laws):
             assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
 
@@ -116,7 +117,7 @@ def test_sampling_is_identical(corpus):
 
 
 def test_every_input_form_gets_the_same_storage(corpus):
-    m = np.asarray(corpus[0].base.matrix)
+    m = np.asarray(corpus[0].base.dense())
     space = corpus[0].space
     forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
     stored = {
@@ -126,7 +127,7 @@ def test_every_input_form_gets_the_same_storage(corpus):
     assert len(stored) == 1
     for entries in forms:
         k = w.make_kernel(space, entries)
-        assert not k.matrix.flags.writeable
+        assert not k.dense().flags.writeable
         assert np.array_equal(k.dense(), m)
 
 
@@ -155,15 +156,15 @@ def test_make_kernel_leaves_the_callers_ndarray_writable():
     m = np.full((2, 2), 0.5)
     k = w.make_kernel(w.StateSpace(2), m)
     m[0, 0] = 1.0
-    assert k.matrix[0, 0] == 0.5
-    assert not k.matrix.flags.writeable
+    assert k.dense()[0, 0] == 0.5
+    assert not k.dense().flags.writeable
 
 
 def test_make_kernel_does_not_share_the_callers_csr_data():
     c = sp.csr_array(np.full((3, 3), 1.0 / 3.0))
     k = w.make_kernel(w.StateSpace(3), c)
     c.data[0] = 5.0
-    assert k.matrix[0, 0] == 1.0 / 3.0
+    assert k.dense()[0, 0] == 1.0 / 3.0
     assert not np.shares_memory(k.entries[2], c.data)
 
 

@@ -15,7 +15,6 @@ from itertools import islice
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,8 +150,7 @@ class ArgmaxTable:
     argmax of the first cumulative that exceeds the draw."""
 
     def __init__(self, kernel):
-        csr = sp.csr_array(kernel.matrix).sorted_indices()
-        starts, all_idx, all_val = csr.indptr, csr.indices, csr.data
+        starts, all_idx, all_val = kernel.entries
         width = int(np.max(np.diff(starts)))
         self.indices = np.empty((kernel.size, width), dtype=np.int64)
         self.cums = np.full((kernel.size, width), 2.0)
@@ -291,3 +289,24 @@ def test_a_draw_above_the_last_rounded_cumulative_takes_the_last_support_point(r
     assert last <= u  # rounding leaves room for draws at or above it
     assert table.step(np.array([0]), np.array([u])).tolist() == [len(row) - 1]
     assert table.step(np.array([0, 0]), np.array([last, 0.0])).tolist() == [len(row) - 1, 0]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.1] * 10,  # width 10, searched as 16 with padding
+        [v / 1000 for v in (141, 145, 111, 130, 114, 128, 231)],  # with the zero, fills W = 8
+    ],
+)
+def test_a_draw_above_the_last_rounded_cumulative_never_takes_a_stored_zero(row):
+    # trailing stored zeros are padding: the draw takes the last positive
+    # entry of the row, also when the zeros fill the table width
+    n = len(row)
+    triplets = [[0, j, v] for j, v in enumerate(row)] + [[0, n, 0.0]]
+    triplets += [[x, (x + 1) % (n + 1), 1.0] for x in range(1, n + 1)]
+    kernel = w.kernel_from_document({"size": n + 1, "triplets": triplets})
+    assert kernel.entries[2][: n + 1].tolist() == [*row, 0.0]  # the zero is stored
+    table = _RowTable(kernel)
+    u = 1.0 - 2.0**-53
+    assert float(np.cumsum(row)[-1]) <= u
+    assert table.step(np.array([0, 0]), np.array([u, 0.0])).tolist() == [n - 1, 0]
