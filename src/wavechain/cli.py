@@ -57,9 +57,9 @@ from .merging import (
 from .models import MODELS, build_model, scaling_study, scan_permutations
 from .sim import empirical_distribution, empirical_wave_profile
 from .spectral import (
+    _singular_values,
     eigenvalues,
     spectral_report_document,
-    weighted_singular_values,
 )
 
 ANALYSES = ("spectral", "merging", "stability", "bounds", "simulate", "scan-permutations")
@@ -192,12 +192,12 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     shifted = system.shifted
     pi = system.wave_measure_or_none()
     mu = pi if pi is not None else Distribution.uniform(system.space)
-    dec = weighted_singular_values(shifted, mu, mu)
+    sigma = _singular_values(shifted, mu, mu)
     eig = eigenvalues(shifted) if system.space.size <= _EIG_LIMIT else None
-    doc = spectral_report_document(shifted, dec, eig, pi)
+    doc = spectral_report_document(shifted, sigma, eig, pi)
     out = _AnalysisOut(doc=doc)
-    if len(dec.singular_values) > 1:
-        out.lines.append(f"spectral: second singular value {float(dec.singular_values[1]):.8f}")
+    if len(sigma) > 1:
+        out.lines.append(f"spectral: second singular value {float(sigma[1]):.8f}")
     return out
 
 

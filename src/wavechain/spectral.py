@@ -2,7 +2,8 @@
 
 A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
 Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
-triples are read off the ordinary SVD of B.  When mu_out K = mu_in the top
+triples are read off the ordinary SVD of B, and the values alone, for the
+command line report, off its values-only SVD.  When mu_out K = mu_in the top
 triple is exactly (1, const, const); above DENSE_LIMIT states the path
 deflates that pair analytically and finds the next one by thick-restart
 Lanczos in numpy (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000), on
@@ -131,7 +132,8 @@ def _bordered_solves(mats: np.ndarray) -> np.ndarray:
     sum(pi) = 1, for the stack of dense kernels mats[k]: one stacked
     LAPACK solve, each system as the lone one would be."""
     n = mats.shape[-1]
-    a = mats.transpose(0, 2, 1) - np.eye(n)
+    a = mats.transpose(0, 2, 1).copy()
+    a.reshape(len(a), n * n)[:, :: n + 1] -= 1.0  # the diagonal of each system
     a[:, -1, :] = 1.0
     b = np.zeros((len(mats), n, 1))
     b[:, -1] = 1.0
@@ -250,6 +252,25 @@ def _check_positive(mu: Distribution, name: str) -> np.ndarray:
     return w
 
 
+def _avatar(
+    kernel: MarkovKernel, mu_in: Distribution, mu_out: Distribution
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(sqrt(mu_in), sqrt(mu_out), B) after checking both measures: the
+    Euclidean avatar B = D_out^{1/2} K D_in^{-1/2} up to DENSE_LIMIT
+    states, None above it."""
+    win = _check_positive(mu_in, "mu_in")
+    wout = _check_positive(mu_out, "mu_out")
+    if mu_in.space != kernel.space or mu_out.space != kernel.space:
+        raise SpaceMismatch("measures live on a different space than the kernel")
+    sin = np.sqrt(win)
+    sout = np.sqrt(wout)
+    if kernel.size > DENSE_LIMIT:
+        return sin, sout, None
+    b = sout[:, None] * kernel.dense()
+    b /= sin
+    return sin, sout, b
+
+
 def weighted_singular_values(
     kernel: MarkovKernel,
     mu_in: Distribution,
@@ -267,25 +288,31 @@ def weighted_singular_values(
     checked (FlowMismatch otherwise); NotConverged is raised if the Lanczos
     product budget runs out before the residual reaches machine precision.
     """
-    win = _check_positive(mu_in, "mu_in")
-    wout = _check_positive(mu_out, "mu_out")
-    if mu_in.space != kernel.space or mu_out.space != kernel.space:
-        raise SpaceMismatch("measures live on a different space than the kernel")
-    n = kernel.size
-    sin = np.sqrt(win)
-    sout = np.sqrt(wout)
-    if n <= DENSE_LIMIT:
-        b = (sout[:, None] * kernel.dense()) / sin[None, :]
-        u, s, vt = np.linalg.svd(b)
-        v = vt.T
-        # fix an overall sign per triple: make the heaviest entry of phi positive
-        flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0
-        v[:, flip] = -v[:, flip]
-        u[:, flip] = -u[:, flip]
-        left = u / sout[:, None]
-        right = v / sin[:, None]
-        return SpectralDecomposition(s, left, right, mu_in, mu_out)
-    return _top_two_decomposition(kernel, mu_in, mu_out, sin, sout)
+    sin, sout, b = _avatar(kernel, mu_in, mu_out)
+    if b is None:
+        return _top_two_decomposition(kernel, mu_in, mu_out, sin, sout)
+    u, s, vt = np.linalg.svd(b)
+    v = vt.T
+    # fix an overall sign per triple: make the heaviest entry of phi positive
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(kernel.size)] < 0
+    v[:, flip] = -v[:, flip]
+    u[:, flip] = -u[:, flip]
+    left = u / sout[:, None]
+    right = v / sin[:, None]
+    return SpectralDecomposition(s, left, right, mu_in, mu_out)
+
+
+def _singular_values(
+    kernel: MarkovKernel, mu_in: Distribution, mu_out: Distribution
+) -> np.ndarray:
+    """The singular values of `weighted_singular_values`, without the bases:
+    all of them from LAPACK's values-only SVD up to DENSE_LIMIT states,
+    which holds no N x N basis, and above it the top two of the same
+    Lanczos path, bit for bit."""
+    sin, sout, b = _avatar(kernel, mu_in, mu_out)
+    if b is None:
+        return _top_two_decomposition(kernel, mu_in, mu_out, sin, sout).singular_values
+    return np.linalg.svd(b, compute_uv=False)
 
 
 def _top_two_decomposition(kernel, mu_in, mu_out, sin, sout) -> SpectralDecomposition:
@@ -536,22 +563,23 @@ def second_singular_value_bound_gap(
 
 def spectral_report_document(
     kernel: MarkovKernel,
-    decomposition: SpectralDecomposition,
+    singular_values: np.ndarray,
     eigen: Optional[EigenDecomposition],
     stationary: Optional[Distribution],
 ) -> dict:
     """Plain-JSON summary used by the command line reports.
 
-    "sigma" follows the state count: all singular values up to DENSE_LIMIT
-    states, the top two above it, from the Lanczos path of
-    `weighted_singular_values` (sticky n=6 lists 720, n=7 lists two).
+    "sigma" lists `singular_values` as given.  The command line passes the
+    values of `_singular_values`: all of them up to DENSE_LIMIT states, from
+    the values-only SVD, and the top two above it, from the Lanczos path
+    (sticky n=6 lists 720, n=7 lists two).
     """
     try:
         per: Optional[int] = period(kernel)
     except NotIrreducible:
         per = None
     doc = {
-        "sigma": [float(s) for s in decomposition.singular_values],
+        "sigma": [float(s) for s in singular_values],
         "eigenvalues": (
             [[float(v.real), float(v.imag)] for v in eigen.eigenvalues] if eigen else None
         ),

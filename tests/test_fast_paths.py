@@ -2,13 +2,13 @@
 
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: the ordered-pair row-block TV, the per-power bound loop, the
-per-map wave system of the circle scan, the single dense stationary solve,
-the single-start level search and the `json.dumps` report writer.  Every
-comparison is bit for bit.
+screened bound loop that ran to the horizon, the per-map wave system of
+the circle scan, the single dense stationary solve, the single-start
+level search and the `json.dumps` report writer.  Every comparison is bit
+for bit.
 """
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +21,8 @@ import wavechain.merging as merging
 import wavechain.models as models
 import wavechain.spectral as spectral
 from wavechain.core import power_blocks
-from test_power_engine import circle_system, stochastic
+from peak_memory import traced_peak
+from test_power_engine import circle_system, stepping, stochastic
 
 
 # ------------------------------------------------------------ references
@@ -45,6 +46,31 @@ def old_bound_dominance(system, horizon, scale=1.0):
     for first, block in power_blocks(system.shifted, horizon):
         for n, power in enumerate(block.transpose(1, 0, 2), first):
             excess = power / w_
+            excess -= 1.0
+            np.abs(excess, out=excess)
+            excess -= scale * sigma**n * outer
+            e = float(excess.max())
+            if e > worst[0]:
+                worst = (e, n)
+    return worst[0], worst[1], sigma
+
+
+def screened_bound_dominance(system, horizon, scale=1.0):
+    """The screened loop before its early stop: every power to the horizon."""
+    w_, front, sigma = merging._bound_factors(system)
+    outer = np.outer(front, front)
+    screen = outer[int(np.argmin(front))] if scale >= 0.0 else None
+    worst = (0.0, 0)
+    for first, block in power_blocks(system.shifted, horizon):
+        steps = range(first, first + block.shape[1])
+        if screen is not None:
+            high = block.max(axis=0) / w_ - 1.0
+            low = 1.0 - block.min(axis=0) / w_
+            floor = np.array([scale * sigma**n for n in steps])[:, None] * screen
+            cleared = ((high <= floor) & (low <= floor)).all(axis=1).tolist()
+            steps = [n for n, ok in zip(steps, cleared) if not ok]
+        for n in steps:
+            excess = block[:, n - first] / w_
             excess -= 1.0
             np.abs(excess, out=excess)
             excess -= scale * sigma**n * outer
@@ -184,6 +210,34 @@ def test_bound_dominance_equals_the_per_power_loop_on_the_corpus(merging_corpus)
             )
 
 
+def test_the_bound_loop_stops_once_its_proof_closes(monkeypatch):
+    # circle-81's verdict is fixed near power 1620 of 6000
+    drawn = []
+
+    def counting(kernel, n_max):
+        for first, block in power_blocks(kernel, n_max):
+            drawn.append(block.shape[1])
+            yield first, block
+
+    system = circle_system(81)
+    want = screened_bound_dominance(system, 6000)
+    monkeypatch.setattr(merging, "power_blocks", counting)
+    assert merging.bound_dominance(system, 6000) == want
+    assert sum(drawn) <= 1700
+
+
+@pytest.mark.parametrize("rule", ["dense", "gather"])
+def test_the_early_stop_keeps_every_screened_result(corpus, rule):
+    systems = [s for s in corpus if s.wave_measure_or_none() is not None]
+    systems += [circle_system(n) for n in (5, 9, 21, 41)]
+    with stepping(rule):
+        for system in systems:
+            for horizon in (30, 300):
+                for scale in (0.0, 0.02, 0.3, 1.0):
+                    got = merging.bound_dominance(system, horizon, scale)
+                    assert got == screened_bound_dominance(system, horizon, scale)
+
+
 # ------------------------------------------------------------ stationary solves
 
 def test_dense_stationary_solve_is_the_single_solve(corpus):
@@ -265,12 +319,7 @@ def test_scan_memory_stays_bounded_by_its_batches():
     # batched, the scan peaks near 3.4 MB; one unbatched stack of the 1004
     # shifted kernels peaked near 31 MB
     models.scan_permutations("lazy-circle", {"n": 41}, 10, 1)  # warm caches first
-    tracemalloc.start()
-    try:
-        models.scan_permutations("lazy-circle", {"n": 41}, 1000, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: models.scan_permutations("lazy-circle", {"n": 41}, 1000, 1))
     assert peak < 8e6
 
 

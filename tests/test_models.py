@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from wavechain.groups import (
 )
 
 from group_reference import sn_index
+from peak_memory import traced_peak
 
 
 # ---------------------------------------------------------------- circle
@@ -355,14 +355,11 @@ DENSE_CAP = 1 << 14
 ], ids=["circle", "lazy-circle", "circle-spec", "periodic-classes", "random-regular",
         "complete-graph"])
 def test_dense_builders_refuse_sizes_above_the_cap_before_allocating(build, size):
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(errors.TooLarge, match=f"^{size} states exceed the cap of {DENSE_CAP} "):
             build()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # one n x n float array would take 2 GiB
+
+    assert traced_peak(refused) < 1 << 20  # one n x n float array would take 2 GiB
 
 
 def test_a_model_above_the_dense_cap_is_one_error_line(tmp_path, capsys):

@@ -7,13 +7,12 @@ engine's two stepping rules, dense products and row gathers, are each
 forced in turn by moving the crossover.
 """
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wavechain as w
@@ -21,6 +20,8 @@ import wavechain.core as core
 import wavechain.merging as merging
 import wavechain.spectral as spectral
 from wavechain import errors
+
+from peak_memory import traced_peak
 
 METRICS = ("total_variation", "relative_sup", "chi_square")
 TRACE_RTOL = 1e-12
@@ -384,18 +385,53 @@ def test_distance_traces_never_increase(kernel, metric, rule):
         assert after <= before + TRACE_RTOL * max(before, 1.0), (before, after)
 
 
+@st.composite
+def wave_systems(draw):
+    """A random irreducible kernel and permutation whose shifted kernel has
+    a positive wave measure."""
+    n = draw(st.integers(2, 8))
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    m = np.array([draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)])
+    m[np.arange(n), (np.arange(n) + 1) % n] += 0.25  # a cycle: irreducible
+    m /= m.sum(axis=1, keepdims=True)
+    g = draw(st.permutations(range(n)))
+    space = w.StateSpace(n)
+    system = w.make_wave_system(w.make_kernel(space, m), w.make_permutation(space, g))
+    pi = system.wave_measure_or_none()
+    assume(pi is not None and np.all(pi.weights > 0.0))
+    return system
+
+
+@settings(max_examples=100, deadline=None)
+@given(wave_systems(), st.sampled_from(["dense", "gather"]))
+def test_column_errors_never_grow_past_the_stop_allowance(system, rule):
+    # c_n(y) = max_x |K~^n(x, y) / pi(y) - 1| cannot grow, since each row of
+    # K~^(n+1) averages rows of K~^n; the computed errors may, by at most
+    # the rounding allowance 2 H N u (1 + c_n(y)) that stops `bound_dominance`
+    horizon, n = 40, system.space.size
+    slack = 2.0 * horizon * n * np.finfo(np.float64).eps / 2
+    wts = system.wave_measure.weights
+    errors_by_power = []
+    with stepping(rule, 3 * n * n):
+        for _, block in core.power_blocks(system.shifted, horizon):
+            high = block.max(axis=0) / wts - 1.0
+            low = 1.0 - block.min(axis=0) / wts
+            errors_by_power.extend(np.maximum(high, low))
+    for before, after in zip(errors_by_power, errors_by_power[1:]):
+        assert np.all(after <= before + slack * (1.0 + before)), (before, after)
+
+
 def test_gather_memory_stays_within_a_few_powers():
     s = w.sticky_permutation_system(6, tuple(range(6)), 0.05)
     kernel = s.shifted
     n = kernel.size
     kernel.dense()  # the kernel's cached view, built once, is not the stepping's
-    tracemalloc.start()
-    try:
+
+    def step_through():
         for _ in core.power_blocks(kernel, 6):
             pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(step_through)
     # two powers and one chunk of gathered rows; one unchunked (N, d, N)
     # gather alone would take d = 6 powers
     assert peak < 3 * n * n * 8
@@ -437,13 +473,7 @@ def test_tv_row_blocks_equal_the_full_pairwise_sum(monkeypatch):
 def test_tv_measure_memory_stays_far_below_one_cubic_temporary():
     n = 300  # one n^3 float temporary would take 216 MB
     m = stochastic(np.random.default_rng(5), n)
-    tracemalloc.start()
-    try:
-        merging._pairwise_measure_matrix(m, "total_variation")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    assert traced_peak(lambda: merging._pairwise_measure_matrix(m, "total_variation")) < 40e6
 
 
 def test_relative_sup_block_matches_each_matrix():

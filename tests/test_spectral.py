@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import wavechain as w
+import wavechain.cli as cli
+import wavechain.models as models
 import wavechain.spectral as spectral
 from wavechain import core, errors
 from wavechain.groups import transposition
+
+from peak_memory import traced_peak
 
 
 def circle_system(n=9, eps=1.0, shift=-1):
@@ -162,9 +166,9 @@ def test_eigen_containment_in_the_closed_window():
 def test_spectral_report_document_shape():
     s = circle_system(5)
     pi = s.wave_measure
-    dec = w.weighted_singular_values(s.shifted, pi, pi)
+    sigma = spectral._singular_values(s.shifted, pi, pi)
     doc = w.spectral_report_document(
-        s.shifted, dec, w.eigenvalues(s.shifted), pi
+        s.shifted, sigma, w.eigenvalues(s.shifted), pi
     )
     assert set(doc) >= {"sigma", "eigenvalues", "stationary", "flags"}
     assert doc["flags"]["irreducible"] is True
@@ -188,3 +192,44 @@ def test_stationary_solve_is_direct_on_dense_slow_mixers(monkeypatch):
     pi = w.stationary_distribution(s.shifted)
     closed = w.tilde_pi_closed_form_shift_minus1(n, 1.0)
     assert np.max(np.abs(pi.weights - closed.weights)) < 1e-12
+
+
+# ------------------------------------------------------------ values only
+
+def assert_values_only_svd_matches(system, tol, ulps=2):
+    pi = system.wave_measure
+    got = spectral._singular_values(system.shifted, pi, pi)
+    want = w.weighted_singular_values(system.shifted, pi, pi).singular_values
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol
+    assert abs(got[0] - 1.0) <= ulps * np.spacing(1.0)
+
+
+def test_values_only_svd_matches_the_full_decomposition_on_the_corpus(merging_corpus):
+    for system in merging_corpus:
+        assert_values_only_svd_matches(system, 1e-13)
+
+
+# sticky-6 reads sigma_0 = 1 + 3 ulps from the values-only SVD; the full
+# SVD reads 1 + 4 ulps with one BLAS thread and 1 - 1.3e-15 with two
+@pytest.mark.parametrize("build, ulps", [
+    (lambda: circle_system(81), 2),
+    (lambda: models.build_model("sticky", {"n": 6}), 4),
+], ids=["circle-81", "sticky-6"])
+def test_values_only_svd_matches_the_full_decomposition(build, ulps):
+    assert_values_only_svd_matches(build(), 1e-13, ulps)
+
+
+def test_values_only_svd_is_the_top_two_path_above_the_dense_limit():
+    s = w.sticky_permutation_system(7, 0, 0.3)
+    assert s.space.size > w.DENSE_LIMIT
+    assert_values_only_svd_matches(s, 0.0)
+
+
+def test_the_spectral_stage_holds_no_singular_bases():
+    # the full SVD held U, V^T and the scaled bases at once, about 5 N^2
+    # doubles at sticky-6; the values-only SVD holds the avatar alone
+    s = models.build_model("sticky", {"n": 6})
+    n = s.space.size
+    cli._run_spectral(s, None, {})  # warm the kernel's and the system's caches
+    assert traced_peak(lambda: cli._run_spectral(s, None, {})) < 2 * n * n * 8
