@@ -8,10 +8,11 @@ the analyses call for them.  Integer parameters and flag values must be
 integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
 error wherever a number is read.  Every subcommand writes
 through `_emit`, once its results are complete, so a failing command
-leaves nothing behind.  Reports are byte-stable for a fixed config: JSON
-is dumped with sorted keys, CSV rows follow state or step order, and no
-timestamps or environment data are recorded.  The JSON files are written
-in one pass, byte for byte as `json.dumps(..., sort_keys=True, indent=2)`
+leaves nothing behind.  Reports are byte-stable for a fixed config and
+BLAS thread count (threaded LAPACK rounds differently): JSON is dumped
+with sorted keys, CSV rows follow state or step order, and no timestamps
+or environment data are recorded.  The JSON files are written in one
+pass, byte for byte as `json.dumps(..., sort_keys=True, indent=2)`
 writes them, with non-finite floats as the strings "inf", "-inf", "nan".
 
 Exit status: 0 on success, 1 on input errors (bad config, unknown model,

@@ -48,7 +48,6 @@ from .interchange import _csv_text
 from .spectral import _merging_obstruction, is_irreducible, weighted_singular_values
 
 Metric = Literal["total_variation", "relative_sup", "chi_square"]
-_METRICS = ("total_variation", "relative_sup", "chi_square")
 
 
 def _paired(mu: Distribution, nu: Distribution) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +81,16 @@ def chi_square_distance(mu: Distribution, nu: Distribution) -> float:
     return float(np.sum((a[mask] - b[mask]) ** 2 / b[mask]))
 
 
-# Entries of the |row_x - row_y| temporary in one chunk of pairwise TV.
-_TV_BLOCK_ENTRIES = 1 << 20
+def _total_variation_block(block: np.ndarray) -> list:
+    """Worst TV distance of each stochastic matrix block[:, j, :], over the
+    row pairs x < y only: |a - b| = |b - a|, and each pair's sum is one
+    contiguous reduction of N entries.  The largest temporary is (N - 1, b, N)."""
+    worst = np.zeros(block.shape[1])
+    for x in range(block.shape[0] - 1):
+        diff = block[x + 1 :] - block[x]
+        np.abs(diff, out=diff)
+        worst = np.maximum(worst, diff.sum(axis=2).max(axis=0))
+    return (0.5 * worst).tolist()
 
 
 def _relative_sup_block(block: np.ndarray) -> list:
@@ -99,63 +106,54 @@ def _relative_sup_block(block: np.ndarray) -> list:
     return worst.tolist()
 
 
-def _worst_tv(m: np.ndarray) -> float:
-    """Worst TV distance between rows of m, over the pairs x < y only:
-    |a - b| = |b - a|, and each pair's row sum is the same contiguous
-    reduction.  The pairs are taken in chunks of _TV_BLOCK_ENTRIES // N,
-    each generated on its own, so no list of all pairs is ever held."""
-    n = m.shape[0]
-    # row_start[x]: index of the pair (x, x + 1) in the row-major pair order
-    row_start = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.arange(n - 1, 0, -1), out=row_start[1:])
-    pairs = n * (n - 1) // 2
-    chunk = max(1, _TV_BLOCK_ENTRIES // n)
-    worst = 0.0
-    for lo in range(0, pairs, chunk):
-        p = np.arange(lo, min(pairs, lo + chunk))
-        x = np.searchsorted(row_start, p, side="right") - 1
-        diff = m[x]
-        diff -= m[p - row_start[x] + x + 1]
-        np.abs(diff, out=diff)
-        worst = max(worst, float(diff.sum(axis=1).max()))
-    return 0.5 * worst
-
-
-def _pairwise_measure_matrix(m: np.ndarray, metric: Metric) -> float:
-    """Worst distance between ordered pairs of rows of a stochastic matrix."""
-    if metric == "relative_sup":
-        return _relative_sup_block(m[:, None, :])[0]
-    if metric == "total_variation":
-        return _worst_tv(m)
-    if metric == "chi_square":
+def _chi_square_block(block: np.ndarray) -> list:
+    """Worst chi-square distance of each stochastic matrix block[:, j, :]."""
+    worst = []
+    for m in block.transpose(1, 0, 2):
         # chi(x, y) = sum_z m[x, z]^2 / m[y, z] - 1 once every column is
         # either all zero or all positive; a column with both is an ordered
         # pair with nu(z) = 0 < mu(z)
         zero = m == 0.0
         live = ~zero.all(axis=0)
         if np.any(zero[:, live]):
-            return math.inf
+            worst.append(math.inf)
+            continue
         sub = m[:, live]
         chi = (sub * sub) @ (1.0 / sub).T - 1.0
-        return max(0.0, float(chi.max()))
-    raise ValueError(f"unknown metric {metric!r}")
+        worst.append(max(0.0, float(chi.max())))
+    return worst
+
+
+# Each metric's block reducer: a read-only block (N, b, N) of stochastic
+# matrices in, the b worst pairwise distances out.
+_BLOCK_MEASURES: dict[str, Callable[[np.ndarray], list]] = {
+    "total_variation": _total_variation_block,
+    "relative_sup": _relative_sup_block,
+    "chi_square": _chi_square_block,
+}
+_METRICS = tuple(_BLOCK_MEASURES)
+
+
+def _check_metric(metric: Metric) -> None:
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {_METRICS}")
+
+
+def _pairwise_measure_matrix(m: np.ndarray, metric: Metric) -> float:
+    """Worst distance between ordered pairs of rows of a stochastic matrix."""
+    return _BLOCK_MEASURES[metric](m[:, None, :])[0]
 
 
 def _distance_trace(kernel: MarkovKernel, metric: Metric, max_steps: int):
     """Yield (n, worst pairwise distance of kernel^n) for n = 0 .. max_steps."""
     yield 0, _pairwise_measure_matrix(np.eye(kernel.size), metric)
     for first, block in power_blocks(kernel, max_steps):
-        if metric == "relative_sup":
-            yield from enumerate(_relative_sup_block(block), first)
-        else:
-            for j in range(block.shape[1]):
-                yield first + j, _pairwise_measure_matrix(block[:, j], metric)
+        yield from enumerate(_BLOCK_MEASURES[metric](block), first)
 
 
 def pairwise_merging_measure(system: WaveSystem, n: int, metric: Metric) -> float:
     """Worst pairwise distance between rows of K_{0,n}."""
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}")
+    _check_metric(metric)
     window = compose_window(system, 0, n)
     return _pairwise_measure_matrix(window.dense(), metric)
 
@@ -210,12 +208,11 @@ def merging_time(
     max(GATHER_MIN_STATES, GATHER_ROW_RATIO d) for the widest row support
     d.  Either rule may round a traced distance differently from the
     step-by-step product in the last bits (relative 1e-12 is the tested
-    contract); the same call gives the same trace every time.  The
-    relative-sup distances of a block are taken in one pass; chi-square and
-    TV go one power at a time, TV over the unordered row pairs only.
+    contract); the same call gives the same trace every time.  Every
+    metric reduces a whole block of powers at once, TV over the unordered
+    row pairs only.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}")
+    _check_metric(metric)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if max_steps < 0:

@@ -1,11 +1,12 @@
 """The batched and screened fast paths against the code they replaced.
 
 Each reference below is the earlier implementation, kept verbatim in
-behaviour: the ordered-pair row-block TV, the per-power bound loop, the
-screened bound loop that ran to the horizon, the per-map wave system of
-the circle scan, the single dense stationary solve, the single-start
-level search and the `json.dumps` report writer.  Every comparison is bit
-for bit.
+behaviour: the ordered-pair row-block TV, the per-matrix metrics and
+per-power distance trace that the block reducers replaced, the per-power
+bound loop, the screened bound loop that ran to the horizon, the per-map
+wave system of the circle scan, the single dense stationary solve, the
+single-start level search and the `json.dumps` report writer.  Every
+comparison is bit for bit.
 """
 import json
 import math
@@ -22,7 +23,7 @@ import wavechain.models as models
 import wavechain.spectral as spectral
 from wavechain.core import power_blocks
 from peak_memory import traced_peak
-from test_power_engine import circle_system, stepping, stochastic
+from test_power_engine import METRICS, circle_system, stepping, stochastic
 
 
 # ------------------------------------------------------------ references
@@ -36,6 +37,68 @@ def old_tv(m, block_entries=1 << 20):
         diff = np.abs(m[r : r + rows, None, :] - m[None, :, :]).sum(axis=2)
         worst = max(worst, float(diff.max()))
     return 0.5 * worst
+
+
+def chunked_tv(m, chunk_entries=1 << 20):
+    """Worst TV over the pairs x < y of one matrix, in chunks of
+    chunk_entries // N pairs, each pair found by searchsorted."""
+    n = m.shape[0]
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=row_start[1:])
+    pairs = n * (n - 1) // 2
+    chunk = max(1, chunk_entries // n)
+    worst = 0.0
+    for lo in range(0, pairs, chunk):
+        p = np.arange(lo, min(pairs, lo + chunk))
+        x = np.searchsorted(row_start, p, side="right") - 1
+        diff = m[x]
+        diff -= m[p - row_start[x] + x + 1]
+        np.abs(diff, out=diff)
+        worst = max(worst, float(diff.sum(axis=1).max()))
+    return 0.5 * worst
+
+
+def matrix_chi_square(m):
+    """Worst chi-square of one matrix, by one matrix product."""
+    zero = m == 0.0
+    live = ~zero.all(axis=0)
+    if np.any(zero[:, live]):
+        return math.inf
+    sub = m[:, live]
+    chi = (sub * sub) @ (1.0 / sub).T - 1.0
+    return max(0.0, float(chi.max()))
+
+
+def relative_sup_columns(block):
+    """Worst relative-sup of each block[:, j], from column extremes."""
+    top = block.max(axis=0)
+    bot = block.min(axis=0)
+    live = top > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(live, top / bot - 1.0, -np.inf)
+    worst = ratio.max(axis=1)
+    worst[((bot == 0.0) & live).any(axis=1)] = math.inf
+    return worst.tolist()
+
+
+def matrix_measure(m, metric):
+    if metric == "relative_sup":
+        return relative_sup_columns(m[:, None, :])[0]
+    if metric == "total_variation":
+        return chunked_tv(m)
+    return matrix_chi_square(m)
+
+
+def per_power_trace(kernel, metric, max_steps):
+    """The distance trace with relative-sup by blocks and the others one
+    power at a time."""
+    yield 0, matrix_measure(np.eye(kernel.size), metric)
+    for first, block in power_blocks(kernel, max_steps):
+        if metric == "relative_sup":
+            yield from enumerate(relative_sup_columns(block), first)
+        else:
+            for j in range(block.shape[1]):
+                yield first + j, matrix_measure(block[:, j], metric)
 
 
 def old_bound_dominance(system, horizon, scale=1.0):
@@ -158,10 +221,8 @@ def test_tv_of_one_state_is_zero():
     assert merging._pairwise_measure_matrix(np.ones((1, 1)), "total_variation") == 0.0
 
 
-@pytest.mark.parametrize("entries", [1, 7, 40, 41 * 3 + 5])
-def test_tv_chunks_that_split_rows_give_the_same_value(entries, monkeypatch):
+def test_tv_of_a_half_sparse_matrix_equals_the_ordered_pair_formula():
     m = stochastic(np.random.default_rng(4), 41, zeros=0.5)
-    monkeypatch.setattr(merging, "_TV_BLOCK_ENTRIES", entries)
     assert merging._pairwise_measure_matrix(m, "total_variation") == old_tv(m)
 
 
@@ -172,6 +233,51 @@ def test_tv_traces_are_unchanged():
     for first, block in power_blocks(system.shifted, 60):
         for j in range(block.shape[1]):
             assert got.values[first + j][1] == old_tv(block[:, j])
+
+
+# ------------------------------------------------------------ block reducers
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_reducers_equal_the_per_matrix_metrics(n, b, zeros, seed):
+    # heavy zeros leave empty columns and mixed ones (chi-square and
+    # relative-sup infinite); an empty row gets one unit entry
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(b):
+        m = rng.random((n, n)) * (rng.random((n, n)) >= zeros)
+        m[m.sum(axis=1) == 0.0, rng.integers(n)] = 1.0
+        mats.append(m / m.sum(axis=1, keepdims=True))
+    block = np.stack(mats, axis=1)
+    block.flags.writeable = False
+    for metric in METRICS:
+        want = [matrix_measure(m, metric) for m in mats]
+        assert same_bits(merging._BLOCK_MEASURES[metric](block), want), metric
+        got = [merging._pairwise_measure_matrix(block[:, j], metric) for j in range(b)]
+        assert same_bits(got, want), metric
+
+
+@pytest.mark.parametrize("rule", ["dense", "gather"])
+def test_distance_traces_equal_the_per_power_loop_on_the_corpus(merging_corpus, rule):
+    with stepping(rule, 200):  # b = 22 powers a block at N = 3, 2 at N = 9
+        for system in merging_corpus:
+            for metric in METRICS:
+                got = list(merging._distance_trace(system.shifted, metric, 40))
+                want = list(per_power_trace(system.shifted, metric, 40))
+                assert same_bits(got, want), metric
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_distance_traces_equal_the_per_power_loop_on_circle_81(metric):
+    kernel = circle_system(81).shifted  # row gathers, b = 9 powers a block
+    got = list(merging._distance_trace(kernel, metric, 45))
+    want = list(per_power_trace(kernel, metric, 45))
+    assert same_bits(got, want)
 
 
 # ------------------------------------------------------------ bound loop

@@ -117,6 +117,15 @@ def test_dirichlet_energy_vanishes_on_constants():
     assert w.dirichlet_energy(form, np.arange(9.0)) > 0.1
 
 
+def test_dirichlet_energy_refuses_a_kernel_that_is_not_self_adjoint():
+    # the directed 3-cycle keeps the uniform measure but is not reversible
+    space = w.StateSpace(3)
+    cycle = w.make_kernel(space, np.roll(np.eye(3), 1, axis=1))
+    form = w.DirichletForm(cycle, w.Distribution(space, np.full(3, 1 / 3)))
+    with pytest.raises(errors.NotSelfAdjoint):
+        w.dirichlet_energy(form, np.arange(3.0))
+
+
 def test_nash_check_requires_symmetry():
     base, _ = w.circle_kernel(5, 1.0)  # heavy edge is symmetric in
     # conductances but the kernel itself is not a symmetric matrix
