@@ -221,9 +221,13 @@ def test_tv_of_one_state_is_zero():
     assert merging._pairwise_measure_matrix(np.ones((1, 1)), "total_variation") == 0.0
 
 
-def test_tv_of_a_half_sparse_matrix_equals_the_ordered_pair_formula():
+@pytest.mark.parametrize("entries", [1, 7, 40, 41 * 3 + 5])
+def test_tv_chunks_that_split_rows_give_the_same_value(entries):
+    # the pair chunker the block reducer replaced, at chunk sizes that
+    # split the pairs of one row across chunks
     m = stochastic(np.random.default_rng(4), 41, zeros=0.5)
-    assert merging._pairwise_measure_matrix(m, "total_variation") == old_tv(m)
+    got = merging._pairwise_measure_matrix(m, "total_variation")
+    assert got == chunked_tv(m, entries) == old_tv(m)
 
 
 def test_tv_traces_are_unchanged():
