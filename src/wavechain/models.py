@@ -1,11 +1,12 @@
 """Model zoo: every concrete kernel and wave system used by the test suites.
 
-Circle kernels come from one matrix whose two heavy-edge weights are
-rounded once from exact rationals; every other entry is exact in binary,
-so detailed balance and row sums hold to the last bit.  Every walk on S_n
-(at most 7! states) comes from one builder, `_group_walk`, which ranks all
-products x * s of the index table `groups.sn_table` at once; the sticky
-model only rewrites one weight row.  The single-point shape behind the
+Circle kernels come from one list of nonzeros whose two heavy-edge
+weights are rounded once from exact rationals; every other entry is
+exact in binary, so detailed balance and row sums hold to the last bit.
+Every walk on S_n (at most 7! states) comes from one builder,
+`_group_walk`, which ranks all products x * s of the index table
+`groups.sn_table` at once; the sticky model only rewrites one weight
+row.  The single-point shape behind the
 sticky bound is checked in one place, `_single_point_spec`, shared by
 `single_point_perturbation` and `sticky_stability_check`.  `MODELS` is
 the one registry of named models: it alone knows each model's parameters,
@@ -13,9 +14,9 @@ their defaults and its default bijection.  `build_model` builds through it,
 and so do the CLI, `scan_permutations` and `scaling_study`, whose table
 `_SCALING_FAMILIES` keeps only each family's parameter, step cap and
 default sizes.  Every size is read through `interchange._integer`, so a
-non-integral one is ConfigInvalid, never truncated.  A model built as a
-dense n x n array (the circles, the periodic classes, the random regular
-graph) refuses more than 2^14 states with TooLarge before allocating it.
+non-integral one is ConfigInvalid, never truncated.  Every model but the
+four-point example is built from its nonzero entries; a circle, periodic
+or random regular model of more than 2^15 entries is TooLarge at once.
 """
 from __future__ import annotations
 
@@ -65,17 +66,13 @@ from .merging import NashParams, merging_time
 from .spectral import _shifted_stationary_weights
 
 _GROUP_CAP = 5040  # 7!, the largest symmetric group walked on
-# States of a model built as a dense n x n float array: 2^14, a 2 GiB array.
-_DENSE_BUILD_CAP = 1 << 14
+_ENTRY_CAP = 1 << 15  # stored entries of a model: the circle up to 16 383 points
 
 
-def _check_dense_build(size: int) -> None:
-    """Refuse a dense n x n model array above _DENSE_BUILD_CAP states,
-    before any of it is allocated."""
-    if size > _DENSE_BUILD_CAP:
-        raise TooLarge(
-            f"{size} states exceed the cap of {_DENSE_BUILD_CAP} for a dense model"
-        )
+def _check_entries(size: int, entries: int) -> None:
+    """Refuse more than _ENTRY_CAP entries before allocating any."""
+    if entries > _ENTRY_CAP:
+        raise TooLarge(f"{size} states would store {entries} entries, over the cap of {_ENTRY_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +96,20 @@ def _check_eps(eps) -> None:
         raise ValueError("eps must be finite")
 
 
-def _circle_matrix(n: int, eps=0) -> np.ndarray:
-    """Circle walk moving 1/2 to each neighbour, except that the edge (0, 1)
-    weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps) along it and
-    1/(2 + eps) away from it.  Those two weights are rounded once from exact
-    rationals; every other entry (1/2 or 0) is exact in binary."""
-    _check_dense_build(n)
+def _circle_triplets(n: int, eps=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of the circle walk moving 1/2 to each neighbour, except
+    that the edge (0, 1) weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps)
+    along it and 1/(2 + eps) away from it.  Those two weights are rounded
+    once from exact rationals; every other value, 1/2, is exact in binary.
+    The indices are int32: int64 ones would make the kernel store int64."""
+    _check_entries(n, 2 * n)
     e = Fraction(eps)
-    x = np.arange(n)
-    m = np.zeros((n, n))
-    m[x, (x + 1) % n] = 0.5
-    m[x, (x - 1) % n] = 0.5
-    m[[0, 1], [1, 0]] = float((1 + e) / (2 + e))
-    m[[0, 1], [n - 1, 2 % n]] = float(1 / (2 + e))
-    return m
+    x = np.arange(n, dtype=np.int32)
+    cols = np.column_stack([(x + 1) % n, (x - 1) % n]).ravel()
+    vals = np.full(2 * n, 0.5)
+    heavy, light = float((1 + e) / (2 + e)), float(1 / (2 + e))
+    vals[:4] = heavy, light, light, heavy  # (0, 1), (0, n-1), (1, 2), (1, 0)
+    return np.repeat(x, 2), cols, vals
 
 
 def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
@@ -125,7 +122,7 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
     n = _odd_size(n_points)
     _check_eps(eps)
     e = Fraction(eps)
-    kernel = make_kernel(StateSpace(n), _circle_matrix(n, e))
+    kernel = _kernel_from_triplets(StateSpace(n), *_circle_triplets(n, e))
     heavy = (1 + e / 2) / (n + e)
     light = 1 / (n + e)
     weights = np.full(n, float(light))
@@ -138,8 +135,12 @@ def lazy_circle_kernel(n_points, eps: float) -> MarkovKernel:
     """Half-lazy version of the heavy-edge circle walk: P = I/2 + K/2."""
     n = _odd_size(n_points)
     _check_eps(eps)
-    # halving and adding 1/2 on the empty diagonal are exact
-    return make_kernel(StateSpace(n), 0.5 * (_circle_matrix(n, eps) + np.eye(n)))
+    _check_entries(n, 3 * n)
+    rows, cols, vals = _circle_triplets(n, eps)
+    x = np.arange(n, dtype=np.int32)
+    # halving and holding 1/2 on the empty diagonal are exact
+    vals = np.append(0.5 * vals, np.full(n, 0.5))
+    return _kernel_from_triplets(StateSpace(n), np.append(rows, x), np.append(cols, x), vals)
 
 
 def circle_shift(n_points: int, s: int) -> Permutation:
@@ -178,9 +179,9 @@ def circle_perturbation_spec(n_points, eps: float) -> "PerturbationSpec":
     n = _odd_size(n_points)
     _check_eps(eps)
     e = Fraction(eps)
-    q = make_kernel(StateSpace(n), _circle_matrix(n))
+    q = _kernel_from_triplets(StateSpace(n), *_circle_triplets(n))
     shift = float(e / (4 + 2 * e))
-    delta = np.zeros((n, n))
+    delta = np.zeros_like(q.dense())  # TooLarge above DENSE_LIMIT
     delta[0, 1] = shift
     delta[0, n - 1] = -shift
     delta[1, 0] = shift
@@ -590,15 +591,12 @@ def periodic_class_example(k: int, class_size: int) -> WaveSystem:
     if cs < 1:
         raise ValueError("classes must be nonempty")
     size = k * cs
-    _check_dense_build(size)
+    _check_entries(size, size * cs)
     labels = tuple(f"c{j}s{i}" for j in range(k) for i in range(cs))
     space = StateSpace(size, labels)
-    mat = np.zeros((size, size))
-    for j in range(k):
-        rows = slice(j * cs, (j + 1) * cs)
-        nxt = ((j + 1) % k) * cs
-        mat[rows, nxt : nxt + cs] = 1.0 / cs
-    kernel = make_kernel(space, mat)
+    rows = np.repeat(np.arange(size, dtype=np.int32), cs)
+    cols = (rows // cs + 1) % k * cs + np.tile(np.arange(cs, dtype=np.int32), size)
+    kernel = _kernel_from_triplets(space, rows, cols, np.full(size * cs, 1.0 / cs))
     fwd = (np.arange(size, dtype=np.int64) - cs) % size
     return make_wave_system(kernel, make_permutation(space, fwd))
 
@@ -619,10 +617,10 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
     d = r - 1  # simple-neighbour count
     if (n * d) % 2 != 0:
         raise DegreeInfeasible(f"{d}-regular graph on {n} vertices has odd degree sum")
-    _check_dense_build(n)
+    _check_entries(n, n * r)
     if n == r:
-        mat = np.full((n, n), 1.0 / r)
-        return make_kernel(StateSpace(n), mat)
+        rows, cols = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        return _kernel_from_triplets(StateSpace(n), rows, cols, np.full(n * n, 1.0 / r))
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(10_000):
@@ -634,10 +632,10 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
         if np.any(keys[1:] == keys[:-1]):  # a multi-edge
             continue
-        mat = np.zeros((n, n))
-        mat[a, b] = mat[b, a] = 1.0 / r
-        np.fill_diagonal(mat, 1.0 / r)
-        return make_kernel(StateSpace(n), mat)
+        # each edge both ways, then the loops; int32, or the kernel stores int64
+        rows = np.concatenate([a, b, np.arange(n)]).astype(np.int32)
+        cols = np.concatenate([b, a, np.arange(n)]).astype(np.int32)
+        return _kernel_from_triplets(StateSpace(n), rows, cols, np.full(n * r, 1.0 / r))
     raise DegreeInfeasible(
         f"no simple {d}-regular pairing found for n={n} after many attempts"
     )

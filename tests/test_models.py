@@ -340,23 +340,26 @@ def test_sn_space_labels_are_one_line_words():
     assert len(set(space.labels)) == 6
 
 
-# ------------------------------------------------------ dense size cap
+# ------------------------------------------------------ stored-entry cap
 
-DENSE_CAP = 1 << 14
+ENTRY_CAP = 1 << 15
 
 
 @pytest.mark.parametrize("build, size", [
-    (lambda: w.circle_kernel(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
-    (lambda: w.lazy_circle_kernel(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
-    (lambda: w.circle_perturbation_spec(DENSE_CAP + 1, 1.0), DENSE_CAP + 1),
-    (lambda: w.periodic_class_example(2, DENSE_CAP // 2 + 1), DENSE_CAP + 2),
-    (lambda: w.random_regular_graph_walk(DENSE_CAP + 2, 3, 0), DENSE_CAP + 2),
-    (lambda: w.random_regular_graph_walk(DENSE_CAP + 1, DENSE_CAP + 1, 0), DENSE_CAP + 1),
+    (lambda: w.circle_kernel(ENTRY_CAP // 2 + 1, 1.0), ENTRY_CAP // 2 + 1),
+    (lambda: w.lazy_circle_kernel(ENTRY_CAP // 2 + 1, 1.0), ENTRY_CAP // 2 + 1),
+    (lambda: w.circle_perturbation_spec(ENTRY_CAP // 2 + 1, 1.0), ENTRY_CAP // 2 + 1),
+    (lambda: w.periodic_class_example(2, ENTRY_CAP // 4 + 1), ENTRY_CAP // 2 + 2),
+    (lambda: w.random_regular_graph_walk(ENTRY_CAP // 2 + 2, 3, 0), ENTRY_CAP // 2 + 2),
+    (lambda: w.random_regular_graph_walk(ENTRY_CAP // 2 + 1, ENTRY_CAP // 2 + 1, 0),
+     ENTRY_CAP // 2 + 1),
 ], ids=["circle", "lazy-circle", "circle-spec", "periodic-classes", "random-regular",
         "complete-graph"])
 def test_dense_builders_refuse_sizes_above_the_cap_before_allocating(build, size):
     def refused():
-        with pytest.raises(errors.TooLarge, match=f"^{size} states exceed the cap of {DENSE_CAP} "):
+        with pytest.raises(errors.TooLarge, match=(
+            f"^{size} states would store \\d+ entries, over the cap of {ENTRY_CAP}$"
+        )):
             build()
 
     assert traced_peak(refused) < 1 << 20  # one n x n float array would take 2 GiB
@@ -365,12 +368,37 @@ def test_dense_builders_refuse_sizes_above_the_cap_before_allocating(build, size
 def test_a_model_above_the_dense_cap_is_one_error_line(tmp_path, capsys):
     from wavechain.cli import main
 
-    argv = ["merge-time", "--model", "circle", "--param", f"n={DENSE_CAP + 1}",
+    argv = ["merge-time", "--model", "circle", "--param", f"n={ENTRY_CAP // 2 + 1}",
             "--out", str(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {DENSE_CAP + 1} states exceed the cap of {DENSE_CAP} "
-                   "for a dense model"]
+    assert err == [f"error: {ENTRY_CAP // 2 + 1} states would store {ENTRY_CAP + 2} entries, "
+                   f"over the cap of {ENTRY_CAP}"]
+
+
+def test_the_entry_cap_admits_the_largest_circle():
+    kernel, _ = w.circle_kernel(ENTRY_CAP // 2 - 1, 1.0)
+    assert kernel.entries[2].size == ENTRY_CAP - 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: w.circle_kernel(8193, 1.0),
+    lambda: w.lazy_circle_kernel(8193, 1.0),
+    lambda: w.random_regular_graph_walk(8192, 3, 0),
+], ids=["circle", "lazy-circle", "random-regular"])
+def test_sparse_models_build_without_an_n_by_n_array(build):
+    assert traced_peak(build) < 4 << 20  # an 8192 x 8192 float array takes 512 MiB
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+def test_circle_perturbation_spec_refuses_its_edit_matrix_above_the_dense_limit(n):
+    def refused():
+        with pytest.raises(errors.TooLarge, match=f"^refusing to densify a {n}-state kernel$"):
+            w.circle_perturbation_spec(n, 1.0)
+
+    # the base's triplet build peaks near 1.4 MB at n = 8193; the n x n
+    # edit matrix would take 134 MB at n = 4097
+    assert traced_peak(refused) < 2 << 20
 
 
 # ----------------------------------------- builders against their old code
@@ -451,6 +479,53 @@ def test_circle_builders_match_the_rational_tables(n, eps):
     assert base.dense().tobytes() == walk.tobytes()
 
 
+def _dense_circle(n, eps=0):
+    # the n x n array every circle builder filled before building from triplets
+    from fractions import Fraction
+
+    e = Fraction(eps)
+    x = np.arange(n)
+    m = np.zeros((n, n))
+    m[x, (x + 1) % n] = 0.5
+    m[x, (x - 1) % n] = 0.5
+    m[[0, 1], [1, 0]] = float((1 + e) / (2 + e))
+    m[[0, 1], [n - 1, 2 % n]] = float(1 / (2 + e))
+    return m
+
+
+def _dense_periodic(k, cs):
+    size = k * cs
+    m = np.zeros((size, size))
+    for j in range(k):
+        nxt = ((j + 1) % k) * cs
+        m[j * cs:(j + 1) * cs, nxt:nxt + cs] = 1.0 / cs
+    return m
+
+
+def _stored(kernel):
+    return [(a.dtype, a.shape, a.tobytes()) for a in kernel.entries]
+
+
+def _dense_route(m):
+    return _stored(w.make_kernel(w.StateSpace(m.shape[0]), m))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 17, 41, 101, 1023, 4095])
+@pytest.mark.parametrize("eps", [1, 0.3, 2, 1 / 3])
+def test_circle_builders_store_the_entries_of_the_dense_route(n, eps):
+    assert _stored(w.circle_kernel(n, eps)[0]) == _dense_route(_dense_circle(n, eps))
+    assert _stored(w.lazy_circle_kernel(n, eps)) == _dense_route(
+        0.5 * (_dense_circle(n, eps) + np.eye(n))
+    )
+    assert _stored(w.circle_perturbation_spec(n, eps).base) == _dense_route(_dense_circle(n))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("cs", [1, 2, 3])
+def test_periodic_classes_store_the_entries_of_the_dense_route(k, cs):
+    assert _stored(w.periodic_class_example(k, cs).base) == _dense_route(_dense_periodic(k, cs))
+
+
 def test_random_regular_walk_matches_the_set_search():
     cases = 0
     for n in (4, 5, 6, 7, 8, 10, 13, 16):
@@ -461,8 +536,9 @@ def test_random_regular_walk_matches_the_set_search():
                     with pytest.raises(errors.DegreeInfeasible):
                         w.random_regular_graph_walk(n, r, seed)
                     continue
-                got = w.random_regular_graph_walk(n, r, seed).dense()
-                assert got.tobytes() == expected.tobytes()
+                got = w.random_regular_graph_walk(n, r, seed)
+                assert got.dense().tobytes() == expected.tobytes()
+                assert _stored(got) == _dense_route(expected)
                 cases += 1
     assert cases > 50
 
