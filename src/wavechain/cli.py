@@ -8,8 +8,8 @@ the analyses call for them.  Integer parameters and flag values must be
 integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
 error wherever a number is read.  Every subcommand writes
 through `_emit`, once its results are complete, so a failing command
-leaves nothing behind.  Reports are byte-stable for a fixed config and
-BLAS thread count (threaded LAPACK rounds differently): JSON is dumped
+leaves nothing behind.  Reports are byte-stable for a fixed config: BLAS
+runs on one thread (threaded LAPACK rounds differently), JSON is dumped
 with sorted keys, CSV rows follow state or step order, and no timestamps
 or environment data are recorded.  The JSON files are written in one
 pass, byte for byte as `json.dumps(..., sort_keys=True, indent=2)`
@@ -22,6 +22,8 @@ fails numerically; in that case report.json names the violated inequality.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import math
 import os
@@ -556,6 +558,18 @@ _COMMAND_ANALYSES = {
 }
 
 
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS, if any, to one thread; return the call
+    that restores its count, so an in-process caller keeps its own."""
+    found = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_-*.so")
+    if not found:
+        return lambda: None
+    lib = ctypes.CDLL(found[0])
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    return lambda: lib.scipy_openblas_set_num_threads64_(threads)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -563,6 +577,7 @@ def main(argv=None) -> int:
         # keep exit 2 reserved for violated bounds; usage errors are
         # ordinary config errors (--help still exits 0)
         return 1 if exc.code else 0
+    restore_blas = _one_blas_thread()
     try:
         config = _config_from_args(args)
         config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
@@ -580,6 +595,8 @@ def main(argv=None) -> int:
     except (WavechainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        restore_blas()
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
 All value types are frozen dataclasses wrapping read-only numpy arrays; no
-function mutates its arguments.  A kernel is stored one way at every size:
-a read-only CSR triple (indptr, indices, data).  `MarkovKernel.dense` is an
+function mutates its arguments.  A kernel is stored one way at every size
+and from every input: a read-only CSR triple (indptr, indices, data) of its
+positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
 states.  A product with a vector is BLAS `@` on `dense()` up to
 DENSE_LIMIT and above it `_vec_mat` or `_mat_vec`, one `np.bincount` over
@@ -46,7 +47,6 @@ from .errors import (
     TooLarge,
     WaveMeasureMissing,
     WindowInverted,
-    ZeroWeight,
 )
 
 DENSE_LIMIT = 4096
@@ -196,10 +196,10 @@ def permutation_order(g: Permutation) -> int:
 class MarkovKernel:
     """A row-stochastic matrix over a state space.
 
-    `entries` is a read-only CSR triple (indptr, indices, data), columns
-    ascending in each row and none repeated, at every size.  `dense()` is
-    the read-only ndarray scattered from it, built on first use and cached;
-    it refuses kernels above DENSE_LIMIT.
+    `entries` is a read-only CSR triple (indptr, indices, data) of the
+    positive entries, `np.intp` indices, columns strictly ascending in each
+    row, at every size.  `dense()` is the read-only ndarray scattered from
+    it, built on first use and cached; it refuses kernels above DENSE_LIMIT.
     """
 
     space: StateSpace
@@ -257,26 +257,18 @@ def _vec_mat_op(kernel: MarkovKernel) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: _vec_mat(x, kernel)
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row pointers of n rows for entries listed row by row."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """Row pointers of rows holding counts[x] entries each."""
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
     return indptr
 
 
-def _index_dtype(maxval: int, *index_arrays) -> type:
-    # scipy's rule for the index arrays of a sparse array: int32 while maxval
-    # and the dtype of every input index array fit it
-    fits = maxval <= np.iinfo(np.int32).max
-    fits = fits and all(np.can_cast(a.dtype, np.int32) for a in index_arrays)
-    return np.int32 if fits else np.int64
-
-
-def _csr(indptr, indices, data, index_dtype) -> CSR:
+def _csr(indptr, indices, data) -> CSR:
     # the callers pass freshly built arrays, which are frozen in place
     return (
-        _frozen(indptr.astype(index_dtype, copy=False)),
-        _frozen(indices.astype(index_dtype, copy=False)),
+        _frozen(indptr.astype(np.intp, copy=False)),
+        _frozen(indices.astype(np.intp, copy=False)),
         _frozen(data.astype(np.float64, copy=False)),
     )
 
@@ -284,14 +276,13 @@ def _csr(indptr, indices, data, index_dtype) -> CSR:
 def _csr_from_triplets(n: int, rows, cols, vals) -> CSR:
     """CSR triple of the n x n matrix summing vals[k] into (rows[k], cols[k]).
 
-    Columns come out ascending in each row.  Duplicates add up in input
-    order, as `np.add.at` adds them into a dense matrix, and entries given
-    as zero stay stored, as scipy keeps them.  The index dtype follows the
-    one scipy picks for the COO-to-CSR conversion of the same triplets.
+    Columns come out strictly ascending in each row.  Duplicates add up in
+    input order, as `np.add.at` adds them into a dense matrix, and an entry
+    whose sum is zero is not stored, so a triple that passes validation
+    holds only positive entries.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    r, c = (np.asarray(a).astype(np.intp, copy=False) for a in (rows, cols))
     vals = np.asarray(vals, dtype=np.float64)
-    r, c = rows.astype(np.int64), cols.astype(np.int64)
     if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
         raise SpaceMismatch(f"triplet index outside 0..{n - 1}")
     key = r * n + c
@@ -302,15 +293,12 @@ def _csr_from_triplets(n: int, rows, cols, vals) -> CSR:
     data = vals[order[first]]
     later = ~first
     np.add.at(data, np.cumsum(first)[later] - 1, vals[order[later]])
-    rows_out, cols_out = np.divmod(key[first], n)
-    index_dtype = _index_dtype(max(r.size, n), rows, cols)
-    return _csr(_indptr(rows_out, n), cols_out, data, index_dtype)
+    kept = data != 0.0
+    rows_out, cols_out = np.divmod(key[first][kept], n)
+    return _csr(_indptr(np.bincount(rows_out, minlength=n)), cols_out, data[kept])
 
 
-def _validate_matrix(space: StateSpace, m: np.ndarray) -> None:
-    n = space.size
-    if m.shape != (n, n):
-        raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {n}")
+def _validate_matrix(m: np.ndarray) -> None:
     if np.any(m < 0.0):
         r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
         raise NegativeEntry(f"negative entry in row {int(r)}")
@@ -340,20 +328,20 @@ def make_kernel(space: StateSpace, entries) -> MarkovKernel:
     """Validate entries as a row-stochastic kernel over the space.
 
     The input may be nested lists, an ndarray, or any scipy sparse matrix
-    or array; the kernel stores its read-only CSR triple whatever the form
-    and the size.  A sparse input keeps its stored entries, explicit zeros
-    too, and sums duplicates in input order; a dense one gives its nonzero
-    entries.  Every constructor in the package goes through here or
-    through `_kernel_from_triplets`.
+    or array; the kernel stores the same read-only CSR triple of its
+    positive entries whatever the form and the size.  A sparse input sums
+    duplicates in input order and drops its explicit zeros.  Every
+    constructor in the package goes through here or through
+    `_kernel_from_triplets`.
     """
     # copies throughout: the caller's arrays stay writable and unshared
-    if _issparse(entries):
-        if entries.shape != (space.size, space.size):
-            raise SpaceMismatch(f"matrix shape {entries.shape} on a space of size {space.size}")
-        coo = entries.tocoo()
-        return _kernel_from_triplets(space, coo.row, coo.col, coo.data)
-    m = np.array(entries, dtype=np.float64)
-    _validate_matrix(space, m)
+    sparse = _issparse(entries)
+    m = entries.tocoo() if sparse else np.array(entries, dtype=np.float64)
+    if m.shape != (space.size, space.size):
+        raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {space.size}")
+    if sparse:
+        return _kernel_from_triplets(space, m.row, m.col, m.data)
+    _validate_matrix(m)
     return _wrap(space, m)
 
 
@@ -371,7 +359,7 @@ def _wrap(space: StateSpace, m: np.ndarray) -> MarkovKernel:
     n = space.size
     rows, cols = np.divmod(np.flatnonzero(m != 0), n)
     data = m[rows, cols]
-    return MarkovKernel(space, _csr(_indptr(rows, n), cols, data, _index_dtype(max(data.size, n))))
+    return MarkovKernel(space, _csr(_indptr(np.bincount(rows, minlength=n)), cols, data))
 
 
 def _same_space(a: StateSpace, b: StateSpace) -> None:
@@ -388,17 +376,14 @@ def _relabeled(
     indptr, indices, data = kernel.entries
     rows = np.arange(n) if rows is None else rows
     counts = np.diff(indptr)[rows]
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_ptr[1:])
+    out_ptr = _indptr(counts)
     # entry k of the result is entry src[k] of the kernel
     src = np.arange(out_ptr[-1]) + np.repeat(indptr[rows] - out_ptr[:-1], counts)
-    col_of = np.empty(n, dtype=np.int64)
+    col_of = np.empty(n, dtype=np.intp)
     col_of[cols] = np.arange(n)
     out_cols = col_of[indices[src]]
     order = np.argsort(_row_of_each_entry(out_ptr) * n + out_cols)
-    return MarkovKernel(
-        kernel.space, _csr(out_ptr, out_cols[order], data[src[order]], indptr.dtype)
-    )
+    return MarkovKernel(kernel.space, _csr(out_ptr, out_cols[order], data[src[order]]))
 
 
 def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel:
@@ -597,12 +582,12 @@ def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.nda
 
 def _row_table(csr: CSR, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, width) column indices and (N, 1, width) weights of each row's
-    stored entries, padded with index 0 and weight 0."""
+    entries, padded with the row's last column and weight 0."""
     indptr, indices, data = csr
     size = indptr.size - 1
     rows = _row_of_each_entry(indptr)
     slot = np.arange(rows.size) - indptr[rows]
-    idx = np.zeros((size, width), dtype=np.intp)
+    idx = np.repeat(indices[indptr[1:] - 1, None], width, axis=1)
     weights = np.zeros((size, 1, width))
     idx[rows, slot] = indices
     weights[rows, 0, slot] = data

@@ -1,12 +1,11 @@
 """Kernel and permutation interchange documents, and the CSV writer.
 
-Kernels travel as JSON objects {size, labels?, triplets} where triplets is a
-list of [row, col, value] for the nonzero entries, sorted by (row, col) so a
-document is byte-stable for a given kernel; it is read straight off the
-kernel's CSR triple, and a stored zero is left out.  Loading sums repeated
-triplets in document order and validates row-stochasticity like any other
-construction path.  Every CSV the package
-writes comes from `_csv_text`.
+Kernels travel as JSON objects {size, labels?, triplets} where triplets is
+the kernel's CSR triple read straight off: [row, col, value] for each
+positive entry, sorted by (row, col), so a document is byte-stable for a
+given kernel.  Loading builds like any other construction path, so the
+round trip stores the same triple; a malformed document is ConfigInvalid.
+Every CSV the package writes comes from `_csv_text`.
 """
 from __future__ import annotations
 
@@ -31,9 +30,7 @@ def kernel_document(kernel: MarkovKernel) -> dict:
     indptr, cols, vals = kernel.entries
     rows = _row_of_each_entry(indptr)
     # the stored entries run row by row, columns ascending
-    triplets = [
-        [r, c, v] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()) if v != 0.0
-    ]
+    triplets = [list(t) for t in zip(rows.tolist(), cols.tolist(), vals.tolist())]
     doc = {"size": kernel.size, "triplets": triplets}
     if kernel.space.labels is not None:
         doc["labels"] = list(kernel.space.labels)
@@ -61,6 +58,13 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _space(size: int, labels, what: str) -> StateSpace:
+    try:  # a bad size or label list is ConfigInvalid
+        return StateSpace(size, labels)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{what}: {exc}") from exc
+
+
 def kernel_from_document(doc: dict) -> MarkovKernel:
     try:
         size = doc["size"]
@@ -72,13 +76,13 @@ def kernel_from_document(doc: dict) -> MarkovKernel:
     if labels is not None and not isinstance(labels, (list, tuple)):
         raise ConfigInvalid(f"kernel labels {labels!r} are not a list")
     for label in labels or ():
-        if isinstance(label, (list, dict)):
+        if isinstance(label, bool) or not isinstance(label, (str, int, float)):
             raise ConfigInvalid(f"kernel label {label!r} is not a string or a number")
     if not isinstance(triplets, (list, tuple)):
         raise ConfigInvalid(f"kernel triplets {triplets!r} are not a list")
     if size > len(triplets):  # a stochastic row needs at least one entry
         raise ConfigInvalid(f"kernel size {size} exceeds its {len(triplets)} triplets")
-    space = StateSpace(size, tuple(labels) if labels is not None else None)
+    space = _space(size, tuple(labels) if labels is not None else None, "kernel document")
     rows, cols, vals = [], [], []
     for t in triplets:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
@@ -118,13 +122,15 @@ def permutation_document(g: Permutation) -> dict:
 def permutation_from_document(doc: dict, space: StateSpace | None = None) -> Permutation:
     try:
         size = doc["size"]
-        images = list(doc["forward"])
+        images = doc["forward"]
     except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"permutation document missing size/forward: {exc}") from exc
     size = _integer(size, "permutation size")
+    if not isinstance(images, (list, tuple)):
+        raise ConfigInvalid(f"permutation forward {images!r} is not a list")
     forward = [_integer(v, "permutation image") for v in images]
     if space is None:
-        space = StateSpace(size)
+        space = _space(size, None, "permutation document")
     elif space.size != size:
         raise ConfigInvalid("permutation document size differs from the target space")
     return make_permutation(space, forward)

@@ -100,11 +100,10 @@ def _circle_triplets(n: int, eps=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Triplets of the circle walk moving 1/2 to each neighbour, except
     that the edge (0, 1) weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps)
     along it and 1/(2 + eps) away from it.  Those two weights are rounded
-    once from exact rationals; every other value, 1/2, is exact in binary.
-    The indices are int32: int64 ones would make the kernel store int64."""
+    once from exact rationals; every other value, 1/2, is exact in binary."""
     _check_entries(n, 2 * n)
     e = Fraction(eps)
-    x = np.arange(n, dtype=np.int32)
+    x = np.arange(n)
     cols = np.column_stack([(x + 1) % n, (x - 1) % n]).ravel()
     vals = np.full(2 * n, 0.5)
     heavy, light = float((1 + e) / (2 + e)), float(1 / (2 + e))
@@ -137,7 +136,7 @@ def lazy_circle_kernel(n_points, eps: float) -> MarkovKernel:
     _check_eps(eps)
     _check_entries(n, 3 * n)
     rows, cols, vals = _circle_triplets(n, eps)
-    x = np.arange(n, dtype=np.int32)
+    x = np.arange(n)
     # halving and holding 1/2 on the empty diagonal are exact
     vals = np.append(0.5 * vals, np.full(n, 0.5))
     return _kernel_from_triplets(StateSpace(n), np.append(rows, x), np.append(cols, x), vals)
@@ -594,8 +593,8 @@ def periodic_class_example(k: int, class_size: int) -> WaveSystem:
     _check_entries(size, size * cs)
     labels = tuple(f"c{j}s{i}" for j in range(k) for i in range(cs))
     space = StateSpace(size, labels)
-    rows = np.repeat(np.arange(size, dtype=np.int32), cs)
-    cols = (rows // cs + 1) % k * cs + np.tile(np.arange(cs, dtype=np.int32), size)
+    rows = np.repeat(np.arange(size), cs)
+    cols = (rows // cs + 1) % k * cs + np.tile(np.arange(cs), size)
     kernel = _kernel_from_triplets(space, rows, cols, np.full(size * cs, 1.0 / cs))
     fwd = (np.arange(size, dtype=np.int64) - cs) % size
     return make_wave_system(kernel, make_permutation(space, fwd))
@@ -619,7 +618,7 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
         raise DegreeInfeasible(f"{d}-regular graph on {n} vertices has odd degree sum")
     _check_entries(n, n * r)
     if n == r:
-        rows, cols = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        rows, cols = np.divmod(np.arange(n * n), n)
         return _kernel_from_triplets(StateSpace(n), rows, cols, np.full(n * n, 1.0 / r))
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
@@ -632,9 +631,9 @@ def random_regular_graph_walk(n_vertices: int, degree: int, seed: int) -> Markov
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
         if np.any(keys[1:] == keys[:-1]):  # a multi-edge
             continue
-        # each edge both ways, then the loops; int32, or the kernel stores int64
-        rows = np.concatenate([a, b, np.arange(n)]).astype(np.int32)
-        cols = np.concatenate([b, a, np.arange(n)]).astype(np.int32)
+        # each edge both ways, then the loops
+        rows = np.concatenate([a, b, np.arange(n)])
+        cols = np.concatenate([b, a, np.arange(n)])
         return _kernel_from_triplets(StateSpace(n), rows, cols, np.full(n * r, 1.0 / r))
     raise DegreeInfeasible(
         f"no simple {d}-regular pairing found for n={n} after many attempts"

@@ -39,15 +39,14 @@ class PathSample:
 class _RowTable:
     """Flat sorted rows of a kernel, ready for vectorized inverse transform.
 
-    Each row's stored entries are padded to a power-of-two width W: the row
-    of state r owns entries r*W .. r*W + W - 1 of the flat `indices` (its
-    columns in increasing order up to its last positive entry, then that
-    column repeated) and of `cums` (the running sums, then 2.0).  Stored
-    zeros after the last positive entry are padding too.  `step` selects
-    the first column whose cumulative exceeds the draw by a branchless
-    search of log2(W) gathers.  The search never leaves the row, so a draw
-    at or above the final rounded cumulative selects the last positive
-    entry, also on rows that fill all W columns.
+    Each row's stored entries, all positive, are padded to a power-of-two
+    width W: the row of state r owns entries r*W .. r*W + W - 1 of the flat
+    `indices` (its columns in increasing order, then the last one repeated)
+    and of `cums` (the running sums, then 2.0).  `step` selects the first
+    column whose cumulative exceeds the draw by a branchless search of
+    log2(W) gathers.  The search never leaves the row, so a draw at or
+    above the final rounded cumulative selects the last entry, also on
+    rows that fill all W columns.
     """
 
     def __init__(self, kernel):
@@ -55,12 +54,7 @@ class _RowTable:
         width = 1 << (int(np.max(counts)) - 1).bit_length()
         indices, weights = _row_table(kernel.entries, width)
         cums = np.cumsum(weights[:, 0], axis=1)  # the same sums as row by row
-        # entries up to the last positive one; every row has one
-        used = width - np.argmax(weights[:, 0, ::-1] > 0, axis=1)
-        pad = np.arange(width) >= used[:, None]
-        cums[pad] = 2.0
-        last = indices[np.arange(kernel.size), used - 1]
-        indices = np.where(pad, last[:, None], indices)
+        cums[np.arange(width) >= counts[:, None]] = 2.0
         self.width = width
         self.indices = indices.ravel()
         self.cums = cums.ravel()

@@ -10,9 +10,9 @@ Lanczos in numpy (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000), on
 products taken straight from the kernel's CSR triple.  No scipy is needed
 at any size.
 
-The graph search runs in numpy over the positive entries of the kernel's
-CSR triple, and the state count picks the SVD path and the stationary
-solve.
+The graph search runs in numpy over the kernel's CSR triple, which holds
+its positive entries only, and the state count picks the SVD path and the
+stationary solve.
 The invariant measures of many shifted kernels of one base are found a
 batch at a time: one level search over the union of their support graphs
 and one stacked direct solve, the solver `stationary_distribution` runs
@@ -29,7 +29,6 @@ from .core import (
     DENSE_LIMIT,
     Distribution,
     MarkovKernel,
-    StateSpace,
     _mat_vec,
     _relabeled,
     _row_of_each_entry,
@@ -54,10 +53,9 @@ _STATIONARY_MAX_STEPS = 100_000
 
 
 def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
-    """(tails, heads) of the kernel's positive entries."""
-    indptr, heads, vals = kernel.entries
-    edge = vals > 0  # a stored zero is no edge
-    return _row_of_each_entry(indptr)[edge], heads[edge]
+    """(tails, heads) of the kernel's entries, all of them positive."""
+    indptr, heads, _ = kernel.entries
+    return _row_of_each_entry(indptr), heads
 
 
 def _search_levels(

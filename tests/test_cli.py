@@ -1,4 +1,10 @@
+import ctypes
+import glob
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,41 @@ def test_reports_are_byte_stable_across_directories(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # threaded LAPACK rounds differently; `main` runs BLAS on one thread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "wavechain.cli", "analyze", "--model", "sticky",
+             "--param", "n=6", "--analyses", "spectral,stability", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_main_restores_the_callers_blas_thread_count(tmp_path):
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_-*.so")
+    if not libs:
+        pytest.skip("numpy bundles no scipy-openblas library here")
+    lib = ctypes.CDLL(libs[0])
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        restore = cli._one_blas_thread()
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+        restore()
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+        assert main(["analyze", "--model", "circle", "--param", "n=5", "--analyses", "spectral",
+                     "--out", str(tmp_path)]) == 0
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def test_stability_analysis_reports_the_circle_constant(tmp_path):

@@ -5,8 +5,10 @@ model, relabeling and reader below is compared, array by array as
 (dtype, shape, bytes), against the scipy route the package took above
 DENSE_LIMIT before: COO triplets, or a dense matrix, converted to a
 `csr_array` with sorted indices, the shift as `m[:, g.inverse]` and the
-transport as `m[np.ix_(gp, gp)]`.  The models are checked on both sides
-of DENSE_LIMIT.
+transport as `m[np.ix_(gp, gp)]`.  The kernel keeps only the positive
+entries, with intp indices, so the route's matrix is compared after
+`eliminate_zeros()`, its indices cast to intp.  The models are checked on
+both sides of DENSE_LIMIT.
 """
 import functools
 import itertools
@@ -38,6 +40,14 @@ def stored(arrs) -> tuple:
     return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrs)
 
 
+def kept(csr):
+    """The arrays of the scipy route's matrix under the storage rule: its
+    stored zeros eliminated, its indices cast to intp."""
+    csr = csr.copy()
+    csr.eliminate_zeros()
+    return csr.indptr.astype(np.intp), csr.indices.astype(np.intp), csr.data
+
+
 def scipy_document(kernel, csr):
     """`kernel_document` as it read a scipy CSR matrix."""
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
@@ -55,19 +65,19 @@ def scipy_document(kernel, csr):
 def assert_same_route(kernel, g, ref):
     """The base, its shift, transports, document and row table against the
     scipy route from the reference matrix `ref`."""
-    assert stored(kernel.entries) == stored(arrays(ref))
+    assert stored(kernel.entries) == stored(kept(ref))
     shifted = w.shift_kernel(kernel, g)
     ref_shifted = ref[:, g.inverse].sorted_indices()
-    assert stored(shifted.entries) == stored(arrays(ref_shifted))
+    assert stored(shifted.entries) == stored(kept(ref_shifted))
     for i in (1, 2, 5):
         gp = g.power_map(i - 1)
         got = w.transport_kernel(kernel, g, i)
-        assert stored(got.entries) == stored(arrays(ref[np.ix_(gp, gp)].sorted_indices()))
+        assert stored(got.entries) == stored(kept(ref[np.ix_(gp, gp)].sorted_indices()))
     assert json.dumps(w.kernel_document(shifted)) == json.dumps(
         scipy_document(shifted, ref_shifted)
     )
     table = _RowTable(shifted)
-    want = _RowTable(w.MarkovKernel(shifted.space, arrays(ref_shifted)))
+    want = _RowTable(w.MarkovKernel(shifted.space, kept(ref_shifted)))
     assert table.width == want.width
     assert stored((table.indices, table.cums)) == stored((want.indices, want.cums))
 
@@ -122,7 +132,7 @@ def test_models_store_the_scipy_arrays(recorded, build):
     system = build()
     ref, = recorded
     assert stored(system.shifted.entries) == stored(
-        arrays(ref[:, system.map.inverse].sorted_indices())
+        kept(ref[:, system.map.inverse].sorted_indices())
     )
     assert_same_route(system.base, system.map, ref)
 
@@ -157,6 +167,7 @@ def test_documents_below_their_dense_limit_store_the_scipy_arrays():
     rows, cols, vals = (list(t) for t in zip(*triplets))
     ref = scipy_csr(6, rows, cols, vals)
     assert np.any(ref.data == 0.0)  # scipy keeps the explicit zeros
+    assert np.all(kernel.entries[2] > 0.0)  # the kernel does not
     assert_same_route(kernel, w.make_permutation(kernel.space, [3, 0, 5, 1, 4, 2]), ref)
     assert kernel.dense().tobytes() == added_in_order(6, rows, cols, vals).tobytes()
 
@@ -271,12 +282,13 @@ def test_dense_and_csr_storage_agree(case):
 @pytest.mark.parametrize("dense_limit", [2, 4096])
 def test_a_stored_zero_is_no_edge(dense_limit, monkeypatch):
     # a 3-cycle with an explicit zero on the diagonal keeps period 3, with
-    # CSR products above DENSE_LIMIT and dense ones below
+    # CSR products above DENSE_LIMIT and dense ones below; the zero is not
+    # stored
     monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
     kernel = w.kernel_from_document(doc)
     assert core._vec_mat_op(kernel)(np.array([1.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 0.0]
-    assert kernel.entries[2].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert kernel.entries[2].tolist() == [1.0, 1.0, 1.0]
     assert w.is_irreducible(kernel) and w.period(kernel) == 3
     assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]
 
@@ -286,8 +298,9 @@ def test_every_input_form_stores_the_scipy_arrays(corpus):
     space = corpus[3].space
     forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
     # COO input with every entry split in two halves, in reverse order,
-    # and an explicit zero in each row: scipy keeps the zeros and sums
-    # the halves, exactly in either order
+    # and an explicit zero in each row: the kernel drops the zeros, as the
+    # reference's `eliminate_zeros` does, and sums the halves, exactly in
+    # either order
     rows, cols = np.nonzero(m)
     rows = np.concatenate([rows, rows[::-1], np.arange(space.size)])
     cols = np.concatenate([cols, cols[::-1], (np.arange(space.size) + 2) % space.size])
@@ -299,7 +312,7 @@ def test_every_input_form_stores_the_scipy_arrays(corpus):
     for entries in forms:
         kernel = w.make_kernel(space, entries)
         want = sp.csr_array(entries, dtype=np.float64, copy=True).sorted_indices()
-        assert stored(kernel.entries) == stored(arrays(want))
+        assert stored(kernel.entries) == stored(kept(want))
         assert kernel.dense().tobytes() == m.tobytes()
 
 

@@ -2,9 +2,10 @@
 
 `is_irreducible` and `period` search the positive entries of a kernel
 breadth-first in numpy, forward and on the reversed edges.  Each matrix
-is stored two ways, as its nonzero entries only and as every entry, zeros
-too, and both kernels are checked against csgraph computed here and
-against the plain breadth-first loop `reference_period`.
+is given two ways, as its nonzero entries only and as every entry, zeros
+too; both must store the same triple, and both kernels are checked
+against csgraph computed here and against the plain breadth-first loop
+`reference_period`.
 """
 import numpy as np
 import pytest
@@ -31,13 +32,16 @@ def csgraph_verdict(m):
 
 
 def both_storages(m):
-    """The kernel of m storing its nonzero entries, and storing them all."""
+    """The kernel of m given its nonzero entries, and given them all; the
+    two store the same triple."""
     n = m.shape[0]
     space = w.StateSpace(n)
     nonzero = w.make_kernel(space, m)
     full = sp.csr_array((m.ravel(), np.tile(np.arange(n), n), np.arange(n + 1) * n), shape=(n, n))
     every = w.make_kernel(space, full)
-    assert every.entries[2].size == n * n > nonzero.entries[2].size or np.all(m)
+    assert [(a.dtype, a.tobytes()) for a in every.entries] == [
+        (a.dtype, a.tobytes()) for a in nonzero.entries
+    ]
     return nonzero, every
 
 

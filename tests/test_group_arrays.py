@@ -221,7 +221,7 @@ def test_group_walk_kernel_equals_the_loop_on_random_generators(n):
         chosen = rng.choice(len(elements), size=count, replace=False)
         weights = rng.random(count)
         if count > 1:
-            weights[0] = 0.0  # an explicit zero stays a stored triplet
+            weights[0] = 0.0  # an explicit zero triplet, which is not stored
         weights /= weights.sum()
         spec = GroupWalkSpec(n, {elements[int(i)]: float(v) for i, v in zip(chosen, weights)})
         got = models.group_walk_kernel(spec)

@@ -69,6 +69,30 @@ def test_kernel_document_shapes_are_checked(doc):
         w.kernel_from_document(doc)
 
 
+ONE_ROW_EACH = [[0, 0, 1.0], [1, 1, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (w.kernel_from_document, {"size": 2, "labels": ["a"], "triplets": ONE_ROW_EACH}),
+        (w.kernel_from_document, {"size": 2, "labels": ["a", "a"], "triplets": ONE_ROW_EACH}),
+        (w.kernel_from_document, {"size": 0, "triplets": ONE_ROW_EACH}),
+        (w.kernel_from_document, {"size": -1, "triplets": ONE_ROW_EACH}),
+        (w.kernel_from_document, {"size": 2, "labels": [None, 1], "triplets": ONE_ROW_EACH}),
+        (w.permutation_from_document, {"size": 0, "forward": []}),
+        (w.permutation_from_document, {"size": 3, "forward": "012"}),
+    ],
+    ids=["label-count", "duplicate-labels", "kernel-size-0", "kernel-size-minus-1",
+         "null-label", "permutation-size-0", "forward-string"],
+)
+def test_document_loaders_raise_config_invalid(load, doc):
+    # never a bare ValueError from the state space, and nothing that the
+    # checks name as malformed loads
+    with pytest.raises(errors.ConfigInvalid):
+        load(doc)
+
+
 def test_row_sum_violation_carries_the_row_index():
     doc = {
         "size": 2,

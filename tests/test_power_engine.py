@@ -336,7 +336,8 @@ def test_gathered_wave_identity_and_bound_verdicts():
 
 @st.composite
 def sparse_kernels(draw):
-    """A random kernel with stored zeros, in dense or CSR storage."""
+    """A random kernel from triplets, some of them zero, in dense or CSR
+    storage."""
     n = draw(st.integers(1, 10))
     cells = st.one_of(st.none(), st.just(0.0), st.floats(1e-3, 1.0))
     rows, cols, vals = [], [], []
@@ -346,7 +347,7 @@ def sparse_kernels(draw):
             row[draw(st.integers(0, n - 1))] = 1.0
         total = sum(v for v in row if v is not None)
         for y, v in enumerate(row):
-            if v is not None:  # None is absent; 0.0 is a stored zero
+            if v is not None:  # None is absent; 0.0 a zero triplet, not stored
                 rows.append(x)
                 cols.append(y)
                 vals.append(v / total)

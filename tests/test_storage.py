@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import wavechain as w
 import wavechain.core as core
 import wavechain.spectral as spectral
-from wavechain import cli
+from wavechain import cli, models
 from wavechain.rng import uniforms
 from wavechain.sim import _RowTable
 
@@ -116,19 +116,46 @@ def test_sampling_is_identical(corpus):
         assert w.sample_path(s, 0, 30, seed).steps == dense_row_path(s, 0, 30, seed)
 
 
+def stored(kernel) -> tuple:
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in kernel.entries)
+
+
 def test_every_input_form_gets_the_same_storage(corpus):
-    m = np.asarray(corpus[0].base.dense())
-    space = corpus[0].space
-    forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m), sp.csr_array(m)]
-    stored = {
-        tuple((a.dtype.str, a.shape, a.tobytes()) for a in w.make_kernel(space, f).entries)
-        for f in forms
-    }
-    assert len(stored) == 1
-    for entries in forms:
-        k = w.make_kernel(space, entries)
-        assert not k.dense().flags.writeable
-        assert np.array_equal(k.dense(), m)
+    for s in corpus[:2]:
+        m = np.asarray(s.base.dense())
+        space = s.space
+        forms = [m.tolist(), m, sp.coo_matrix(m), sp.csr_matrix(m), sp.coo_array(m),
+                 sp.csr_array(m)]
+        # COO with int64 indices, and COO with a zero triplet in each row, at
+        # a zero of the row where it has one (corpus[1] has one in every row)
+        rows, cols = np.nonzero(m)
+        forms.append(sp.coo_array(
+            (m[rows, cols], (rows.astype(np.int64), cols.astype(np.int64))), shape=m.shape))
+        at = np.argmin(m, axis=1)
+        assert s is corpus[0] or np.all(m[np.arange(space.size), at] == 0.0)
+        forms.append(sp.coo_array(
+            (np.concatenate([m[rows, cols], np.zeros(space.size)]),
+             (np.concatenate([rows, np.arange(space.size)]), np.concatenate([cols, at]))),
+            shape=m.shape))
+        kernels = [w.make_kernel(space, f) for f in forms]
+        kernels.append(w.kernel_from_document(w.kernel_document(kernels[1])))
+        assert {stored(k) for k in kernels} == {stored(kernels[1])}
+        for k in kernels:
+            assert not k.dense().flags.writeable
+            assert np.array_equal(k.dense(), m)
+
+
+def test_every_kernel_stores_its_positive_entries_with_intp_indices(corpus):
+    systems = [models.build_model(name, {}) for name in models.MODELS] + list(corpus)
+    for s in systems:
+        for kernel in (s.base, s.shifted):
+            indptr, indices, data = kernel.entries
+            assert indptr.dtype == indices.dtype == np.intp
+            assert np.all(data > 0.0)
+            # columns strictly ascending inside each row
+            rows = np.repeat(np.arange(kernel.size), np.diff(indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(indices[1:][same_row] > indices[:-1][same_row])
 
 
 def test_analyses_share_one_stationary_solve(tmp_path, monkeypatch):

@@ -295,17 +295,18 @@ def test_a_draw_above_the_last_rounded_cumulative_takes_the_last_support_point(r
     "row",
     [
         [0.1] * 10,  # width 10, searched as 16 with padding
-        [v / 1000 for v in (141, 145, 111, 130, 114, 128, 231)],  # with the zero, fills W = 8
+        [v / 1000 for v in (141, 145, 111, 130, 114, 128, 231)],  # 7 entries, padded to W = 8
     ],
 )
 def test_a_draw_above_the_last_rounded_cumulative_never_takes_a_stored_zero(row):
-    # trailing stored zeros are padding: the draw takes the last positive
-    # entry of the row, also when the zeros fill the table width
+    # a trailing zero triplet is not stored: the draw takes the last
+    # positive entry of the row
     n = len(row)
     triplets = [[0, j, v] for j, v in enumerate(row)] + [[0, n, 0.0]]
     triplets += [[x, (x + 1) % (n + 1), 1.0] for x in range(1, n + 1)]
     kernel = w.kernel_from_document({"size": n + 1, "triplets": triplets})
-    assert kernel.entries[2][: n + 1].tolist() == [*row, 0.0]  # the zero is stored
+    assert kernel.entries[0][1] == n  # the zero is not stored
+    assert kernel.entries[2][:n].tolist() == row
     table = _RowTable(kernel)
     u = 1.0 - 2.0**-53
     assert float(np.cumsum(row)[-1]) <= u
