@@ -6,7 +6,8 @@ through one library call; and writes machine-readable outputs into the
 chosen directory: report.json plus trace.csv / profile.csv / scan.csv as
 the analyses call for them.  Integer parameters and flag values must be
 integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
-error wherever a number is read.  Every subcommand writes
+error wherever a number is read, and so is a number quoted as a string
+in a JSON document; flag text is read by `_coerce`.  Every subcommand writes
 through `_emit`, once its results are complete, so a failing command
 leaves nothing behind.  Reports are byte-stable for a fixed config: BLAS
 runs on one thread (threaded LAPACK rounds differently), JSON is dumped
@@ -139,13 +140,13 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
     if text == "identity":
         return make_permutation(space, np.arange(size))
     if text.startswith("shift:"):
-        s = _integer(text.split(":", 1)[1], "bijection shift")
+        s = _integer(_coerce(text.split(":", 1)[1]), "bijection shift")
         return make_permutation(space, (np.arange(size) + s) % size)
     if text == "random" or text.startswith("random:"):
-        key = seed if text == "random" else _integer(text.split(":", 1)[1], "bijection random key")
+        key = seed if text == "random" else _integer(_coerce(text.split(":", 1)[1]), "bijection random key")
         return make_permutation(space, np.random.default_rng(key).permutation(size))
     if "," in text:
-        return make_permutation(space, _images(text.split(",")))
+        return make_permutation(space, _images(map(_coerce, text.split(","))))
     raise ConfigInvalid(
         f"bijection {raw!r} not understood; use identity, shift:s, random[:key], "
         "or an explicit comma-separated image list"
@@ -414,12 +415,12 @@ def run(config: ExperimentConfig) -> tuple[int, dict]:
 def _parse_int_list(text: str) -> list[int]:
     bounds = text.strip().split(":")
     if len(bounds) == 1:
-        return [_integer(v, "--n-list size") for v in bounds[0].split(",")]
+        return [_integer(_coerce(v), "--n-list size") for v in bounds[0].split(",")]
     if len(bounds) == 2:
         bounds.append("1")
     if len(bounds) != 3:
         raise ConfigInvalid(f"--n-list {text!r} is not a,b,c or start:stop[:step]")
-    start, stop, step = [_integer(v, "--n-list bound") for v in bounds]
+    start, stop, step = [_integer(_coerce(v), "--n-list bound") for v in bounds]
     if step == 0:
         raise ConfigInvalid(f"--n-list {text!r} has step 0")
     # stop is inclusive in either direction

@@ -531,7 +531,7 @@ def wave_measures(system: WaveSystem, i: int) -> Distribution:
         raise WaveMeasureMissing(
             "shifted kernel is reducible; wave measures are not defined"
         )
-    gi = system.map.power_map(i % system.order if i >= 0 else i)
+    gi = system.map.power_map(i % system.order)
     return Distribution(system.space, pi.weights[gi])
 
 

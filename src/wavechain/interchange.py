@@ -39,10 +39,10 @@ def kernel_document(kernel: MarkovKernel) -> dict:
 
 def _integer(value, what: str) -> int:
     """An index or size read from a document: an integer, or a float with
-    no fractional part; anything else, a boolean too, is ConfigInvalid,
-    never truncated or read as 0 or 1."""
+    no fractional part; anything else, a boolean or a string too, is
+    ConfigInvalid, never truncated, read as 0 or 1, or parsed."""
     try:
-        number = None if isinstance(value, (bool, np.bool_)) else int(value)
+        number = None if isinstance(value, (bool, np.bool_, str)) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, (float, np.floating)) and value != number):
@@ -51,9 +51,9 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A real parameter read from a flag or a document: float(value), but a
-    boolean is ConfigInvalid, never read as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
+    """A real parameter from a document or from `cli._coerce`d flag text:
+    float(value); a boolean or a string is ConfigInvalid, never parsed."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise ConfigInvalid(f"{what} {value!r} is not a number")
     return float(value)
 

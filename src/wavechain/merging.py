@@ -66,9 +66,7 @@ def relative_sup_distance(mu: Distribution, nu: Distribution) -> float:
     a, b = _paired(mu, nu)
     if np.any((b == 0.0) & (a > 0.0)):
         return math.inf
-    mask = b > 0.0
-    if not mask.any():
-        return 0.0
+    mask = b > 0.0  # a Distribution has positive mass somewhere
     return float(np.max(np.abs(a[mask] / b[mask] - 1.0)))
 
 
@@ -365,47 +363,47 @@ def bound_dominance(
     `wave_bound` for n = 1 .. horizon, and the first step attaining it.
 
     Streams the powers of the shifted kernel; any system with a wave
-    measure is accepted, periodic ones included.  With scale >= 0 each
-    block of powers is first screened column by column: the worst error
-    c_n(y) of column y, read from its extreme entries, against the
-    smallest bound in that column.  Rounding is monotone, so a power whose
-    every column passes has no positive excess; only the others are
-    scanned entry by entry, in order, and the first step attaining the
-    excess is unchanged.
+    measure is accepted, periodic ones included.  Each block of powers is
+    first screened column by column: the worst error c_n(y) of column y,
+    read from its extreme entries, against the smallest bound in that
+    column.  Rounding is monotone, so a power whose every column passes
+    has no positive excess; only the others are scanned entry by entry, in
+    order, and the first step attaining the excess is unchanged.
 
     The loop stops once its proof closes.  Each row of K~^(n+1) is a convex
-    combination of rows of K~^n, so c_n(y) never increases, while the
-    column floor scale sigma1_tilde^n min_x f(x) f(y) only falls.  A
-    computed power of a nonnegative matrix is within a relative H N u of
-    the exact one (Higham 2002, section 3.5; H the horizon, N the state
-    count, u the unit roundoff), so once every column of the last power
-    of a block has c_n(y) + 2 H N u (1 + c_n(y)) at most the floor at the
-    horizon, no later power can fail the screen and the rest are not
-    computed.  The argument holds for any stochastic kernel, periodic ones
-    included; with scale < 0 there is no screen and the whole horizon is
-    scanned.
+    combination of rows of K~^n, so c_n(y) never increases, while for
+    scale >= 0 the column floor scale sigma1_tilde^n min_x f(x) f(y) only
+    falls.  A computed power of a nonnegative matrix is within a relative
+    H N u of the exact one (Higham 2002, section 3.5; H the horizon, N the
+    state count, u the unit roundoff), so once every column of the last
+    power of a block has c_n(y) + 2 H N u (1 + c_n(y)) at most the floor
+    at the horizon, no later power can fail the screen and the rest are
+    not computed.  The argument holds for any stochastic kernel, periodic
+    ones included.  A negative scale makes every floor at most 0 while
+    c_n(y) >= 0: a column clears only where its error and bounds are all
+    0, and the proof never closes.
     """
     if not math.isfinite(scale):
         raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     w, front, sigma = _bound_factors(system)
     outer = np.outer(front, front)
-    # the smallest bound of column y is in the row of the smallest factor
-    screen = outer[int(np.argmin(front))] if scale >= 0.0 else None
-    if screen is not None:
-        last_floor = scale * sigma**horizon * screen
-        slack = 2.0 * horizon * w.size * _UNIT_ROUNDOFF
+    # the smallest bound of column y is in the row of the smallest factor,
+    # or of the largest when scale < 0
+    screen = outer[int(np.argmin(front) if scale >= 0.0 else np.argmax(front))]
+    last_floor = scale * sigma**horizon * screen
+    slack = 2.0 * horizon * w.size * _UNIT_ROUNDOFF
     worst = (0.0, 0)
-    proven = False
     for first, block in power_blocks(system.shifted, horizon):
         steps = range(first, first + block.shape[1])
-        if screen is not None:
-            high = block.max(axis=0) / w - 1.0
-            low = 1.0 - block.min(axis=0) / w
-            floor = np.array([scale * sigma**n for n in steps])[:, None] * screen
-            cleared = ((high <= floor) & (low <= floor)).all(axis=1).tolist()
-            steps = [n for n, ok in zip(steps, cleared) if not ok]
-            error = np.maximum(high[-1], low[-1])
-            proven = bool(np.all(error + slack * (1.0 + error) <= last_floor))
+        high = block.max(axis=0) / w - 1.0
+        low = 1.0 - block.min(axis=0) / w
+        floor = np.array([scale * sigma**n for n in steps])[:, None] * screen
+        cleared = ((high <= floor) & (low <= floor)).all(axis=1).tolist()
+        steps = [n for n, ok in zip(steps, cleared) if not ok]
+        error = np.maximum(high[-1], low[-1])
+        proven = bool(np.all(error + slack * (1.0 + error) <= last_floor))
         # the powers left go one at a time: N x N temporaries stay in
         # cache, which measured faster than block-wide arrays at N = 81
         for n in steps:

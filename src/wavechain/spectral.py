@@ -14,9 +14,10 @@ The graph search runs in numpy over the kernel's CSR triple, which holds
 its positive entries only, and the state count picks the SVD path and the
 stationary solve.
 The invariant measures of many shifted kernels of one base are found a
-batch at a time: one level search over the union of their support graphs
-and one stacked direct solve, the solver `stationary_distribution` runs
-as a batch of one.
+batch at a time, densely: one level search over the union of their
+support graphs and one stacked direct solve.  The batch shares
+`_bordered_solves` and `_refined` with `stationary_distribution`, which
+has its own irreducibility search and a uniform start above DENSE_LIMIT.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .core import (
     Distribution,
     MarkovKernel,
     _mat_vec,
-    _relabeled,
     _row_of_each_entry,
     _vec_mat,
     _vec_mat_op,
@@ -112,8 +112,8 @@ def period(kernel: MarkovKernel) -> int:
     if found is None:
         raise NotIrreducible("period is only defined per communicating class")
     level, tails, heads = found
-    g = int(np.gcd.reduce(level[tails] + 1 - level[heads]))
-    return g if g else 1
+    # the edge into state 0 adds level(u) + 1 >= 1 to the gcd
+    return int(np.gcd.reduce(level[tails] + 1 - level[heads]))
 
 
 def _merging_obstruction(kernel: MarkovKernel) -> Optional[str]:
@@ -189,12 +189,14 @@ def _shifted_stationary_weights(
     The maps go in batches of at most _STACK_ENTRIES kernel entries.  A
     batch is one level search, forward and reversed, over the disjoint
     union of its shifted support graphs (a base edge x -> z is the shifted
-    edge x -> g z), one stacked direct solve up to DENSE_LIMIT states, and
-    the damped refinement of each solution against its own shifted kernel.
+    edge x -> g z), one stacked direct solve, and the damped refinement of
+    each solution against its own shifted kernel.  Dense only: TooLarge
+    above DENSE_LIMIT states, where the circle scan's shifts by one would
+    start from the uniform vector and not converge in 100 000 steps.
     """
+    dense = base.dense()
     n = base.size
     tails, heads = _edges(base)
-    dense = base.dense() if n <= DENSE_LIMIT else None
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out: list[Optional[np.ndarray]] = []
     for lo in range(0, len(forwards), per_batch):
@@ -206,23 +208,14 @@ def _shifted_stationary_weights(
         strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
         strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
         inv = np.argsort(fwd[strong], axis=1)
-        if dense is not None:
-            pis = _bordered_solves(dense[:, inv].transpose(1, 0, 2))
-        else:
-            pis = np.full((len(inv), n), 1.0 / n)
-        solved = iter(zip(pis, inv))
+        solved = zip(_bordered_solves(dense[:, inv].transpose(1, 0, 2)), inv)
         for live in strong:
             if not live:
                 out.append(None)
                 continue
             pi, cols = next(solved)
-            # below DENSE_LIMIT the columns come straight from `dense`: a CSR
-            # relabel per map slowed the lazy-circle-41 scan by half
-            if dense is not None:
-                mat = dense[:, cols]
-                out.append(_refined(pi, lambda x: x @ mat))
-            else:
-                out.append(_refined(pi, _vec_mat_op(_relabeled(base, None, cols))))
+            mat = dense[:, cols]
+            out.append(_refined(pi, lambda x: x @ mat))
     return out
 
 

@@ -184,6 +184,22 @@ def test_bounds_reject_a_scale_that_is_not_finite(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--analyses", "bounds"], "horizon must be nonnegative"),
+        (["merge-time"], "max_steps must be nonnegative"),
+    ],
+    ids=["bounds", "merge-time"],
+)
+def test_a_negative_horizon_is_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv += ["--model", "circle", "--param", "n=9", "--param", "horizon=-5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_bounds_analysis_clean_by_default(tmp_path):
     code = main(
         ["analyze", "--model", "circle", "--param", "n=7", "--analyses",
@@ -591,7 +607,7 @@ def test_wave_profile_validates_its_config(tmp_path, capsys, argv, message):
         (["analyze", *CIRCLE5, "--bijection", "shift:abc"],
          "bijection shift 'abc' is not an integer"),
         (["analyze", *CIRCLE5, "--bijection", "random:1.5"],
-         "bijection random key '1.5' is not an integer"),
+         "bijection random key 1.5 is not an integer"),
     ],
     ids=["n-list-four-parts", "n-list-zero-step", "n-list-size", "n-list-bound",
          "bijection-shift", "bijection-random-key"],
@@ -607,10 +623,22 @@ def test_flag_values_that_parse_are_unchanged():
     assert cli._parse_int_list("5:13:4") == [5, 9, 13]
     assert cli._parse_int_list(" 5:7 ") == [5, 6, 7]
     assert cli._parse_int_list("3,4,5") == [3, 4, 5]
+    assert cli._parse_int_list("3, 4 ,+5") == [3, 4, 5]
     space = w.StateSpace(5)
     assert cli._parse_bijection("shift:-1", space, 0).forward.tolist() == [4, 0, 1, 2, 3]
+    assert cli._parse_bijection("shift: 2 ", space, 0).forward.tolist() == [2, 3, 4, 0, 1]
     assert (cli._parse_bijection("random:3", space, 0).forward.tolist()
             == np.random.default_rng(3).permutation(5).tolist())
+    assert cli._parse_bijection("1, 0,2,4 ,3", space, 0).forward.tolist() == [1, 0, 2, 4, 3]
+
+
+def test_a_config_number_written_as_a_string_is_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "circle", "model_params": {"n": "7", "eps": "0.5"}}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n '7' is not an integer\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

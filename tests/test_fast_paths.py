@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import wavechain as w
 import wavechain.cli as cli
+import wavechain.errors as errors
 import wavechain.merging as merging
 import wavechain.models as models
 import wavechain.spectral as spectral
@@ -314,10 +315,25 @@ def test_bound_dominance_equals_the_per_power_loop(name, scale):
 
 def test_bound_dominance_equals_the_per_power_loop_on_the_corpus(merging_corpus):
     for system in merging_corpus[::4]:
-        for scale in (1.0, 0.3, 0.0):
+        for scale in (1.0, 0.3, 0.0, -1.0):
             assert merging.bound_dominance(system, 40, scale) == old_bound_dominance(
                 system, 40, scale
             )
+
+
+@pytest.mark.parametrize("scale", [-1.0, -1e-6, 1.0])
+def test_a_column_clears_only_against_its_smallest_bound(scale):
+    # the wave measure is [t, 1.0], so f = [sqrt(1/t - 1), 0] and every
+    # power has error 0; with scale < 0 the excess |scale| sigma^n f(0)^2 is
+    # positive, and a screen against the smallest factor's row, whose
+    # floors are all -0.0, would clear every column and miss it
+    t = 1e-17
+    kernel = w.make_kernel(w.StateSpace(2), np.array([[t, 1.0], [t, 1.0]]))
+    system = w.make_wave_system(kernel, w.make_permutation(kernel.space, [0, 1]))
+    assert system.wave_measure.weights.tolist() == [t, 1.0]
+    got = merging.bound_dominance(system, 5, scale)
+    assert got == old_bound_dominance(system, 5, scale)
+    assert (got[0] > 0.0) == (scale < 0.0)
 
 
 def test_the_bound_loop_stops_once_its_proof_closes(monkeypatch):
@@ -387,17 +403,12 @@ def test_batched_shift_solves_equal_the_wave_systems(corpus, stack_entries, monk
     assert reducible  # the identity map of a base without loops, among others
 
 
-def test_batched_shift_solves_from_the_uniform_start(corpus, monkeypatch):
-    # above DENSE_LIMIT states there is no direct solve: each map starts
-    # from the uniform vector, as stationary_distribution does
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-    rng = np.random.default_rng(10)
-    for system in corpus[:20]:
-        n = system.space.size
-        base = system.base
-        forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
-        want = per_map_weights(base, forwards)
-        assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)
+@pytest.mark.parametrize("model", ["circle", "lazy-circle"])
+def test_the_scan_refuses_more_states_than_it_can_solve(model):
+    # from the uniform start the shifts by one would not reach the residual
+    # target within the step budget: the scan is refused before any solve
+    with pytest.raises(errors.TooLarge):
+        models.scan_permutations(model, {"n": 4097}, 2, 1)
 
 
 def reference_scan_rows(model, n, count, seed):

@@ -185,6 +185,9 @@ def test_permutation_document_rejects_images_that_are_not_integers():
         w.permutation_from_document({"size": 3, "forward": [0.7, 1.2, 2.9]})
     with pytest.raises(errors.ConfigInvalid):
         w.permutation_from_document({"size": 3.5, "forward": [0, 1, 2]})
+    for doc in ({"size": "2", "forward": [1, 0]}, {"size": 2, "forward": ["1", "0"]}):
+        with pytest.raises(errors.ConfigInvalid):  # a number quoted as a string
+            w.permutation_from_document(doc)
     g = w.permutation_from_document({"size": 3.0, "forward": [2.0, 0, 1]})
     assert g.forward.tolist() == [2, 0, 1]
 
@@ -196,6 +199,10 @@ def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit, monk
         {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
         {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
         {"size": 2.5, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
+        # numbers quoted as strings
+        {"size": 2, "triplets": [["0", "1", "1.0"], [1, " 0 ", 1]]},
+        {"size": 2, "triplets": [[0, 1, "1.0"], [1, 0, 1.0]]},
+        {"size": "2", "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
     ):
         with pytest.raises(errors.ConfigInvalid):
             w.kernel_from_document(doc)
@@ -216,7 +223,9 @@ def test_booleans_are_neither_integers_nor_numbers():
         with pytest.raises(errors.ConfigInvalid, match="eps .* is not a number"):
             _number(value, "eps")
     assert _integer(np.int64(3), "n") == 3 and _integer(4.0, "n") == 4
-    assert _number(1, "eps") == 1.0 and _number("0.5", "eps") == 0.5
+    assert _number(1, "eps") == 1.0
+    with pytest.raises(errors.ConfigInvalid, match="eps '0.5' is not a number"):
+        _number("0.5", "eps")
     for doc in (
         {"size": 2, "triplets": [[0, 1, True], [1, 0, 1.0]]},
         {"size": 2, "triplets": [[0, True, 1.0], [1, 0, 1.0]]},

@@ -79,6 +79,12 @@ def test_merging_threshold_must_be_positive(epsilon):
         w.merging_time(circle_system(), epsilon, 50)
 
 
+def test_bound_dominance_needs_a_nonnegative_horizon():
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        w.bound_dominance(circle_system(), -5)
+    assert w.bound_dominance(circle_system(), 0)[:2] == (0.0, 0)
+
+
 def test_four_point_merges_in_tv_but_not_relative_sup():
     s = w.four_point_example()
     tv = w.merging_time(s, 0.01, 100, metric="total_variation")

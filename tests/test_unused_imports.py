@@ -1,9 +1,13 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and no
+private module-level name goes unreferenced.
 
 Each module under src/wavechain is parsed with `ast`.  A name bound by an
 import counts as used when it is read anywhere in the module (an
 attribute read `np.zeros` reads `np`), when a quoted annotation names it,
-or when the module re-exports it through `__all__`.
+or when the module re-exports it through `__all__`.  A private function,
+class or constant defined at module level counts as referenced when some
+module of the package reads it, reads it as an attribute
+(`core._vec_mat`) or imports it; a name only tests read is dead code.
 """
 import ast
 from pathlib import Path
@@ -30,7 +34,7 @@ def used_names(tree: ast.Module) -> set:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
             annotations.append(node.annotation)
@@ -58,6 +62,46 @@ def unused_imports(path: Path) -> list:
     )
 
 
+def private_definitions(tree: ast.Module) -> dict:
+    """Each private name a module-level def, class or assignment binds,
+    with its line; dunder names are not private."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Names a module reads, reads as an attribute, or imports."""
+    names = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_names(paths) -> list:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in referenced
+    )
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path) == []
@@ -74,3 +118,25 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(module) == ["mod.py:2 os", "mod.py:5 A"]
+
+
+def test_no_private_module_name_goes_unreferenced():
+    assert unreferenced_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_the_check_sees_an_unreferenced_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n_UNUSED: int = 4\n__version__ = '1'\n"
+        "def _helper():\n    return _LIMIT\n"
+        "class _Gone:\n    pass\n"
+        "def _read_elsewhere():\n    pass\n"
+        "def _imported():\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import _imported\n"
+        "_local = a._read_elsewhere\n"
+        "def f():\n    return a._helper(), _local\n"
+    )
+    assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:2 _UNUSED", "a.py:6 _Gone"
+    ]
