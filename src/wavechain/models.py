@@ -220,9 +220,7 @@ def scan_permutations(model: str, params: dict, count: int, seed: int) -> dict:
     bound 1+eps; for the nonlazy kernel only the four shifts do, and any
     other map is labeled empirical: no bound is known, the value is
     informational only.  The maps are solved in batches, with the bits the
-    wave measure of each map's own `make_wave_system` would have.  Dense
-    only: TooLarge above DENSE_LIMIT states, where the shifts by one would
-    start from the uniform vector and not converge in 100 000 steps.
+    wave measure of each map's own `make_wave_system` would have.
     """
     if model not in ("circle", "lazy-circle"):
         raise ConfigInvalid("scan-permutations applies to the circle models only")

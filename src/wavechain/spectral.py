@@ -14,10 +14,10 @@ The graph search runs in numpy over the kernel's CSR triple, which holds
 its positive entries only, and the state count picks the SVD path and the
 stationary solve.
 The invariant measures of many shifted kernels of one base are found a
-batch at a time, densely: one level search over the union of their
-support graphs and one stacked direct solve.  The batch shares
-`_bordered_solves` and `_refined` with `stationary_distribution`, which
-has its own irreducibility search and a uniform start above DENSE_LIMIT.
+batch at a time: one level search over the union of their support graphs
+and one stacked direct solve up to DENSE_LIMIT states.  The batch shares
+`_bordered_solves`, the uniform start above DENSE_LIMIT and `_refined`
+with `stationary_distribution`, which runs its own irreducibility search.
 """
 from __future__ import annotations
 
@@ -189,14 +189,13 @@ def _shifted_stationary_weights(
     The maps go in batches of at most _STACK_ENTRIES kernel entries.  A
     batch is one level search, forward and reversed, over the disjoint
     union of its shifted support graphs (a base edge x -> z is the shifted
-    edge x -> g z), one stacked direct solve, and the damped refinement of
-    each solution against its own shifted kernel.  Dense only: TooLarge
-    above DENSE_LIMIT states, where the circle scan's shifts by one would
-    start from the uniform vector and not converge in 100 000 steps.
+    edge x -> g z), one stacked direct solve up to DENSE_LIMIT states (a
+    start from the uniform vector above it), and the damped refinement of
+    each solution against its own shifted kernel.
     """
-    dense = base.dense()
     n = base.size
     tails, heads = _edges(base)
+    dense = base.dense() if n <= DENSE_LIMIT else None
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out: list[Optional[np.ndarray]] = []
     for lo in range(0, len(forwards), per_batch):
@@ -208,14 +207,22 @@ def _shifted_stationary_weights(
         strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
         strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
         inv = np.argsort(fwd[strong], axis=1)
-        solved = zip(_bordered_solves(dense[:, inv].transpose(1, 0, 2)), inv)
+        if dense is not None:
+            pis = _bordered_solves(dense[:, inv].transpose(1, 0, 2))
+        else:
+            pis = np.full((len(inv), n), 1.0 / n)
+        solved = iter(zip(pis, inv))
         for live in strong:
             if not live:
                 out.append(None)
                 continue
             pi, cols = next(solved)
-            mat = dense[:, cols]
-            out.append(_refined(pi, lambda x: x @ mat))
+            if dense is not None:
+                mat = dense[:, cols]
+                out.append(_refined(pi, lambda x: x @ mat))
+            else:
+                # x K[:, cols] is (x K)[cols], each column summed in row order
+                out.append(_refined(pi, lambda x: _vec_mat(x, base)[cols]))
     return out
 
 

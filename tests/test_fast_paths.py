@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import wavechain as w
 import wavechain.cli as cli
-import wavechain.errors as errors
+import wavechain.core as core
 import wavechain.merging as merging
 import wavechain.models as models
 import wavechain.spectral as spectral
@@ -403,16 +403,33 @@ def test_batched_shift_solves_equal_the_wave_systems(corpus, stack_entries, monk
     assert reducible  # the identity map of a base without loops, among others
 
 
+def test_batched_shift_solves_from_the_uniform_start(corpus, monkeypatch):
+    # above DENSE_LIMIT states there is no direct solve: each map starts
+    # from the uniform vector, as stationary_distribution does, and each
+    # step is a CSR product, as it is on the shifted kernel itself
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    rng = np.random.default_rng(10)
+    for system in corpus[:20]:
+        n = system.space.size
+        base = system.base
+        forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
+        want = per_map_weights(base, forwards)
+        assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)
+
+
 @pytest.mark.parametrize("model", ["circle", "lazy-circle"])
-def test_the_scan_refuses_more_states_than_it_can_solve(model):
-    # from the uniform start the shifts by one would not reach the residual
-    # target within the step budget: the scan is refused before any solve
-    with pytest.raises(errors.TooLarge):
-        models.scan_permutations(model, {"n": 4097}, 2, 1)
+def test_the_scan_solves_above_the_dense_limit(model):
+    # at eps = 1e-9 the uniform start of each map is already within the
+    # residual target; the scan needs no dense matrix to finish
+    params = {"n": spectral.DENSE_LIMIT + 1, "eps": 1e-9}
+    doc = models.scan_permutations(model, params, 2, 1)
+    assert doc["rows"] == reference_scan_rows(model, params["n"], 2, 1, params["eps"])
 
 
-def reference_scan_rows(model, n, count, seed):
-    kernel = models.build_model(model, {"n": n}).base
+def reference_scan_rows(model, n, count, seed, eps=None):
+    params = {"n": n} if eps is None else {"n": n, "eps": eps}
+    kernel = models.build_model(model, params).base
     rng = np.random.default_rng(seed)
     maps = [(f"shift:{s:+d}", (np.arange(n) + s) % n) for s in (1, -1, 2, -2)]
     maps += [(f"random:{j}", rng.permutation(n)) for j in range(count)]
