@@ -66,8 +66,6 @@ from .spectral import (
     spectral_report_document,
 )
 
-ANALYSES = ("spectral", "merging", "stability", "bounds", "simulate", "scan-permutations")
-
 # keys of the parameter document consumed by the runner, not by model builders
 _RUN_KEYS = frozenset(
     {
@@ -311,6 +309,7 @@ _ANALYSIS_RUNNERS = {
     "simulate": _run_simulate,
     "scan-permutations": _run_scan,
 }
+ANALYSES = tuple(_ANALYSIS_RUNNERS)
 
 
 def _config_document(config: ExperimentConfig) -> dict:
@@ -491,14 +490,21 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     analyses = doc.get("analyses", ["spectral", "merging"])
     if getattr(args, "analyses", None):
         analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
+    if not isinstance(analyses, list) or not all(isinstance(a, str) for a in analyses):
+        raise ConfigInvalid(f"analyses {analyses!r} is not a list of names")
+    model = args.model if args.model is not None else doc.get("model", "")
+    output = args.out if args.out is not None else doc.get("output", ".")
+    for what, value in (("model", model), ("output", output)):
+        if not isinstance(value, str):
+            raise ConfigInvalid(f"{what} {value!r} is not a string")
     # a scaling study measures merging at 1/e unless a threshold is given
     epsilon = 1.0 / math.e if args.command == "scaling" else 0.01
     config = ExperimentConfig(
-        model=args.model if args.model is not None else doc.get("model", ""),
+        model=model,
         model_params=params,
         bijection=args.bijection if args.bijection is not None else doc.get("bijection"),
         analyses=tuple(analyses),
-        output=args.out if args.out is not None else doc.get("output", "."),
+        output=output,
         seed=_integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed"),
         epsilon_threshold=_number(
             args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon),

@@ -52,10 +52,15 @@ def _integer(value, what: str) -> int:
 
 def _number(value, what: str) -> float:
     """A real parameter from a document or from `cli._coerce`d flag text:
-    float(value); a boolean or a string is ConfigInvalid, never parsed."""
-    if isinstance(value, (bool, np.bool_, str)):
+    float(value); a boolean, a string or anything float() refuses is
+    ConfigInvalid, never parsed."""
+    try:
+        number = None if isinstance(value, (bool, np.bool_, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None:
         raise ConfigInvalid(f"{what} {value!r} is not a number")
-    return float(value)
+    return number
 
 
 def _space(size: int, labels, what: str) -> StateSpace:
@@ -88,10 +93,7 @@ def kernel_from_document(doc: dict) -> MarkovKernel:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise ConfigInvalid(f"triplet {t!r} is not [row, col, value]")
         r, c = _integer(t[0], "triplet row"), _integer(t[1], "triplet column")
-        try:
-            v = _number(t[2], "triplet value")
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"triplet {t!r} value is not a number") from exc
+        v = _number(t[2], "triplet value")
         if not (0 <= r < size and 0 <= c < size):
             raise ConfigInvalid(f"triplet {t!r} indexes outside the space")
         rows.append(r)

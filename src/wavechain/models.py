@@ -79,30 +79,28 @@ def _check_entries(size: int, entries: int) -> None:
 # circle kernels
 
 
-def _odd_size(n) -> int:
-    n = _integer(n, "n")
+def _circle_args(n_points, eps) -> tuple[int, Fraction]:
+    """The point count and the heavy-edge excess of a circle, checked in
+    that order: an odd integer of at least 3 points, and an eps that is
+    finite and positive, returned as an exact Fraction."""
+    n = _integer(n_points, "n")
     if n < 3:
         raise ValueError("circle needs at least 3 points")
     if n % 2 == 0:
         raise EvenN(f"point count {n} is even; the unperturbed walk would be periodic")
-    return n
-
-
-def _check_eps(eps) -> None:
-    """The one check of a heavy-edge excess: finite and positive."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     if eps == math.inf:
         raise ValueError("eps must be finite")
+    return n, Fraction(eps)
 
 
-def _circle_triplets(n: int, eps=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _circle_triplets(n: int, e=Fraction(0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triplets of the circle walk moving 1/2 to each neighbour, except
-    that the edge (0, 1) weighs 1 + eps: rows 0 and 1 move (1 + eps)/(2 + eps)
-    along it and 1/(2 + eps) away from it.  Those two weights are rounded
+    that the edge (0, 1) weighs 1 + e: rows 0 and 1 move (1 + e)/(2 + e)
+    along it and 1/(2 + e) away from it.  Those two weights are rounded
     once from exact rationals; every other value, 1/2, is exact in binary."""
     _check_entries(n, 2 * n)
-    e = Fraction(eps)
     x = np.arange(n)
     cols = np.column_stack([(x + 1) % n, (x - 1) % n]).ravel()
     vals = np.full(2 * n, 0.5)
@@ -118,9 +116,7 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
     returned reversible measure gives the two heavy endpoints mass
     (1 + eps/2)/(n + eps) and everyone else 1/(n + eps).
     """
-    n = _odd_size(n_points)
-    _check_eps(eps)
-    e = Fraction(eps)
+    n, e = _circle_args(n_points, eps)
     kernel = _kernel_from_triplets(StateSpace(n), *_circle_triplets(n, e))
     heavy = (1 + e / 2) / (n + e)
     light = 1 / (n + e)
@@ -132,10 +128,9 @@ def circle_kernel(n_points, eps: float) -> tuple[MarkovKernel, Distribution]:
 
 def lazy_circle_kernel(n_points, eps: float) -> MarkovKernel:
     """Half-lazy version of the heavy-edge circle walk: P = I/2 + K/2."""
-    n = _odd_size(n_points)
-    _check_eps(eps)
+    n, e = _circle_args(n_points, eps)
     _check_entries(n, 3 * n)
-    rows, cols, vals = _circle_triplets(n, eps)
+    rows, cols, vals = _circle_triplets(n, e)
     x = np.arange(n)
     # halving and holding 1/2 on the empty diagonal are exact
     vals = np.append(0.5 * vals, np.full(n, 0.5))
@@ -158,9 +153,7 @@ def tilde_pi_closed_form_shift_minus1(n_points, eps: float) -> Distribution:
     Closed form: with d = eps^2 + 2 n eps + 2 n, mass (1+eps)(2+eps)/d at
     0, (2+eps)/d at 1 and 2(1+eps)/d elsewhere.
     """
-    n = _odd_size(n_points)
-    _check_eps(eps)
-    e = Fraction(eps)
+    n, e = _circle_args(n_points, eps)
     d = e * e + 2 * n * e + 2 * n
     weights = np.full(n, float(2 * (1 + e) / d))
     weights[0] = float((e + 1) * (e + 2) / d)
@@ -175,9 +168,7 @@ def circle_perturbation_spec(n_points, eps: float) -> "PerturbationSpec":
     neighbour to the heavy one in each of the two rows, which makes the
     minimal strength eps/(2 + eps).
     """
-    n = _odd_size(n_points)
-    _check_eps(eps)
-    e = Fraction(eps)
+    n, e = _circle_args(n_points, eps)
     q = _kernel_from_triplets(StateSpace(n), *_circle_triplets(n))
     shift = float(e / (4 + 2 * e))
     delta = np.zeros_like(q.dense())  # TooLarge above DENSE_LIMIT
@@ -198,8 +189,7 @@ def circle_nash_params(n_points, eps: float) -> NashParams:
     realizes the singular-value hypothesis with equality, c = 1 + eps is
     the stability constant, and the perturbation strength is eps/(2+eps).
     """
-    n = _odd_size(n_points)
-    _check_eps(eps)
+    n, _ = _circle_args(n_points, eps)
     t = 4.0 * (n + 1) ** 2
     return NashParams(
         C1=(2.0**7) * n * n / t,

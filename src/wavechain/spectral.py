@@ -13,11 +13,11 @@ at any size.
 The graph search runs in numpy over the kernel's CSR triple, which holds
 its positive entries only, and the state count picks the SVD path and the
 stationary solve.
-The invariant measures of many shifted kernels of one base are found a
-batch at a time: one level search over the union of their support graphs
-and one stacked direct solve up to DENSE_LIMIT states.  The batch shares
-`_bordered_solves`, the uniform start above DENSE_LIMIT and `_refined`
-with `stationary_distribution`, which runs its own irreducibility search.
+Invariant measures have one solver, `_shifted_stationary_weights`, which
+finds those of many shifted kernels of one base a batch at a time: one
+level search over the union of their support graphs, one stacked direct
+solve up to DENSE_LIMIT states (a uniform start above it) and a damped
+refinement of each.  `stationary_distribution` is its batch of one.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .core import (
     _mat_vec,
     _row_of_each_entry,
     _vec_mat,
-    _vec_mat_op,
     make_kernel,
 )
 from .errors import (
@@ -125,15 +124,16 @@ def _merging_obstruction(kernel: MarkovKernel) -> Optional[str]:
         return "reducible"
 
 
-def _bordered_solves(mats: np.ndarray) -> np.ndarray:
+def _bordered_solves(a: np.ndarray) -> np.ndarray:
     """Row k solves pi (M_k - I) = 0 with its last equation replaced by
-    sum(pi) = 1, for the stack of dense kernels mats[k]: one stacked
-    LAPACK solve, each system as the lone one would be."""
-    n = mats.shape[-1]
-    a = mats.transpose(0, 2, 1).copy()
-    a.reshape(len(a), n * n)[:, :: n + 1] -= 1.0  # the diagonal of each system
+    sum(pi) = 1, given the stack of transposed dense kernels a[k] = M_k^T,
+    which it overwrites with the systems: one stacked LAPACK solve, each
+    system as the lone one would be."""
+    k, n, _ = a.shape
+    diagonal = np.arange(n)
+    a[:, diagonal, diagonal] -= 1.0
     a[:, -1, :] = 1.0
-    b = np.zeros((len(mats), n, 1))
+    b = np.zeros((k, n, 1))
     b[:, -1] = 1.0
     return np.linalg.solve(a, b)[..., 0]
 
@@ -160,20 +160,15 @@ def _refined(pi: np.ndarray, vec_mat: Callable[[np.ndarray], np.ndarray]) -> np.
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
-    The size rule is the one of `MarkovKernel.dense`: a direct linear solve
-    up to DENSE_LIMIT states, and above it a start from the uniform vector.
-    Either way the result is refined by damped steps
-    pi <- (pi + pi K) / 2 until the residual max_x |(pi K - pi)(x)| is at
-    most 1e-12; NotConverged is raised if 100 000 steps do not get there.
+    It is the batch of one of `_shifted_stationary_weights`: the kernel
+    shifted by the identity map.  NotIrreducible is raised when its support
+    graph is not strongly connected, NotConverged when the refinement does
+    not reach its residual target.
     """
-    if not is_irreducible(kernel):
+    pi = _shifted_stationary_weights(kernel, [np.arange(kernel.size)])[0]
+    if pi is None:
         raise NotIrreducible("stationary distribution needs an irreducible kernel")
-    n = kernel.size
-    if n <= DENSE_LIMIT:
-        pi = _bordered_solves(kernel.dense()[None])[0]
-    else:
-        pi = np.full(n, 1.0 / n)
-    return Distribution(kernel.space, _refined(pi, _vec_mat_op(kernel)))
+    return Distribution(kernel.space, pi)
 
 
 # Entries of one stack of shifted kernels in `_shifted_stationary_weights`.
@@ -183,19 +178,26 @@ _STACK_ENTRIES = 1 << 17
 def _shifted_stationary_weights(
     base: MarkovKernel, forwards: Sequence[np.ndarray]
 ) -> list[Optional[np.ndarray]]:
-    """For each forward map g, the `stationary_distribution` weights of the
-    shifted kernel base(x, g^{-1} y), or None where it is reducible.
+    """For each forward map g, the invariant weights of the shifted kernel
+    base(x, g^{-1} y), or None where it is reducible.
 
     The maps go in batches of at most _STACK_ENTRIES kernel entries.  A
     batch is one level search, forward and reversed, over the disjoint
     union of its shifted support graphs (a base edge x -> z is the shifted
-    edge x -> g z), one stacked direct solve up to DENSE_LIMIT states (a
-    start from the uniform vector above it), and the damped refinement of
-    each solution against its own shifted kernel.
+    edge x -> g z), and one stacked direct solve up to DENSE_LIMIT states
+    (a start from the uniform vector above it).  `_refined` then refines
+    each solution against its own shifted kernel, with BLAS products up to
+    DENSE_LIMIT states and CSR ones above: one `dense` value picks both
+    the start and the product.  `stationary_distribution` is the batch of
+    one, the identity map.
     """
     n = base.size
     tails, heads = _edges(base)
     dense = base.dense() if n <= DENSE_LIMIT else None
+
+    def vec_mat(x: np.ndarray) -> np.ndarray:
+        return _vec_mat(x, base) if dense is None else x @ dense
+
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out: list[Optional[np.ndarray]] = []
     for lo in range(0, len(forwards), per_batch):
@@ -207,22 +209,18 @@ def _shifted_stationary_weights(
         strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
         strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
         inv = np.argsort(fwd[strong], axis=1)
-        if dense is not None:
-            pis = _bordered_solves(dense[:, inv].transpose(1, 0, 2))
-        else:
+        if dense is None:
             pis = np.full((len(inv), n), 1.0 / n)
+        else:
+            pis = _bordered_solves(dense.T[inv])  # row y of system k: column inv[k, y]
         solved = iter(zip(pis, inv))
         for live in strong:
             if not live:
                 out.append(None)
                 continue
             pi, cols = next(solved)
-            if dense is not None:
-                mat = dense[:, cols]
-                out.append(_refined(pi, lambda x: x @ mat))
-            else:
-                # x K[:, cols] is (x K)[cols], each column summed in row order
-                out.append(_refined(pi, lambda x: _vec_mat(x, base)[cols]))
+            # x K[:, cols] is (x K)[cols]
+            out.append(_refined(pi, lambda x: vec_mat(x)[cols]))
     return out
 
 

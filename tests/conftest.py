@@ -1,4 +1,9 @@
-"""Shared fixtures: the randomized corpus and a few small reference systems."""
+"""Shared fixtures: the randomized corpus, a few small reference systems and
+one switch for DENSE_LIMIT."""
+
+import importlib
+import pkgutil
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -56,3 +61,22 @@ def circle5():
 @pytest.fixture(scope="session")
 def sticky4():
     return w.sticky_permutation_system(4, (0, 1, 2, 3), 0.1)
+
+
+@pytest.fixture
+def dense_limit():
+    """`with dense_limit(n):` sets DENSE_LIMIT to n on every wavechain
+    module that binds the name, and restores it on exit: no test runs one
+    module's limit against another's."""
+    names = ["wavechain"] + [f"wavechain.{m.name}" for m in pkgutil.iter_modules(w.__path__)]
+    modules = [importlib.import_module(name) for name in names]
+
+    @contextmanager
+    def limit(n):
+        with pytest.MonkeyPatch.context() as patch:
+            for module in modules:
+                if hasattr(module, "DENSE_LIMIT"):
+                    patch.setattr(module, "DENSE_LIMIT", n)
+            yield
+
+    return limit

@@ -1,13 +1,18 @@
+import contextlib
 import ctypes
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavechain as w
 from wavechain import cli, errors, models
@@ -706,3 +711,90 @@ def test_a_boolean_config_document_number_is_rejected(tmp_path, capsys, field, m
     assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"model_params": {"eps": None}}, "eps None is not a number"),
+        ({"model": "sticky", "model_params": {"delta": [0.1]}}, "delta [0.1] is not a number"),
+        ({"analyses": ["bounds"], "model_params": {"bound_scale": {}}},
+         "bound_scale {} is not a number"),
+        ({"epsilon_threshold": None}, "epsilon_threshold None is not a number"),
+        ({"analyses": None}, "analyses None is not a list of names"),
+        ({"analyses": 5}, "analyses 5 is not a list of names"),
+        ({"output": None}, "output None is not a string"),
+        ({"output": 5}, "output 5 is not a string"),
+        ({"model": ["circle"]}, "model ['circle'] is not a string"),
+        ({"model": True}, "model True is not a string"),
+        ({"model": 2}, "model 2 is not a string"),
+    ],
+    ids=["eps-null", "delta-list", "bound-scale-object", "epsilon-threshold-null",
+         "analyses-null", "analyses-number", "output-null", "output-number",
+         "model-list", "model-true", "model-number"],
+)
+def test_a_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, field, message):
+    # run as a process of its own: a model read as a file descriptor would
+    # close the caller's stderr
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "circle", "output": str(out), **field}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "wavechain.cli", "analyze", "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, 2]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(["circle", "stability", "spectral", "identity", "shift:1", "7"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+DOCUMENT_FIELDS = ("model", "model_params", "bijection", "analyses", "output", "seed",
+                   "epsilon_threshold")
+MODEL_PARAMS = ("n", "eps", "horizon")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_config_document_exits_cleanly(data):
+    # a circle-5 stability document with up to two fields drawn anew; the
+    # output is never a drawn string, so nothing lands outside tmp
+    changed = data.draw(st.sets(st.sampled_from(DOCUMENT_FIELDS + MODEL_PARAMS), max_size=2))
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {"model": "circle", "model_params": {"n": 5}, "analyses": ["stability"],
+               "output": os.path.join(tmp, "out")}
+        for name in sorted(changed):
+            if name == "output":
+                doc[name] = data.draw(JSON_SCALARS.filter(lambda v: not isinstance(v, str)))
+            elif name in MODEL_PARAMS:
+                if isinstance(doc["model_params"], dict):
+                    doc["model_params"][name] = data.draw(JSON_VALUES)
+            else:
+                doc[name] = data.draw(JSON_VALUES)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        os.chdir(tmp)  # a model named by a relative path is looked up in here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--config", config])
+        finally:
+            os.chdir(here)
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))

@@ -31,19 +31,19 @@ def test_make_kernel_reports_offending_row():
     assert "row 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("dense_limit", [0, 4096])
-def test_make_kernel_rejects_nan_entries(dense_limit, monkeypatch):
+@pytest.mark.parametrize("limit", [0, 4096])
+def test_make_kernel_rejects_nan_entries(limit, dense_limit):
     # every comparison with NaN is False, so the row-sum test must be
     # written to fail on it, on a dense and on a sparse input, whichever
     # side of DENSE_LIMIT the kernel falls on
     import scipy.sparse as sp
 
-    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
-    space = w.StateSpace(2)
-    m = [[np.nan, 0.0], [0.0, 1.0]]
-    for entries in (m, sp.csr_array(m)):
-        with pytest.raises(errors.RowSumViolation):
-            w.make_kernel(space, entries)
+    with dense_limit(limit):
+        space = w.StateSpace(2)
+        m = [[np.nan, 0.0], [0.0, 1.0]]
+        for entries in (m, sp.csr_array(m)):
+            with pytest.raises(errors.RowSumViolation):
+                w.make_kernel(space, entries)
 
 
 def test_distribution_rejects_nan_mass():

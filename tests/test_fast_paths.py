@@ -164,6 +164,20 @@ def old_stationary(kernel):
     return pi / pi.sum()
 
 
+def old_uniform_stationary(kernel):
+    """The uniform vector, then the damped refinement on the CSR product."""
+    n = kernel.size
+    pi = np.full(n, 1.0 / n)
+    pi = pi / pi.sum()
+    for _ in range(100_000):
+        step = core._vec_mat(pi, kernel)
+        if float(np.max(np.abs(step - pi))) <= 1e-12:
+            break
+        pi = 0.5 * (pi + step)
+        pi = pi / pi.sum()
+    return pi / pi.sum()
+
+
 def old_search_levels(n, tails, heads, start):
     level = np.full(n, -1, dtype=np.int64)
     level[start] = 0
@@ -373,11 +387,16 @@ def test_dense_stationary_solve_is_the_single_solve(corpus):
             assert same_bits(got, old_stationary(system.shifted))
 
 
-def per_map_weights(base, forwards):
+def reference_weights(base, forwards):
+    """For each forward map, the invariant weights of the shifted kernel
+    from the reference solve for its size (`old_stationary` up to
+    DENSE_LIMIT states, `old_uniform_stationary` above), or None where the
+    shifted kernel is reducible."""
+    solve = old_stationary if base.size <= spectral.DENSE_LIMIT else old_uniform_stationary
     out = []
     for fwd in forwards:
-        pi = w.make_wave_system(base, w.make_permutation(base.space, fwd)).wave_measure_or_none()
-        out.append(None if pi is None else pi.weights)
+        shifted = w.shift_kernel(base, w.make_permutation(base.space, fwd))
+        out.append(solve(shifted) if w.is_irreducible(shifted) else None)
     return out
 
 
@@ -397,25 +416,24 @@ def test_batched_shift_solves_equal_the_wave_systems(corpus, stack_entries, monk
     for system in corpus[::5]:
         n = system.space.size
         forwards = [system.map.forward, np.arange(n)] + [rng.permutation(n) for _ in range(5)]
-        want = per_map_weights(system.base, forwards)
+        want = reference_weights(system.base, forwards)
         reducible += sum(pi is None for pi in want)
         assert_same_weights(spectral._shifted_stationary_weights(system.base, forwards), want)
     assert reducible  # the identity map of a base without loops, among others
 
 
-def test_batched_shift_solves_from_the_uniform_start(corpus, monkeypatch):
+def test_batched_shift_solves_from_the_uniform_start(corpus, dense_limit):
     # above DENSE_LIMIT states there is no direct solve: each map starts
-    # from the uniform vector, as stationary_distribution does, and each
-    # step is a CSR product, as it is on the shifted kernel itself
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    # from the uniform vector, and each step is a CSR product, as it is on
+    # the shifted kernel itself
     rng = np.random.default_rng(10)
-    for system in corpus[:20]:
-        n = system.space.size
-        base = system.base
-        forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
-        want = per_map_weights(base, forwards)
-        assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)
+    with dense_limit(0):
+        for system in corpus[:20]:
+            n = system.space.size
+            base = system.base
+            forwards = [system.map.forward] + [rng.permutation(n) for _ in range(3)]
+            want = reference_weights(base, forwards)
+            assert_same_weights(spectral._shifted_stationary_weights(base, forwards), want)
 
 
 @pytest.mark.parametrize("model", ["circle", "lazy-circle"])
@@ -434,7 +452,7 @@ def reference_scan_rows(model, n, count, seed, eps=None):
     maps = [(f"shift:{s:+d}", (np.arange(n) + s) % n) for s in (1, -1, 2, -2)]
     maps += [(f"random:{j}", rng.permutation(n)) for j in range(count)]
     rows = []
-    for (name, _), pi in zip(maps, per_map_weights(kernel, [fwd for _, fwd in maps])):
+    for (name, _), pi in zip(maps, reference_weights(kernel, [fwd for _, fwd in maps])):
         if pi is None:
             rows.append({"map": name, "ratio": "inf", "status": "reducible"})
             continue

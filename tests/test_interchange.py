@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import wavechain as w
-from wavechain import core, errors
+from wavechain import errors
 from wavechain.interchange import _csv_text
 
 
@@ -103,12 +103,11 @@ def test_row_sum_violation_carries_the_row_index():
     assert "row 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("dense_limit", [1, 4096])
-def test_nan_triplet_is_rejected(dense_limit, monkeypatch):
+@pytest.mark.parametrize("limit", [1, 4096])
+def test_nan_triplet_is_rejected(limit, dense_limit):
     # JSON readers accept the NaN literal, on either side of DENSE_LIMIT
-    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
     doc = json.loads('{"size": 2, "triplets": [[0, 0, NaN], [1, 1, 1.0]]}')
-    with pytest.raises(errors.RowSumViolation):
+    with dense_limit(limit), pytest.raises(errors.RowSumViolation):
         w.kernel_from_document(doc)
 
 
@@ -192,26 +191,26 @@ def test_permutation_document_rejects_images_that_are_not_integers():
     assert g.forward.tolist() == [2, 0, 1]
 
 
-@pytest.mark.parametrize("dense_limit", [1, 4096])
-def test_kernel_document_rejects_indices_that_are_not_integers(dense_limit, monkeypatch):
-    monkeypatch.setattr(core, "DENSE_LIMIT", dense_limit)
-    for doc in (
-        {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
-        {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
-        {"size": 2.5, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
-        # numbers quoted as strings
-        {"size": 2, "triplets": [["0", "1", "1.0"], [1, " 0 ", 1]]},
-        {"size": 2, "triplets": [[0, 1, "1.0"], [1, 0, 1.0]]},
-        {"size": "2", "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
-    ):
-        with pytest.raises(errors.ConfigInvalid):
-            w.kernel_from_document(doc)
-    doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
-    k = w.kernel_from_document(doc)
-    assert [a.tolist() for a in k.entries] == [[0, 1, 2], [1, 0], [1.0, 1.0]]
-    indptr, indices, data = k.entries
-    csr = sp.csr_array((data, indices, indptr), shape=(2, 2))
-    assert csr.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+@pytest.mark.parametrize("limit", [1, 4096])
+def test_kernel_document_rejects_indices_that_are_not_integers(limit, dense_limit):
+    with dense_limit(limit):
+        for doc in (
+            {"size": 2, "triplets": [[0.9, 1, 1.0], [1, 0.2, 1.0]]},
+            {"size": 2, "triplets": [[0, 1, 1.0], [1, 0.5, 1.0]]},
+            {"size": 2.5, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
+            # numbers quoted as strings
+            {"size": 2, "triplets": [["0", "1", "1.0"], [1, " 0 ", 1]]},
+            {"size": 2, "triplets": [[0, 1, "1.0"], [1, 0, 1.0]]},
+            {"size": "2", "triplets": [[0, 1, 1.0], [1, 0, 1.0]]},
+        ):
+            with pytest.raises(errors.ConfigInvalid):
+                w.kernel_from_document(doc)
+        doc = {"size": 2.0, "triplets": [[0.0, 1, 1.0], [1, 0.0, 1.0]]}
+        k = w.kernel_from_document(doc)
+        assert [a.tolist() for a in k.entries] == [[0, 1, 2], [1, 0], [1.0, 1.0]]
+        indptr, indices, data = k.entries
+        csr = sp.csr_array((data, indices, indptr), shape=(2, 2))
+        assert csr.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_booleans_are_neither_integers_nor_numbers():

@@ -580,88 +580,87 @@ def test_top_two_reaches_the_slow_lazy_cycle(monkeypatch):
     assert len(products) < 6000
 
 
-def top_two(monkeypatch, kernel, mu_in, mu_out):
+def top_two(dense_limit, kernel, mu_in, mu_out):
     """`weighted_singular_values` on the Lanczos top-two path, which the
     state count picks above DENSE_LIMIT, with the kernel's products taken
     from its CSR triple as they are there."""
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "DENSE_LIMIT", 0)
-        patch.setattr(core, "DENSE_LIMIT", 0)
+    with dense_limit(0):
         return w.weighted_singular_values(kernel, mu_in, mu_out)
 
 
-def test_top_two_matches_dense_singular_values_on_the_corpus(corpus, monkeypatch):
+def test_top_two_matches_dense_singular_values_on_the_corpus(corpus, dense_limit):
     for s in corpus:
         pi = s.wave_measure_or_none()
         if pi is None:
             continue
-        top = top_two(monkeypatch, s.shifted, pi, pi).singular_values
+        top = top_two(dense_limit, s.shifted, pi, pi).singular_values
         full = w.weighted_singular_values(s.shifted, pi, pi).singular_values
         assert abs(top[1] - full[1]) < 1e-9
 
 
-def test_top_two_of_a_rank_one_kernel_is_zero(monkeypatch):
+def test_top_two_of_a_rank_one_kernel_is_zero(dense_limit):
     n = 8
     space = w.StateSpace(n)
     uniform = w.Distribution.uniform(space)
     flat = w.make_kernel(space, np.full((n, n), 1.0 / n))
-    dec = top_two(monkeypatch, flat, uniform, uniform)
+    dec = top_two(dense_limit, flat, uniform, uniform)
     assert dec.singular_values[1] == 0.0
     pi = np.random.default_rng(2).random(n)
     pi /= pi.sum()
     mu = w.Distribution(space, pi)
     tilted = w.make_kernel(space, np.tile(pi, (n, 1)))
-    assert top_two(monkeypatch, tilted, mu, mu).singular_values[1] < 1e-12
+    assert top_two(dense_limit, tilted, mu, mu).singular_values[1] < 1e-12
 
 
 # ---------------------------------------------------------- typed errors
 
-def test_top_two_flow_mismatch_is_a_value_error(monkeypatch):
+def test_top_two_flow_mismatch_is_a_value_error(dense_limit):
     s = circle_system(7)
     pi = np.arange(1.0, 8.0)
     mu = w.Distribution(s.space, pi / pi.sum())
     with pytest.raises(errors.FlowMismatch) as info:
-        top_two(monkeypatch, s.shifted, mu, mu)
+        top_two(dense_limit, s.shifted, mu, mu)
     assert isinstance(info.value, ValueError)
 
 
-def test_lanczos_non_convergence_is_typed(monkeypatch):
+def test_lanczos_non_convergence_is_typed(dense_limit, monkeypatch):
     s = circle_system(101)  # clustered spectrum: one basis is not enough
     pi = s.wave_measure
     sigma = w.weighted_singular_values(s.shifted, pi, pi).singular_values[1]
-    assert top_two(monkeypatch, s.shifted, pi, pi).singular_values[1] == (
+    assert top_two(dense_limit, s.shifted, pi, pi).singular_values[1] == (
         pytest.approx(sigma, abs=1e-10)
     )
     monkeypatch.setattr(spectral, "_LANCZOS_MAX_PRODUCTS", spectral._LANCZOS_BASIS)
     with pytest.raises(errors.NotConverged):
-        top_two(monkeypatch, s.shifted, pi, pi)
+        top_two(dense_limit, s.shifted, pi, pi)
 
 
-def test_stationary_refinement_failure_is_typed(monkeypatch):
+def test_stationary_refinement_failure_is_typed(dense_limit, monkeypatch):
     s = circle_system(9)
-    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)  # start from uniform
     monkeypatch.setattr(spectral, "_STATIONARY_MAX_STEPS", 2)
-    with pytest.raises(errors.NotConverged):
-        w.stationary_distribution(s.shifted)
-    with pytest.raises(errors.NotConverged):
-        w.make_wave_system(s.base, s.map).wave_measure_or_none()
+    with dense_limit(0):  # start from uniform
+        with pytest.raises(errors.NotConverged):
+            w.stationary_distribution(s.shifted)
+        with pytest.raises(errors.NotConverged):
+            w.make_wave_system(s.base, s.map).wave_measure_or_none()
 
 
 def test_wave_measure_checks_irreducibility_once(monkeypatch):
+    # one connectivity check is two level searches, forward and reversed
     calls = []
-    real = spectral.is_irreducible
+    real = spectral._search_levels
 
-    def counting(kernel):
-        calls.append(kernel)
-        return real(kernel)
+    def counting(n, tails, heads, starts):
+        calls.append(n)
+        return real(n, tails, heads, starts)
 
-    monkeypatch.setattr(spectral, "is_irreducible", counting)
+    monkeypatch.setattr(spectral, "_search_levels", counting)
     fresh = circle_system(9)
     assert fresh.wave_measure_or_none() is not None
-    assert len(calls) == 1
+    assert len(calls) == 2
     four = w.four_point_example()
     reducible = w.make_wave_system(four.base, four.map)
     assert reducible.wave_measure_or_none() is None
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert reducible.wave_measure_or_none() is None  # cached
-    assert len(calls) == 2
+    assert len(calls) == 4

@@ -5,7 +5,7 @@ import wavechain as w
 import wavechain.cli as cli
 import wavechain.models as models
 import wavechain.spectral as spectral
-from wavechain import core, errors
+from wavechain import errors
 from wavechain.groups import transposition
 
 from peak_memory import traced_peak
@@ -54,13 +54,11 @@ def test_singular_values_transport_along_the_wave(merging_corpus):
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
-def test_top_two_sparse_path_agrees_with_dense(monkeypatch):
+def test_top_two_sparse_path_agrees_with_dense(dense_limit):
     s = circle_system()
     pi = s.wave_measure
-    with monkeypatch.context() as patch:
+    with dense_limit(0):
         # the top-two path and the CSR products above the limit
-        patch.setattr(spectral, "DENSE_LIMIT", 0)
-        patch.setattr(core, "DENSE_LIMIT", 0)
         top = w.weighted_singular_values(s.shifted, pi, pi).singular_values
     full = np.sort(
         w.weighted_singular_values(s.shifted, pi, pi).singular_values

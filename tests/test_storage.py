@@ -28,21 +28,21 @@ def test_transport_and_shift_are_identical(corpus):
         assert w.shift_kernel(s.base, s.map).dense().tobytes() == m[:, s.map.inverse].tobytes()
 
 
-def test_evolve_agrees_to_the_last_bit(corpus, monkeypatch):
+def test_evolve_agrees_to_the_last_bit(corpus, dense_limit):
     # above DENSE_LIMIT the products run on the CSR triple; BLAS and the
     # CSR sum take a vector-matrix product in different orders, so single
     # entries may differ by one rounding
     starts = [w.Distribution.point_mass(s.space, 0) for s in corpus]
     want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(corpus, starts)]
-    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
-    for s, mu0, laws in zip(corpus, starts, want):
-        x = mu0.weights
-        assert core._vec_mat_op(s.base)(x).tobytes() == core._vec_mat(x, s.base).tobytes()
-        for n, law in zip((1, 5, 17), laws):
-            assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
+    with dense_limit(0):
+        for s, mu0, laws in zip(corpus, starts, want):
+            x = mu0.weights
+            assert core._vec_mat_op(s.base)(x).tobytes() == core._vec_mat(x, s.base).tobytes()
+            for n, law in zip((1, 5, 17), laws):
+                assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
 
 
-def test_stationary_distribution_agrees(corpus, monkeypatch):
+def test_stationary_distribution_agrees(corpus, dense_limit):
     # the direct solve against the refinement from the uniform start that
     # runs above DENSE_LIMIT
     compared = 0
@@ -50,8 +50,7 @@ def test_stationary_distribution_agrees(corpus, monkeypatch):
         pi = s.wave_measure_or_none()
         if pi is None:
             continue
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "DENSE_LIMIT", 0)
+        with dense_limit(0):
             got = w.stationary_distribution(s.shifted).weights
         assert np.max(np.abs(got @ s.shifted.dense() - got)) <= 1e-12
         assert np.max(np.abs(got - pi.weights)) <= 1e-11
