@@ -36,10 +36,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
-    DENSE_LIMIT,
     Distribution,
     Permutation,
     WaveSystem,
+    _densifiable,
     evolve,
     make_permutation,
     make_wave_system,
@@ -265,7 +265,7 @@ def _run_simulate(system, config, knobs) -> _AnalysisOut:
     start = _integer(knobs.get("start", 0), "start")
     emp = empirical_distribution(system, start, steps, trials, config.seed)
     out = _AnalysisOut(files={"profile.csv": _mass_csv(emp)})
-    if system.space.size <= DENSE_LIMIT:
+    if _densifiable(system.base):
         exact = evolve(Distribution.point_mass(system.space, start), system, steps)
         tv = tv_distance(emp, exact)
         gate = 3.0 * math.sqrt(system.space.size / trials)
@@ -532,7 +532,7 @@ def _cmd_wave_profile(config: ExperimentConfig) -> int:
     samples = _integer(knobs.get("samples", 100_000), "samples")
     profile = empirical_wave_profile(system, burn_in, stride, samples, config.seed)
     lines = [f"wave-profile: {samples} samples, burn-in {burn_in}, stride {stride}"]
-    if system.space.size <= DENSE_LIMIT:
+    if _densifiable(system.base):
         tv = tv_distance(profile, system.wave_measure)
         lines.append(f"wave-profile: TV against exact invariant measure {tv:.6f}")
     _emit(config.output, {"profile.csv": _mass_csv(profile)}, lines)
@@ -540,6 +540,8 @@ def _cmd_wave_profile(config: ExperimentConfig) -> int:
 
 
 def _cmd_scaling(config: ExperimentConfig) -> int:
+    if config.model or config.bijection is not None:
+        raise ConfigInvalid("scaling studies its --family; it takes no model or bijection")
     model_params, knobs = _split_params(config)
     family = str(knobs.get("family", "circle"))
     doc = scaling_study(family, knobs.get("n_list"), config.epsilon_threshold, model_params)

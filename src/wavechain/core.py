@@ -18,10 +18,11 @@ function mutates its arguments.  A kernel is stored one way at every size
 and from every input: a read-only CSR triple (indptr, indices, data) of its
 positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
-states.  A product with a vector is BLAS `@` on `dense()` up to
-DENSE_LIMIT and above it `_vec_mat` or `_mat_vec`, one `np.bincount` over
-the triple that sums each entry's terms in the order scipy's CSR product
-sums them, so the result has the same bits.
+states; `_densifiable`, the one reader of that limit, makes every choice
+between the view and the triple.  A product with a vector is BLAS `@` on
+`dense()` up to the limit and `_vec_mat` or `_mat_vec` above, one
+`np.bincount` over the triple that sums each entry's terms in the order
+scipy's CSR product sums them, so the result has the same bits.
 
 The package runs in numpy alone at every size: building, relabeling,
 saving, searching, sampling and multiplying a kernel import no scipy.  A
@@ -199,7 +200,7 @@ class MarkovKernel:
     `entries` is a read-only CSR triple (indptr, indices, data) of the
     positive entries, `np.intp` indices, columns strictly ascending in each
     row, at every size.  `dense()` is the read-only ndarray scattered from
-    it, built on first use and cached; it refuses kernels above DENSE_LIMIT.
+    it, built on first use and cached; TooLarge unless `_densifiable`.
     """
 
     space: StateSpace
@@ -212,7 +213,7 @@ class MarkovKernel:
     def dense(self) -> np.ndarray:
         cached = self.__dict__.get("_dense")
         if cached is None:
-            if self.size > DENSE_LIMIT:
+            if not _densifiable(self):
                 raise TooLarge(f"refusing to densify a {self.size}-state kernel")
             indptr, indices, data = self.entries
             cached = np.zeros((self.size, self.size))
@@ -220,6 +221,11 @@ class MarkovKernel:
             cached = _frozen(cached)
             object.__setattr__(self, "_dense", cached)
         return cached
+
+
+def _densifiable(kernel: MarkovKernel) -> bool:
+    """At most DENSE_LIMIT states: the one test behind every size choice."""
+    return kernel.size <= DENSE_LIMIT
 
 
 def _issparse(m) -> bool:
@@ -250,8 +256,8 @@ def _mat_vec(kernel: MarkovKernel, x: np.ndarray) -> np.ndarray:
 
 
 def _vec_mat_op(kernel: MarkovKernel) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> x K: BLAS `@` on `dense()` up to DENSE_LIMIT, `_vec_mat` above."""
-    if kernel.size <= DENSE_LIMIT:
+    """x -> x K: BLAS `@` on `dense()` if `_densifiable`, else `_vec_mat`."""
+    if _densifiable(kernel):
         mat = kernel.dense()
         return lambda x: x @ mat
     return lambda x: _vec_mat(x, kernel)
@@ -368,22 +374,16 @@ def _same_space(a: StateSpace, b: StateSpace) -> None:
 
 
 def _relabeled(
-    kernel: MarkovKernel, rows: Optional[np.ndarray], cols: np.ndarray
+    kernel: MarkovKernel, rows_to: Optional[np.ndarray], cols_to: np.ndarray
 ) -> MarkovKernel:
-    """The kernel (x, y) -> kernel(rows[x], cols[y]) for permutations rows
-    and cols of the states; rows=None keeps every row in place."""
-    n = kernel.size
+    """The kernel whose entry (rows_to[r], cols_to[c]) is kernel(r, c), for
+    permutations rows_to and cols_to of the states; rows_to=None keeps
+    every row in place."""
     indptr, indices, data = kernel.entries
-    rows = np.arange(n) if rows is None else rows
-    counts = np.diff(indptr)[rows]
-    out_ptr = _indptr(counts)
-    # entry k of the result is entry src[k] of the kernel
-    src = np.arange(out_ptr[-1]) + np.repeat(indptr[rows] - out_ptr[:-1], counts)
-    col_of = np.empty(n, dtype=np.intp)
-    col_of[cols] = np.arange(n)
-    out_cols = col_of[indices[src]]
-    order = np.argsort(_row_of_each_entry(out_ptr) * n + out_cols)
-    return MarkovKernel(kernel.space, _csr(out_ptr, out_cols[order], data[src[order]]))
+    r = _row_of_each_entry(indptr)
+    r = r if rows_to is None else rows_to[r]
+    csr = _csr_from_triplets(kernel.size, r, cols_to[indices], data)
+    return MarkovKernel(kernel.space, csr)
 
 
 def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel:
@@ -391,14 +391,14 @@ def transport_kernel(base: MarkovKernel, g: Permutation, i: int) -> MarkovKernel
     _same_space(base.space, g.space)
     if i < 1:
         raise ValueError("transport index starts at 1")
-    gp = g.power_map(i - 1)
-    return _relabeled(base, gp, gp)
+    back = g.power_map(1 - i)  # g^{-(i-1)}
+    return _relabeled(base, back, back)
 
 
 def shift_kernel(base: MarkovKernel, g: Permutation) -> MarkovKernel:
     """Homogeneous reduction shifted(x, y) = base(x, g^{-1} y)."""
     _same_space(base.space, g.space)
-    return _relabeled(base, None, g.inverse)
+    return _relabeled(base, None, g.forward)
 
 
 @dataclass(frozen=True)
@@ -458,8 +458,6 @@ def kernel_at(system: WaveSystem, i: int) -> MarkovKernel:
 
 def _windows(system: WaveSystem, n: int) -> Iterator[np.ndarray]:
     """Yield the dense window products K_{n,m} for m = n, n+1, ..., in one pass."""
-    if system.space.size > DENSE_LIMIT:
-        raise TooLarge("window products are dense; use evolve on large spaces")
     base = system.base.dense()
     fwd = system.map.forward
     gp = system.map.power_map(n)  # g^{i-1} for the next step i = m+1
@@ -473,8 +471,8 @@ def _windows(system: WaveSystem, n: int) -> Iterator[np.ndarray]:
 def compose_window(system: WaveSystem, n: int, m: int) -> MarkovKernel:
     """The window product K_{n,m} = K_{n+1} K_{n+2} ... K_m.
 
-    K_{n,n} is the identity.  Refuses spaces above DENSE_LIMIT, where the
-    dense product would not fit; use `evolve` to push distributions instead.
+    K_{n,n} is the identity.  TooLarge where `dense()` refuses the base;
+    use `evolve` to push distributions instead.
     """
     if n > m:
         raise WindowInverted(f"window ({n}, {m}) has n > m")
@@ -657,7 +655,7 @@ def verify_wave_identity(system: WaveSystem, n_max: int) -> WaveIdentityReport:
     occurs.
     """
     windows = _windows(system, 0)
-    next(windows)  # K_{0,0} = I; refuses spaces above DENSE_LIMIT
+    next(windows)  # K_{0,0} = I; TooLarge where `dense()` refuses the base
     worst = (0.0, 0, 0, 0)
     for first, block in power_blocks(system.shifted, n_max):
         for j in range(block.shape[1]):

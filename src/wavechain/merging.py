@@ -21,11 +21,11 @@ from typing import Callable, Literal, Optional, Union
 import numpy as np
 
 from .core import (
-    DENSE_LIMIT,
     Distribution,
     MarkovKernel,
     WaveSystem,
     _cycles,
+    _densifiable,
     _laws,
     compose_window,
     kernel_at,
@@ -45,7 +45,12 @@ from .errors import (
     ZeroWeight,
 )
 from .interchange import _csv_text
-from .spectral import _merging_obstruction, is_irreducible, weighted_singular_values
+from .spectral import (
+    _merging_obstruction,
+    _singular_values,
+    is_irreducible,
+    weighted_singular_values,
+)
 
 Metric = Literal["total_variation", "relative_sup", "chi_square"]
 
@@ -171,10 +176,6 @@ class MergingReport:
     max_steps: int
     reason: Optional[str] = None
 
-    @property
-    def unbounded_within_horizon(self) -> bool:
-        return self.merging_time is None
-
     def to_document(self) -> dict:
         doc = {
             "metric": self.metric,
@@ -215,7 +216,7 @@ def merging_time(
         raise ValueError("epsilon must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    if system.space.size > DENSE_LIMIT:
+    if not _densifiable(system.base):
         raise TooLarge("merging traces are dense; too many states")
     values = []
     hit: Optional[int] = None
@@ -307,11 +308,10 @@ def certify_stability(
 
 
 def _bound_factors(system: WaveSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """pi, sqrt(1/pi - 1) and sigma1_tilde: the factors of every wave bound."""
+    """pi, sqrt(1/pi - 1) and the report's sigma1_tilde: every wave bound's factors."""
     pi = system.wave_measure
-    dec = weighted_singular_values(system.shifted, pi, pi)
     w = pi.weights
-    return w, np.sqrt(1.0 / w - 1.0), float(dec.singular_values[1])
+    return w, np.sqrt(1.0 / w - 1.0), float(_singular_values(system.shifted, pi, pi)[1])
 
 
 def _merging_bound_factors(system: WaveSystem) -> tuple[np.ndarray, float]:

@@ -82,12 +82,14 @@ def _check_entries(size: int, entries: int) -> None:
 def _circle_args(n_points, eps) -> tuple[int, Fraction]:
     """The point count and the heavy-edge excess of a circle, checked in
     that order: an odd integer of at least 3 points, and an eps that is
-    finite and positive, returned as an exact Fraction."""
+    finite and positive, returned as an exact Fraction: an int or Fraction
+    as given, any other read by `interchange._number`."""
     n = _integer(n_points, "n")
     if n < 3:
         raise ValueError("circle needs at least 3 points")
     if n % 2 == 0:
         raise EvenN(f"point count {n} is even; the unperturbed walk would be periodic")
+    eps = eps if type(eps) in (int, Fraction) else _number(eps, "eps")
     if not eps > 0:
         raise ValueError("eps must be positive")
     if eps == math.inf:
@@ -189,8 +191,9 @@ def circle_nash_params(n_points, eps: float) -> NashParams:
     realizes the singular-value hypothesis with equality, c = 1 + eps is
     the stability constant, and the perturbation strength is eps/(2+eps).
     """
-    n, _ = _circle_args(n_points, eps)
+    n, e = _circle_args(n_points, eps)
     t = 4.0 * (n + 1) ** 2
+    eps = float(e)
     return NashParams(
         C1=(2.0**7) * n * n / t,
         D=0.25,

@@ -11,8 +11,8 @@ products taken straight from the kernel's CSR triple.  No scipy is needed
 at any size.
 
 The graph search runs in numpy over the kernel's CSR triple, which holds
-its positive entries only, and the state count picks the SVD path and the
-stationary solve.
+its positive entries only.  `core._densifiable` picks the SVD path and the
+stationary solve's start and products; this module reads no limit.
 Invariant measures have one solver, `_shifted_stationary_weights`, which
 finds those of many shifted kernels of one base a batch at a time: one
 level search over the union of their support graphs, one stacked direct
@@ -27,12 +27,13 @@ from typing import Callable, Literal, Optional, Sequence
 import numpy as np
 
 from .core import (
-    DENSE_LIMIT,
     Distribution,
     MarkovKernel,
+    _densifiable,
     _mat_vec,
     _row_of_each_entry,
     _vec_mat,
+    _vec_mat_op,
     make_kernel,
 )
 from .errors import (
@@ -43,7 +44,6 @@ from .errors import (
     NotSymmetric,
     SpaceMismatch,
     StabilityNotCertified,
-    TooLarge,
     ZeroWeight,
 )
 
@@ -186,18 +186,14 @@ def _shifted_stationary_weights(
     union of its shifted support graphs (a base edge x -> z is the shifted
     edge x -> g z), and one stacked direct solve up to DENSE_LIMIT states
     (a start from the uniform vector above it).  `_refined` then refines
-    each solution against its own shifted kernel, with BLAS products up to
-    DENSE_LIMIT states and CSR ones above: one `dense` value picks both
-    the start and the product.  `stationary_distribution` is the batch of
-    one, the identity map.
+    each solution against its own shifted kernel with the base's product
+    `core._vec_mat_op`, BLAS or CSR: `core._densifiable` picks both the
+    start and the product.  `stationary_distribution` is the batch of one,
+    the identity map.
     """
     n = base.size
     tails, heads = _edges(base)
-    dense = base.dense() if n <= DENSE_LIMIT else None
-
-    def vec_mat(x: np.ndarray) -> np.ndarray:
-        return _vec_mat(x, base) if dense is None else x @ dense
-
+    vec_mat = _vec_mat_op(base)
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out: list[Optional[np.ndarray]] = []
     for lo in range(0, len(forwards), per_batch):
@@ -209,10 +205,10 @@ def _shifted_stationary_weights(
         strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
         strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
         inv = np.argsort(fwd[strong], axis=1)
-        if dense is None:
-            pis = np.full((len(inv), n), 1.0 / n)
+        if _densifiable(base):
+            pis = _bordered_solves(base.dense().T[inv])  # row y of system k: column inv[k, y]
         else:
-            pis = _bordered_solves(dense.T[inv])  # row y of system k: column inv[k, y]
+            pis = np.full((len(inv), n), 1.0 / n)
         solved = iter(zip(pis, inv))
         for live in strong:
             if not live:
@@ -252,15 +248,15 @@ def _avatar(
     kernel: MarkovKernel, mu_in: Distribution, mu_out: Distribution
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(sqrt(mu_in), sqrt(mu_out), B) after checking both measures: the
-    Euclidean avatar B = D_out^{1/2} K D_in^{-1/2} up to DENSE_LIMIT
-    states, None above it."""
+    Euclidean avatar B = D_out^{1/2} K D_in^{-1/2} where
+    `core._densifiable` admits the kernel, None otherwise."""
     win = _check_positive(mu_in, "mu_in")
     wout = _check_positive(mu_out, "mu_out")
     if mu_in.space != kernel.space or mu_out.space != kernel.space:
         raise SpaceMismatch("measures live on a different space than the kernel")
     sin = np.sqrt(win)
     sout = np.sqrt(wout)
-    if kernel.size > DENSE_LIMIT:
+    if not _densifiable(kernel):
         return sin, sout, None
     b = sout[:, None] * kernel.dense()
     b /= sin
@@ -274,7 +270,7 @@ def weighted_singular_values(
 ) -> SpectralDecomposition:
     """Singular value decomposition of K: l2(mu_in) -> l2(mu_out).
 
-    The state count picks the method.  Up to DENSE_LIMIT states the
+    `_avatar` picks the method.  Up to DENSE_LIMIT states the
     decomposition is full.  Above it only the leading two triples are
     computed: the known (1, const, const) triple is deflated
     analytically and the next one is the top eigenpair of the deflated Gram
@@ -430,9 +426,7 @@ class EigenDecomposition:
 
 
 def eigenvalues(kernel: MarkovKernel) -> EigenDecomposition:
-    """Full eigenvalue list of a dense kernel, sorted by decreasing modulus."""
-    if kernel.size > DENSE_LIMIT:
-        raise TooLarge("eigenvalues are computed densely; too many states")
+    """Full eigenvalue list of a kernel `dense()` admits, by decreasing modulus."""
     vals, vecs = np.linalg.eig(kernel.dense())
     order = np.argsort(-np.abs(vals), kind="stable")
     vals = vals[order]

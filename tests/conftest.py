@@ -1,8 +1,6 @@
 """Shared fixtures: the randomized corpus, a few small reference systems and
 one switch for DENSE_LIMIT."""
 
-import importlib
-import pkgutil
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 import wavechain as w
+import wavechain.core as core
 
 # Every @given test draws the same examples on every run: tier-1 stays
 # deterministic.  Explicit @settings (example counts, deadlines) still apply.
@@ -65,18 +64,16 @@ def sticky4():
 
 @pytest.fixture
 def dense_limit():
-    """`with dense_limit(n):` sets DENSE_LIMIT to n on every wavechain
-    module that binds the name, and restores it on exit: no test runs one
-    module's limit against another's."""
-    names = ["wavechain"] + [f"wavechain.{m.name}" for m in pkgutil.iter_modules(w.__path__)]
-    modules = [importlib.import_module(name) for name in names]
+    """`with dense_limit(n):` sets `core.DENSE_LIMIT` to n, and restores it
+    on exit.  `core._densifiable` alone reads it, so every size choice of
+    the package moves together.  The package's re-exported `w.DENSE_LIMIT`,
+    which tests read, follows."""
 
     @contextmanager
     def limit(n):
         with pytest.MonkeyPatch.context() as patch:
-            for module in modules:
-                if hasattr(module, "DENSE_LIMIT"):
-                    patch.setattr(module, "DENSE_LIMIT", n)
+            patch.setattr(core, "DENSE_LIMIT", n)
+            patch.setattr(w, "DENSE_LIMIT", n)
             yield
 
     return limit

@@ -214,6 +214,18 @@ def test_bounds_analysis_clean_by_default(tmp_path):
     assert read_report(tmp_path)["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "model, param",
+    [("circle", "n=41"), ("sticky", "n=4"), ("lazy-circle", "n=41"), ("cyclic-to-random", "n=5")],
+)
+def test_one_report_holds_one_sigma_tilde(tmp_path, model, param):
+    # the full and the values-only SVD differ in the last bits on these
+    argv = ["analyze", "--model", model, "--param", param, "--analyses", "spectral,bounds"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    results = read_report(tmp_path)["results"]
+    assert results["bounds"]["sigma_tilde"] == results["spectral"]["sigma"][1]
+
+
 def test_simulate_writes_profile_and_tv_line(tmp_path, capsys):
     code = main(
         ["simulate", "--model", "circle", "--param", "n=5", "--param",
@@ -413,10 +425,13 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["analyze", "--model", "random-regular", "--param", "degree=4", "--param", "r=5",
          "--analyses", "spectral"],
         ["scaling", "--family", "circle", "--param", "n_list=5"],
+        ["scaling", "--family", "circle", "--n-list", "5,9", "--model", "sticky"],
+        ["scaling", "--family", "circle", "--n-list", "5,9", "--bijection", "shift:1"],
     ],
     ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
          "scaling-even-size", "scan-bijection", "sticky-rho-past-the-end",
-         "sticky-negative-rho", "regular-degree-and-r", "scaling-sizes-not-a-list"],
+         "sticky-negative-rho", "regular-degree-and-r", "scaling-sizes-not-a-list",
+         "scaling-model", "scaling-bijection"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"

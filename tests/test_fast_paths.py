@@ -392,7 +392,7 @@ def reference_weights(base, forwards):
     from the reference solve for its size (`old_stationary` up to
     DENSE_LIMIT states, `old_uniform_stationary` above), or None where the
     shifted kernel is reducible."""
-    solve = old_stationary if base.size <= spectral.DENSE_LIMIT else old_uniform_stationary
+    solve = old_stationary if base.size <= core.DENSE_LIMIT else old_uniform_stationary
     out = []
     for fwd in forwards:
         shifted = w.shift_kernel(base, w.make_permutation(base.space, fwd))
@@ -440,7 +440,7 @@ def test_batched_shift_solves_from_the_uniform_start(corpus, dense_limit):
 def test_the_scan_solves_above_the_dense_limit(model):
     # at eps = 1e-9 the uniform start of each map is already within the
     # residual target; the scan needs no dense matrix to finish
-    params = {"n": spectral.DENSE_LIMIT + 1, "eps": 1e-9}
+    params = {"n": core.DENSE_LIMIT + 1, "eps": 1e-9}
     doc = models.scan_permutations(model, params, 2, 1)
     assert doc["rows"] == reference_scan_rows(model, params["n"], 2, 1, params["eps"])
 

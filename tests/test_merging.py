@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
-from wavechain import errors
+from wavechain import errors, spectral
 
 
 def circle_system(n=5, eps=1.0, shift=-1, lazy=False):
@@ -208,7 +208,7 @@ def test_wave_bound_grid_matches_pointwise_calls():
 def _separate_wave_bound(s, x, z, n):
     # the pointwise formula before the bound's factors had one home
     pi = s.wave_measure
-    sigma = float(w.weighted_singular_values(s.shifted, pi, pi).singular_values[1])
+    sigma = float(spectral._singular_values(s.shifted, pi, pi)[1])
     wts = pi.weights
     gnz = int(s.map.power_map(n)[z])
     return float(math.sqrt(1.0 / wts[x] - 1.0) * math.sqrt(1.0 / wts[gnz] - 1.0) * sigma**n)
@@ -216,7 +216,7 @@ def _separate_wave_bound(s, x, z, n):
 
 def _separate_wave_bound_grid(s, n_max):
     pi = s.wave_measure
-    sigma = float(w.weighted_singular_values(s.shifted, pi, pi).singular_values[1])
+    sigma = float(spectral._singular_values(s.shifted, pi, pi)[1])
     size = s.space.size
     front = np.sqrt(1.0 / pi.weights - 1.0)
     out = np.empty((n_max + 1, size, size))

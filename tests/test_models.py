@@ -1,4 +1,7 @@
 import math
+import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,20 +29,40 @@ def test_circle_needs_odd_size_and_positive_eps():
         w.circle_kernel(5, 0.0)
 
 
+CIRCLE_BUILDERS = [
+    w.circle_kernel,
+    w.lazy_circle_kernel,
+    w.circle_perturbation_spec,
+    w.tilde_pi_closed_form_shift_minus1,
+    w.circle_nash_params,
+]
+
+
 @pytest.mark.parametrize("eps", [math.inf, 1e400, -1.0, 0.0, math.nan, -math.inf])
-@pytest.mark.parametrize(
-    "build",
-    [
-        w.circle_kernel,
-        w.lazy_circle_kernel,
-        w.circle_perturbation_spec,
-        w.tilde_pi_closed_form_shift_minus1,
-        w.circle_nash_params,
-    ],
-)
+@pytest.mark.parametrize("build", CIRCLE_BUILDERS)
 def test_every_circle_builder_checks_eps_once(build, eps):
     message = "eps must be finite" if eps == math.inf else "eps must be positive"
     with pytest.raises(ValueError, match=message):
+        build(5, eps)
+
+
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("build", CIRCLE_BUILDERS)
+def test_a_numpy_eps_builds_what_the_python_number_builds(build, kind):
+    eps = kind(0.3) if kind is not np.int64 else kind(2)
+    assert pickle.dumps(build(5, eps)) == pickle.dumps(build(5, float(eps)))
+
+
+def test_a_fraction_eps_keeps_its_exact_value():
+    kernel, _ = w.circle_kernel(5, Fraction(1, 3))
+    assert kernel.dense()[0, 1] == float(Fraction(4, 7))  # (1 + eps)/(2 + eps)
+    assert w.circle_nash_params(5, 2).c == 3.0
+
+
+@pytest.mark.parametrize("eps", ["0.5", None, [0.5], True])
+@pytest.mark.parametrize("build", CIRCLE_BUILDERS)
+def test_a_circle_eps_that_is_not_a_number_is_config_invalid(build, eps):
+    with pytest.raises(errors.ConfigInvalid, match=re.escape(f"eps {eps!r} is not a number")):
         build(5, eps)
 
 

@@ -5,15 +5,17 @@ operation below is checked against a dense reference computed here from
 that view: relabeling by fancy indexing, a kernel document listing the
 nonzero entries, a padded row table built row by row and inverse-transform
 sampling on the cumulative rows.  The two algorithm paths that
-DENSE_LIMIT chooses between are checked against each other.
+DENSE_LIMIT chooses between are checked against each other, and that
+choice is made by `core._densifiable` alone.
 """
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 import wavechain as w
 import wavechain.core as core
 import wavechain.spectral as spectral
-from wavechain import cli, models
+from wavechain import cli, errors, models
 from wavechain.rng import uniforms
 from wavechain.sim import _RowTable
 
@@ -40,6 +42,22 @@ def test_evolve_agrees_to_the_last_bit(corpus, dense_limit):
             assert core._vec_mat_op(s.base)(x).tobytes() == core._vec_mat(x, s.base).tobytes()
             for n, law in zip((1, 5, 17), laws):
                 assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
+
+
+def test_core_alone_moves_every_size_choice(monkeypatch, tmp_path, capsys):
+    # core's limit, and no other binding, moves the SVD path, the merging
+    # refusal and both CLI TV lines; the wave measure is solved before
+    system = models.build_model("circle", {"n": 5})
+    pi = system.wave_measure
+    monkeypatch.setattr(core, "DENSE_LIMIT", 0)
+    assert len(spectral._singular_values(system.shifted, pi, pi)) == 2
+    with pytest.raises(errors.TooLarge, match="^merging traces are dense"):
+        w.merging_time(system, 0.01, 10)
+    circle5 = ["--model", "circle", "--param", "n=5", "--out", str(tmp_path)]
+    assert cli.main(["simulate", *circle5, "--param", "trials=500"]) == 0
+    assert capsys.readouterr().out == "simulate: wrote endpoint histogram (500 trials)\n"
+    assert cli.main(["wave-profile", *circle5, "--param", "samples=500"]) == 0
+    assert capsys.readouterr().out == "wave-profile: 500 samples, burn-in 1000, stride 5\n"
 
 
 def test_stationary_distribution_agrees(corpus, dense_limit):

@@ -8,6 +8,8 @@ or when the module re-exports it through `__all__`.  A private function,
 class or constant defined at module level counts as referenced when some
 module of the package reads it, reads it as an attribute
 (`core._vec_mat`) or imports it; a name only tests read is dead code.
+`DENSE_LIMIT` is read in `core` alone, once, by `core._densifiable`;
+`__init__` may import it to re-export it, and no other module imports it.
 """
 import ast
 from pathlib import Path
@@ -139,4 +141,46 @@ def test_the_check_sees_an_unreferenced_private_name(tmp_path):
     )
     assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == [
         "a.py:2 _UNUSED", "a.py:6 _Gone"
+    ]
+
+
+def dense_limit_reads(paths) -> list:
+    """Each read of DENSE_LIMIT, as "module:line": a name read, an
+    attribute read or an import; `__init__`'s import, a re-export, is
+    not one."""
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                hit = any(alias.name == "DENSE_LIMIT" for alias in node.names)
+            else:
+                hit = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                       or isinstance(node, ast.Attribute)) and "DENSE_LIMIT" in (
+                    getattr(node, "id", None), getattr(node, "attr", None))
+            if hit:
+                reads.append(f"{path.stem}:{node.lineno}")
+    return reads
+
+
+def test_only_the_core_predicate_reads_the_dense_limit():
+    reads = dense_limit_reads(sorted(PACKAGE.glob("*.py")))
+    assert [read.split(":")[0] for read in reads] == ["core"]
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    predicate = next(f for f in tree.body if getattr(f, "name", None) == "_densifiable")
+    assert predicate.lineno <= int(reads[0].split(":")[1]) <= predicate.end_lineno
+
+
+def test_the_check_sees_a_planted_dense_limit_read(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "DENSE_LIMIT = 4\ndef _densifiable(k):\n    return k.size <= DENSE_LIMIT\n"
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from .core import DENSE_LIMIT\n__all__ = ['DENSE_LIMIT']\n"
+    )
+    (tmp_path / "spectral.py").write_text(
+        "from . import core\nfrom .core import DENSE_LIMIT, _densifiable\n"
+        "def f(k):\n    return _densifiable(k) and k.size < core.DENSE_LIMIT\n"
+    )
+    assert dense_limit_reads(sorted(tmp_path.glob("*.py"))) == [
+        "core:3", "spectral:2", "spectral:4"
     ]
