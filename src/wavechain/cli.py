@@ -40,6 +40,7 @@ from .core import (
     Permutation,
     WaveSystem,
     _densifiable,
+    _reports_eigenvalues,
     evolve,
     make_permutation,
     make_wave_system,
@@ -83,9 +84,6 @@ _RUN_KEYS = frozenset(
         "n_list",
     }
 )
-
-_EIG_LIMIT = 512  # full eigendecompositions in reports only below this size
-
 
 @dataclass
 class ExperimentConfig:
@@ -195,7 +193,7 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     pi = system.wave_measure_or_none()
     mu = pi if pi is not None else Distribution.uniform(system.space)
     sigma = _singular_values(shifted, mu, mu)
-    eig = eigenvalues(shifted) if system.space.size <= _EIG_LIMIT else None
+    eig = eigenvalues(shifted) if _reports_eigenvalues(shifted) else None
     doc = spectral_report_document(shifted, sigma, eig, pi)
     out = _AnalysisOut(doc=doc)
     if len(sigma) > 1:

@@ -19,10 +19,11 @@ and from every input: a read-only CSR triple (indptr, indices, data) of its
 positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
 states; `_densifiable`, the one reader of that limit, makes every choice
-between the view and the triple.  A product with a vector is BLAS `@` on
-`dense()` up to the limit and `_vec_mat` or `_mat_vec` above, one
-`np.bincount` over the triple that sums each entry's terms in the order
-scipy's CSR product sums them, so the result has the same bits.
+between the view and the triple, and `_reports_eigenvalues` the one other
+size choice, whether a report lists eigenvalues.  A product with a vector
+is BLAS `@` on `dense()` up to the limit and `_vec_mat` or `_mat_vec`
+above, one `np.bincount` over the triple that sums each entry's terms in
+the order scipy's CSR product sums them, so the result has the same bits.
 
 The package runs in numpy alone at every size: building, relabeling,
 saving, searching, sampling and multiplying a kernel import no scipy.  A
@@ -51,6 +52,8 @@ from .errors import (
 )
 
 DENSE_LIMIT = 4096
+# reports carry a full eigendecomposition only up to this many states
+_EIGEN_REPORT_LIMIT = 512
 ROW_SUM_TOL = 1e-12
 # Entries of one block of matrix powers in `power_blocks`: small kernels get
 # many powers per product, kernels of 182 states or more one.
@@ -224,8 +227,13 @@ class MarkovKernel:
 
 
 def _densifiable(kernel: MarkovKernel) -> bool:
-    """At most DENSE_LIMIT states: the one test behind every size choice."""
+    """At most DENSE_LIMIT states: the one test behind every view-or-triple choice."""
     return kernel.size <= DENSE_LIMIT
+
+
+def _reports_eigenvalues(kernel: MarkovKernel) -> bool:
+    """At most _EIGEN_REPORT_LIMIT states: whether a report lists eigenvalues."""
+    return kernel.size <= _EIGEN_REPORT_LIMIT
 
 
 def _issparse(m) -> bool:

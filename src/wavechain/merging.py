@@ -27,10 +27,8 @@ from .core import (
     _cycles,
     _densifiable,
     _laws,
-    compose_window,
     kernel_at,
     power_blocks,
-    wave_measures,
 )
 from .errors import (
     BoundViolated,
@@ -42,6 +40,7 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
     UniformMeasure,
+    WindowInverted,
     ZeroWeight,
 )
 from .interchange import _csv_text
@@ -49,7 +48,6 @@ from .spectral import (
     _merging_obstruction,
     _singular_values,
     is_irreducible,
-    weighted_singular_values,
 )
 
 Metric = Literal["total_variation", "relative_sup", "chi_square"]
@@ -155,10 +153,16 @@ def _distance_trace(kernel: MarkovKernel, metric: Metric, max_steps: int):
 
 
 def pairwise_merging_measure(system: WaveSystem, n: int, metric: Metric) -> float:
-    """Worst pairwise distance between rows of K_{0,n}."""
+    """Worst pairwise distance between rows of K_{0,n}: the rows of shifted^n
+    under one column relabeling, which no metric sees, so this reduces the
+    power `merging_time`'s trace reduces at n and gives its value bit for bit."""
     _check_metric(metric)
-    window = compose_window(system, 0, n)
-    return _pairwise_measure_matrix(window.dense(), metric)
+    if n < 0:
+        raise WindowInverted(f"window (0, {n}) has n > m")
+    power = np.eye(len(system.shifted.dense()))  # TooLarge above the dense limit
+    for _, block in power_blocks(system.shifted, n):
+        power = block[:, -1]
+    return _pairwise_measure_matrix(power, metric)
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,8 @@ def merging_time(
     reason = None
     if hit is None:
         obstruction = _merging_obstruction(system.shifted)
-        if obstruction is not None:
+        # TV merges on a reducible kernel with one closed aperiodic class
+        if obstruction == "periodic" or (obstruction and metric != "total_variation"):
             reason = f"shifted kernel {obstruction}; pairwise merging cannot occur"
     return MergingReport(
         metric=metric,
@@ -310,17 +315,15 @@ def certify_stability(
 def _bound_factors(system: WaveSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """pi, sqrt(1/pi - 1) and the report's sigma1_tilde: every wave bound's factors."""
     pi = system.wave_measure
-    w = pi.weights
-    return w, np.sqrt(1.0 / w - 1.0), float(_singular_values(system.shifted, pi, pi)[1])
+    sigma = float(_singular_values(system.shifted, pi, pi)[1])  # ZeroWeight unless pi > 0
+    return pi.weights, np.sqrt(1.0 / pi.weights - 1.0), sigma
 
 
 def _merging_bound_factors(system: WaveSystem) -> tuple[np.ndarray, float]:
     obstruction = _merging_obstruction(system.shifted)
     if obstruction is not None:
         raise NotMerging(f"shifted kernel {obstruction}; the wave bound does not apply")
-    w, front, sigma = _bound_factors(system)
-    if np.any(w <= 0.0):
-        raise ZeroWeight("wave bound needs a positive wave measure")
+    _, front, sigma = _bound_factors(system)
     return front, sigma
 
 
@@ -430,24 +433,24 @@ def sv_product_bound(
 
     (1/mu_0(x) - 1)^(1/2) (1/mu_n(z) - 1)^(1/2) prod_i sigma_1(K_i), with
     K_i read as an operator from l2(mu_i) to l2(mu_{i-1}).  All the mu_i
-    must be strictly positive.
+    must be strictly positive.  At the wave measure every K_i is the shifted
+    kernel relabeled, so this is `wave_bound`, bit for bit, periodic or not.
     """
     if mu0.space != system.space:
         raise SpaceMismatch("mu0 lives on a different space")
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
     pi = system.wave_measure_or_none()
     if pi is not None and float(np.max(np.abs(mu0.weights - pi.weights))) <= 1e-12:
-        mus = [wave_measures(system, i) for i in range(n + 1)]
+        w0, wn = pi.weights, pi.weights[system.map.power_map(n)]
+        product = _bound_factors(system)[2] ** n if n else 1.0  # sigma1_tilde^n
     else:
         laws = islice(_laws(mu0, system), 1, n + 1)
         mus = [mu0] + [Distribution(system.space, law) for law in laws]
-    product = 1.0
-    for i in range(1, n + 1):
-        if np.any(mus[i].weights <= 0.0) or np.any(mus[i - 1].weights <= 0.0):
-            raise ZeroWeight("singular value product needs positive step measures")
-        dec = weighted_singular_values(kernel_at(system, i), mus[i], mus[i - 1])
-        product *= float(dec.singular_values[1])
-    w0 = mus[0].weights
-    wn = mus[n].weights
+        product = 1.0
+        for i in range(1, n + 1):  # ZeroWeight unless both measures are positive
+            product *= float(_singular_values(kernel_at(system, i), mus[i], mus[i - 1])[1])
+        w0, wn = mus[0].weights, mus[n].weights
     if w0[x] <= 0.0 or wn[z] <= 0.0:
         raise ZeroWeight("bound endpoints need positive mass")
     return float(

@@ -1,14 +1,14 @@
 """Spectral analysis: stationarity, weighted singular values, Dirichlet forms.
 
 A kernel K acting between weighted spaces l2(mu_in) -> l2(mu_out) has the
-Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}, and the weighted singular
-triples are read off the ordinary SVD of B, and the values alone, for the
-command line report, off its values-only SVD.  When mu_out K = mu_in the top
-triple is exactly (1, const, const); above DENSE_LIMIT states the path
-deflates that pair analytically and finds the next one by thick-restart
-Lanczos in numpy (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000), on
-products taken straight from the kernel's CSR triple.  No scipy is needed
-at any size.
+Euclidean avatar  B = D_out^{1/2} K D_in^{-1/2}; the weighted singular
+triples are read off the SVD of B, and the values alone, every sigma the
+package consumes, off its values-only SVD (`_singular_values`).
+When mu_out K = mu_in the top triple is exactly (1, const, const); above
+DENSE_LIMIT states the path deflates that pair analytically and finds the
+next one by thick-restart Lanczos in numpy (Wu and Simon, SIAM J. Matrix
+Anal. Appl. 22, 2000), on products taken straight from the kernel's CSR
+triple.  No scipy is needed at any size.
 
 The graph search runs in numpy over the kernel's CSR triple, which holds
 its positive entries only.  `core._densifiable` picks the SVD path and the
@@ -544,9 +544,9 @@ def second_singular_value_bound_gap(
         )
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    computed = float(weighted_singular_values(shifted, pi, pi).singular_values[1])
+    computed = float(_singular_values(shifted, pi, pi)[1])
     uniform = Distribution.uniform(q.space)
-    sigma1 = float(weighted_singular_values(q, uniform, uniform).singular_values[1])
+    sigma1 = float(_singular_values(q, uniform, uniform)[1])
     bound = 1.0 - (1.0 - eps) ** 2 * (1.0 - sigma1) / c**2
     return computed, bound
 

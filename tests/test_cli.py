@@ -115,6 +115,18 @@ def test_merge_time_metric_flag(tmp_path):
     assert merging["merging_time"] == 23
 
 
+def test_tv_on_a_reducible_kernel_reports_no_reason(tmp_path, capsys):
+    code = main(
+        ["merge-time", "--model", "four-point", "--metric", "total_variation",
+         "--param", "horizon=5", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    merging = read_report(tmp_path)["results"]["merging"]
+    assert merging["merging_time"] == "unbounded"
+    assert "reason" not in merging
+    assert "merging: unbounded within 5 steps\n" in capsys.readouterr().out
+
+
 def test_malformed_kernel_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

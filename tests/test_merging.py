@@ -95,6 +95,31 @@ def test_four_point_merges_in_tv_but_not_relative_sup():
     assert all(math.isinf(v) for _, v in rs.values)
 
 
+REDUCIBLE_TEXT = "shifted kernel reducible; pairwise merging cannot occur"
+
+
+@pytest.mark.parametrize("member, horizon", [(None, 5), (8, 3)], ids=["four-point", "corpus-8"])
+def test_tv_gives_no_reason_on_a_reducible_kernel(corpus, member, horizon):
+    # a reducible shifted kernel with one closed aperiodic class merges in TV
+    s = w.four_point_example() if member is None else corpus[member]
+    assert spectral._merging_obstruction(s.shifted) == "reducible"
+    tv = w.merging_time(s, 0.01, horizon, metric="total_variation")
+    assert tv.merging_time is None and tv.reason is None
+    assert "reason" not in tv.to_document()
+    assert w.merging_time(s, 0.01, 100, metric="total_variation").merging_time is not None
+    for metric in ("relative_sup", "chi_square"):
+        assert w.merging_time(s, 0.01, horizon, metric).reason == REDUCIBLE_TEXT
+
+
+def test_every_metric_gives_the_periodic_reason():
+    space = w.StateSpace(2)
+    flip = w.make_kernel(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    s = w.make_wave_system(flip, w.make_permutation(space, [0, 1]))
+    for metric in ("total_variation", "relative_sup", "chi_square"):
+        rep = w.merging_time(s, 0.01, 5, metric)
+        assert rep.reason == "shifted kernel periodic; pairwise merging cannot occur"
+
+
 def test_four_point_tv_measure_small_by_sixty():
     s = w.four_point_example()
     assert w.pairwise_merging_measure(s, 60, "total_variation") < 0.01
@@ -241,13 +266,38 @@ def test_wave_bounds_are_bit_equal_to_the_separate_formulas(merging_corpus, memb
 
 
 def test_sv_product_bound_collapses_at_the_wave_measure(merging_corpus):
-    s = merging_corpus[2]
+    for s in merging_corpus:
+        pi = s.wave_measure
+        ends = (0, s.space.size - 1)
+        for n in (0, 1, 4, 9):
+            for x in ends:
+                for z in ends:
+                    assert w.sv_product_bound(s, pi, x, z, n) == w.wave_bound(s, x, z, n)
+
+
+def test_sv_product_bound_at_the_wave_measure_of_a_periodic_system():
+    # wave_bound refuses a periodic shifted kernel; the product bound holds
+    space = w.StateSpace(4)
+    bipartite = np.array([
+        [0.0, 0.3, 0.0, 0.7], [0.5, 0.0, 0.5, 0.0],
+        [0.0, 1.0, 0.0, 0.0], [0.4, 0.0, 0.6, 0.0],
+    ])
+    s = w.make_wave_system(w.make_kernel(space, bipartite), w.make_permutation(space, [2, 1, 0, 3]))
+    assert spectral._merging_obstruction(s.shifted) == "periodic"
+    with pytest.raises(errors.NotMerging):
+        w.wave_bound(s, 0, 1, 2)
     pi = s.wave_measure
-    for n in (1, 4, 9):
-        for x in (0, s.space.size - 1):
-            assert w.sv_product_bound(s, pi, x, 0, n) == pytest.approx(
-                w.wave_bound(s, x, 0, n), abs=1e-10
-            )
+    sigma = float(spectral._singular_values(s.shifted, pi, pi)[1])
+    front = np.sqrt(1.0 / pi.weights - 1.0)
+    for n in (0, 1, 2, 5):
+        gz = int(s.map.power_map(n)[1])
+        assert w.sv_product_bound(s, pi, 0, 1, n) == float(front[0] * front[gz] * sigma**n)
+
+
+def test_sv_product_bound_refuses_a_negative_step_count(sticky4):
+    for mu0 in (sticky4.wave_measure, w.Distribution.uniform(sticky4.space)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.sv_product_bound(sticky4, mu0, 0, 0, -1)
 
 
 def test_nash_bound_guard_and_monotonicity():

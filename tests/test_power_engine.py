@@ -322,6 +322,43 @@ def test_repeat_gathered_traces_are_bit_identical(metric):
     assert w.merging_time(s, 1e-3, 400, metric).values == first.values
 
 
+def assert_point_measures_are_the_trace(system, horizon):
+    for metric in METRICS:
+        # no distance is below this threshold: the trace runs to the horizon
+        trace = w.merging_time(system, 1e-300, horizon, metric).values
+        for n, d in trace:
+            assert w.pairwise_merging_measure(system, n, metric) == d, (n, metric)
+
+
+@pytest.mark.parametrize("entries", [core.POWER_BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize("rule", ["dense", "gather"])
+def test_pairwise_merging_measure_is_the_trace_value(corpus, rule, entries):
+    # the point measure reduces the very power the trace reduces at n
+    with stepping(rule, entries):
+        for s in corpus:
+            assert_point_measures_are_the_trace(s, 12)
+
+
+@pytest.mark.parametrize("system", [
+    circle_system(101), w.sticky_permutation_system(5, tuple(range(5)), 0.1),
+], ids=["circle-101", "sticky-5"])
+def test_pairwise_merging_measure_is_the_trace_value_by_the_default_rule(system):
+    assert_point_measures_are_the_trace(system, 12)
+
+
+def test_pairwise_merging_measure_keeps_its_errors(dense_limit):
+    s = circle_system(5)  # built here: no dense view is cached yet
+    for metric in METRICS:
+        with pytest.raises(errors.WindowInverted):
+            w.pairwise_merging_measure(s, -1, metric)
+    with pytest.raises(ValueError):
+        w.pairwise_merging_measure(s, 3, "hellinger")
+    with dense_limit(4):
+        for n in (0, 3):
+            with pytest.raises(errors.TooLarge):
+                w.pairwise_merging_measure(s, n, "relative_sup")
+
+
 def test_gathered_wave_identity_and_bound_verdicts():
     s = w.sticky_permutation_system(3, (0, 1, 2), 0.1)
     cases = [(circle_system(9), 300, 1.0), (circle_system(21), 400, 0.3)]

@@ -10,6 +10,11 @@ module of the package reads it, reads it as an attribute
 (`core._vec_mat`) or imports it; a name only tests read is dead code.
 `DENSE_LIMIT` is read in `core` alone, once, by `core._densifiable`;
 `__init__` may import it to re-export it, and no other module imports it.
+`_EIGEN_REPORT_LIMIT` is read in `core` alone, by
+`core._reports_eigenvalues`.  No module calls `weighted_singular_values`:
+every singular value the package uses comes from
+`spectral._singular_values`, and `merging` builds no step kernel's full
+decomposition, wave measure or window product.
 """
 import ast
 from pathlib import Path
@@ -144,30 +149,38 @@ def test_the_check_sees_an_unreferenced_private_name(tmp_path):
     ]
 
 
-def dense_limit_reads(paths) -> list:
-    """Each read of DENSE_LIMIT, as "module:line": a name read, an
-    attribute read or an import; `__init__`'s import, a re-export, is
+def limit_reads(paths, limit) -> list:
+    """Each read of the constant `limit`, as "module:line": a name read,
+    an attribute read or an import; `__init__`'s import, a re-export, is
     not one."""
     reads = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-                hit = any(alias.name == "DENSE_LIMIT" for alias in node.names)
+                hit = any(alias.name == limit for alias in node.names)
             else:
                 hit = (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                       or isinstance(node, ast.Attribute)) and "DENSE_LIMIT" in (
+                       or isinstance(node, ast.Attribute)) and limit in (
                     getattr(node, "id", None), getattr(node, "attr", None))
             if hit:
                 reads.append(f"{path.stem}:{node.lineno}")
     return reads
 
 
-def test_only_the_core_predicate_reads_the_dense_limit():
-    reads = dense_limit_reads(sorted(PACKAGE.glob("*.py")))
+def assert_only_the_core_predicate_reads(limit, predicate):
+    reads = limit_reads(sorted(PACKAGE.glob("*.py")), limit)
     assert [read.split(":")[0] for read in reads] == ["core"]
     tree = ast.parse((PACKAGE / "core.py").read_text())
-    predicate = next(f for f in tree.body if getattr(f, "name", None) == "_densifiable")
-    assert predicate.lineno <= int(reads[0].split(":")[1]) <= predicate.end_lineno
+    found = next(f for f in tree.body if getattr(f, "name", None) == predicate)
+    assert found.lineno <= int(reads[0].split(":")[1]) <= found.end_lineno
+
+
+def test_only_the_core_predicate_reads_the_dense_limit():
+    assert_only_the_core_predicate_reads("DENSE_LIMIT", "_densifiable")
+
+
+def test_only_the_core_predicate_reads_the_eigen_report_limit():
+    assert_only_the_core_predicate_reads("_EIGEN_REPORT_LIMIT", "_reports_eigenvalues")
 
 
 def test_the_check_sees_a_planted_dense_limit_read(tmp_path):
@@ -181,6 +194,67 @@ def test_the_check_sees_a_planted_dense_limit_read(tmp_path):
         "from . import core\nfrom .core import DENSE_LIMIT, _densifiable\n"
         "def f(k):\n    return _densifiable(k) and k.size < core.DENSE_LIMIT\n"
     )
-    assert dense_limit_reads(sorted(tmp_path.glob("*.py"))) == [
+    assert limit_reads(sorted(tmp_path.glob("*.py")), "DENSE_LIMIT") == [
         "core:3", "spectral:2", "spectral:4"
     ]
+
+
+def test_the_check_sees_a_planted_eigen_report_limit_read(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_EIGEN_REPORT_LIMIT = 4\n"
+        "def _reports_eigenvalues(k):\n    return k.size <= _EIGEN_REPORT_LIMIT\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from . import core\nfrom .core import _EIGEN_REPORT_LIMIT\n"
+        "def f(k):\n    return k.size <= core._EIGEN_REPORT_LIMIT\n"
+    )
+    assert limit_reads(sorted(tmp_path.glob("*.py")), "_EIGEN_REPORT_LIMIT") == [
+        "cli:2", "cli:4", "core:3"
+    ]
+
+
+def calls(paths, name) -> list:
+    """Each call of the function `name`, as "module:line": by its name, by
+    a name an import binds to it, or as an attribute."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {name} | {
+            alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == name and alias.asname
+        }
+        found += [
+            f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and bound & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        ]
+    return found
+
+
+def test_no_module_calls_weighted_singular_values():
+    assert calls(sorted(PACKAGE.glob("*.py")), "weighted_singular_values") == []
+
+
+def test_the_check_sees_a_planted_weighted_singular_values_call(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .spectral import weighted_singular_values\n"
+        "__all__ = ['weighted_singular_values']\n"
+    )
+    (tmp_path / "spectral.py").write_text(
+        "def weighted_singular_values(k):\n    return k\n"
+        "def f(k):\n    return weighted_singular_values(k)\n"
+    )
+    (tmp_path / "merging.py").write_text(
+        "from . import spectral\nfrom .spectral import weighted_singular_values as svd\n"
+        "def g(k):\n    return svd(k), spectral.weighted_singular_values(k)\n"
+    )
+    assert calls(sorted(tmp_path.glob("*.py")), "weighted_singular_values") == [
+        "merging:4", "merging:4", "spectral:4"
+    ]
+
+
+def test_merging_imports_no_step_by_step_builder():
+    # the product bound and the point measure read the shifted kernel
+    tree = ast.parse((PACKAGE / "merging.py").read_text())
+    builders = {"weighted_singular_values", "wave_measures", "compose_window"}
+    assert builders.isdisjoint(imported_names(tree))
