@@ -532,13 +532,8 @@ def wave_measures(system: WaveSystem, i: int) -> Distribution:
 
     With mu_0 = pi these satisfy mu_{i-1} K_i = mu_i for every i >= 1.
     """
-    pi = system.wave_measure_or_none()
-    if pi is None:
-        raise WaveMeasureMissing(
-            "shifted kernel is reducible; wave measures are not defined"
-        )
     gi = system.map.power_map(i % system.order)
-    return Distribution(system.space, pi.weights[gi])
+    return Distribution(system.space, system.wave_measure.weights[gi])
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .errors import (
 )
 from .interchange import _csv_text
 from .spectral import (
+    _check_positive,
     _merging_obstruction,
     _singular_values,
     is_irreducible,
@@ -231,9 +232,8 @@ def merging_time(
             break
     reason = None
     if hit is None:
-        obstruction = _merging_obstruction(system.shifted)
-        # TV merges on a reducible kernel with one closed aperiodic class
-        if obstruction == "periodic" or (obstruction and metric != "total_variation"):
+        obstruction = _merging_obstruction(system.shifted, metric)
+        if obstruction is not None:
             reason = f"shifted kernel {obstruction}; pairwise merging cannot occur"
     return MergingReport(
         metric=metric,
@@ -261,6 +261,15 @@ class StabilityCertificate:
     witness: tuple[int, int]
 
 
+def _wave_start(system: WaveSystem, mu0: Distribution) -> Optional[np.ndarray]:
+    """The wave measure's weights when mu0 is within 1e-10 of it in every
+    state, None otherwise: the one test of whether a chain starts at pi."""
+    pi = system.wave_measure_or_none()
+    if pi is not None and float(np.max(np.abs(mu0.weights - pi.weights))) <= 1e-10:
+        return pi.weights
+    return None
+
+
 def certify_stability(
     system: WaveSystem,
     mu0: Distribution,
@@ -275,11 +284,12 @@ def certify_stability(
     """
     if mu0.space != system.space:
         raise SpaceMismatch("mu0 lives on a different space")
-    pi = system.wave_measure_or_none()
-    if pi is not None and float(np.max(np.abs(mu0.weights - pi.weights))) <= 1e-10:
-        if np.any(mu0.weights <= 0.0):
-            raise ZeroWeight("stability ratios need a positive start")
-        w = pi.weights
+    w = _wave_start(system, mu0)
+    if w is None and horizon is None:
+        raise ValueError("a horizon is required when mu0 is not the wave measure")
+    if np.any(mu0.weights <= 0.0):
+        raise ZeroWeight("stability ratios need a positive start")
+    if w is not None:
         best = (1.0, 0, 0)
         for orbit in _cycles(system.map):
             values = w[orbit]
@@ -293,10 +303,6 @@ def certify_stability(
         return StabilityCertificate(
             c=best[0], mu0=mu0, horizon=system.order, periodic=True, witness=(best[1], best[2])
         )
-    if horizon is None:
-        raise ValueError("a horizon is required when mu0 is not the wave measure")
-    if np.any(mu0.weights <= 0.0):
-        raise ZeroWeight("stability ratios need a positive start")
     worst = (1.0, 0, 0)
     for n, law in enumerate(islice(_laws(mu0, system), 1, horizon + 1), 1):
         ratios = law / mu0.weights
@@ -432,23 +438,25 @@ def sv_product_bound(
     """Bound via the product of per-step second singular values.
 
     (1/mu_0(x) - 1)^(1/2) (1/mu_n(z) - 1)^(1/2) prod_i sigma_1(K_i), with
-    K_i read as an operator from l2(mu_i) to l2(mu_{i-1}).  All the mu_i
-    must be strictly positive.  At the wave measure every K_i is the shifted
+    K_i read as an operator from l2(mu_i) to l2(mu_{i-1}).  For n >= 1 the
+    mu_i must all be positive.  At the wave measure every K_i is the shifted
     kernel relabeled, so this is `wave_bound`, bit for bit, periodic or not.
     """
     if mu0.space != system.space:
         raise SpaceMismatch("mu0 lives on a different space")
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    pi = system.wave_measure_or_none()
-    if pi is not None and float(np.max(np.abs(mu0.weights - pi.weights))) <= 1e-12:
-        w0, wn = pi.weights, pi.weights[system.map.power_map(n)]
+    w = _wave_start(system, mu0)
+    if w is not None:
+        w0, wn = w, w[system.map.power_map(n)]
         product = _bound_factors(system)[2] ** n if n else 1.0  # sigma1_tilde^n
     else:
         laws = islice(_laws(mu0, system), 1, n + 1)
         mus = [mu0] + [Distribution(system.space, law) for law in laws]
+        for i, mu in enumerate(mus if n else ()):  # the measures the steps weigh
+            _check_positive(mu, f"step law mu_{i}")
         product = 1.0
-        for i in range(1, n + 1):  # ZeroWeight unless both measures are positive
+        for i in range(1, n + 1):
             product *= float(_singular_values(kernel_at(system, i), mus[i], mus[i - 1])[1])
         w0, wn = mus[0].weights, mus[n].weights
     if w0[x] <= 0.0 or wn[z] <= 0.0:

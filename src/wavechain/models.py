@@ -230,11 +230,13 @@ def scan_permutations(model: str, params: dict, count: int, seed: int) -> dict:
         maps.append((f"random:{j}", rng.permutation(n_points)))
     rows = []
     worst = 1.0
+    # Every pi is found: the base's support is a connected, non-bipartite,
+    # regular graph (an odd cycle, with loops when lazy).  A closed set C of
+    # base(x, g^{-1} y) needs N(C) in g^{-1}(C), so |N(C)| <= |C|, which its
+    # bipartite double cover, connected and regular, allows only for C
+    # empty or the whole space.
     weights = _shifted_stationary_weights(kernel, [fwd for _, fwd in maps])
     for (name, _), pi in zip(maps, weights):
-        if pi is None:
-            rows.append({"map": name, "ratio": "inf", "status": "reducible"})
-            continue
         ratio = float(np.max(pi) / np.min(pi))
         proven = lazy or name.startswith("shift:")
         rows.append(

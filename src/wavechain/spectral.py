@@ -11,7 +11,8 @@ Anal. Appl. 22, 2000), on products taken straight from the kernel's CSR
 triple.  No scipy is needed at any size.
 
 The graph search runs in numpy over the kernel's CSR triple, which holds
-its positive entries only.  `core._densifiable` picks the SVD path and the
+its positive entries only; `_period_or_none` gives irreducibility and the
+period as one value.  `core._densifiable` picks the SVD path and the
 stationary solve's start and products; this module reads no limit.
 Invariant measures have one solver, `_shifted_stationary_weights`, which
 finds those of many shifted kernels of one base a batch at a time: one
@@ -31,6 +32,7 @@ from .core import (
     MarkovKernel,
     _densifiable,
     _mat_vec,
+    _renormalize,
     _row_of_each_entry,
     _vec_mat,
     _vec_mat_op,
@@ -80,48 +82,41 @@ def _search_levels(
         frontier = level == depth
 
 
-def _strong_levels(
-    kernel: MarkovKernel,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Forward levels from state 0 with the positive edges (tails, heads),
-    or None when the support graph is not strongly connected: some state is
-    unreached forward, or along the reversed edges."""
+def _period_or_none(kernel: MarkovKernel) -> Optional[int]:
+    """The period, or None when the support graph is not strongly connected:
+    some state is unreached from state 0, forward or along the reversed
+    edges.  Each edge (u, v) closes a cycle of length level(u) + 1 - level(v)
+    modulo the period, for the forward breadth-first levels."""
     tails, heads = _edges(kernel)
     level = _search_levels(kernel.size, tails, heads, [0])
     if level.min() < 0 or _search_levels(kernel.size, heads, tails, [0]).min() < 0:
         return None
-    return level, tails, heads
-
-
-def is_irreducible(kernel: MarkovKernel) -> bool:
-    """True when the support graph is strongly connected: a numpy
-    breadth-first search from state 0 reaches every state along the positive
-    entries and along them reversed."""
-    return _strong_levels(kernel) is not None
-
-
-def period(kernel: MarkovKernel) -> int:
-    """Period of an irreducible kernel: gcd of cycle lengths through state 0.
-
-    Computed from breadth-first levels: every edge (u, v) closes a cycle of
-    length level(u) + 1 - level(v) modulo the period.  The levels and the
-    edge list are those of the irreducibility check, `is_irreducible`.
-    """
-    found = _strong_levels(kernel)
-    if found is None:
-        raise NotIrreducible("period is only defined per communicating class")
-    level, tails, heads = found
     # the edge into state 0 adds level(u) + 1 >= 1 to the gcd
     return int(np.gcd.reduce(level[tails] + 1 - level[heads]))
 
 
-def _merging_obstruction(kernel: MarkovKernel) -> Optional[str]:
-    """Why the powers of kernel cannot merge: "reducible", "periodic", or
-    None when it is irreducible and aperiodic; one `period` search."""
-    try:
-        return None if period(kernel) == 1 else "periodic"
-    except NotIrreducible:
-        return "reducible"
+def is_irreducible(kernel: MarkovKernel) -> bool:
+    """True when the support graph is strongly connected (`_period_or_none`)."""
+    return _period_or_none(kernel) is not None
+
+
+def period(kernel: MarkovKernel) -> int:
+    """Period of an irreducible kernel: gcd of cycle lengths through state 0
+    (`_period_or_none`); NotIrreducible on a reducible one."""
+    per = _period_or_none(kernel)
+    if per is None:
+        raise NotIrreducible("period is only defined per communicating class")
+    return per
+
+
+def _merging_obstruction(kernel: MarkovKernel, metric: Optional[str] = None) -> Optional[str]:
+    """Why the powers of kernel cannot merge under `metric` (any, when None):
+    "periodic", "reducible" or None.  Total variation alone merges on some
+    reducible kernels, those with one closed aperiodic class."""
+    per = _period_or_none(kernel)
+    if per is None:
+        return None if metric == "total_variation" else "reducible"
+    return None if per == 1 else "periodic"
 
 
 def _bordered_solves(a: np.ndarray) -> np.ndarray:
@@ -143,8 +138,7 @@ def _refined(pi: np.ndarray, vec_mat: Callable[[np.ndarray], np.ndarray]) -> np.
     pi K = vec_mat(pi), until the residual max_x |(pi K - pi)(x)| is at
     most 1e-12; NotConverged if _STATIONARY_MAX_STEPS steps do not get
     there."""
-    pi = np.where(pi < 0.0, 0.0, pi)
-    pi = pi / pi.sum()
+    pi = _renormalize(pi)
     for _ in range(_STATIONARY_MAX_STEPS):
         step = vec_mat(pi)
         if float(np.max(np.abs(step - pi))) <= _STATIONARY_TOL:
@@ -514,8 +508,6 @@ def check_nash_inequality(
     worst = 0.0
     for f in trials:
         norm2sq = float(u @ f**2)
-        if norm2sq == 0.0:
-            continue
         norm1 = float(u @ np.abs(f))
         energy = float(u @ ((f - m2 @ f) * f))
         lhs = norm2sq ** (1.0 + 0.5 / d_exponent)
@@ -564,10 +556,7 @@ def spectral_report_document(
     the values-only SVD, and the top two above it, from the Lanczos path
     (sticky n=6 lists 720, n=7 lists two).
     """
-    try:
-        per: Optional[int] = period(kernel)
-    except NotIrreducible:
-        per = None
+    per = _period_or_none(kernel)
     doc = {
         "sigma": [float(s) for s in singular_values],
         "eigenvalues": (

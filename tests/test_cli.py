@@ -127,6 +127,48 @@ def test_tv_on_a_reducible_kernel_reports_no_reason(tmp_path, capsys):
     assert "merging: unbounded within 5 steps\n" in capsys.readouterr().out
 
 
+def test_a_reducible_spectral_report_has_no_period(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", "four-point", "--analyses", "spectral",
+                 "--out", str(out)]) == 0
+    spectral = read_report(out)["results"]["spectral"]
+    assert spectral["flags"]["irreducible"] is False
+    assert "period" not in spectral["flags"]
+    assert spectral["stationary"] is None
+
+
+def outside_input(tmp_path, case):
+    """The arguments of one malformed outside input, with its files written."""
+    config, kernel = tmp_path / "config.json", tmp_path / "kernel.json"
+    if case == "config-unreadable":
+        return ["analyze", "--config", str(tmp_path / "absent.json")]
+    if case == "config-not-json":
+        config.write_text("{model: circle")
+        return ["analyze", "--config", str(config)]
+    if case == "config-not-an-object":
+        config.write_text(json.dumps(["circle"]))
+        return ["analyze", "--config", str(config)]
+    if case == "param-without-equals":
+        return ["analyze", "--model", "circle", "--param", "n5"]
+    kernel.write_text(json.dumps({"size": 2, "triplets": [[0, 0, 1.0], [1, 2, 1.0]]}))
+    return ["analyze", "--model", str(kernel)]
+
+
+@pytest.mark.parametrize("case", ["config-unreadable", "config-not-json", "config-not-an-object",
+                                  "param-without-equals", "kernel-triplet-outside"])
+def test_malformed_outside_input_is_config_invalid_and_one_error_line(tmp_path, capsys, case):
+    argv = outside_input(tmp_path, case)
+    with pytest.raises(errors.ConfigInvalid):
+        cli.build_system(cli._config_from_args(cli.build_parser().parse_args(argv)))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_malformed_kernel_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -80,17 +80,25 @@ ONE_ROW_EACH = [[0, 0, 1.0], [1, 1, 1.0]]
         (w.kernel_from_document, {"size": 0, "triplets": ONE_ROW_EACH}),
         (w.kernel_from_document, {"size": -1, "triplets": ONE_ROW_EACH}),
         (w.kernel_from_document, {"size": 2, "labels": [None, 1], "triplets": ONE_ROW_EACH}),
+        (w.kernel_from_document, {"size": 2, "triplets": [[0, 0, 1.0], [1, 2, 1.0]]}),
         (w.permutation_from_document, {"size": 0, "forward": []}),
         (w.permutation_from_document, {"size": 3, "forward": "012"}),
     ],
     ids=["label-count", "duplicate-labels", "kernel-size-0", "kernel-size-minus-1",
-         "null-label", "permutation-size-0", "forward-string"],
+         "null-label", "triplet-outside", "permutation-size-0", "forward-string"],
 )
 def test_document_loaders_raise_config_invalid(load, doc):
     # never a bare ValueError from the state space, and nothing that the
     # checks name as malformed loads
     with pytest.raises(errors.ConfigInvalid):
         load(doc)
+
+
+def test_a_permutation_document_of_another_size_is_config_invalid():
+    doc = {"size": 3, "forward": [2, 0, 1]}
+    with pytest.raises(errors.ConfigInvalid, match="differs from the target space"):
+        w.permutation_from_document(doc, w.StateSpace(4))
+    assert w.permutation_from_document(doc, w.StateSpace(3)).forward.tolist() == [2, 0, 1]
 
 
 def test_row_sum_violation_carries_the_row_index():

@@ -120,6 +120,19 @@ def test_every_metric_gives_the_periodic_reason():
         assert rep.reason == "shifted kernel periodic; pairwise merging cannot occur"
 
 
+def test_one_merging_verdict_per_metric():
+    # periodic is a verdict for every metric; reducible for all but TV
+    space = w.StateSpace(2)
+    flip = w.make_kernel(space, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    reducible = w.four_point_example().shifted
+    merging = circle_system().shifted
+    for metric in (None, "total_variation", "relative_sup", "chi_square"):
+        assert spectral._merging_obstruction(flip, metric) == "periodic"
+        assert spectral._merging_obstruction(merging, metric) is None
+        expected = None if metric == "total_variation" else "reducible"
+        assert spectral._merging_obstruction(reducible, metric) == expected
+
+
 def test_four_point_tv_measure_small_by_sixty():
     s = w.four_point_example()
     assert w.pairwise_merging_measure(s, 60, "total_variation") < 0.01
@@ -184,6 +197,39 @@ def test_stability_with_foreign_start_needs_horizon():
     assert not cert.periodic
     state, steps = cert.witness
     assert steps <= 12
+
+
+def test_a_zero_in_a_wave_measure_start_is_zero_weight():
+    # pi = (1e-12, 1) / (1 + 1e-12): the point mass at 1 is within 1e-10 of it
+    space = w.StateSpace(2)
+    kernel = w.make_kernel(space, np.array([[0.0, 1.0], [1e-12, 1.0 - 1e-12]]))
+    s = w.make_wave_system(kernel, w.make_permutation(space, [0, 1]))
+    start = w.Distribution.point_mass(space, 1)
+    with pytest.raises(errors.ZeroWeight, match="positive start"):
+        w.certify_stability(s, start)
+    off = w.Distribution.point_mass(space, 0)
+    with pytest.raises(ValueError, match="horizon is required"):
+        w.certify_stability(s, off)  # no horizon is checked before positivity
+    with pytest.raises(errors.ZeroWeight, match="positive start"):
+        w.certify_stability(s, off, horizon=3)
+
+
+def test_a_start_within_1e_10_of_the_wave_measure_is_the_wave_start():
+    # certify_stability and sv_product_bound share one tolerance: both treat
+    # this start as the wave measure, so the product bound is wave_bound
+    s = circle_system(n=17)
+    weights = s.wave_measure.weights.copy()
+    weights[0] += 5e-11
+    weights[1] -= 5e-11
+    mu0 = w.Distribution(s.space, weights)
+    assert w.certify_stability(s, mu0).periodic
+    for x, z, n in ((0, 0, 1), (3, 8, 1), (5, 2, 4)):
+        assert w.sv_product_bound(s, mu0, x, z, n) == w.wave_bound(s, x, z, n)
+
+
+def test_wave_measures_of_a_reducible_system_are_missing():
+    with pytest.raises(errors.WaveMeasureMissing):
+        w.wave_measures(w.four_point_example(), 1)
 
 
 # ---------------------------------------------------------------- bounds
@@ -298,6 +344,19 @@ def test_sv_product_bound_refuses_a_negative_step_count(sticky4):
     for mu0 in (sticky4.wave_measure, w.Distribution.uniform(sticky4.space)):
         with pytest.raises(ValueError, match="nonnegative"):
             w.sv_product_bound(sticky4, mu0, 0, 0, -1)
+
+
+def test_sv_product_bound_names_the_step_law_with_a_zero(monkeypatch):
+    s = w.sticky_permutation_system(3, 0, 0.05)
+    start = w.Distribution.point_mass(s.space, 0)
+    assert w.sv_product_bound(s, start, 0, 0, 0) == 0.0  # no step, no law checked
+
+    def no_svd(*args):
+        raise AssertionError("a step SVD ran before the positivity check")
+
+    monkeypatch.setattr("wavechain.merging._singular_values", no_svd)
+    with pytest.raises(errors.ZeroWeight, match="^step law mu_0 must be strictly positive"):
+        w.sv_product_bound(s, start, 0, 0, 2)
 
 
 def test_nash_bound_guard_and_monotonicity():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import re
@@ -8,13 +9,14 @@ import pytest
 import scipy.sparse as sp
 
 import wavechain as w
-from wavechain import errors
+from wavechain import errors, models
 from wavechain.groups import (
     from_cycles,
     multiply,
     sn_elements,
     transposition,
 )
+from wavechain.spectral import _shifted_stationary_weights
 
 from group_reference import sn_index
 from peak_memory import traced_peak
@@ -138,6 +140,19 @@ def test_circle_perturbation_spec_recomposes():
                              - kern.dense())) < 1e-15
         # strength of the edits relative to the unperturbed walk
         assert spec.epsilon == pytest.approx(eps / (2 + eps))
+
+
+@pytest.mark.parametrize("model", ["circle", "lazy-circle"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_no_map_leaves_a_scanned_circle_reducible(model, n):
+    # the scan's argument, checked over every map: an odd cycle (with loops
+    # when lazy) has |N(C)| > |C| for each proper nonempty C, so no closed
+    # class exists in base(x, g^-1 y) for any bijection g
+    base = models.build_model(model, {"n": n, "eps": 0.5}).base
+    maps = [np.array(m) for m in itertools.permutations(range(n))]
+    weights = _shifted_stationary_weights(base, maps)
+    assert len(weights) == math.factorial(n)
+    assert all(pi is not None for pi in weights)
 
 
 # ------------------------------------------------------- binary cycling

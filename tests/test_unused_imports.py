@@ -14,7 +14,10 @@ module of the package reads it, reads it as an attribute
 `core._reports_eigenvalues`.  No module calls `weighted_singular_values`:
 every singular value the package uses comes from
 `spectral._singular_values`, and `merging` builds no step kernel's full
-decomposition, wave measure or window product.
+decomposition, wave measure or window product.  A structural answer is
+a value, not an exception: the only `except` clauses that name a class of
+`wavechain.errors` are `cli.main`'s catch-all and the public Optional view
+`WaveSystem.wave_measure_or_none`.
 """
 import ast
 from pathlib import Path
@@ -258,3 +261,59 @@ def test_merging_imports_no_step_by_step_builder():
     tree = ast.parse((PACKAGE / "merging.py").read_text())
     builders = {"weighted_singular_values", "wave_measures", "compose_window"}
     assert builders.isdisjoint(imported_names(tree))
+
+
+def error_classes(path: Path) -> set:
+    """The classes a module defines at its top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _handled(node, where):
+    """(function, class) for each class an except clause under node names,
+    the function being the innermost def around the clause."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _handled(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            for t in caught:
+                yield where, getattr(t, "id", None) or getattr(t, "attr", None)
+        yield from _handled(child, where)
+
+
+def error_handlers(paths, classes) -> list:
+    """Each except clause naming one of `classes`, as "module:function class"."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.stem}:{where} {name}" for where, name in _handled(tree, "<module>")
+                  if name in classes]
+    return sorted(found)
+
+
+def test_only_the_catch_all_and_the_optional_view_catch_a_package_error():
+    classes = error_classes(PACKAGE / "errors.py")
+    assert error_handlers(sorted(PACKAGE.glob("*.py")), classes) == [
+        "cli:main WavechainError", "core:wave_measure_or_none NotIrreducible"
+    ]
+
+
+def test_the_check_sees_a_planted_error_handler(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(Exception):\n    pass\nclass Missing(Base):\n    pass\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\nfrom .errors import Missing\n"
+        "try:\n    pass\nexcept Missing:\n    pass\n"
+        "def f():\n"
+        "    def g():\n        try:\n            pass\n"
+        "        except (ValueError, errors.Base):\n            pass\n"
+        "    try:\n        g()\n    except ValueError:\n        pass\n"
+        "    except:\n        pass\n"
+    )
+    classes = error_classes(tmp_path / "errors.py")
+    assert error_handlers(sorted(tmp_path.glob("*.py")), classes) == [
+        "mod:<module> Missing", "mod:g Base"
+    ]
