@@ -312,27 +312,16 @@ def _csr_from_triplets(n: int, rows, cols, vals) -> CSR:
     return _csr(_indptr(np.bincount(rows_out, minlength=n)), cols_out, data[kept])
 
 
-def _validate_matrix(m: np.ndarray) -> None:
-    if np.any(m < 0.0):
-        r, _ = np.unravel_index(int(np.argmin(m)), m.shape)
-        raise NegativeEntry(f"negative entry in row {int(r)}")
-    _check_row_sums(m.sum(axis=1))
-
-
 def _validate_csr(csr: CSR) -> None:
     indptr, _, data = csr
     if np.any(data < 0.0):
-        # the row `_validate_matrix` names: entries run row by row
+        # entries run row by row: the row of the first most negative entry
         row = int(np.searchsorted(indptr, np.argmin(data), "right")) - 1
         raise NegativeEntry(f"negative entry in row {row}")
     # scipy's row sums of a CSR matrix: one reduceat over the nonempty rows
     sums = np.zeros(indptr.size - 1)
     nonempty = np.flatnonzero(np.diff(indptr))
     sums[nonempty] = np.add.reduceat(data, indptr[nonempty])
-    _check_row_sums(sums)
-
-
-def _check_row_sums(sums: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN fails too
     if bad.size:
         raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
@@ -355,8 +344,9 @@ def make_kernel(space: StateSpace, entries) -> MarkovKernel:
         raise SpaceMismatch(f"matrix shape {m.shape} on a space of size {space.size}")
     if sparse:
         return _kernel_from_triplets(space, m.row, m.col, m.data)
-    _validate_matrix(m)
-    return _wrap(space, m)
+    kernel = _wrap(space, m)
+    _validate_csr(kernel.entries)
+    return kernel
 
 
 def _kernel_from_triplets(space: StateSpace, rows, cols, vals) -> MarkovKernel:
@@ -367,9 +357,10 @@ def _kernel_from_triplets(space: StateSpace, rows, cols, vals) -> MarkovKernel:
 
 
 def _wrap(space: StateSpace, m: np.ndarray) -> MarkovKernel:
-    # the nonzero entries of a validated dense matrix, or of a product of
-    # validated kernels, which is row-stochastic up to rounding; numpy finds
-    # the nonzeros of a boolean array many times faster
+    # the nonzero entries of a dense matrix, whose triple `make_kernel`
+    # then validates, or of a product of validated kernels, which is
+    # row-stochastic up to rounding; numpy finds the nonzeros of a boolean
+    # array many times faster
     n = space.size
     rows, cols = np.divmod(np.flatnonzero(m != 0), n)
     data = m[rows, cols]

@@ -156,11 +156,15 @@ def _distance_trace(kernel: MarkovKernel, metric: Metric, max_steps: int):
 def pairwise_merging_measure(system: WaveSystem, n: int, metric: Metric) -> float:
     """Worst pairwise distance between rows of K_{0,n}: the rows of shifted^n
     under one column relabeling, which no metric sees, so this reduces the
-    power `merging_time`'s trace reduces at n and gives its value bit for bit."""
+    power `merging_time`'s trace reduces at n and gives its value bit for
+    bit, infinite from no power where a ratio metric cannot merge."""
     _check_metric(metric)
     if n < 0:
         raise WindowInverted(f"window (0, {n}) has n > m")
-    power = np.eye(len(system.shifted.dense()))  # TooLarge above the dense limit
+    size = len(system.shifted.dense())  # TooLarge above the dense limit
+    if metric != "total_variation" and _merging_obstruction(system.shifted, metric) is not None:
+        return math.inf
+    power = np.eye(size)
     for _, block in power_blocks(system.shifted, n):
         power = block[:, -1]
     return _pairwise_measure_matrix(power, metric)
@@ -215,6 +219,12 @@ def merging_time(
     contract); the same call gives the same trace every time.  Every
     metric reduces a whole block of powers at once, TV over the unordered
     row pairs only.
+
+    The verdict of `spectral._merging_obstruction` comes first.  Where
+    relative-sup or chi-square cannot merge, some column of every power
+    has a zero and a positive entry, so the trace is exactly infinite and
+    is written from no power; `reason` names the obstruction whenever the
+    threshold is not reached.
     """
     _check_metric(metric)
     if not epsilon > 0:
@@ -223,18 +233,21 @@ def merging_time(
         raise ValueError("max_steps must be nonnegative")
     if not _densifiable(system.base):
         raise TooLarge("merging traces are dense; too many states")
+    obstruction = _merging_obstruction(system.shifted, metric)
+    if obstruction is not None and metric != "total_variation":
+        trace = ((n, math.inf) for n in range(max_steps + 1))
+    else:
+        trace = _distance_trace(system.shifted, metric, max_steps)
     values = []
     hit: Optional[int] = None
-    for n, d in _distance_trace(system.shifted, metric, max_steps):
+    for n, d in trace:
         values.append((n, d))
         if d < epsilon:
             hit = n
             break
     reason = None
-    if hit is None:
-        obstruction = _merging_obstruction(system.shifted, metric)
-        if obstruction is not None:
-            reason = f"shifted kernel {obstruction}; pairwise merging cannot occur"
+    if hit is None and obstruction is not None:
+        reason = f"shifted kernel {obstruction}; pairwise merging cannot occur"
     return MergingReport(
         metric=metric,
         epsilon=epsilon,
@@ -372,7 +385,9 @@ def bound_dominance(
     `wave_bound` for n = 1 .. horizon, and the first step attaining it.
 
     Streams the powers of the shifted kernel; any system with a wave
-    measure is accepted, periodic ones included.  Each block of powers is
+    measure is accepted, periodic ones included, and from horizon 1 a
+    shifted kernel that `dense()` refuses raises TooLarge before pi or
+    sigma1_tilde is solved for.  Each block of powers is
     first screened column by column: the worst error c_n(y) of column y,
     read from its extreme entries, against the smallest bound in that
     column.  Rounding is monotone, so a power whose every column passes
@@ -396,6 +411,8 @@ def bound_dominance(
         raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if horizon:
+        system.shifted.dense()  # TooLarge before pi and sigma are solved for
     w, front, sigma = _bound_factors(system)
     outer = np.outer(front, front)
     # the smallest bound of column y is in the row of the smallest factor,

@@ -10,15 +10,18 @@ next one by thick-restart Lanczos in numpy (Wu and Simon, SIAM J. Matrix
 Anal. Appl. 22, 2000), on products taken straight from the kernel's CSR
 triple.  No scipy is needed at any size.
 
-The graph search runs in numpy over the kernel's CSR triple, which holds
-its positive entries only; `_period_or_none` gives irreducibility and the
-period as one value.  `core._densifiable` picks the SVD path and the
-stationary solve's start and products; this module reads no limit.
-Invariant measures have one solver, `_shifted_stationary_weights`, which
-finds those of many shifted kernels of one base a batch at a time: one
-level search over the union of their support graphs, one stacked direct
-solve up to DENSE_LIMIT states (a uniform start above it) and a damped
-refinement of each.  `stationary_distribution` is its batch of one.
+There is one graph search, `_search_levels`, a breadth-first search in
+numpy over the kernel's CSR triple, which holds its positive entries only.
+`_period_or_none` gives irreducibility and the period as one value; on a
+reducible kernel `_closed_class` descends to a closed class, and the two
+give every merging verdict (`_merging_obstruction`).  `core._densifiable`
+picks the SVD path and the stationary solve's start and products; this
+module reads no limit.  Invariant measures have one solver,
+`_shifted_stationary_weights`, which only solves: it takes shifted kernels
+of one base that its caller knows to be irreducible, a batch at a time,
+with one stacked direct solve up to DENSE_LIMIT states (a uniform start
+above it) and a damped refinement of each.  `stationary_distribution`
+checks irreducibility and is its batch of one.
 """
 from __future__ import annotations
 
@@ -59,17 +62,14 @@ def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
     return _row_of_each_entry(indptr), heads
 
 
-def _search_levels(
-    n: int, tails: np.ndarray, heads: np.ndarray, starts: Sequence[int]
-) -> np.ndarray:
-    """Breadth-first levels from the states `starts` along the edges
+def _search_levels(n: int, tails: np.ndarray, heads: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first levels from state `start` along the edges
     tails[k] -> heads[k], -1 at the states it never reaches.  Each level is
     one numpy pass over the whole edge list: fewer calls per level than
     gathering the frontier's rows, which is what the many searches on small
-    kernels pay for.  On a disjoint union of graphs with one start each, the
-    levels are those of the separate searches."""
+    kernels pay for."""
     level = np.full(n, -1, dtype=np.int64)
-    level[np.asarray(starts, dtype=np.int64)] = 0
+    level[start] = 0
     frontier = level == 0
     depth = 0
     while True:
@@ -88,8 +88,8 @@ def _period_or_none(kernel: MarkovKernel) -> Optional[int]:
     edges.  Each edge (u, v) closes a cycle of length level(u) + 1 - level(v)
     modulo the period, for the forward breadth-first levels."""
     tails, heads = _edges(kernel)
-    level = _search_levels(kernel.size, tails, heads, [0])
-    if level.min() < 0 or _search_levels(kernel.size, heads, tails, [0]).min() < 0:
+    level = _search_levels(kernel.size, tails, heads, 0)
+    if level.min() < 0 or _search_levels(kernel.size, heads, tails, 0).min() < 0:
         return None
     # the edge into state 0 adds level(u) + 1 >= 1 to the gcd
     return int(np.gcd.reduce(level[tails] + 1 - level[heads]))
@@ -109,14 +109,56 @@ def period(kernel: MarkovKernel) -> int:
     return per
 
 
+def _closed_class(kernel: MarkovKernel) -> tuple[bool, int, bool]:
+    """(sole, period, rest_acyclic) of a closed class of a reducible kernel:
+    whether every state reaches it, so that it is the only closed class;
+    its period, by the gcd rule of `_period_or_none` on its own edges; and
+    whether the states outside it span no cycle.
+
+    The descent starts at state 0.  While some state the start reaches
+    cannot reach back, the start moves to such a state at the largest
+    forward level, the lowest index on ties.  Each move goes strictly down
+    the graph of communicating classes, so the descent ends, at a start
+    whose reached set is its own class, closed."""
+    n = kernel.size
+    tails, heads = _edges(kernel)
+    start = 0
+    while True:
+        level = _search_levels(n, tails, heads, start)
+        back = _search_levels(n, heads, tails, start)
+        escapes = np.flatnonzero((level >= 0) & (back < 0))
+        if not escapes.size:
+            break
+        start = int(escapes[np.argmax(level[escapes])])
+    inside = level >= 0
+    own = inside[tails]
+    per = int(np.gcd.reduce(level[tails[own]] + 1 - level[heads[own]]))
+    # peel off the outside states that no other outside state enters; a
+    # cycle keeps its states
+    rest = ~inside
+    while True:
+        entered = np.bincount(heads[rest[tails] & rest[heads]], minlength=n) > 0
+        sources = rest & ~entered
+        if not sources.any():
+            return bool(back.min() >= 0), per, not rest.any()
+        rest &= ~sources
+
+
 def _merging_obstruction(kernel: MarkovKernel, metric: Optional[str] = None) -> Optional[str]:
     """Why the powers of kernel cannot merge under `metric` (any, when None):
-    "periodic", "reducible" or None.  Total variation alone merges on some
-    reducible kernels, those with one closed aperiodic class."""
+    "periodic", "reducible" or None.  On a reducible kernel total variation
+    merges exactly when there is one closed class and it is aperiodic
+    (`_closed_class`).  Relative-sup and chi-square also need the states
+    outside it to span no cycle: a walk around one keeps a column of every
+    power positive in some row, and the closed class's rows are zero there."""
     per = _period_or_none(kernel)
-    if per is None:
-        return None if metric == "total_variation" else "reducible"
-    return None if per == 1 else "periodic"
+    if per is not None:
+        return None if per == 1 else "periodic"
+    if metric is None:
+        return "reducible"
+    sole, class_period, rest_acyclic = _closed_class(kernel)
+    merges = sole and class_period == 1 and (rest_acyclic or metric == "total_variation")
+    return None if merges else "reducible"
 
 
 def _bordered_solves(a: np.ndarray) -> np.ndarray:
@@ -154,14 +196,15 @@ def _refined(pi: np.ndarray, vec_mat: Callable[[np.ndarray], np.ndarray]) -> np.
 def stationary_distribution(kernel: MarkovKernel) -> Distribution:
     """Invariant probability vector of an irreducible kernel.
 
-    It is the batch of one of `_shifted_stationary_weights`: the kernel
-    shifted by the identity map.  NotIrreducible is raised when its support
-    graph is not strongly connected, NotConverged when the refinement does
-    not reach its residual target.
+    NotIrreducible is raised when its support graph is not strongly
+    connected (`_period_or_none`); otherwise it is the batch of one of
+    `_shifted_stationary_weights`, the kernel shifted by the identity map,
+    and NotConverged is raised when the refinement does not reach its
+    residual target.
     """
-    pi = _shifted_stationary_weights(kernel, [np.arange(kernel.size)])[0]
-    if pi is None:
+    if _period_or_none(kernel) is None:
         raise NotIrreducible("stationary distribution needs an irreducible kernel")
+    pi = _shifted_stationary_weights(kernel, [np.arange(kernel.size)])[0]
     return Distribution(kernel.space, pi)
 
 
@@ -171,46 +214,30 @@ _STACK_ENTRIES = 1 << 17
 
 def _shifted_stationary_weights(
     base: MarkovKernel, forwards: Sequence[np.ndarray]
-) -> list[Optional[np.ndarray]]:
+) -> list[np.ndarray]:
     """For each forward map g, the invariant weights of the shifted kernel
-    base(x, g^{-1} y), or None where it is reducible.
+    base(x, g^{-1} y), which the caller knows to be irreducible.
 
-    The maps go in batches of at most _STACK_ENTRIES kernel entries.  A
-    batch is one level search, forward and reversed, over the disjoint
-    union of its shifted support graphs (a base edge x -> z is the shifted
-    edge x -> g z), and one stacked direct solve up to DENSE_LIMIT states
-    (a start from the uniform vector above it).  `_refined` then refines
-    each solution against its own shifted kernel with the base's product
+    The maps go in batches of at most _STACK_ENTRIES kernel entries, each
+    one stacked direct solve up to DENSE_LIMIT states (a start from the
+    uniform vector above it).  `_refined` then refines each solution
+    against its own shifted kernel with the base's product
     `core._vec_mat_op`, BLAS or CSR: `core._densifiable` picks both the
     start and the product.  `stationary_distribution` is the batch of one,
     the identity map.
     """
     n = base.size
-    tails, heads = _edges(base)
     vec_mat = _vec_mat_op(base)
     per_batch = max(1, _STACK_ENTRIES // (n * n))
-    out: list[Optional[np.ndarray]] = []
+    out = []
     for lo in range(0, len(forwards), per_batch):
-        fwd = np.asarray(forwards[lo : lo + per_batch], dtype=np.int64)
-        k = len(fwd)
-        starts = np.arange(k) * n
-        t = (tails + starts[:, None]).ravel()
-        h = (fwd[:, heads] + starts[:, None]).ravel()
-        strong = _search_levels(k * n, t, h, starts).reshape(k, n).min(axis=1) >= 0
-        strong &= _search_levels(k * n, h, t, starts).reshape(k, n).min(axis=1) >= 0
-        inv = np.argsort(fwd[strong], axis=1)
+        inv = np.argsort(np.asarray(forwards[lo : lo + per_batch], dtype=np.int64), axis=1)
         if _densifiable(base):
             pis = _bordered_solves(base.dense().T[inv])  # row y of system k: column inv[k, y]
         else:
             pis = np.full((len(inv), n), 1.0 / n)
-        solved = iter(zip(pis, inv))
-        for live in strong:
-            if not live:
-                out.append(None)
-                continue
-            pi, cols = next(solved)
-            # x K[:, cols] is (x K)[cols]
-            out.append(_refined(pi, lambda x: vec_mat(x)[cols]))
+        # x K[:, cols] is (x K)[cols]
+        out += [_refined(pi, lambda x: vec_mat(x)[cols]) for pi, cols in zip(pis, inv)]
     return out
 
 

@@ -230,6 +230,27 @@ def test_scaled_bounds_violation_exits_two(tmp_path, capsys):
     assert "dominates" in report["violations"][0]["inequality"]
 
 
+def test_the_readme_exit_two_example_exits_two(tmp_path, capsys):
+    code = main(
+        ["analyze", "--model", "circle", "--param", "n=5", "--analyses", "bounds",
+         "--param", "bound_scale=0.5", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    (violation,) = read_report(tmp_path)["violations"]
+    assert violation["detail"] == "exceeded by 3.701e-01 at n=1"
+
+
+def test_bounds_on_a_kernel_too_large_to_densify_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--model", "circle", "--param", "n=4097", "--analyses", "bounds",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: refusing to densify a 4097-state kernel\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_bounds_reject_a_scale_that_is_not_finite(tmp_path, capsys, scale):
     # a NaN or infinite scale compares as "dominates" everywhere

@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wavechain as w
-from wavechain import errors, spectral
+from wavechain import errors, merging, models, spectral
 
 
 def circle_system(n=5, eps=1.0, shift=-1, lazy=False):
@@ -131,6 +134,107 @@ def test_one_merging_verdict_per_metric():
         assert spectral._merging_obstruction(merging, metric) is None
         expected = None if metric == "total_variation" else "reducible"
         assert spectral._merging_obstruction(reducible, metric) == expected
+
+
+METRICS = ("total_variation", "relative_sup", "chi_square")
+
+
+def test_a_reducible_corpus_member_does_not_merge_by_underflow(corpus):
+    # member 8: state 2 absorbs and the other states have loops, so every
+    # power keeps a column positive in their rows and zero in state 2's;
+    # the transient columns underflowed to a relative-sup "merge" at 1981
+    s = corpus[8]
+    for metric in ("relative_sup", "chi_square"):
+        rep = w.merging_time(s, 1 / math.e, 2500, metric)
+        assert rep.merging_time is None and rep.reason == REDUCIBLE_TEXT
+        assert all(math.isinf(d) for _, d in rep.values) and len(rep.values) == 2501
+        assert w.pairwise_merging_measure(s, 1981, metric) == math.inf
+    tv = w.merging_time(s, 1 / math.e, 2500, "total_variation")
+    assert tv.merging_time == 4 and tv.reason is None
+
+
+def test_an_absorbing_state_reached_in_one_step_merges_at_once():
+    # K = [[0, 1], [0, 1]]: state 1 is the one closed class, aperiodic, and
+    # state 0 is on no cycle, so the rows of K^1 are equal
+    space = w.StateSpace(2)
+    kernel = w.make_kernel(space, np.array([[0.0, 1.0], [0.0, 1.0]]))
+    s = w.make_wave_system(kernel, w.make_permutation(space, [0, 1]))
+    for metric in METRICS:
+        assert w.merging_time(s, 0.01, 0, metric).reason is None
+        assert w.merging_time(s, 0.01, 5, metric).merging_time == 1
+
+
+def test_tv_gives_the_reason_where_several_classes_are_closed():
+    rep = w.merging_time(w.periodic_class_example(3, 2), 0.01, 300, "total_variation")
+    assert rep.merging_time is None and rep.reason == REDUCIBLE_TEXT
+    assert all(d == 1.0 for _, d in rep.values)
+
+
+def support_powers(kernel):
+    """The zero patterns of kernel^0, kernel^1, ... up to the first repeat,
+    and the index where their cycle starts: boolean products are exact."""
+    edges = (kernel.dense() > 0).astype(np.int64)
+    power = np.eye(kernel.size, dtype=np.int64)
+    seen, patterns = {}, []
+    while power.tobytes() not in seen:
+        seen[power.tobytes()] = len(patterns)
+        patterns.append(power > 0)
+        power = ((power @ edges) > 0).astype(np.int64)
+    return patterns, seen[power.tobytes()]
+
+
+def assert_the_verdict_is_the_support_oracle(kernel):
+    patterns, cycle = support_powers(kernel)
+    mixed = [bool((p.any(axis=0) & ~p.all(axis=0)).any()) for p in patterns]
+    # TV merges exactly when the limit rows agree: a column positive in
+    # every row of each recurring pattern (one closed aperiodic class)
+    tv = all(p.all(axis=0).any() for p in patterns[cycle:])
+    assert (spectral._merging_obstruction(kernel, "total_variation") is None) == tv
+    # a ratio metric is finite exactly where no column is mixed
+    ratio = not any(mixed[cycle:])
+    for metric in ("relative_sup", "chi_square"):
+        assert (spectral._merging_obstruction(kernel, metric) is None) == ratio
+    if not ratio:
+        assert all(mixed)  # the trace is infinite at every n
+
+
+def test_the_merging_verdict_is_the_support_oracle_on_the_corpus(corpus):
+    reducible = [s.shifted for s in corpus if not w.is_irreducible(s.shifted)]
+    assert len(reducible) == 16  # frozen at the corpus seed
+    for kernel in reducible:
+        assert_the_verdict_is_the_support_oracle(kernel)
+
+
+@st.composite
+def reducible_kernels(draw):
+    n = draw(st.integers(2, 6))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+    support[np.arange(n), draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))] = True
+    m = support * np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n * n,
+                                         max_size=n * n))).reshape(n, n)
+    kernel = w.make_kernel(w.StateSpace(n), m / m.sum(axis=1, keepdims=True))
+    assume(not w.is_irreducible(kernel))
+    return kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(reducible_kernels())
+def test_the_merging_verdict_is_the_support_oracle_on_small_kernels(kernel):
+    assert_the_verdict_is_the_support_oracle(kernel)
+
+
+def test_bound_dominance_refuses_a_large_kernel_before_solving(monkeypatch):
+    s = models.build_model("circle", {"n": 4097})
+
+    def no_solve(*args):
+        raise AssertionError("solved for sigma before refusing")
+
+    monkeypatch.setattr(merging, "_singular_values", no_solve)
+    start = time.perf_counter()
+    with pytest.raises(errors.TooLarge):
+        w.bound_dominance(s, 30)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_four_point_tv_measure_small_by_sixty():

@@ -150,9 +150,12 @@ def test_no_map_leaves_a_scanned_circle_reducible(model, n):
     # class exists in base(x, g^-1 y) for any bijection g
     base = models.build_model(model, {"n": n, "eps": 0.5}).base
     maps = [np.array(m) for m in itertools.permutations(range(n))]
+    assert len(maps) == math.factorial(n)
+    for fwd in maps:
+        assert w.is_irreducible(w.shift_kernel(base, w.make_permutation(base.space, fwd)))
     weights = _shifted_stationary_weights(base, maps)
-    assert len(weights) == math.factorial(n)
-    assert all(pi is not None for pi in weights)
+    assert len(weights) == len(maps)
+    assert all(np.all(pi > 0) for pi in weights)
 
 
 # ------------------------------------------------------- binary cycling

@@ -11,7 +11,9 @@ module of the package reads it, reads it as an attribute
 `DENSE_LIMIT` is read in `core` alone, once, by `core._densifiable`;
 `__init__` may import it to re-export it, and no other module imports it.
 `_EIGEN_REPORT_LIMIT` is read in `core` alone, by
-`core._reports_eigenvalues`.  No module calls `weighted_singular_values`:
+`core._reports_eigenvalues`.  The one graph search,
+`spectral._search_levels`, is called only by `spectral._period_or_none`
+and `spectral._closed_class`.  No module calls `weighted_singular_values`:
 every singular value the package uses comes from
 `spectral._singular_values`, and `merging` builds no step kernel's full
 decomposition, wave measure or window product.  A structural answer is
@@ -254,6 +256,42 @@ def test_the_check_sees_a_planted_weighted_singular_values_call(tmp_path):
     assert calls(sorted(tmp_path.glob("*.py")), "weighted_singular_values") == [
         "merging:4", "merging:4", "spectral:4"
     ]
+
+
+def calling_functions(paths, name) -> set:
+    """The module-level function around each call of `name`, as
+    "module.function", or "module" for a call outside every function."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for site in calls([path], name):
+            line = int(site.split(":")[1])
+            outer = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.lineno <= line <= f.end_lineno]
+            found.add(".".join([path.stem] + outer))
+    return found
+
+
+def test_one_graph_search_decides_strong_connectivity():
+    # irreducibility and the period, and on a reducible kernel its closed
+    # class: no other function searches the support graph
+    assert calling_functions(sorted(PACKAGE.glob("*.py")), "_search_levels") == {
+        "spectral._period_or_none", "spectral._closed_class"
+    }
+
+
+def test_the_check_sees_a_planted_second_graph_search(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "def _search_levels(n, t, h, s):\n    return n\n"
+        "def _period_or_none(k):\n    return _search_levels(k, 0, 0, 0)\n"
+        "def _shifted_stationary_weights(k):\n    return _search_levels(k, 0, 0, 0)\n"
+    )
+    (tmp_path / "models.py").write_text(
+        "from . import spectral\nLEVELS = spectral._search_levels(1, 0, 0, 0)\n"
+    )
+    assert calling_functions(sorted(tmp_path.glob("*.py")), "_search_levels") == {
+        "models", "spectral._period_or_none", "spectral._shifted_stationary_weights"
+    }
 
 
 def test_merging_imports_no_step_by_step_builder():
