@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import glob
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -39,7 +39,9 @@ from .core import (
     Distribution,
     Permutation,
     WaveSystem,
+    _Factory,
     _densifiable,
+    _record,
     _reports_eigenvalues,
     evolve,
     make_permutation,
@@ -84,10 +86,12 @@ _RUN_KEYS = frozenset(
     }
 )
 
-@dataclass
+@_record(frozen=False)
 class ExperimentConfig:
+    """One run's settings: a config document with the flags applied."""
+
     model: str
-    model_params: dict = field(default_factory=dict)
+    model_params: dict = _Factory(dict)
     bijection: Union[str, list, None] = None
     analyses: tuple = ("spectral", "merging")
     output: str = "."
@@ -174,12 +178,14 @@ def build_system(config: ExperimentConfig) -> WaveSystem:
     return make_wave_system(kernel, _parse_bijection(raw, kernel.space, config.seed))
 
 
-@dataclass
+@_record(frozen=False)
 class _AnalysisOut:
+    """What one analysis adds to a run's report, files and summary lines."""
+
     doc: Optional[dict] = None  # report.json entry under the analysis name
-    files: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    lines: list = field(default_factory=list)
+    files: dict = _Factory(dict)
+    violations: list = _Factory(list)
+    lines: list = _Factory(list)
 
 
 def _mass_csv(dist: Distribution) -> str:
@@ -335,11 +341,26 @@ _SCALAR_TEXT = {
 }
 
 
+def _scalar_rows(rows, newline: str) -> list:
+    """Each row of rows, a list or tuple of plain scalars, as `_json_value`
+    writes it at the indent that `newline` opens, in one join per row;
+    KeyError for any other row."""
+    inner = newline + "  "
+    head, sep, tail = "[" + inner, "," + inner, newline + "]"
+    parts = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise KeyError(type(row))
+        parts.append(head + sep.join([_SCALAR_TEXT[type(v)](v) for v in row]) + tail if row else "[]")
+    return parts
+
+
 def _json_value(obj, newline: str) -> str:
     """obj as `json.dumps(..., sort_keys=True, indent=2)` writes it at the
     indent that `newline` opens, with numpy scalars read as Python ones,
     keys read through str, tuples written as lists and non-finite floats
-    as strings.  A list of plain scalars is written with one join."""
+    as strings.  A list of plain scalars is written with one join, and so
+    is each row of a list of such lists (a merging trace)."""
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
@@ -358,7 +379,10 @@ def _json_value(obj, newline: str) -> str:
         try:
             parts = [_SCALAR_TEXT[type(v)](v) for v in obj]
         except KeyError:
-            parts = [_json_value(v, inner) for v in obj]
+            try:
+                parts = _scalar_rows(obj, inner)
+            except KeyError:
+                parts = [_json_value(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if isinstance(obj, np.generic):
         return _json_value(obj.item(), newline)
@@ -602,5 +626,16 @@ def main(argv=None) -> int:
         restore_blas()
 
 
-if __name__ == "__main__":
+def _entry() -> None:
+    """The program entry of the `wavechain` script and `python -m
+    wavechain.cli`: collect the import's garbage, freeze what is left so
+    that no collection during the run or at exit walks numpy's and the
+    package's import heap, then exit with main's status.  `main` itself
+    leaves the collector alone, for in-process callers."""
+    gc.collect()
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _entry()

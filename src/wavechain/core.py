@@ -13,8 +13,8 @@ through the identity  K_{0,n}(x, y) = shifted^n(x, g^n y).  Everything in
 this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
-All value types are frozen dataclasses wrapping read-only numpy arrays; no
-function mutates its arguments.  A kernel is stored one way at every size
+All value types are frozen records (`_record`) of read-only numpy arrays;
+no function mutates its arguments.  A kernel is stored one way at every size
 and from every input: a read-only CSR triple (indptr, indices, data) of its
 positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from inspect import Parameter, Signature
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -80,7 +81,111 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+class _Factory:
+    """A record field's default, built afresh for each instance by `make()`
+    (dataclasses' default_factory)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], object]):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def _frozen_error(verb: str, name: str) -> Exception:
+    from dataclasses import FrozenInstanceError  # imported by a refusal alone
+
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+def _record(cls=None, *, frozen: bool = True):
+    """Class decorator: the methods `dataclasses.dataclass(frozen=frozen)`
+    gives a class with these annotated fields, as closures over the field
+    names, so no code is compiled at import.
+
+    A field's value in the class body is its default, and a `_Factory`
+    default is built per instance.  `__init__` takes the fields by
+    position or name, then calls `__post_init__` if the class has one.
+    Two instances of one class are equal when their field tuples are; a
+    frozen record hashes its field tuple and refuses assignment and
+    deletion with dataclasses.FrozenInstanceError, and an unfrozen one is
+    unhashable.
+    """
+    if cls is None:
+        return lambda c: _record(c, frozen=frozen)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, value in defaults.items():
+        if isinstance(value, _Factory):
+            delattr(cls, name)
+    qualname = cls.__qualname__
+    post_init = hasattr(cls, "__post_init__")
+
+    def values(self):  # the field tuple that eq and hash compare
+        return tuple(getattr(self, name) for name in names)
+
+    if len(names) > 1:
+        values = attrgetter(*names)  # the same tuple, built in C
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{qualname}() takes {len(names)} arguments but {len(args)} were given")
+        state = self.__dict__
+        state.update(zip(names, args))
+        for name in names[len(args) :]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in defaults:
+                value = defaults[name]
+                state[name] = value.make() if isinstance(value, _Factory) else value
+            else:
+                raise TypeError(f"{qualname}() missing required argument {name!r}")
+        if kwargs:
+            extra = next(iter(kwargs))
+            raise TypeError(f"{qualname}() got an unexpected or repeated argument {extra!r}")
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise _frozen_error("assign to", name)
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise _frozen_error("delete", name)
+        super(cls, self).__delattr__(name)
+
+    methods = [__init__, __repr__, __eq__]
+    methods += [__hash__, __setattr__, __delattr__] if frozen else []
+    for method in methods:
+        method.__qualname__ = f"{qualname}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if not frozen:
+        cls.__hash__ = None
+    cls.__match_args__ = names
+    kind, empty = Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty
+    params = [Parameter(n, kind, default=defaults.get(n, empty), annotation=annotations[n]) for n in names]
+    cls.__signature__ = Signature(params, return_annotation=None)
+    return cls
+
+
+@_record
 class StateSpace:
     """A finite set {0, ..., size-1} with optional display labels."""
 
@@ -100,7 +205,7 @@ class StateSpace:
         return self.labels[x] if self.labels is not None else str(x)
 
 
-@dataclass(frozen=True)
+@_record
 class Distribution:
     """A probability vector over a state space."""
 
@@ -131,13 +236,13 @@ class Distribution:
         return cls(space, np.full(space.size, 1.0 / space.size))
 
 
-@dataclass(frozen=True)
+@_record
 class Permutation:
     """A bijection of a state space, stored as forward and inverse index maps."""
 
     space: StateSpace
     forward: np.ndarray
-    inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
+    inverse: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         raw = np.asarray(self.forward)
@@ -196,7 +301,7 @@ def permutation_order(g: Permutation) -> int:
     return math.lcm(*(len(cycle) for cycle in _cycles(g)))
 
 
-@dataclass(frozen=True)
+@_record
 class MarkovKernel:
     """A row-stochastic matrix over a state space.
 
@@ -400,7 +505,7 @@ def shift_kernel(base: MarkovKernel, g: Permutation) -> MarkovKernel:
     return _relabeled(base, None, g.forward)
 
 
-@dataclass(frozen=True)
+@_record
 class WaveSystem:
     """A base kernel, a driving bijection, and derived wave data.
 
@@ -527,7 +632,7 @@ def wave_measures(system: WaveSystem, i: int) -> Distribution:
     return Distribution(system.space, system.wave_measure.weights[gi])
 
 
-@dataclass(frozen=True)
+@_record
 class WaveIdentityReport:
     """Worst deviation between window products and shifted-kernel powers."""
 

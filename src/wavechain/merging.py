@@ -14,7 +14,6 @@ stability bound lives in `models`, next to the perturbation it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Literal, Optional, Union
 
@@ -27,6 +26,7 @@ from .core import (
     _cycles,
     _densifiable,
     _laws,
+    _record,
     kernel_at,
     power_blocks,
 )
@@ -134,6 +134,12 @@ _BLOCK_MEASURES: dict[str, Callable[[np.ndarray], list]] = {
     "chi_square": _chi_square_block,
 }
 _METRICS = tuple(_BLOCK_MEASURES)
+# Each metric's exact worst distance at every power of a kernel whose rows
+# cannot merge under it (`spectral._merging_obstruction`).  TV is 1: two
+# rows in different closed classes, or in different cyclic subclasses of a
+# periodic class, have disjoint supports at every power.  The ratio metrics
+# are infinite: some column of every power has a zero and a positive entry.
+_UNMERGED = {"total_variation": 1.0, "relative_sup": math.inf, "chi_square": math.inf}
 
 
 def _check_metric(metric: Metric) -> None:
@@ -157,20 +163,20 @@ def pairwise_merging_measure(system: WaveSystem, n: int, metric: Metric) -> floa
     """Worst pairwise distance between rows of K_{0,n}: the rows of shifted^n
     under one column relabeling, which no metric sees, so this reduces the
     power `merging_time`'s trace reduces at n and gives its value bit for
-    bit, infinite from no power where a ratio metric cannot merge."""
+    bit, and from no power where the metric cannot merge."""
     _check_metric(metric)
     if n < 0:
         raise WindowInverted(f"window (0, {n}) has n > m")
     size = len(system.shifted.dense())  # TooLarge above the dense limit
-    if metric != "total_variation" and _merging_obstruction(system.shifted, metric) is not None:
-        return math.inf
+    if _merging_obstruction(system.shifted, metric) is not None:
+        return _UNMERGED[metric]
     power = np.eye(size)
     for _, block in power_blocks(system.shifted, n):
         power = block[:, -1]
     return _pairwise_measure_matrix(power, metric)
 
 
-@dataclass(frozen=True)
+@_record
 class MergingReport:
     """Distance trace and first-passage time below a threshold.
 
@@ -220,9 +226,8 @@ def merging_time(
     metric reduces a whole block of powers at once, TV over the unordered
     row pairs only.
 
-    The verdict of `spectral._merging_obstruction` comes first.  Where
-    relative-sup or chi-square cannot merge, some column of every power
-    has a zero and a positive entry, so the trace is exactly infinite and
+    The verdict of `spectral._merging_obstruction` comes first.  Where a
+    metric cannot merge, the trace is `_UNMERGED[metric]` at every n and
     is written from no power; `reason` names the obstruction whenever the
     threshold is not reached.
     """
@@ -234,8 +239,8 @@ def merging_time(
     if not _densifiable(system.base):
         raise TooLarge("merging traces are dense; too many states")
     obstruction = _merging_obstruction(system.shifted, metric)
-    if obstruction is not None and metric != "total_variation":
-        trace = ((n, math.inf) for n in range(max_steps + 1))
+    if obstruction is not None:
+        trace = ((n, _UNMERGED[metric]) for n in range(max_steps + 1))
     else:
         trace = _distance_trace(system.shifted, metric, max_steps)
     values = []
@@ -258,7 +263,7 @@ def merging_time(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class StabilityCertificate:
     """A constant c with c^{-1} mu_0(x) <= mu_n(x) <= c mu_0(x) for all n, x.
 
@@ -483,7 +488,7 @@ def sv_product_bound(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class NashParams:
     """Constants entering the Nash-based merging bound."""
 
@@ -514,7 +519,7 @@ def nash_bound(params: NashParams, n: int) -> float:
 _COLSUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryAnalysis:
     """Where column sums of the shifted kernel exceed or fall short of one.
 

@@ -21,7 +21,6 @@ or random regular model of more than 2^15 entries is TooLarge at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -35,6 +34,7 @@ from .core import (
     StateSpace,
     WaveSystem,
     _kernel_from_triplets,
+    _record,
     make_kernel,
     make_permutation,
     make_wave_system,
@@ -263,7 +263,7 @@ def scan_permutations(model: str, params: dict, count: int, seed: int) -> dict:
 # perturbation framework
 
 
-@dataclass(frozen=True)
+@_record
 class PerturbationSpec:
     """A kernel written as symmetric base Q plus a signed edit matrix.
 
@@ -397,7 +397,7 @@ def sticky_stability_check(system: WaveSystem, delta: float) -> tuple[float, flo
 # symmetric-group walks
 
 
-@dataclass(frozen=True)
+@_record
 class GroupWalkSpec:
     """Right-multiplication random walk on the symmetric group.
 

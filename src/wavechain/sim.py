@@ -13,12 +13,11 @@ to a power-of-two width, with a branchless search of log2(width) gathers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
 
-from .core import Distribution, WaveSystem, _row_table
+from .core import Distribution, WaveSystem, _record, _row_table
 from .errors import NotMerging
 from .rng import _stream_keys, _uniforms_at
 from .spectral import _merging_obstruction
@@ -27,7 +26,7 @@ from .spectral import _merging_obstruction
 _MAX_LANES = 4096
 
 
-@dataclass(frozen=True)
+@_record
 class PathSample:
     """One trajectory; steps[0] is the start and steps[i] the state at time i."""
 

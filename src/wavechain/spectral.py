@@ -25,7 +25,6 @@ checks irreducibility and is its batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ from .core import (
     MarkovKernel,
     _densifiable,
     _mat_vec,
+    _record,
     _renormalize,
     _row_of_each_entry,
     _vec_mat,
@@ -241,7 +241,7 @@ def _shifted_stationary_weights(
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralDecomposition:
     """Weighted singular triples of a kernel between two weighted spaces.
 
@@ -432,7 +432,7 @@ def _top_eigenvector(
         first = k
 
 
-@dataclass(frozen=True)
+@_record
 class EigenDecomposition:
     """Eigenvalues of a kernel with a diagonalizability verdict.
 
@@ -473,7 +473,7 @@ def adjoint_kernel(kernel: MarkovKernel, mu_in: Distribution, mu_out: Distributi
     return (m * wout[:, None]).T / win[:, None]
 
 
-@dataclass(frozen=True)
+@_record
 class DirichletForm:
     """A self-adjoint stochastic generator M with its base measure.
 

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import gc
 import glob
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -888,3 +890,44 @@ def test_any_json_config_document_exits_cleanly(data):
             os.chdir(here)
     lines = err.getvalue().splitlines()
     assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+ENTRY_CASES = {
+    "merges": (["merge-time", "--model", "circle", "--param", "n=5", "--param", "horizon=40"], 0),
+    "bound-violated": (["analyze", "--model", "circle", "--param", "n=5", "--analyses", "bounds",
+                        "--param", "bound_scale=0.5"], 2),
+    "config-error": (["merge-time", "--model", "nope"], 1),
+}
+
+
+def written_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_CASES.values(), ids=ENTRY_CASES)
+def test_the_program_entry_writes_what_main_writes(tmp_path, capsys, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "wavechain.cli", *argv, "--out", str(tmp_path / "a")],
+                          env=env, capture_output=True, text=True)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == proc.returncode == code
+    assert capsys.readouterr() == (proc.stdout, proc.stderr)
+    assert written_files(tmp_path / "a") == written_files(tmp_path / "b")
+    assert (code == 1) == (written_files(tmp_path / "a") is None)
+    # the freeze belongs to the program entry alone
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_program_entry_collects_then_freezes_then_exits_with_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda: calls.append("collect"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+    with pytest.raises(SystemExit) as exit_:
+        cli._entry()
+    assert calls == ["collect", "freeze", "main"] and exit_.value.code == 2
+
+
+def test_the_installed_script_is_the_program_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"wavechain": "wavechain.cli:_entry"}

@@ -547,6 +547,16 @@ def test_the_report_encoder_writes_what_json_dumps_writes(doc):
     assert cli._json_text(doc) == old_json_text(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4).map(tuple),
+                          documents), max_size=8))
+def test_the_report_encoder_writes_rows_of_scalars_as_json_dumps_does(rows):
+    # mostly lists of plain-scalar rows, each written in one join, with
+    # now and then a row that is not one
+    doc = {"trace": rows, "nested": {"trace": rows}}
+    assert cli._json_text(doc) == old_json_text(doc)
+
+
 def test_the_report_encoder_on_a_merging_report():
     rep = w.merging_time(w.periodic_class_example(3, 2), 1 / math.e, 200)
     doc = {"results": {"merging": rep.to_document()}, "violations": [], "n": np.int64(3)}

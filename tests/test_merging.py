@@ -170,6 +170,35 @@ def test_tv_gives_the_reason_where_several_classes_are_closed():
     assert all(d == 1.0 for _, d in rep.values)
 
 
+TV_BLOCKED = {
+    "three-closed-classes": lambda: w.periodic_class_example(3, 40),
+    "two-closed-classes": lambda: w.periodic_class_example(2, 5),
+    "deck-reversal": lambda: models.build_model("deck-reversal", {"n": 4}),
+    "random-regular": lambda: models.build_model("random-regular", {}),
+    "flip": lambda: w.make_wave_system(
+        w.make_kernel(w.StateSpace(2), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        w.make_permutation(w.StateSpace(2), [0, 1])),
+}
+
+
+@pytest.mark.parametrize("build", TV_BLOCKED.values(), ids=TV_BLOCKED)
+def test_tv_is_exactly_one_where_it_cannot_merge(monkeypatch, build):
+    # two rows in different closed classes, or in different cyclic
+    # subclasses of a periodic class, have disjoint supports at every power
+    s = build()
+    verdict = spectral._merging_obstruction(s.shifted, "total_variation")
+    assert verdict is not None
+    traced = list(merging._distance_trace(s.shifted, "total_variation", 300))
+    assert max(abs(d - 1.0) for _, d in traced) < 1e-12  # 1 up to rounding
+    monkeypatch.setattr(merging, "power_blocks", None)  # no power is computed
+    rep = w.merging_time(s, 0.01, 2000, "total_variation")
+    assert rep.values == tuple((n, 1.0) for n in range(2001)) and rep.merging_time is None
+    assert rep.reason == f"shifted kernel {verdict}; pairwise merging cannot occur"
+    assert w.pairwise_merging_measure(s, 1000, "total_variation") == 1.0
+    # a threshold above one is met at once, as by the traced identity
+    assert w.merging_time(s, 1.5, 2000, "total_variation").values == ((0, 1.0),)
+
+
 def support_powers(kernel):
     """The zero patterns of kernel^0, kernel^1, ... up to the first repeat,
     and the index where their cycle starts: boolean products are exact."""
