@@ -20,10 +20,11 @@ positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
 ndarray scattered from it on first use and cached, up to DENSE_LIMIT
 states; `_densifiable`, the one reader of that limit, makes every choice
 between the view and the triple, and `_reports_eigenvalues` the one other
-size choice, whether a report lists eigenvalues.  A product with a vector
-is BLAS `@` on `dense()` up to the limit and `_vec_mat` or `_mat_vec`
-above, one `np.bincount` over the triple that sums each entry's terms in
-the order scipy's CSR product sums them, so the result has the same bits.
+size choice, whether a report lists eigenvalues.  A law times a kernel,
+x K, is `_vec_mat` at every size, and K x above the limit `_mat_vec`: one
+`np.bincount` over the triple that sums each entry's terms in a fixed
+order, the one scipy's CSR product uses, so the result has scipy's bits
+whatever BLAS kernel the CPU loads.
 
 The package runs in numpy alone at every size: building, relabeling,
 saving, searching, sampling and multiplying a kernel import no scipy.  A
@@ -36,7 +37,7 @@ import math
 import sys
 from inspect import Parameter, Signature
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -205,6 +206,15 @@ class StateSpace:
         return self.labels[x] if self.labels is not None else str(x)
 
 
+def _state_index(space: StateSpace, x, what: str = "start state") -> int:
+    """x as an int: TypeError unless it is an integer, ValueError unless
+    0 <= x < size.  Every state argument's check."""
+    x = index(x)
+    if not 0 <= x < space.size:
+        raise ValueError(f"{what} {x} is outside 0..{space.size - 1}")
+    return x
+
+
 @_record
 class Distribution:
     """A probability vector over a state space."""
@@ -228,7 +238,7 @@ class Distribution:
     @classmethod
     def point_mass(cls, space: StateSpace, x: int) -> "Distribution":
         w = np.zeros(space.size)
-        w[x] = 1.0
+        w[_state_index(space, x)] = 1.0
         return cls(space, w)
 
     @classmethod
@@ -366,14 +376,6 @@ def _mat_vec(kernel: MarkovKernel, x: np.ndarray) -> np.ndarray:
     indptr, indices, data = kernel.entries
     rows = _row_of_each_entry(indptr)
     return np.bincount(rows, weights=data * x[indices], minlength=kernel.size)
-
-
-def _vec_mat_op(kernel: MarkovKernel) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> x K: BLAS `@` on `dense()` if `_densifiable`, else `_vec_mat`."""
-    if _densifiable(kernel):
-        mat = kernel.dense()
-        return lambda x: x @ mat
-    return lambda x: _vec_mat(x, kernel)
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -585,14 +587,10 @@ def compose_window(system: WaveSystem, n: int, m: int) -> MarkovKernel:
 
 def _shifted_laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]:
     """Yield mu0 shifted^n for n = 0, 1, ...: the one loop that steps a law."""
-    # v shifted = (v base)(g^{-1} .); a product with the column-permuted
-    # shifted matrix itself may round differently in the last bit under BLAS
     v = mu0.weights
-    step = _vec_mat_op(system.base)
-    inv = system.map.inverse
     while True:
         yield v
-        v = step(v)[inv]
+        v = _vec_mat(v, system.shifted)
 
 
 def _laws(mu0: Distribution, system: WaveSystem) -> Iterator[np.ndarray]:

@@ -27,6 +27,7 @@ from .core import (
     _densifiable,
     _laws,
     _record,
+    _state_index,
     kernel_at,
     power_blocks,
 )
@@ -302,6 +303,8 @@ def certify_stability(
     """
     if mu0.space != system.space:
         raise SpaceMismatch("mu0 lives on a different space")
+    if horizon is not None and horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     w = _wave_start(system, mu0)
     if w is None and horizon is None:
         raise ValueError("a horizon is required when mu0 is not the wave measure")
@@ -358,6 +361,7 @@ def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
     pi is the wave measure; requires the shifted kernel irreducible and
     aperiodic.
     """
+    x, z = _state_index(system.space, x), _state_index(system.space, z, "end state")
     front, sigma = _merging_bound_factors(system)
     gnz = int(system.map.power_map(n)[z])
     return float(front[x] * front[gnz] * sigma**n)
@@ -468,6 +472,7 @@ def sv_product_bound(
         raise SpaceMismatch("mu0 lives on a different space")
     if n < 0:
         raise ValueError("step count must be nonnegative")
+    x, z = _state_index(system.space, x), _state_index(system.space, z, "end state")
     w = _wave_start(system, mu0)
     if w is not None:
         w0, wn = w, w[system.map.power_map(n)]

@@ -220,6 +220,8 @@ def scan_permutations(model: str, params: dict, count: int, seed: int) -> dict:
     kernel = build_model(model, params).base
     _, eps = _circle_params(dict(params))
     count = _integer(count, "count")
+    if count < 0:
+        raise ConfigInvalid(f"count {count} is negative")
     lazy = model == "lazy-circle"
     n_points = kernel.size
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .core import Distribution, WaveSystem, _record, _row_table
+from .core import Distribution, WaveSystem, _record, _row_table, _state_index
 from .errors import NotMerging
 from .rng import _stream_keys, _uniforms_at
 from .spectral import _merging_obstruction
@@ -93,18 +93,11 @@ def _walk(system: WaveSystem, z0, seed: int):
         z = nxt
 
 
-def _start_state(system: WaveSystem, start) -> int:
-    start = int(start)
-    if not 0 <= start < system.space.size:
-        raise ValueError(f"start state {start} is outside 0..{system.space.size - 1}")
-    return start
-
-
 def sample_path(system: WaveSystem, start: int, n: int, seed: int) -> PathSample:
     """One inhomogeneous trajectory of length n from the given start."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    start = _start_state(system, start)
+    start = _state_index(system.space, start)
     ginv = system.map.inverse
     back = np.arange(system.space.size, dtype=np.int64)  # maps through g^{-i}
     steps = []
@@ -125,7 +118,7 @@ def empirical_distribution(
         raise ValueError("need at least one trial")
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    z0 = np.full(int(trials), _start_state(system, start), dtype=np.int64)
+    z0 = np.full(int(trials), _state_index(system.space, start), dtype=np.int64)
     z = next(islice(_walk(system, z0, seed), n, None))
     ends = system.map.power_map(-n)[z]
     counts = np.bincount(ends, minlength=system.space.size).astype(float)

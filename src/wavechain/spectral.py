@@ -15,13 +15,13 @@ numpy over the kernel's CSR triple, which holds its positive entries only.
 `_period_or_none` gives irreducibility and the period as one value; on a
 reducible kernel `_closed_class` descends to a closed class, and the two
 give every merging verdict (`_merging_obstruction`).  `core._densifiable`
-picks the SVD path and the stationary solve's start and products; this
-module reads no limit.  Invariant measures have one solver,
-`_shifted_stationary_weights`, which only solves: it takes shifted kernels
-of one base that its caller knows to be irreducible, a batch at a time,
-with one stacked direct solve up to DENSE_LIMIT states (a uniform start
-above it) and a damped refinement of each.  `stationary_distribution`
-checks irreducibility and is its batch of one.
+picks the SVD path and the stationary solve's start; this module reads no
+limit.  Invariant measures have one solver, `_shifted_stationary_weights`,
+which only solves: it takes shifted kernels of one base that its caller
+knows to be irreducible, a batch at a time, with one stacked direct solve
+up to DENSE_LIMIT states (a uniform start above it) and a damped
+refinement of each on CSR products (`core._vec_mat`).
+`stationary_distribution` checks irreducibility and is its batch of one.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .core import (
     _renormalize,
     _row_of_each_entry,
     _vec_mat,
-    _vec_mat_op,
     make_kernel,
 )
 from .errors import (
@@ -221,13 +220,11 @@ def _shifted_stationary_weights(
     The maps go in batches of at most _STACK_ENTRIES kernel entries, each
     one stacked direct solve up to DENSE_LIMIT states (a start from the
     uniform vector above it).  `_refined` then refines each solution
-    against its own shifted kernel with the base's product
-    `core._vec_mat_op`, BLAS or CSR: `core._densifiable` picks both the
-    start and the product.  `stationary_distribution` is the batch of one,
-    the identity map.
+    against its own shifted kernel with the base's CSR product
+    `core._vec_mat`.  `stationary_distribution` is the batch of one, the
+    identity map.
     """
     n = base.size
-    vec_mat = _vec_mat_op(base)
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out = []
     for lo in range(0, len(forwards), per_batch):
@@ -237,7 +234,7 @@ def _shifted_stationary_weights(
         else:
             pis = np.full((len(inv), n), 1.0 / n)
         # x K[:, cols] is (x K)[cols]
-        out += [_refined(pi, lambda x: vec_mat(x)[cols]) for pi, cols in zip(pis, inv)]
+        out += [_refined(pi, lambda x: _vec_mat(x, base)[cols]) for pi, cols in zip(pis, inv)]
     return out
 
 

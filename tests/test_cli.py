@@ -519,6 +519,15 @@ def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_scan_rejects_a_negative_count(tmp_path, capsys):
+    # a negative count once ran the four shift rows alone and exited 0
+    out = tmp_path / "out"
+    assert main(["scan", *CIRCLE5, "--count", "-3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: count -3 is negative\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("start", ["-1", "5", "9"])
 def test_simulate_rejects_an_out_of_range_start(tmp_path, capsys, start):
     out = tmp_path / "out"

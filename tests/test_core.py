@@ -51,6 +51,16 @@ def test_distribution_rejects_nan_mass():
         w.Distribution(w.StateSpace(2), np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("x", [-1, 5, 9])
+def test_point_mass_refuses_a_state_off_the_space(x):
+    # -1 once put the mass on the last state, and 5 raised a bare IndexError
+    with pytest.raises(ValueError, match=f"^start state {x} is outside 0..4$"):
+        w.Distribution.point_mass(w.StateSpace(5), x)
+    assert w.Distribution.point_mass(w.StateSpace(5), 4).weights.tolist() == [0, 0, 0, 0, 1]
+    with pytest.raises(TypeError):
+        w.Distribution.point_mass(w.StateSpace(5), 1.5)  # never truncated to 1
+
+
 def test_make_permutation_rejects_repeats():
     space = w.StateSpace(3)
     with pytest.raises(errors.NotBijective):
@@ -204,13 +214,15 @@ def test_dense_limit_switches_the_matrix_view():
     for kernel in (small, large, w.binary_cycling_system(4).shifted,
                    w.binary_cycling_system(13).shifted):
         assert_csr_triple(kernel)
-    # products go through the cached dense view up to the limit and
-    # through the CSR triple above it, where the view is refused
+    # products run on the CSR triple at every size and build no dense view;
+    # the view is built and cached on request up to the limit, and refused
+    # above it
     x = np.arange(3.0)
-    assert core._vec_mat_op(small)(x).tobytes() == (x @ small.dense()).tobytes()
+    assert np.allclose(core._vec_mat(x, small), x @ np.full((3, 3), 1 / 3), rtol=1e-15)
+    assert "_dense" not in small.__dict__
     assert small.dense() is small.dense()
     x = np.arange(float(n))
-    assert np.array_equal(core._vec_mat_op(large)(x), x)
+    assert np.array_equal(core._vec_mat(x, large), x)
     with pytest.raises(errors.TooLarge):
         large.dense()
 

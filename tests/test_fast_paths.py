@@ -338,14 +338,16 @@ def test_bound_dominance_equals_the_per_power_loop_on_the_corpus(merging_corpus)
 
 @pytest.mark.parametrize("scale", [-1.0, -1e-6, 1.0])
 def test_a_column_clears_only_against_its_smallest_bound(scale):
-    # the wave measure is [t, 1.0], so f = [sqrt(1/t - 1), 0] and every
-    # power has error 0; with scale < 0 the excess |scale| sigma^n f(0)^2 is
-    # positive, and a screen against the smallest factor's row, whose
-    # floors are all -0.0, would clear every column and miss it
-    t = 1e-17
-    kernel = w.make_kernel(w.StateSpace(2), np.array([[t, 1.0], [t, 1.0]]))
-    system = w.make_wave_system(kernel, w.make_permutation(kernel.space, [0, 1]))
-    assert system.wave_measure.weights.tolist() == [t, 1.0]
+    # column 0 of every power is pi(0) = 1/2, so its error is exactly 0,
+    # and every other entry stays a third below its bound: sigma1_tilde is
+    # 1/2 and f = [1, sqrt(3), sqrt(3)], positive in exact arithmetic.  With
+    # scale < 0 the excess |scale| sigma^n f(x) f(0) of column 0 is
+    # positive, so that column may clear only against a floor of at least 0
+    half, quarter = 0.5, 0.25
+    rows = [[half, quarter, quarter], [half, 0.0, half], [half, half, 0.0]]
+    kernel = w.make_kernel(w.StateSpace(3), np.array(rows))
+    system = w.make_wave_system(kernel, w.make_permutation(kernel.space, [0, 1, 2]))
+    assert system.wave_measure.weights.tolist() == [half, quarter, quarter]
     got = merging.bound_dominance(system, 5, scale)
     assert got == old_bound_dominance(system, 5, scale)
     assert (got[0] > 0.0) == (scale < 0.0)

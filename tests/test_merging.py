@@ -88,6 +88,27 @@ def test_bound_dominance_needs_a_nonnegative_horizon():
     assert w.bound_dominance(circle_system(), 0)[:2] == (0.0, 0)
 
 
+def test_certify_stability_needs_a_nonnegative_horizon():
+    s = circle_system()
+    with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+        w.certify_stability(s, w.Distribution.uniform(s.space), horizon=-3)
+    assert w.certify_stability(s, w.Distribution.uniform(s.space), horizon=0).c == 1.0
+
+
+@pytest.mark.parametrize("x, z, bad", [(-1, 0, "start state -1"), (0, 5, "end state 5"),
+                                       (7, 0, "start state 7"), (0, -2, "end state -2")])
+def test_the_bounds_refuse_a_state_off_the_space(x, z, bad):
+    # a negative index once wrapped to the last state, and one past the end
+    # raised a bare IndexError
+    s = circle_system()
+    off_wave = w.Distribution.uniform(s.space)
+    for bound in (lambda: w.wave_bound(s, x, z, 2),
+                  lambda: w.sv_product_bound(s, s.wave_measure, x, z, 2),
+                  lambda: w.sv_product_bound(s, off_wave, x, z, 2)):
+        with pytest.raises(ValueError, match=f"^{bad} is outside 0..4$"):
+            bound()
+
+
 def test_four_point_merges_in_tv_but_not_relative_sup():
     s = w.four_point_example()
     tv = w.merging_time(s, 0.01, 100, metric="total_variation")

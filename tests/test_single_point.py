@@ -9,6 +9,7 @@ separately coded version.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,46 @@ def _reference_single_row_asymmetry(k):
         if all(np.all(asym[r, cols] <= 1e-14) for r in others):
             return cand
     raise errors.PerturbationShapeViolated("kernel is not symmetric off a single row")
+
+
+_U = Fraction(1, 2**53)  # float64 unit roundoff
+
+
+def exact_invariant_measure(kernel):
+    """The invariant measure of the stored floats, in fractions, by state
+    reduction (Grassmann, Taksar and Heyman 1985)."""
+    p = [[Fraction(v) for v in row] for row in kernel.dense()]
+    for m in range(len(p) - 1, 0, -1):
+        total = sum(p[m][:m])
+        for i in range(m):
+            p[i][m] /= total
+            for j in range(m):
+                p[i][j] += p[i][m] * p[m][j]
+    pi = [Fraction(1)]
+    for m in range(1, len(p)):
+        pi.append(sum(pi[i] * p[i][m] for i in range(m)))
+    return [v / sum(pi) for v in pi]
+
+
+def certified_l1_error(kernel, weights):
+    """A bound on |pi_hat - pi|_1 for the weights pi_hat scaled to sum 1:
+    m |r|_1 / (1 - tau(K^m)), with the residual r = pi_hat K - pi_hat
+    taken in fractions and tau the Dobrushin coefficient, at the first m
+    with tau(K^m) < 1/2 (Seneta 1993; Cho and Meyer 2001).  tau is taken
+    in floats, within 1e-12 of the exact one."""
+    k = kernel.dense()
+    pi_hat = [Fraction(v) for v in weights]
+    pi_hat = [v / sum(pi_hat) for v in pi_hat]
+    exact = [[Fraction(v) for v in row] for row in k]
+    n = len(pi_hat)
+    r = [sum(pi_hat[x] * exact[x][y] for x in range(n)) - pi_hat[y] for y in range(n)]
+    power = k
+    for m in range(1, 100):
+        tau = max(0.5 * np.abs(power[i] - power[j]).sum() for i in range(n) for j in range(n))
+        if tau < 0.5:
+            return m * sum(map(abs, r)) / (Fraction(1, 2) - Fraction(1, 10**12))
+        power = power @ k
+    raise AssertionError("the kernel does not contract within 100 steps")
 
 
 def reference_sticky_check(system, delta):
@@ -103,8 +144,16 @@ def test_sticky_check_certifies_an_uneven_removal_within_the_claimed_delta():
     moves = [c for c in np.flatnonzero(k[0] > 0.0) if c != 0]
     k[0, moves] = 1 / 8 - np.array([0.03, 0.01, 0.01])
     uneven = w.make_wave_system(w.make_kernel(s.space, k), s.map)
-    assert w.sticky_stability_check(uneven, 0.1) == (1.1693432466807592, 1.3636363636363635)
-    assert reference_sticky_check(uneven, 0.1) == (1.1693432466807592, 1.3636363636363635)
+    measured, bound = w.sticky_stability_check(uneven, 0.1)
+    assert (measured, bound) == reference_sticky_check(uneven, 0.1)
+    assert bound == 1.3636363636363635
+    # the ratio is the exact one up to the solve's certified error
+    pi = exact_invariant_measure(uneven.shifted)
+    top, bottom = max(pi), min(pi)
+    e = certified_l1_error(uneven.shifted, uneven.wave_measure.weights)
+    lo, hi = (top - e) / (bottom + e), (top + e) / (bottom - e)
+    assert lo * (1 - _U) <= Fraction(measured) <= hi * (1 + _U)
+    assert 1.16 < top / bottom < 1.17 and e < 1e-13
     with pytest.raises(errors.ConditionViolated, match=r"\(b\)"):
         w.sticky_stability_check(uneven, 0.05)
 

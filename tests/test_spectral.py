@@ -213,8 +213,10 @@ def assert_values_only_svd_matches(system, tol, ulps=2):
 
 
 def test_values_only_svd_matches_the_full_decomposition_on_the_corpus(merging_corpus):
+    # sigma_0 is 1 up to the SVD's backward error, a small multiple of N u
+    # (LAPACK Users' Guide, section 4.9): N spacings of 1.0, that is 2 N u
     for system in merging_corpus:
-        assert_values_only_svd_matches(system, 1e-13)
+        assert_values_only_svd_matches(system, 1e-13, ulps=system.space.size)
 
 
 # sticky-6 reads sigma_0 = 1 + 3 ulps from the values-only SVD; the full

@@ -30,18 +30,34 @@ def test_transport_and_shift_are_identical(corpus):
         assert w.shift_kernel(s.base, s.map).dense().tobytes() == m[:, s.map.inverse].tobytes()
 
 
+def fresh(system):
+    """The system rebuilt from its base's triple: no dense view cached yet."""
+    return w.make_wave_system(w.MarkovKernel(system.space, system.base.entries), system.map)
+
+
 def test_evolve_agrees_to_the_last_bit(corpus, dense_limit):
-    # above DENSE_LIMIT the products run on the CSR triple; BLAS and the
-    # CSR sum take a vector-matrix product in different orders, so single
-    # entries may differ by one rounding
-    starts = [w.Distribution.point_mass(s.space, 0) for s in corpus]
-    want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(corpus, starts)]
+    # the products run on the CSR triple at every size, so DENSE_LIMIT does
+    # not move a bit, and no dense view is built
+    systems = [fresh(s) for s in corpus]
+    starts = [w.Distribution.point_mass(s.space, 0) for s in systems]
+    want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(systems, starts)]
     with dense_limit(0):
-        for s, mu0, laws in zip(corpus, starts, want):
-            x = mu0.weights
-            assert core._vec_mat_op(s.base)(x).tobytes() == core._vec_mat(x, s.base).tobytes()
+        for s, mu0, laws in zip(systems, starts, want):
             for n, law in zip((1, 5, 17), laws):
-                assert np.max(np.abs(w.evolve(mu0, s, n).weights - law)) <= 1e-15
+                assert w.evolve(mu0, s, n).weights.tobytes() == law.tobytes()
+    for s in systems:
+        assert "_dense" not in s.base.__dict__ and "_dense" not in s.shifted.__dict__
+
+
+def test_evolve_builds_no_dense_view_at_the_limit():
+    # 4095 states, the largest circle within DENSE_LIMIT: pushing a law
+    # takes two entries a row, never the 134 MB view
+    base, _ = w.circle_kernel(4095, 1.0)
+    s = w.make_wave_system(base, w.circle_shift(4095, -1))
+    assert s.space.size <= w.DENSE_LIMIT
+    law = w.evolve(w.Distribution.point_mass(s.space, 0), s, 50)
+    assert np.count_nonzero(law.weights) == 51  # a step moves one state left or right
+    assert "_dense" not in s.base.__dict__ and "_dense" not in s.shifted.__dict__
 
 
 def test_core_alone_moves_every_size_choice(monkeypatch, tmp_path, capsys):
