@@ -353,6 +353,24 @@ def test_a_column_clears_only_against_its_smallest_bound(scale):
     assert (got[0] > 0.0) == (scale < 0.0)
 
 
+@pytest.mark.parametrize("scale", [-1.0, -1e-6, 1.0])
+def test_a_negative_scale_screens_against_the_largest_factor(scale):
+    # the wave measure is [t, 1.0], so f = [sqrt(1/t - 1), 0] and every
+    # power has error 0; a screen against the smallest factor's row, whose
+    # floors are all -0.0, would clear every column.  The excess
+    # |scale| sigma^n f(0)^2 is then lost wherever the computed sigma1_tilde
+    # is positive; it is 0 in exact arithmetic, and under some BLAS kernels
+    # in floats too, where both screens agree.  No kernel with a
+    # certainly positive sigma1_tilde tells the rows apart: a skipped power
+    # holds the worst excess only if power 1 is skipped too, so K~ / pi - 1
+    # rounds to 0 everywhere and sigma1_tilde is within rounding of 0
+    t = 1e-17
+    kernel = w.make_kernel(w.StateSpace(2), np.array([[t, 1.0], [t, 1.0]]))
+    system = w.make_wave_system(kernel, w.make_permutation(kernel.space, [0, 1]))
+    assert system.wave_measure.weights.tolist() == [t, 1.0]
+    assert merging.bound_dominance(system, 5, scale) == old_bound_dominance(system, 5, scale)
+
+
 def test_the_bound_loop_stops_once_its_proof_closes(monkeypatch):
     # circle-81's verdict is fixed near power 1620 of 6000
     drawn = []
