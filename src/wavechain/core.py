@@ -13,18 +13,18 @@ through the identity  K_{0,n}(x, y) = shifted^n(x, g^n y).  Everything in
 this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
-All value types are frozen records (`_record`) of read-only numpy arrays;
-no function mutates its arguments.  A kernel is stored one way at every size
+All value types are frozen records (`_record`) of read-only numpy arrays; no
+function mutates its arguments.  A kernel is stored one way at every size
 and from every input: a read-only CSR triple (indptr, indices, data) of its
 positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
-ndarray scattered from it on first use and cached, up to DENSE_LIMIT
-states; `_densifiable`, the one reader of that limit, makes every choice
-between the view and the triple, and `_reports_eigenvalues` the one other
-size choice, whether a report lists eigenvalues.  A law times a kernel,
-x K, is `_vec_mat` at every size, and K x above the limit `_mat_vec`: one
-`np.bincount` over the triple that sums each entry's terms in a fixed
-order, the one scipy's CSR product uses, so the result has scipy's bits
-whatever BLAS kernel the CPU loads.
+ndarray scattered from it on first use and cached, up to DENSE_LIMIT states,
+and the one refusal of a kernel for its size; `_densifiable`, the one reader
+of that limit, makes every choice between the view and the triple, and
+`_reports_eigenvalues` the one other size choice, whether a report lists
+eigenvalues.  A law times a kernel, x K, is `_vec_mat` at every size, and
+K x above the limit `_mat_vec`: one `np.bincount` over the triple that
+sums each entry's terms in a fixed order, the one scipy's CSR product
+uses, so the result has scipy's bits whatever BLAS kernel the CPU loads.
 
 The package runs in numpy alone at every size: building, relabeling,
 saving, searching, sampling and multiplying a kernel import no scipy.  A

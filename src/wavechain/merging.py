@@ -24,7 +24,6 @@ from .core import (
     MarkovKernel,
     WaveSystem,
     _cycles,
-    _densifiable,
     _laws,
     _record,
     _state_index,
@@ -140,6 +139,9 @@ _METRICS = tuple(_BLOCK_MEASURES)
 # rows in different closed classes, or in different cyclic subclasses of a
 # periodic class, have disjoint supports at every power.  The ratio metrics
 # are infinite: some column of every power has a zero and a positive entry.
+# So it is also every metric's value, bit for bit, at the power n = 0, the
+# identity, on two or more states; on one state, which no obstruction has,
+# that value is 0.0.
 _UNMERGED = {"total_variation": 1.0, "relative_sup": math.inf, "chi_square": math.inf}
 
 
@@ -155,7 +157,7 @@ def _pairwise_measure_matrix(m: np.ndarray, metric: Metric) -> float:
 
 def _distance_trace(kernel: MarkovKernel, metric: Metric, max_steps: int):
     """Yield (n, worst pairwise distance of kernel^n) for n = 0 .. max_steps."""
-    yield 0, _pairwise_measure_matrix(np.eye(kernel.size), metric)
+    yield 0, _UNMERGED[metric] if kernel.size > 1 else 0.0
     for first, block in power_blocks(kernel, max_steps):
         yield from enumerate(_BLOCK_MEASURES[metric](block), first)
 
@@ -164,14 +166,13 @@ def pairwise_merging_measure(system: WaveSystem, n: int, metric: Metric) -> floa
     """Worst pairwise distance between rows of K_{0,n}: the rows of shifted^n
     under one column relabeling, which no metric sees, so this reduces the
     power `merging_time`'s trace reduces at n and gives its value bit for
-    bit, and from no power where the metric cannot merge."""
+    bit, and from no power at n = 0 or where the metric cannot merge.  Any
+    other n raises TooLarge where `dense()` refuses the shifted kernel."""
     _check_metric(metric)
     if n < 0:
         raise WindowInverted(f"window (0, {n}) has n > m")
-    size = len(system.shifted.dense())  # TooLarge above the dense limit
-    if _merging_obstruction(system.shifted, metric) is not None:
-        return _UNMERGED[metric]
-    power = np.eye(size)
+    if n == 0 or _merging_obstruction(system.shifted, metric) is not None:
+        return _UNMERGED[metric] if system.space.size > 1 else 0.0
     for _, block in power_blocks(system.shifted, n):
         power = block[:, -1]
     return _pairwise_measure_matrix(power, metric)
@@ -229,16 +230,15 @@ def merging_time(
 
     The verdict of `spectral._merging_obstruction` comes first.  Where a
     metric cannot merge, the trace is `_UNMERGED[metric]` at every n and
-    is written from no power; `reason` names the obstruction whenever the
-    threshold is not reached.
+    is written from no power, at every size; `reason` names the
+    obstruction whenever the threshold is not reached.  Otherwise the
+    first power raises TooLarge where `dense()` refuses the shifted kernel.
     """
     _check_metric(metric)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    if not _densifiable(system.base):
-        raise TooLarge("merging traces are dense; too many states")
     obstruction = _merging_obstruction(system.shifted, metric)
     if obstruction is not None:
         trace = ((n, _UNMERGED[metric]) for n in range(max_steps + 1))
@@ -346,7 +346,10 @@ def _bound_factors(system: WaveSystem) -> tuple[np.ndarray, np.ndarray, float]:
     return pi.weights, np.sqrt(1.0 / pi.weights - 1.0), sigma
 
 
-def _merging_bound_factors(system: WaveSystem) -> tuple[np.ndarray, float]:
+def _merging_bound_factors(system: WaveSystem, n: int) -> tuple[np.ndarray, float]:
+    """The wave bound's factors for steps up to n, checked before pi is solved."""
+    if n < 0:
+        raise ValueError("step count must be nonnegative")
     obstruction = _merging_obstruction(system.shifted)
     if obstruction is not None:
         raise NotMerging(f"shifted kernel {obstruction}; the wave bound does not apply")
@@ -362,14 +365,14 @@ def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
     aperiodic.
     """
     x, z = _state_index(system.space, x), _state_index(system.space, z, "end state")
-    front, sigma = _merging_bound_factors(system)
+    front, sigma = _merging_bound_factors(system, n)
     gnz = int(system.map.power_map(n)[z])
     return float(front[x] * front[gnz] * sigma**n)
 
 
 def wave_bound_grid(system: WaveSystem, n_max: int) -> np.ndarray:
     """Array b[n, x, z] of wave bounds for all 0 <= n <= n_max."""
-    front, sigma = _merging_bound_factors(system)
+    front, sigma = _merging_bound_factors(system, n_max)
     size = system.space.size
     if (n_max + 1) * size * size > 50_000_000:
         raise TooLarge("bound grid would not fit; query wave_bound pointwise")

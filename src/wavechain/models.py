@@ -459,12 +459,12 @@ def conjugation_map(n: int, a: Perm) -> Permutation:
     return make_permutation(sn_space(n), sn_rank(images))
 
 
-def _check_group_size(n: int, lo: int = 3, hi: int = 7) -> int:
+def _check_group_size(n: int) -> int:
     n = _integer(n, "n")
-    if n < lo:
-        raise ValueError(f"deck size must be at least {lo}")
-    if n > hi:
-        raise TooLarge(f"deck size {n} puts {math.factorial(n)} states out of range")
+    if n < 3:
+        raise ValueError("deck size must be at least 3")
+    if (states := math.factorial(n)) > _GROUP_CAP:
+        raise TooLarge(f"deck size {n} puts {states} states out of range")
     return n
 
 

@@ -204,6 +204,19 @@ def test_misshapen_kernel_file_is_one_error_line(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_a_kernel_file_takes_no_model_parameters(tmp_path, capsys):
+    path = tmp_path / "circle.json"
+    w.save_kernel(w.circle_kernel(5, 1.0)[0], str(path))
+    out = tmp_path / "out"
+    code = main(["analyze", "--model", str(path), "--param", "n=5", "--analyses", "spectral",
+                 "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: model {str(path)!r} does not take parameters ['n']\n"
+    assert not out.exists()
+
+
 def test_unknown_model_exits_one(tmp_path, capsys):
     assert main(["analyze", "--model", "nope", "--out", str(tmp_path)]) == 1
     assert "nope" in capsys.readouterr().err
@@ -251,6 +264,41 @@ def test_bounds_on_a_kernel_too_large_to_densify_is_one_error_line(tmp_path, cap
     assert code == 1
     assert capsys.readouterr() == ("", "error: refusing to densify a 4097-state kernel\n")
     assert not out.exists()
+
+
+def test_merge_time_on_a_mergeable_kernel_above_the_limit_is_one_error_line(tmp_path, capsys):
+    # a group walk that can merge needs powers; the dense view refuses them
+    out = tmp_path / "out"
+    code = main(["merge-time", "--model", "cyclic-to-random", "--param", "n=7",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: refusing to densify a 5040-state kernel\n")
+    assert not out.exists()
+
+
+def test_merge_time_gives_a_reducible_verdict_above_the_dense_limit(tmp_path, capsys,
+                                                                    monkeypatch):
+    # deck reversal on 7! states: the verdict is read off the support graph,
+    # and the trace is written from no power
+    built, real = [], cli.build_system
+
+    def spy(config):
+        built.append(real(config))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_system", spy)
+    code = main(["merge-time", "--model", "deck-reversal", "--param", "n=7",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    reason = "shifted kernel reducible; pairwise merging cannot occur"
+    assert capsys.readouterr().out == f"merging: unbounded within 200 steps ({reason})\n"
+    merging = read_report(tmp_path)["results"]["merging"]
+    assert merging["reason"] == reason
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert rows[0] == "n,distance" and len(rows) == 202
+    (system,) = built
+    assert system.space.size == 5040 > w.DENSE_LIMIT
+    assert "_dense" not in system.base.__dict__ and "_dense" not in system.shifted.__dict__
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf"])
@@ -349,6 +397,22 @@ def test_scan_reports_proven_and_empirical_rows(tmp_path):
     statuses = {r.split(",")[2] for r in body}
     assert "proven" in statuses  # the small shifts carry the exact bound
     assert statuses <= {"proven", "empirical", "reducible"}
+
+
+def test_a_proven_scan_row_above_its_bound_exits_two(tmp_path, capsys, monkeypatch):
+    # the scan's own check: a proven row may not exceed 1 + eps
+    real = cli.scan_permutations
+
+    def lying(*args):
+        doc = real(*args)
+        row = next(r for r in doc["rows"] if r["status"] == "proven")
+        row["ratio"] = doc["proven_bound"] + 1e-6
+        return doc
+
+    monkeypatch.setattr(cli, "scan_permutations", lying)
+    assert main(["scan", *CIRCLE5, "--count", "3", "--out", str(tmp_path)]) == 2
+    (violation,) = read_report(tmp_path)["violations"]
+    assert violation["inequality"] == "circle invariant-measure max/min stability"
 
 
 def test_scan_lazy_rows_are_all_proven(tmp_path):
@@ -504,11 +568,12 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["scaling", "--family", "circle", "--param", "n_list=5"],
         ["scaling", "--family", "circle", "--n-list", "5,9", "--model", "sticky"],
         ["scaling", "--family", "circle", "--n-list", "5,9", "--bijection", "shift:1"],
+        ["analyze", *CIRCLE5, "--analyses", "spectral,nope"],
     ],
     ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
          "scaling-even-size", "scan-bijection", "sticky-rho-past-the-end",
          "sticky-negative-rho", "regular-degree-and-r", "scaling-sizes-not-a-list",
-         "scaling-model", "scaling-bijection"],
+         "scaling-model", "scaling-bijection", "unknown-analysis"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"

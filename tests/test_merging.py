@@ -419,6 +419,23 @@ def test_wave_bound_dominates_exact_error_on_circle():
                 assert got <= bounds[z] + 1e-10
 
 
+def test_wave_bound_refuses_a_negative_step_count_before_solving():
+    # n = -1 once read g^-1 and sigma^-1: 4.59 on circle-5, above n = 1's 2.75
+    s = circle_system(5)
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        w.wave_bound(s, 0, 0, -1)
+    assert "_wave_measure" not in s.__dict__
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_wave_bound_grid_refuses_a_negative_step_count_before_solving(n_max):
+    # -1 once gave an empty grid and -2 numpy's "negative dimensions"
+    s = circle_system(5)
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        w.wave_bound_grid(s, n_max)
+    assert "_wave_measure" not in s.__dict__
+
+
 def test_wave_bound_grid_matches_pointwise_calls():
     s = circle_system(5)
     grid = w.wave_bound_grid(s, 6)

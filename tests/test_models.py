@@ -328,6 +328,27 @@ def test_group_walk_kernel_sums_generator_weights():
     assert m[0, index[transposition(n, 0, 2)]] == pytest.approx(1 / n)
 
 
+@pytest.mark.parametrize("n, weights, error, message", [
+    (3, {(0, 1): 1.0}, ValueError, r"^\(0, 1\) is not a permutation of 0..2$"),
+    (3, {(0, 1, 2): 1.5, (1, 0, 2): -0.5}, ValueError, "^negative generator weight$"),
+    (3, {(0, 1, 2): 0.5, (1, 0, 2): 0.25}, ValueError, "^generator weights sum to 0.75, not 1$"),
+    (8, {tuple(range(8)): 1.0}, errors.TooLarge, "^8! exceeds the configured cap 5040$"),
+], ids=["wrong-length", "negative-weight", "weights-not-one", "8-cards"])
+def test_group_walk_spec_refuses_a_malformed_walk(n, weights, error, message):
+    with pytest.raises(error, match=message):
+        w.GroupWalkSpec(n, weights)
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (2, ValueError, "^deck size must be at least 3$"),
+    (8, errors.TooLarge, "^deck size 8 puts 40320 states out of range$"),
+])
+def test_group_models_refuse_a_deck_outside_the_cap(n, error, message):
+    for model in ("deck-reversal", "cyclic-to-random", "sticky"):
+        with pytest.raises(error, match=message):
+            models.build_model(model, {"n": n})
+
+
 @pytest.mark.parametrize("n, rho", [(4, -1), (4, 24), (7, 5040)])
 def test_sticky_rejects_an_out_of_range_rank(n, rho):
     last = math.factorial(n) - 1

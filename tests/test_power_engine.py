@@ -354,9 +354,43 @@ def test_pairwise_merging_measure_keeps_its_errors(dense_limit):
     with pytest.raises(ValueError):
         w.pairwise_merging_measure(s, 3, "hellinger")
     with dense_limit(4):
-        for n in (0, 3):
-            with pytest.raises(errors.TooLarge):
-                w.pairwise_merging_measure(s, n, "relative_sup")
+        # n = 0 is the identity's value, read from no power
+        assert w.pairwise_merging_measure(s, 0, "relative_sup") == math.inf
+        with pytest.raises(errors.TooLarge, match="^refusing to densify a 5-state kernel$"):
+            w.pairwise_merging_measure(s, 3, "relative_sup")
+
+
+def unshifted(rows):
+    space = w.StateSpace(len(rows))
+    kernel = w.make_kernel(space, np.asarray(rows, dtype=float))
+    return w.make_wave_system(kernel, w.make_permutation(space, list(range(len(rows)))))
+
+
+def test_the_trace_at_zero_is_the_reduced_identity():
+    # the n = 0 value, written from no matrix, has the bits the block
+    # reducers give the identity
+    for size in range(1, 12):
+        s = unshifted(np.full((size, size), 1.0 / size))
+        for metric in METRICS:
+            want = merging._pairwise_measure_matrix(np.eye(size), metric)
+            ((_, got),) = w.merging_time(s, 1e-300, 0, metric).values
+            assert got.hex() == want.hex(), (size, metric)
+
+
+@pytest.mark.parametrize("limit", [w.DENSE_LIMIT, 4])
+def test_the_point_measure_at_zero_is_the_traces_first_value(dense_limit, limit):
+    systems = [
+        unshifted([[1.0]]),
+        unshifted([[0.5, 0.5], [0.25, 0.75]]),
+        unshifted([[0.0, 1.0], [1.0, 0.0]]),  # periodic: no metric merges
+        circle_system(5),
+    ]
+    with dense_limit(limit):
+        for s in systems:
+            for metric in METRICS:
+                got = w.pairwise_merging_measure(s, 0, metric)
+                ((n, first),) = w.merging_time(s, 1e-300, 0, metric).values
+                assert n == 0 and got.hex() == first.hex(), (s.space.size, metric)
 
 
 def test_gathered_wave_identity_and_bound_verdicts():

@@ -62,16 +62,18 @@ def test_evolve_builds_no_dense_view_at_the_limit():
 
 def test_core_alone_moves_every_size_choice(monkeypatch, tmp_path, capsys):
     # core's limit, and no other binding, moves the SVD path, the merging
-    # refusal and both CLI TV lines; the wave measure is solved before
+    # refusal, which is the dense view's, and wave-profile's TV line; the
+    # wave measure, which caches the view, is solved before, and merging
+    # runs on a fresh system.  simulate's TV line comes at every size
     system = models.build_model("circle", {"n": 5})
     pi = system.wave_measure
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     assert len(spectral._singular_values(system.shifted, pi, pi)) == 2
-    with pytest.raises(errors.TooLarge, match="^merging traces are dense"):
-        w.merging_time(system, 0.01, 10)
+    with pytest.raises(errors.TooLarge, match="^refusing to densify a 5-state kernel$"):
+        w.merging_time(fresh(system), 0.01, 10)
     circle5 = ["--model", "circle", "--param", "n=5", "--out", str(tmp_path)]
     assert cli.main(["simulate", *circle5, "--param", "trials=500"]) == 0
-    assert capsys.readouterr().out == "simulate: wrote endpoint histogram (500 trials)\n"
+    assert capsys.readouterr().out.startswith("simulate: endpoint TV vs exact ")
     assert cli.main(["wave-profile", *circle5, "--param", "samples=500"]) == 0
     assert capsys.readouterr().out == "wave-profile: 500 samples, burn-in 1000, stride 5\n"
 

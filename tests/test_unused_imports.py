@@ -11,7 +11,10 @@ module of the package reads it, reads it as an attribute
 `DENSE_LIMIT` is read in `core` alone, once, by `core._densifiable`;
 `__init__` may import it to re-export it, and no other module imports it.
 `_EIGEN_REPORT_LIMIT` is read in `core` alone, by
-`core._reports_eigenvalues`.  The one graph search,
+`core._reports_eigenvalues`.  `core._densifiable` is called in four
+places: in `MarkovKernel.dense`, the one refusal of a kernel for its
+size, and for the stationary solve's start, the SVD path and
+wave-profile's TV line.  The one graph search,
 `spectral._search_levels`, is called only by `spectral._period_or_none`
 and `spectral._closed_class`.  No module calls `weighted_singular_values`:
 every singular value the package uses comes from
@@ -259,15 +262,19 @@ def test_the_check_sees_a_planted_weighted_singular_values_call(tmp_path):
 
 
 def calling_functions(paths, name) -> set:
-    """The module-level function around each call of `name`, as
-    "module.function", or "module" for a call outside every function."""
+    """The module-level function or method around each call of `name`, as
+    "module.function" or "module.Class.method", or "module" for a call
+    outside every function."""
     found = set()
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [([f.name], f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        scopes += [([c.name, f.name], f) for c in tree.body if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)]
         for site in calls([path], name):
             line = int(site.split(":")[1])
-            outer = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
-                     and f.lineno <= line <= f.end_lineno]
+            outer = [n for names, f in scopes if f.lineno <= line <= f.end_lineno
+                     for n in names]
             found.add(".".join([path.stem] + outer))
     return found
 
@@ -292,6 +299,39 @@ def test_the_check_sees_a_planted_second_graph_search(tmp_path):
     assert calling_functions(sorted(tmp_path.glob("*.py")), "_search_levels") == {
         "models", "spectral._period_or_none", "spectral._shifted_stationary_weights"
     }
+
+
+# The dense view refuses a kernel for its size; the other three calls pick
+# an algorithm.  wave-profile's TV line stays gated while the wave measure
+# of a circle above 4096 points raises NotConverged.
+DENSIFIABLE_CALLERS = {
+    "core.MarkovKernel.dense",
+    "spectral._shifted_stationary_weights",
+    "spectral._avatar",
+    "cli._cmd_wave_profile",
+}
+
+
+def test_the_size_decision_is_made_in_four_places():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert calling_functions(paths, "_densifiable") == DENSIFIABLE_CALLERS
+    assert len(calls(paths, "_densifiable")) == len(DENSIFIABLE_CALLERS)
+
+
+def test_the_check_sees_a_planted_size_decision(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "def _densifiable(k):\n    return k.size <= 4\n"
+        "class MarkovKernel:\n    def dense(self):\n        return _densifiable(self)\n"
+    )
+    (tmp_path / "merging.py").write_text(
+        "from . import core\nfrom .core import _densifiable as fits\n"
+        "def merging_time(s):\n    return fits(s.base), core._densifiable(s.base)\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert calling_functions(paths, "_densifiable") == {
+        "core.MarkovKernel.dense", "merging.merging_time"
+    }
+    assert calls(paths, "_densifiable") == ["core:5", "merging:4", "merging:4"]
 
 
 def test_merging_imports_no_step_by_step_builder():
