@@ -16,15 +16,16 @@ merging analysis live in their own modules.
 All value types are frozen records (`_record`) of read-only numpy arrays; no
 function mutates its arguments.  A kernel is stored one way at every size
 and from every input: a read-only CSR triple (indptr, indices, data) of its
-positive entries, built here alone (see `MarkovKernel`).  `dense()` is an
-ndarray scattered from it on first use and cached, up to DENSE_LIMIT states,
-and the one refusal of a kernel for its size; `_densifiable`, the one reader
-of that limit, makes every choice between the view and the triple, and
-`_reports_eigenvalues` the one other size choice, whether a report lists
-eigenvalues.  A law times a kernel, x K, is `_vec_mat` at every size, and
-K x above the limit `_mat_vec`: one `np.bincount` over the triple that
-sums each entry's terms in a fixed order, the one scipy's CSR product
-uses, so the result has scipy's bits whatever BLAS kernel the CPU loads.
+positive entries, built here alone (see `MarkovKernel`).  `dense()` is a
+fresh read-only scatter of it on every call, nothing cached, up to
+DENSE_LIMIT states, and the one refusal of a kernel for its size;
+`_densifiable`, the one reader of that limit, makes every choice between
+the view and the triple, and `_reports_eigenvalues` the one other size
+choice, whether a report lists eigenvalues.  A law times a kernel, x K,
+is `_vec_mat` at every size, and K x above the limit `_mat_vec`: one
+`np.bincount` over the triple that sums each entry's terms in a fixed
+order, the one scipy's CSR product uses, so the result has scipy's bits
+whatever BLAS kernel the CPU loads.
 
 The package runs in numpy alone at every size: building, relabeling,
 saving, searching, sampling and multiplying a kernel import no scipy.  A
@@ -317,8 +318,8 @@ class MarkovKernel:
 
     `entries` is a read-only CSR triple (indptr, indices, data) of the
     positive entries, `np.intp` indices, columns strictly ascending in each
-    row, at every size.  `dense()` is the read-only ndarray scattered from
-    it, built on first use and cached; TooLarge unless `_densifiable`.
+    row, at every size.  `dense()` is a fresh read-only ndarray scattered
+    from it on every call, nothing cached; TooLarge unless `_densifiable`.
     """
 
     space: StateSpace
@@ -329,16 +330,12 @@ class MarkovKernel:
         return self.space.size
 
     def dense(self) -> np.ndarray:
-        cached = self.__dict__.get("_dense")
-        if cached is None:
-            if not _densifiable(self):
-                raise TooLarge(f"refusing to densify a {self.size}-state kernel")
-            indptr, indices, data = self.entries
-            cached = np.zeros((self.size, self.size))
-            cached[_row_of_each_entry(indptr), indices] = data
-            cached = _frozen(cached)
-            object.__setattr__(self, "_dense", cached)
-        return cached
+        if not _densifiable(self):
+            raise TooLarge(f"refusing to densify a {self.size}-state kernel")
+        rows, cols, data = _triplets(self)
+        m = np.zeros((self.size, self.size))
+        m[rows, cols] = data
+        return _frozen(m)
 
 
 def _densifiable(kernel: MarkovKernel) -> bool:
@@ -357,8 +354,10 @@ def _issparse(m) -> bool:
     return sp is not None and sp.issparse(m)
 
 
-def _row_of_each_entry(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+def _triplets(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the kernel's entries, in storage order."""
+    indptr, indices, data = kernel.entries
+    return np.repeat(np.arange(kernel.size), np.diff(indptr)), indices, data
 
 
 def _vec_mat(x: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
@@ -373,8 +372,7 @@ def _vec_mat(x: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
 def _mat_vec(kernel: MarkovKernel, x: np.ndarray) -> np.ndarray:
     """K x from the CSR triple, each row summed in column order as scipy
     sums it."""
-    indptr, indices, data = kernel.entries
-    rows = _row_of_each_entry(indptr)
+    rows, indices, data = _triplets(kernel)
     return np.bincount(rows, weights=data * x[indices], minlength=kernel.size)
 
 
@@ -485,8 +483,7 @@ def _relabeled(
     """The kernel whose entry (rows_to[r], cols_to[c]) is kernel(r, c), for
     permutations rows_to and cols_to of the states; rows_to=None keeps
     every row in place."""
-    indptr, indices, data = kernel.entries
-    r = _row_of_each_entry(indptr)
+    r, indices, data = _triplets(kernel)
     r = r if rows_to is None else rows_to[r]
     csr = _csr_from_triplets(kernel.size, r, cols_to[indices], data)
     return MarkovKernel(kernel.space, csr)
@@ -641,7 +638,8 @@ class WaveIdentityReport:
 
 
 def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield the powers kernel^1 .. kernel^n_max in order, a block at a time.
+    """The powers kernel^1 .. kernel^n_max in order, a block at a time;
+    TooLarge, where `dense()` refuses the kernel, comes from the call.
 
     Each item is (first, block) with block[:, j, :] = kernel^(first + j); a
     block holds at most b = POWER_BLOCK_ENTRIES // size^2 powers (at least
@@ -664,26 +662,23 @@ def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.nda
     call gives the same bits every time.
     """
     if n_max < 1:
-        return
-    p = kernel.dense()
+        return iter(())
     size = kernel.size
     b = max(1, min(n_max, POWER_BLOCK_ENTRIES // (size * size)))
     support = int(np.diff(kernel.entries[0]).max())
     if size >= max(GATHER_MIN_STATES, GATHER_ROW_RATIO * support):
-        yield from _gathered_blocks(p, *_row_table(kernel.entries, support), b, n_max)
-    else:
-        yield from _multiplied_blocks(p, b, n_max)
+        return _gathered_blocks(kernel.dense(), *_row_table(kernel, support), b, n_max)
+    return _multiplied_blocks(kernel.dense(), b, n_max)
 
 
-def _row_table(csr: CSR, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_table(kernel: MarkovKernel, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, width) column indices and (N, 1, width) weights of each row's
     entries, padded with the row's last column and weight 0."""
-    indptr, indices, data = csr
-    size = indptr.size - 1
-    rows = _row_of_each_entry(indptr)
+    indptr = kernel.entries[0]
+    rows, indices, data = _triplets(kernel)
     slot = np.arange(rows.size) - indptr[rows]
     idx = np.repeat(indices[indptr[1:] - 1, None], width, axis=1)
-    weights = np.zeros((size, 1, width))
+    weights = np.zeros((kernel.size, 1, width))
     idx[rows, slot] = indices
     weights[rows, 0, slot] = data
     return idx, weights
@@ -716,6 +711,7 @@ def _gathered_blocks(p: np.ndarray, idx: np.ndarray, weights: np.ndarray, b: int
         for j in range(block.shape[1]):
             if last is None:
                 block[:, 0] = p
+                p = None  # the block holds P^1: P itself is not kept
             else:
                 step(last, block[:, j : j + 1])
             last = block[:, j]

@@ -20,15 +20,14 @@ from .core import (
     Permutation,
     StateSpace,
     _kernel_from_triplets,
-    _row_of_each_entry,
+    _triplets,
     make_permutation,
 )
 from .errors import ConfigInvalid
 
 
 def kernel_document(kernel: MarkovKernel) -> dict:
-    indptr, cols, vals = kernel.entries
-    rows = _row_of_each_entry(indptr)
+    rows, cols, vals = _triplets(kernel)
     # the stored entries run row by row, columns ascending
     triplets = [list(t) for t in zip(rows.tolist(), cols.tolist(), vals.tolist())]
     doc = {"size": kernel.size, "triplets": triplets}

@@ -423,8 +423,7 @@ def bound_dominance(
         raise ConfigInvalid(f"bound_scale must be finite, got {scale}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if horizon:
-        system.shifted.dense()  # TooLarge before pi and sigma are solved for
+    blocks = power_blocks(system.shifted, horizon)  # TooLarge before pi and sigma
     w, front, sigma = _bound_factors(system)
     outer = np.outer(front, front)
     # the smallest bound of column y is in the row of the smallest factor,
@@ -433,7 +432,7 @@ def bound_dominance(
     last_floor = scale * sigma**horizon * screen
     slack = 2.0 * horizon * w.size * _UNIT_ROUNDOFF
     worst = (0.0, 0)
-    for first, block in power_blocks(system.shifted, horizon):
+    for first, block in blocks:
         steps = range(first, first + block.shape[1])
         high = block.max(axis=0) / w - 1.0
         low = 1.0 - block.min(axis=0) / w

@@ -413,7 +413,7 @@ class GroupWalkSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("deck size must be positive")
-        if math.factorial(self.n) > _GROUP_CAP:
+        if self.n > _GROUP_CAP or math.factorial(self.n) > _GROUP_CAP:  # n! >= n
             raise TooLarge(f"{self.n}! exceeds the configured cap {_GROUP_CAP}")
         total = 0.0
         for g, w in self.generator_weights.items():
@@ -463,8 +463,11 @@ def _check_group_size(n: int) -> int:
     n = _integer(n, "n")
     if n < 3:
         raise ValueError("deck size must be at least 3")
-    if (states := math.factorial(n)) > _GROUP_CAP:
-        raise TooLarge(f"deck size {n} puts {states} states out of range")
+    states = 1
+    for k in range(2, n + 1):  # n! is not carried past the cap
+        if (states := states * k) > _GROUP_CAP:
+            more = "" if k == n else "more than "
+            raise TooLarge(f"deck size {n} puts {more}{states} states out of range")
     return n
 
 

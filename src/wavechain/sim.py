@@ -51,7 +51,7 @@ class _RowTable:
     def __init__(self, kernel):
         counts = np.diff(kernel.entries[0])
         width = 1 << (int(np.max(counts)) - 1).bit_length()
-        indices, weights = _row_table(kernel.entries, width)
+        indices, weights = _row_table(kernel, width)
         cums = np.cumsum(weights[:, 0], axis=1)  # the same sums as row by row
         cums[np.arange(width) >= counts[:, None]] = 2.0
         self.width = width

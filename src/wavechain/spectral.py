@@ -36,7 +36,7 @@ from .core import (
     _mat_vec,
     _record,
     _renormalize,
-    _row_of_each_entry,
+    _triplets,
     _vec_mat,
     make_kernel,
 )
@@ -57,8 +57,7 @@ _STATIONARY_MAX_STEPS = 100_000
 
 def _edges(kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
     """(tails, heads) of the kernel's entries, all of them positive."""
-    indptr, heads, _ = kernel.entries
-    return _row_of_each_entry(indptr), heads
+    return _triplets(kernel)[:2]
 
 
 def _search_levels(n: int, tails: np.ndarray, heads: np.ndarray, start: int) -> np.ndarray:
@@ -160,12 +159,14 @@ def _merging_obstruction(kernel: MarkovKernel, metric: Optional[str] = None) -> 
     return None if merges else "reducible"
 
 
-def _bordered_solves(a: np.ndarray) -> np.ndarray:
+def _bordered_solves(base: MarkovKernel, fwd: np.ndarray) -> np.ndarray:
     """Row k solves pi (M_k - I) = 0 with its last equation replaced by
-    sum(pi) = 1, given the stack of transposed dense kernels a[k] = M_k^T,
-    which it overwrites with the systems: one stacked LAPACK solve, each
-    system as the lone one would be."""
-    k, n, _ = a.shape
+    sum(pi) = 1, M_k being base shifted by the forward map fwd[k]: one
+    stacked LAPACK solve, each system as the lone one would be."""
+    rows, cols, data = _triplets(base)
+    k, n = fwd.shape
+    a = np.zeros((k, n, n))
+    a[np.arange(k)[:, None], fwd[:, cols], rows] = data  # a[k] = M_k^T
     diagonal = np.arange(n)
     a[:, diagonal, diagonal] -= 1.0
     a[:, -1, :] = 1.0
@@ -228,9 +229,10 @@ def _shifted_stationary_weights(
     per_batch = max(1, _STACK_ENTRIES // (n * n))
     out = []
     for lo in range(0, len(forwards), per_batch):
-        inv = np.argsort(np.asarray(forwards[lo : lo + per_batch], dtype=np.int64), axis=1)
+        fwd = np.asarray(forwards[lo : lo + per_batch], dtype=np.int64)
+        inv = np.argsort(fwd, axis=1)
         if _densifiable(base):
-            pis = _bordered_solves(base.dense().T[inv])  # row y of system k: column inv[k, y]
+            pis = _bordered_solves(base, fwd)
         else:
             pis = np.full((len(inv), n), 1.0 / n)
         # x K[:, cols] is (x K)[cols]
@@ -276,8 +278,9 @@ def _avatar(
     sout = np.sqrt(wout)
     if not _densifiable(kernel):
         return sin, sout, None
-    b = sout[:, None] * kernel.dense()
-    b /= sin
+    rows, cols, data = _triplets(kernel)
+    b = np.zeros((kernel.size, kernel.size))
+    b[rows, cols] = sout[rows] * data / sin[cols]
     return sin, sout, b
 
 

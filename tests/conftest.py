@@ -77,3 +77,20 @@ def dense_limit():
             yield
 
     return limit
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """One item per `MarkovKernel.dense` call while the test runs, in call
+    order: the array it returned, or None where it refused the kernel.
+    `assert not dense_calls` checks that no dense view was asked for."""
+    calls = []
+    real = core.MarkovKernel.dense
+
+    def recorded(kernel):
+        calls.append(None)  # stays None if the call raises
+        calls[-1] = real(kernel)
+        return calls[-1]
+
+    monkeypatch.setattr(core.MarkovKernel, "dense", recorded)
+    return calls

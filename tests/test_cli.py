@@ -277,7 +277,7 @@ def test_merge_time_on_a_mergeable_kernel_above_the_limit_is_one_error_line(tmp_
 
 
 def test_merge_time_gives_a_reducible_verdict_above_the_dense_limit(tmp_path, capsys,
-                                                                    monkeypatch):
+                                                                    monkeypatch, dense_calls):
     # deck reversal on 7! states: the verdict is read off the support graph,
     # and the trace is written from no power
     built, real = [], cli.build_system
@@ -298,7 +298,7 @@ def test_merge_time_gives_a_reducible_verdict_above_the_dense_limit(tmp_path, ca
     assert rows[0] == "n,distance" and len(rows) == 202
     (system,) = built
     assert system.space.size == 5040 > w.DENSE_LIMIT
-    assert "_dense" not in system.base.__dict__ and "_dense" not in system.shifted.__dict__
+    assert not dense_calls
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf"])

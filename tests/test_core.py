@@ -205,7 +205,7 @@ def assert_csr_triple(kernel):
     assert np.all(np.diff(rows * kernel.size + indices) > 0)
 
 
-def test_dense_limit_switches_the_matrix_view():
+def test_dense_limit_switches_the_matrix_view(dense_calls):
     import scipy.sparse as sp
 
     small = w.make_kernel(w.StateSpace(3), np.full((3, 3), 1 / 3))
@@ -215,23 +215,30 @@ def test_dense_limit_switches_the_matrix_view():
                    w.binary_cycling_system(13).shifted):
         assert_csr_triple(kernel)
     # products run on the CSR triple at every size and build no dense view;
-    # the view is built and cached on request up to the limit, and refused
-    # above it
+    # the view is built on request up to the limit, and refused above it
     x = np.arange(3.0)
     assert np.allclose(core._vec_mat(x, small), x @ np.full((3, 3), 1 / 3), rtol=1e-15)
-    assert "_dense" not in small.__dict__
-    assert small.dense() is small.dense()
+    assert not dense_calls
+    view = small.dense()
+    assert len(dense_calls) == 1 and dense_calls[0] is view
+    assert view.tobytes() == small.dense().tobytes() == np.full((3, 3), 1 / 3).tobytes()
+    assert not view.flags.writeable
     x = np.arange(float(n))
     assert np.array_equal(core._vec_mat(x, large), x)
-    with pytest.raises(errors.TooLarge):
+    with pytest.raises(errors.TooLarge, match=f"^refusing to densify a {n}-state kernel$"):
         large.dense()
+    assert len(dense_calls) == 3 and dense_calls[2] is None  # the refusal built none
 
 
-def test_the_dense_view_is_a_cached_read_only_scatter(corpus):
+def test_the_dense_view_is_a_fresh_read_only_scatter(corpus):
     for kernel in [s.shifted for s in corpus[:20]] + [w.four_point_example().base]:
         dense = kernel.dense()
-        assert kernel.dense() is dense
-        assert not dense.flags.writeable
+        # nothing is cached: each call scatters the triple again
+        again = kernel.dense()
+        assert not np.shares_memory(again, dense)
+        assert again.tobytes() == dense.tobytes()
+        assert not dense.flags.writeable and not again.flags.writeable
+        assert set(vars(kernel)) == {"space", "entries"}
         indptr, indices, data = kernel.entries
         want = np.zeros((kernel.size, kernel.size))
         want[np.repeat(np.arange(kernel.size), np.diff(indptr)), indices] = data

@@ -280,7 +280,7 @@ def test_dense_and_csr_storage_agree(case):
 
 
 @pytest.mark.parametrize("limit", [2, 4096])
-def test_a_stored_zero_is_no_edge(limit, dense_limit):
+def test_a_stored_zero_is_no_edge(limit, dense_limit, dense_calls):
     # a 3-cycle with an explicit zero on the diagonal keeps period 3, with
     # CSR products above DENSE_LIMIT and dense ones below; the zero is not
     # stored
@@ -288,10 +288,10 @@ def test_a_stored_zero_is_no_edge(limit, dense_limit):
         doc = {"size": 3, "triplets": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 0, 0.0]]}
         kernel = w.kernel_from_document(doc)
         assert core._vec_mat(np.array([1.0, 0.0, 0.0]), kernel).tolist() == [0.0, 1.0, 0.0]
-        assert "_dense" not in kernel.__dict__
         assert kernel.entries[2].tolist() == [1.0, 1.0, 1.0]
         assert w.is_irreducible(kernel) and w.period(kernel) == 3
         assert w.kernel_document(kernel)["triplets"] == doc["triplets"][:3]
+        assert not dense_calls
 
 
 def test_every_input_form_stores_the_scipy_arrays(corpus):

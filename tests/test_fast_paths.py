@@ -387,6 +387,14 @@ def test_the_bound_loop_stops_once_its_proof_closes(monkeypatch):
     assert sum(drawn) <= 1700
 
 
+def test_the_bound_loop_asks_for_one_dense_view(dense_calls):
+    # the powers' view is the only one: pi and sigma1_tilde are solved on
+    # operands written from the CSR triple, and the refusal check is the
+    # powers' own
+    merging.bound_dominance(circle_system(81), 6000)
+    assert len(dense_calls) == 1
+
+
 @pytest.mark.parametrize("rule", ["dense", "gather"])
 def test_the_early_stop_keeps_every_screened_result(corpus, rule):
     systems = [s for s in corpus if s.wave_measure_or_none() is not None]

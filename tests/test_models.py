@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -333,20 +334,29 @@ def test_group_walk_kernel_sums_generator_weights():
     (3, {(0, 1, 2): 1.5, (1, 0, 2): -0.5}, ValueError, "^negative generator weight$"),
     (3, {(0, 1, 2): 0.5, (1, 0, 2): 0.25}, ValueError, "^generator weights sum to 0.75, not 1$"),
     (8, {tuple(range(8)): 1.0}, errors.TooLarge, "^8! exceeds the configured cap 5040$"),
-], ids=["wrong-length", "negative-weight", "weights-not-one", "8-cards"])
+    (10**6, {}, errors.TooLarge, "^1000000! exceeds the configured cap 5040$"),
+], ids=["wrong-length", "negative-weight", "weights-not-one", "8-cards", "a-million-cards"])
 def test_group_walk_spec_refuses_a_malformed_walk(n, weights, error, message):
+    start = time.perf_counter()
     with pytest.raises(error, match=message):
         w.GroupWalkSpec(n, weights)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n, error, message", [
     (2, ValueError, "^deck size must be at least 3$"),
     (8, errors.TooLarge, "^deck size 8 puts 40320 states out of range$"),
+    # n! is not carried past the cap: 2000! has 5736 digits, too many to
+    # print, and 1000000! took seconds to compute
+    (2000, errors.TooLarge, "^deck size 2000 puts more than 40320 states out of range$"),
+    (10**6, errors.TooLarge, "^deck size 1000000 puts more than 40320 states out of range$"),
 ])
 def test_group_models_refuse_a_deck_outside_the_cap(n, error, message):
     for model in ("deck-reversal", "cyclic-to-random", "sticky"):
+        start = time.perf_counter()
         with pytest.raises(error, match=message):
             models.build_model(model, {"n": n})
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n, rho", [(4, -1), (4, 24), (7, 5040)])

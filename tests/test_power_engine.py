@@ -124,12 +124,13 @@ def stochastic(rng, n, zeros=0.0):
 
 # -------------------------------------------------------- power engine
 
-def test_single_power_blocks_are_the_sequential_products(monkeypatch):
+def test_single_power_blocks_are_the_sequential_products(monkeypatch, dense_calls):
     monkeypatch.setattr(core, "POWER_BLOCK_ENTRIES", 1)
     kernel = circle_system(7).shifted
     blocks = list(core.power_blocks(kernel, 30))
     assert [first for first, _ in blocks] == list(range(1, 31))
-    assert np.shares_memory(blocks[0][1], kernel.dense())  # no copy of P^1
+    (p,) = dense_calls  # the one view power_blocks stepped with
+    assert np.shares_memory(blocks[0][1], p)  # no copy of P^1
     power = np.eye(7)
     for _, block in blocks:
         assert block.shape == (7, 1, 7)
@@ -347,7 +348,7 @@ def test_pairwise_merging_measure_is_the_trace_value_by_the_default_rule(system)
 
 
 def test_pairwise_merging_measure_keeps_its_errors(dense_limit):
-    s = circle_system(5)  # built here: no dense view is cached yet
+    s = circle_system(5)
     for metric in METRICS:
         with pytest.raises(errors.WindowInverted):
             w.pairwise_merging_measure(s, -1, metric)
@@ -497,15 +498,15 @@ def test_gather_memory_stays_within_a_few_powers():
     s = w.sticky_permutation_system(6, tuple(range(6)), 0.05)
     kernel = s.shifted
     n = kernel.size
-    kernel.dense()  # the kernel's cached view, built once, is not the stepping's
 
     def step_through():
         for _ in core.power_blocks(kernel, 6):
             pass
 
     peak = traced_peak(step_through)
-    # two powers and one chunk of gathered rows; one unchunked (N, d, N)
-    # gather alone would take d = 6 powers
+    # P and its copy in the first block, then two powers and one chunk of
+    # gathered rows; one unchunked (N, d, N) gather alone would take d = 6
+    # powers
     assert peak < 3 * n * n * 8
 
 

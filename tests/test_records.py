@@ -319,9 +319,11 @@ def test_arguments_bind_as_the_dataclass_constructor_binds():
 
 
 def test_a_frozen_record_still_caches_through_object_setattr():
-    kernel, _ = w.circle_kernel(5, 1.0)
-    assert kernel.dense() is kernel.dense()
-    assert "_dense" in vars(kernel)
+    base, _ = w.circle_kernel(5, 1.0)
+    system = w.make_wave_system(base, w.circle_shift(5, -1))
+    assert "_wave_measure" not in vars(system)
+    assert system.wave_measure_or_none() is system.wave_measure_or_none()
+    assert vars(system)["_wave_measure"] is system.wave_measure
 
 
 def src_modules():
@@ -341,6 +343,45 @@ def test_no_module_uses_dataclass_exec_or_eval():
                 assert node.func.id not in ("exec", "eval", "compile"), (path.name, node.lineno)
             elif isinstance(node, ast.Name):
                 assert node.id not in ("dataclass", "exec", "eval"), (path.name, node.lineno)
+
+
+def undeclared_setattrs(source: str):
+    """(class, name) for each `object.__setattr__(target, name, ...)` in the
+    source that does not name a declared field of the class around it; the
+    class is None outside any class, and the name None unless a literal."""
+
+    def visit(node, cls, fields):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                declared = {t.target.id for t in child.body if isinstance(t, ast.AnnAssign)}
+                yield from visit(child, child.name, declared)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "object"):
+                name = child.args[1].value if isinstance(child.args[1], ast.Constant) else None
+                if name not in fields:
+                    yield cls, name
+            yield from visit(child, cls, fields)
+
+    return list(visit(ast.parse(source), None, set()))
+
+
+def test_a_record_caches_nothing_but_the_wave_measure():
+    # a frozen record assigns only its own fields, in __post_init__; the
+    # one cache is WaveSystem's wave measure, so no kernel holds a view
+    found = [hit for path in src_modules() for hit in undeclared_setattrs(path.read_text())]
+    assert found == [("WaveSystem", "_wave_measure")]
+
+
+def test_the_setattr_check_sees_a_planted_cache():
+    source = (
+        "class MarkovKernel:\n    space: int\n"
+        "    def dense(self):\n        object.__setattr__(self, 'space', 1)\n"
+        "        object.__setattr__(self, '_dense', 2)\n"
+        "def helper(k, name):\n    object.__setattr__(k, name, 3)\n"
+    )
+    assert undeclared_setattrs(source) == [("MarkovKernel", "_dense"), (None, None)]
 
 
 def test_gc_freeze_is_called_only_by_the_program_entry():

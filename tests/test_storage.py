@@ -30,26 +30,19 @@ def test_transport_and_shift_are_identical(corpus):
         assert w.shift_kernel(s.base, s.map).dense().tobytes() == m[:, s.map.inverse].tobytes()
 
 
-def fresh(system):
-    """The system rebuilt from its base's triple: no dense view cached yet."""
-    return w.make_wave_system(w.MarkovKernel(system.space, system.base.entries), system.map)
-
-
-def test_evolve_agrees_to_the_last_bit(corpus, dense_limit):
+def test_evolve_agrees_to_the_last_bit(corpus, dense_limit, dense_calls):
     # the products run on the CSR triple at every size, so DENSE_LIMIT does
     # not move a bit, and no dense view is built
-    systems = [fresh(s) for s in corpus]
-    starts = [w.Distribution.point_mass(s.space, 0) for s in systems]
-    want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(systems, starts)]
+    starts = [w.Distribution.point_mass(s.space, 0) for s in corpus]
+    want = [[w.evolve(mu0, s, n).weights for n in (1, 5, 17)] for s, mu0 in zip(corpus, starts)]
     with dense_limit(0):
-        for s, mu0, laws in zip(systems, starts, want):
+        for s, mu0, laws in zip(corpus, starts, want):
             for n, law in zip((1, 5, 17), laws):
                 assert w.evolve(mu0, s, n).weights.tobytes() == law.tobytes()
-    for s in systems:
-        assert "_dense" not in s.base.__dict__ and "_dense" not in s.shifted.__dict__
+    assert not dense_calls
 
 
-def test_evolve_builds_no_dense_view_at_the_limit():
+def test_evolve_builds_no_dense_view_at_the_limit(dense_calls):
     # 4095 states, the largest circle within DENSE_LIMIT: pushing a law
     # takes two entries a row, never the 134 MB view
     base, _ = w.circle_kernel(4095, 1.0)
@@ -57,20 +50,19 @@ def test_evolve_builds_no_dense_view_at_the_limit():
     assert s.space.size <= w.DENSE_LIMIT
     law = w.evolve(w.Distribution.point_mass(s.space, 0), s, 50)
     assert np.count_nonzero(law.weights) == 51  # a step moves one state left or right
-    assert "_dense" not in s.base.__dict__ and "_dense" not in s.shifted.__dict__
+    assert not dense_calls
 
 
 def test_core_alone_moves_every_size_choice(monkeypatch, tmp_path, capsys):
     # core's limit, and no other binding, moves the SVD path, the merging
     # refusal, which is the dense view's, and wave-profile's TV line; the
-    # wave measure, which caches the view, is solved before, and merging
-    # runs on a fresh system.  simulate's TV line comes at every size
+    # wave measure is solved before.  simulate's TV line comes at every size
     system = models.build_model("circle", {"n": 5})
     pi = system.wave_measure
     monkeypatch.setattr(core, "DENSE_LIMIT", 0)
     assert len(spectral._singular_values(system.shifted, pi, pi)) == 2
     with pytest.raises(errors.TooLarge, match="^refusing to densify a 5-state kernel$"):
-        w.merging_time(fresh(system), 0.01, 10)
+        w.merging_time(system, 0.01, 10)
     circle5 = ["--model", "circle", "--param", "n=5", "--out", str(tmp_path)]
     assert cli.main(["simulate", *circle5, "--param", "trials=500"]) == 0
     assert capsys.readouterr().out.startswith("simulate: endpoint TV vs exact ")
