@@ -58,17 +58,17 @@ DENSE_LIMIT = 4096
 # reports carry a full eigendecomposition only up to this many states
 _EIGEN_REPORT_LIMIT = 512
 ROW_SUM_TOL = 1e-12
-# Entries of one block of matrix powers in `power_blocks`: small kernels get
-# many powers per product, kernels of 182 states or more one.
+# Entries of one block of matrix powers in `power_blocks`, which sets how
+# many powers a reducer sees at once: small kernels get many powers per
+# block, kernels of 182 states or more one.
 POWER_BLOCK_ENTRIES = 1 << 16
 # `power_blocks` steps a kernel of N states and widest row support d by row
 # gathers when N >= GATHER_MIN_STATES and N >= GATHER_ROW_RATIO * d, and by
-# dense products otherwise.  The crossover, measured per power on one core
-# with one BLAS thread: random kernels with d = 1, 2, 3, 4 broke even near
-# N = 85-100, with d = 6, 8, 12 near N = 125, 160, 175, and the circle
-# (d = 2) near N = 75.  Circle-41 stays dense (3.2 us a power, against 10 us
-# by gathers); circle-101 takes 34 us against 43 us, and sticky-6 (N = 720,
-# d = 6) 2.5 ms against 11 ms.
+# one dense product a power otherwise.  The crossover, measured per power on
+# one core with one BLAS thread: random kernels with d = 2 broke even near
+# N = 65, with d = 6 near N = 95 and with d = 12 near N = 190.  Circle-41
+# stays dense (5.9 us a power, against 7.4 us by gathers); circle-101 takes
+# 21 us against 58 us, and sticky-6 (N = 720, d = 6) 2.0 ms against 14 ms.
 GATHER_MIN_STATES = 80
 GATHER_ROW_RATIO = 20
 # a CSR matrix as numpy arrays: (indptr, indices, data)
@@ -643,32 +643,34 @@ def power_blocks(kernel: MarkovKernel, n_max: int) -> Iterator[tuple[int, np.nda
 
     Each item is (first, block) with block[:, j, :] = kernel^(first + j); a
     block holds at most b = POWER_BLOCK_ENTRIES // size^2 powers (at least
-    one), and blocks are read-only.  There are two stepping rules, chosen
-    by the state count N and the widest row support d (see
-    GATHER_MIN_STATES for the crossover):
+    one), and blocks are read-only.  Each power is one product with the
+    last, by one of two stepping rules chosen by the state count N and the
+    widest row support d (see GATHER_MIN_STATES for the crossover):
 
-    - dense products, for small or dense kernels: the first block is built
-      one product at a time, and each later one is the single product
-      P^(first - 1) [P^1 | ... | P^b], O(N^3) per power.  With b = 1 this
-      is the plain sequence P^(n+1) = P^n P, with no copy of P;
+    - a dense product, for small or dense kernels: P^(n+1) = P^n P, O(N^3)
+      per power, with the bits of the step-by-step product;
     - row gathers, for sparse kernels: P^(n+1) = P P^n, row x being the
       weighted sum of the d rows of P^n that row x of P reaches, O(N^2 d)
       per power.  The rows come from a padded (N, d) table of indices and
       weights (0 on the padding), and are taken in chunks whose gathered
-      rows hold at most POWER_BLOCK_ENTRIES entries (or one row).
+      rows hold at most POWER_BLOCK_ENTRIES entries (or one row).  These
+      may differ from P^n P in the last bits (relative 1e-12 is the tested
+      contract), and P itself is not kept past the first block.
 
-    Either way a power may differ from the step-by-step product P^n P in
-    the last bits (relative 1e-12 is the tested contract), and the same
-    call gives the same bits every time.
+    The same call gives the same bits every time.
     """
     if n_max < 1:
         return iter(())
     size = kernel.size
     b = max(1, min(n_max, POWER_BLOCK_ENTRIES // (size * size)))
     support = int(np.diff(kernel.entries[0]).max())
+    p = kernel.dense()
     if size >= max(GATHER_MIN_STATES, GATHER_ROW_RATIO * support):
-        return _gathered_blocks(kernel.dense(), *_row_table(kernel, support), b, n_max)
-    return _multiplied_blocks(kernel.dense(), b, n_max)
+        step = _gather_step(*_row_table(kernel, support))
+    else:
+        def step(src: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(src, p, out=out[:, 0])  # out[:, 0] = src P
+    return _stepped_blocks(p, step, b, n_max)
 
 
 def _row_table(kernel: MarkovKernel, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -684,8 +686,9 @@ def _row_table(kernel: MarkovKernel, width: int) -> tuple[np.ndarray, np.ndarray
     return idx, weights
 
 
-def _gathered_blocks(p: np.ndarray, idx: np.ndarray, weights: np.ndarray, b: int, n_max: int):
-    """`power_blocks` by row gathers: block[:, j] = P block[:, j - 1]."""
+def _gather_step(idx: np.ndarray, weights: np.ndarray):
+    """The gather rule of `power_blocks`: out[x, 0] = sum_k weights[x, 0, k]
+    src[idx[x, k]], that is out[:, 0] = P src."""
     size, width = idx.shape
     # chunks of at most POWER_BLOCK_ENTRIES gathered entries stay in cache:
     # at sticky-6 a power took 2.5 ms so, against 3.6 ms in chunks of N^2
@@ -698,46 +701,31 @@ def _gathered_blocks(p: np.ndarray, idx: np.ndarray, weights: np.ndarray, b: int
     ]
 
     def step(src: np.ndarray, out: np.ndarray) -> None:
-        # out[x, 0] = sum_k weights[x, 0, k] src[idx[x, k]], chunk by chunk
         for rows, chunk_idx, chunk_weights, buffer in chunks:
             # mode="clip" takes straight into `buffer` (every index is in
             # range); the default "raise" would buffer a copy
             src.take(chunk_idx, axis=0, out=buffer, mode="clip")
             np.matmul(chunk_weights, buffer, out=out[rows])
 
+    return step
+
+
+def _stepped_blocks(p: np.ndarray, step, b: int, n_max: int):
+    """The block loop of `power_blocks`: P^1 is a copy of p, and each later
+    power is step(last power, (N, 1, N) slot of the next)."""
+    size = p.shape[0]
     last = None
     for first in range(1, n_max + 1, b):
         block = np.empty((size, min(b, n_max + 1 - first), size))
         for j in range(block.shape[1]):
             if last is None:
                 block[:, 0] = p
-                p = None  # the block holds P^1: P itself is not kept
+                p = None  # only a step that needs P keeps it
             else:
                 step(last, block[:, j : j + 1])
             last = block[:, j]
         block.setflags(write=False)
         yield first, block
-
-
-def _multiplied_blocks(p: np.ndarray, b: int, n_max: int):
-    """`power_blocks` by dense products."""
-    size = p.shape[0]
-    if b == 1:
-        base = p[:, None, :]  # P itself, not a copy
-    else:
-        base = np.empty((size, b, size))
-        base[:, 0] = p
-        for j in range(1, b):
-            base[:, j] = base[:, j - 1] @ p
-        base.setflags(write=False)
-    yield 1, base
-    stacked = base.reshape(size, b * size)  # [P^1 | ... | P^b]
-    last = base[:, -1]
-    for first in range(b + 1, n_max + 1, b):
-        k = min(b, n_max + 1 - first)
-        block = (last @ stacked[:, : k * size]).reshape(size, k, size)
-        yield first, block
-        last = block[:, -1]
 
 
 def verify_wave_identity(system: WaveSystem, n_max: int) -> WaveIdentityReport:

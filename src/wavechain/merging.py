@@ -219,14 +219,14 @@ def merging_time(
     The trace is produced with powers of the shifted kernel: the rows of
     K_{0,n} are the rows of shifted^n up to one common column relabeling,
     which none of the three metrics can see.  The powers come from
-    `core.power_blocks`: by dense products for small or dense kernels, and
-    by row gathers, O(N^2 d) per power, once the state count N reaches
-    max(GATHER_MIN_STATES, GATHER_ROW_RATIO d) for the widest row support
-    d.  Either rule may round a traced distance differently from the
-    step-by-step product in the last bits (relative 1e-12 is the tested
-    contract); the same call gives the same trace every time.  Every
-    metric reduces a whole block of powers at once, TV over the unordered
-    row pairs only.
+    `core.power_blocks`, one product a power: P^n P for small or dense
+    kernels, and row gathers P P^n, O(N^2 d) per power, once the state
+    count N reaches max(GATHER_MIN_STATES, GATHER_ROW_RATIO d) for the
+    widest row support d.  The gathers may round a traced distance
+    differently from the step-by-step product in the last bits (relative
+    1e-12 is the tested contract); the same call gives the same trace
+    every time.  Every metric reduces a whole block of powers at once, TV
+    over the unordered row pairs only.
 
     The verdict of `spectral._merging_obstruction` comes first.  Where a
     metric cannot merge, the trace is `_UNMERGED[metric]` at every n and

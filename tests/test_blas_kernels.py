@@ -1,4 +1,4 @@
-"""Laws that do not depend on the BLAS kernel the CPU loads.
+"""Laws and merging times that do not depend on the BLAS kernel the CPU loads.
 
 numpy's bundled OpenBLAS picks its kernels by CPU when it loads, and
 OPENBLAS_CORETYPE makes it load those of another CPU: Haswell (AVX2) or
@@ -10,10 +10,16 @@ the zoo.  `sv_product_bound` off the wave measure weighs those same laws,
 but each of its sigma_1 factors comes from LAPACK's SVD, which calls BLAS:
 on the corpus and the zoo's systems of at most 200 states, the bound
 agrees within the SVD's backward error, N spacings of 1.0 a factor
-(LAPACK Users' Guide, section 4.9).
+(LAPACK Users' Guide, section 4.9).  The powers behind a merging time are
+BLAS products under either stepping rule, and may round differently under
+each kernel; the times and no-merge reasons must not move.
+
+Only the x86-64 kernel families these three name are covered: other
+architectures (ARM, for example) load other kernels and are not tested.
 """
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,11 +28,19 @@ from pathlib import Path
 import numpy as np
 
 import wavechain as w
-from wavechain import spectral
+from wavechain import models, spectral
 
 CORETYPES = (None, "Haswell", "Prescott")
 U = 2.0**-53  # float64 unit roundoff
 SV_STEPS = (1, 4)
+# (model, parameters, metric, horizon, merging time) as the benchmark runs them
+PINNED = (
+    ("circle", {"n": 17}, "chi_square", 1000, 92),
+    ("circle", {"n": 41}, "total_variation", 1000, 418),
+    ("circle", {"n": 41}, "relative_sup", 2000, 859),
+    ("circle", {"n": 81}, "relative_sup", 6000, 3372),
+    ("sticky", {"n": 6}, "relative_sup", 400, 24),
+)
 
 
 def child_results():
@@ -68,20 +82,54 @@ def child_results():
     return out
 
 
-def run_child(coretype):
+def merging_times():
+    """{key: [merging time, reason]} for the merging corpus under each
+    stepping rule at epsilon = 1/e, and for the pinned benchmark cases."""
+    from conftest import CORPUS_COUNT, CORPUS_SEED, random_system
+    from test_power_engine import METRICS, stepping
+
+    rng = np.random.default_rng(CORPUS_SEED)
+    corpus = [random_system(rng) for _ in range(CORPUS_COUNT)]
+    merging = {
+        i: s for i, s in enumerate(corpus)
+        if w.is_irreducible(s.shifted) and w.period(s.shifted) == 1
+    }
+    out = {}
+    for rule in ("dense", "gather"):
+        with stepping(rule):
+            for i, s in merging.items():
+                for metric in METRICS:
+                    rep = w.merging_time(s, 1 / math.e, 200, metric)
+                    out[f"{rule}/corpus-{i}/{metric}"] = [rep.merging_time, rep.reason]
+    for name, params, metric, horizon, _ in PINNED:
+        rep = w.merging_time(models.build_model(name, params), 1 / math.e, horizon, metric)
+        out[f"{name}-{params['n']}/{metric}"] = [rep.merging_time, rep.reason]
+    return out
+
+
+CHILDREN = {"laws": child_results, "merging": merging_times}
+
+
+def start_child(coretype, child):
+    """The child process computing CHILDREN[child] under the given kernel."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     src = str(Path(w.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, check=True
+    return subprocess.Popen(
+        [sys.executable, __file__, child], env=env, stdout=subprocess.PIPE, text=True
     )
-    return json.loads(done.stdout)
+
+
+def child_output(proc):
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    return json.loads(out)
 
 
 def test_laws_and_certificates_are_the_same_bytes_under_every_blas_kernel():
-    first, *others = [run_child(coretype) for coretype in CORETYPES]
+    first, *others = [child_output(start_child(coretype, "laws")) for coretype in CORETYPES]
     exact = {k: v for k, v in first.items() if not k.startswith("sv/")}
     assert len(exact) == 2 * (200 + 11)
     for other in others:
@@ -99,5 +147,22 @@ def test_laws_and_certificates_are_the_same_bytes_under_every_blas_kernel():
             assert abs(got[0] - want[0]) <= allowance, key
 
 
+def test_merging_times_are_the_same_under_every_blas_kernel():
+    # the children run while this process computes its own times
+    children = {coretype: start_child(coretype, "merging") for coretype in CORETYPES}
+    try:
+        want = merging_times()
+        assert len(want) == 2 * 184 * 3 + len(PINNED)
+        assert sum(t is not None for t, _ in want.values()) > 1000
+        for name, params, metric, _, pinned in PINNED:
+            assert want[f"{name}-{params['n']}/{metric}"] == [pinned, None]
+        for coretype, proc in children.items():
+            assert child_output(proc) == want, coretype
+    finally:
+        for proc in children.values():
+            proc.kill()
+            proc.wait()
+
+
 if __name__ == "__main__":
-    print(json.dumps(child_results()))
+    print(json.dumps(CHILDREN[sys.argv[1]]()))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tomllib
 from pathlib import Path
 
@@ -764,6 +765,28 @@ def test_wave_profile_validates_its_config(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main(["wave-profile", *argv, "--param", "samples=100", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [
+        # default stride: the map's order, 1 359 288; default burn-in 50 000
+        (["--model", "sticky", "--param", "n=6", "--param", "samples=10000"], 2_768_576),
+        # order 2 031 764 965 230, 25 recordings of 4096 lanes
+        (["--model", "binary-cycling", "--param", "bits=10"], 48_762_359_215_520),
+    ],
+    ids=["sticky-6", "binary-cycling-10"],
+)
+def test_a_runaway_wave_profile_is_one_error_line(tmp_path, capsys, argv, steps):
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert main(["wave-profile", *argv, "--bijection", "random", "--out", str(out)]) == 1
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the profile walk would take {steps} steps, ")
+    assert "; lower stride " in captured.err and captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavechain as w
-from wavechain import errors
+from wavechain import errors, sim
 from wavechain.rng import uniforms
 
 
@@ -120,6 +120,30 @@ def test_wave_profile_requires_merging():
         w.empirical_wave_profile(
             w.four_point_example(), burn_in=10, stride=1, samples=10, seed=0
         )
+
+
+@pytest.mark.parametrize("burn_in, stride, samples, steps", [
+    (10, 3, 1, 10),  # one recording: the burn-in alone
+    (10, 3, 4096, 10),  # one recording of every lane
+    (10, 3, 4097, 13),  # a second recording of one lane
+    (0, 7, 3 * 4096, 14),
+])
+def test_wave_profile_walks_are_capped_before_any_step(
+    monkeypatch, burn_in, stride, samples, steps
+):
+    # the walk takes burn_in + stride (ceil(samples / lanes) - 1) steps
+    s = circle_system()
+    monkeypatch.setattr(sim, "_MAX_PROFILE_STEPS", steps - 1)
+    monkeypatch.setattr(sim, "_walk", None)  # no step is taken
+    message = (
+        f"^the profile walk would take {steps} steps, over the cap of {steps - 1};"
+        f" lower stride {stride}, burn_in {burn_in} or samples {samples}$"
+    )
+    with pytest.raises(errors.TooLarge, match=message):
+        w.empirical_wave_profile(s, burn_in, stride, samples, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(sim, "_MAX_PROFILE_STEPS", steps)
+    w.empirical_wave_profile(s, burn_in, stride, samples, seed=0)
 
 
 def test_wave_profile_approximates_the_wave_measure():
