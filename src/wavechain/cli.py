@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import Optional, Union
 
 import numpy as np
@@ -39,7 +40,6 @@ from .core import (
     Distribution,
     Permutation,
     WaveSystem,
-    _Factory,
     _densifiable,
     _record,
     _reports_eigenvalues,
@@ -86,12 +86,12 @@ _RUN_KEYS = frozenset(
     }
 )
 
-@_record(frozen=False)
+@_record
 class ExperimentConfig:
     """One run's settings: a config document with the flags applied."""
 
     model: str
-    model_params: dict = _Factory(dict)
+    model_params: dict = MappingProxyType({})
     bijection: Union[str, list, None] = None
     analyses: tuple = ("spectral", "merging")
     output: str = "."
@@ -178,14 +178,14 @@ def build_system(config: ExperimentConfig) -> WaveSystem:
     return make_wave_system(kernel, _parse_bijection(raw, kernel.space, config.seed))
 
 
-@_record(frozen=False)
+@_record
 class _AnalysisOut:
     """What one analysis adds to a run's report, files and summary lines."""
 
     doc: Optional[dict] = None  # report.json entry under the analysis name
-    files: dict = _Factory(dict)
-    violations: list = _Factory(list)
-    lines: list = _Factory(list)
+    files: dict = MappingProxyType({})
+    violations: tuple = ()
+    lines: tuple = ()
 
 
 def _mass_csv(dist: Distribution) -> str:
@@ -200,25 +200,20 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     sigma = _singular_values(shifted, mu, mu)
     eig = eigenvalues(shifted) if _reports_eigenvalues(shifted) else None
     doc = spectral_report_document(shifted, sigma, eig, pi)
-    out = _AnalysisOut(doc=doc)
-    if len(sigma) > 1:
-        out.lines.append(f"spectral: second singular value {float(sigma[1]):.8f}")
-    return out
+    lines = (f"spectral: second singular value {float(sigma[1]):.8f}",) if len(sigma) > 1 else ()
+    return _AnalysisOut(doc=doc, lines=lines)
 
 
 def _run_merging(system, config, knobs) -> _AnalysisOut:
     metric = str(knobs.get("metric", "relative_sup"))
     horizon = _integer(knobs.get("horizon", 200), "horizon")
     rep = merging_time(system, config.epsilon_threshold, horizon, metric)
-    out = _AnalysisOut(doc=rep.to_document(), files={"trace.csv": rep.to_csv()})
     if rep.merging_time is None:
         tail = f" ({rep.reason})" if rep.reason else ""
-        out.lines.append(f"merging: unbounded within {horizon} steps{tail}")
+        line = f"merging: unbounded within {horizon} steps{tail}"
     else:
-        out.lines.append(
-            f"merging: time {rep.merging_time} to reach {metric} < {config.epsilon_threshold}"
-        )
-    return out
+        line = f"merging: time {rep.merging_time} to reach {metric} < {config.epsilon_threshold}"
+    return _AnalysisOut(doc=rep.to_document(), files={"trace.csv": rep.to_csv()}, lines=(line,))
 
 
 def _run_stability(system, config, knobs) -> _AnalysisOut:
@@ -233,7 +228,7 @@ def _run_stability(system, config, knobs) -> _AnalysisOut:
             "steps": int(cert.witness[1]),
         },
     }
-    return _AnalysisOut(doc=doc, lines=[f"stability: c = {float(cert.c):.12g}"])
+    return _AnalysisOut(doc=doc, lines=(f"stability: c = {float(cert.c):.12g}",))
 
 
 def _run_bounds(system, config, knobs) -> _AnalysisOut:
@@ -248,18 +243,15 @@ def _run_bounds(system, config, knobs) -> _AnalysisOut:
         "max_excess": excess,
         "dominates": excess <= 1e-12,
     }
-    out = _AnalysisOut(doc=doc)
     if doc["dominates"]:
-        out.lines.append(f"bounds: merging bound dominates exact error up to n={horizon}")
-    else:
-        out.violations.append(
-            {
-                "inequality": "spectral merging bound dominates exact relative error",
-                "detail": f"exceeded by {excess:.3e} at n={step}",
-            }
-        )
-        out.lines.append(f"bounds: VIOLATION, bound exceeded by {excess:.3e} at n={step}")
-    return out
+        line = f"bounds: merging bound dominates exact error up to n={horizon}"
+        return _AnalysisOut(doc=doc, lines=(line,))
+    violation = {
+        "inequality": "spectral merging bound dominates exact relative error",
+        "detail": f"exceeded by {excess:.3e} at n={step}",
+    }
+    line = f"bounds: VIOLATION, bound exceeded by {excess:.3e} at n={step}"
+    return _AnalysisOut(doc=doc, violations=(violation,), lines=(line,))
 
 
 def _run_simulate(system, config, knobs) -> _AnalysisOut:
@@ -274,30 +266,26 @@ def _run_simulate(system, config, knobs) -> _AnalysisOut:
         f"simulate: endpoint TV vs exact {tv:.6f} after {steps} steps "
         f"({trials} trials, sanity gate {gate:.4f})"
     )
-    return _AnalysisOut(files={"profile.csv": _mass_csv(emp)}, lines=[line])
+    return _AnalysisOut(files={"profile.csv": _mass_csv(emp)}, lines=(line,))
 
 
 def _run_scan(system, config, knobs) -> _AnalysisOut:
     model_params, _ = _split_params(config)
     doc = scan_permutations(config.model, model_params, knobs.get("count", 50), config.seed)
     rows = [(row["map"], row["ratio"], row["status"]) for row in doc["rows"]]
-    out = _AnalysisOut(files={"scan.csv": _csv_text(["map", "ratio", "status"], rows)})
-    out.lines.append(
-        f"scan: worst max/min ratio {doc['worst']:.8f} over {len(doc['rows'])} maps"
-    )
+    lines = (f"scan: worst max/min ratio {doc['worst']:.8f} over {len(doc['rows'])} maps",)
     if doc["note"]:
-        out.lines.append(f"scan: {doc['note']}")
-    for row in doc["rows"]:
-        if row["status"] == "proven":
-            if row["ratio"] > doc["proven_bound"] + 1e-9:
-                out.violations.append(
-                    {
-                        "inequality": "circle invariant-measure max/min stability",
-                        "detail": f"map {row['map']} ratio {row['ratio']!r} "
-                        f"exceeds {doc['proven_bound']!r}",
-                    }
-                )
-    return out
+        lines += (f"scan: {doc['note']}",)
+    violations = tuple(
+        {
+            "inequality": "circle invariant-measure max/min stability",
+            "detail": f"map {row['map']} ratio {row['ratio']!r} exceeds {doc['proven_bound']!r}",
+        }
+        for row in doc["rows"]
+        if row["status"] == "proven" and row["ratio"] > doc["proven_bound"] + 1e-9
+    )
+    files = {"scan.csv": _csv_text(["map", "ratio", "status"], rows)}
+    return _AnalysisOut(files=files, violations=violations, lines=lines)
 
 
 _ANALYSIS_RUNNERS = {
@@ -483,7 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommands that run a fixed set of analyses (wave-profile runs none of
+# them); `analyze` takes its set from the config.
+_COMMAND_ANALYSES = {
+    "wave-profile": (),
+    "merge-time": ("merging",),
+    "simulate": ("simulate",),
+    "scan": ("scan-permutations",),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The command's config, built once: the config document, then the
+    flags over it, then the command's own analyses and flag parameters."""
     doc = {}
     if args.config:
         try:
@@ -514,29 +514,26 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for what, value in (("model", model), ("output", output)):
         if not isinstance(value, str):
             raise ConfigInvalid(f"{what} {value!r} is not a string")
+    bijection = args.bijection if args.bijection is not None else doc.get("bijection")
+    seed = _integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
     # a scaling study measures merging at 1/e unless a threshold is given
     epsilon = 1.0 / math.e if args.command == "scaling" else 0.01
-    config = ExperimentConfig(
-        model=model,
-        model_params=params,
-        bijection=args.bijection if args.bijection is not None else doc.get("bijection"),
-        analyses=tuple(analyses),
-        output=output,
-        seed=_integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed"),
-        epsilon_threshold=_number(
-            args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon),
-            "epsilon_threshold",
-        ),
+    epsilon = _number(
+        args.epsilon if args.epsilon is not None else doc.get("epsilon_threshold", epsilon),
+        "epsilon_threshold",
     )
     if getattr(args, "metric", None):
-        config.model_params["metric"] = args.metric
+        params["metric"] = args.metric
     if getattr(args, "count", None) is not None:
-        config.model_params["count"] = args.count
+        params["count"] = args.count
     if getattr(args, "family", None):
-        config.model_params["family"] = args.family
+        params["family"] = args.family
     if getattr(args, "n_list", None):
-        config.model_params["n_list"] = _parse_int_list(args.n_list)
-    return config
+        params["n_list"] = _parse_int_list(args.n_list)
+    if args.command == "scan" and bijection is not None:
+        raise ConfigInvalid("scan draws its own maps; it takes no bijection")
+    analyses = _COMMAND_ANALYSES.get(args.command, tuple(analyses))
+    return ExperimentConfig(model, params, bijection, analyses, output, seed, epsilon)
 
 
 def _cmd_wave_profile(config: ExperimentConfig) -> int:
@@ -574,16 +571,6 @@ def _cmd_scaling(config: ExperimentConfig) -> int:
     return 0
 
 
-# Subcommands that run a fixed set of analyses (wave-profile runs none of
-# them); `analyze` takes its set from the config.
-_COMMAND_ANALYSES = {
-    "wave-profile": (),
-    "merge-time": ("merging",),
-    "simulate": ("simulate",),
-    "scan": ("scan-permutations",),
-}
-
-
 def _one_blas_thread():
     """Set numpy's bundled OpenBLAS, if any, to one thread; return the call
     that restores its count, so an in-process caller keeps its own."""
@@ -606,13 +593,10 @@ def main(argv=None) -> int:
     restore_blas = _one_blas_thread()
     try:
         config = _config_from_args(args)
-        config.analyses = _COMMAND_ANALYSES.get(args.command, config.analyses)
         if args.command == "wave-profile":
             return _cmd_wave_profile(config)
         if args.command == "scaling":
             return _cmd_scaling(config)
-        if args.command == "scan" and config.bijection is not None:
-            raise ConfigInvalid("scan draws its own maps; it takes no bijection")
         code, _ = run(config)
         return code
     except (WavechainError, ValueError, OSError) as exc:

@@ -13,7 +13,8 @@ through the identity  K_{0,n}(x, y) = shifted^n(x, g^n y).  Everything in
 this module is exact index bookkeeping on top of that identity; spectral and
 merging analysis live in their own modules.
 
-All value types are frozen records (`_record`) of read-only numpy arrays; no
+Every record of the package, the command line's config included, is a
+frozen `_record` with immutable defaults and read-only numpy arrays; no
 function mutates its arguments.  A kernel is stored one way at every size
 and from every input: a read-only CSR triple (indptr, indices, data) of its
 positive entries, built here alone (see `MarkovKernel`).  `dense()` is a
@@ -39,7 +40,7 @@ import sys
 from inspect import Parameter, Signature
 from itertools import islice
 from operator import attrgetter, index
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -83,54 +84,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Factory:
-    """A record field's default, built afresh for each instance by `make()`
-    (dataclasses' default_factory)."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], object]):
-        self.make = make
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
 def _frozen_error(verb: str, name: str) -> Exception:
     from dataclasses import FrozenInstanceError  # imported by a refusal alone
 
     return FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
-def _record(cls=None, *, frozen: bool = True):
-    """Class decorator: the methods `dataclasses.dataclass(frozen=frozen)`
-    gives a class with these annotated fields, as closures over the field
+def _record(cls):
+    """Class decorator: the methods a frozen `dataclasses.dataclass` gives
+    a class with these annotated fields, as closures over the field
     names, so no code is compiled at import.
 
-    A field's value in the class body is its default, and a `_Factory`
-    default is built per instance.  `__init__` takes the fields by
-    position or name, then calls `__post_init__` if the class has one.
-    Two instances of one class are equal when their field tuples are; a
-    frozen record hashes its field tuple and refuses assignment and
-    deletion with dataclasses.FrozenInstanceError, and an unfrozen one is
-    unhashable.
+    A field's value in the class body is its default, shared by every
+    instance, so a default is an immutable value: None, a number, a string,
+    a tuple or a read-only mapping.  `__init__` takes the fields by position
+    or name, then calls `__post_init__` if the class has one.  Two instances
+    of one class are equal when their field tuples are; a record hashes its
+    field tuple and refuses assignment and deletion of any attribute with
+    dataclasses.FrozenInstanceError.  Every record has two or more fields,
+    so `attrgetter` gives the field tuple.
     """
-    if cls is None:
-        return lambda c: _record(c, frozen=frozen)
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, value in defaults.items():
-        if isinstance(value, _Factory):
-            delattr(cls, name)
     qualname = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
-
-    def values(self):  # the field tuple that eq and hash compare
-        return tuple(getattr(self, name) for name in names)
-
-    if len(names) > 1:
-        values = attrgetter(*names)  # the same tuple, built in C
+    values = attrgetter(*names)  # the field tuple that eq and hash compare
 
     def __init__(self, *args, **kwargs):
         if len(args) > len(names):
@@ -141,8 +120,7 @@ def _record(cls=None, *, frozen: bool = True):
             if name in kwargs:
                 state[name] = kwargs.pop(name)
             elif name in defaults:
-                value = defaults[name]
-                state[name] = value.make() if isinstance(value, _Factory) else value
+                state[name] = defaults[name]
             else:
                 raise TypeError(f"{qualname}() missing required argument {name!r}")
         if kwargs:
@@ -164,23 +142,14 @@ def _record(cls=None, *, frozen: bool = True):
         return hash(values(self))
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in names:
-            raise _frozen_error("assign to", name)
-        super(cls, self).__setattr__(name, value)
+        raise _frozen_error("assign to", name)
 
     def __delattr__(self, name):
-        if type(self) is cls or name in names:
-            raise _frozen_error("delete", name)
-        super(cls, self).__delattr__(name)
+        raise _frozen_error("delete", name)
 
-    methods = [__init__, __repr__, __eq__]
-    methods += [__hash__, __setattr__, __delattr__] if frozen else []
-    for method in methods:
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
-    cls.__match_args__ = names
     kind, empty = Parameter.POSITIONAL_OR_KEYWORD, Parameter.empty
     params = [Parameter(n, kind, default=defaults.get(n, empty), annotation=annotations[n]) for n in names]
     cls.__signature__ = Signature(params, return_annotation=None)

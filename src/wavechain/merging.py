@@ -300,6 +300,13 @@ def certify_stability(
     time n is that measure composed with g^n, so the constant is the worst
     ratio along the orbits of g and certifies every n.  Any other start
     requires an explicit horizon and is certified by direct evolution.
+
+    Where c is attained more than once, the witness is the first attainer:
+    on the periodic path, the first orbit by least state, walked forward
+    from that state to its first least and first greatest value; on the
+    horizon path, the first step, and within a step the state with the
+    largest ratio before the state with the smallest.  With c = 1 the
+    witness is (0, 0).
     """
     if mu0.space != system.space:
         raise SpaceMismatch("mu0 lives on a different space")
@@ -371,11 +378,15 @@ def wave_bound(system: WaveSystem, x: int, z: int, n: int) -> float:
 
 
 def wave_bound_grid(system: WaveSystem, n_max: int) -> np.ndarray:
-    """Array b[n, x, z] of wave bounds for all 0 <= n <= n_max."""
-    front, sigma = _merging_bound_factors(system, n_max)
+    """Array b[n, x, z] of wave bounds for all 0 <= n <= n_max.
+
+    Refuses, in this order and before anything is solved: a negative n_max
+    (which makes no cells), a grid of more than 50 000 000 cells, and a
+    shifted kernel that cannot merge."""
     size = system.space.size
     if (n_max + 1) * size * size > 50_000_000:
         raise TooLarge("bound grid would not fit; query wave_bound pointwise")
+    front, sigma = _merging_bound_factors(system, n_max)
     out = np.empty((n_max + 1, size, size))
     gn = np.arange(size, dtype=np.int64)
     for n in range(n_max + 1):

@@ -353,6 +353,35 @@ def test_stability_with_foreign_start_needs_horizon():
     assert steps <= 12
 
 
+def test_the_periodic_witness_is_the_first_orbit_attaining_c():
+    # every row of the shifted kernel is the dyadic v, so pi = v bit for bit.
+    # Orbits of g: (0 1 2) with values (1/4, 1/16, 1/4) and (3 4) with
+    # (1/8, 1/32) both reach c = 4; the first orbit's walk from state 0 meets
+    # its least value at state 1 and its first greatest at state 0, 2 steps on
+    v = np.array([1 / 4, 1 / 16, 1 / 4, 1 / 8, 1 / 32, 9 / 32])
+    g = [1, 2, 0, 4, 3, 5]
+    space = w.StateSpace(6)
+    base = w.make_kernel(space, np.tile(v[g], (6, 1)))  # K(x, z) = shifted(x, g z)
+    s = w.make_wave_system(base, w.make_permutation(space, g))
+    assert s.wave_measure.weights.tobytes() == v.tobytes()
+    cert = w.certify_stability(s, s.wave_measure)
+    assert (cert.c, cert.periodic, cert.witness) == (4.0, True, (1, 2))
+
+
+def test_the_horizon_witness_is_the_first_step_then_the_largest_ratio():
+    # a rotation moves the dyadic start exactly, so the ratios of steps 1..3
+    # are (1/4, 4, 1/2, 2), (1/2, 1, 2, 1) and (1/4, 2, 1/2, 4): step 1
+    # attains c = 4 at state 1 (largest) and state 0 (smallest), step 3 again
+    space = w.StateSpace(4)
+    rotation = w.make_kernel(space, np.roll(np.eye(4), 1, axis=1))
+    s = w.make_wave_system(rotation, w.make_permutation(space, range(4)))
+    start = dist(space, [1 / 2, 1 / 8, 1 / 4, 1 / 8])
+    cert = w.certify_stability(s, start, horizon=3)
+    assert (cert.c, cert.periodic, cert.witness) == (4.0, False, (1, 1))
+    assert w.certify_stability(s, start, horizon=4).witness == (1, 1)
+    assert w.certify_stability(s, start, horizon=0).witness == (0, 0)
+
+
 def test_a_zero_in_a_wave_measure_start_is_zero_weight():
     # pi = (1e-12, 1) / (1 + 1e-12): the point mass at 1 is within 1e-10 of it
     space = w.StateSpace(2)
@@ -434,6 +463,36 @@ def test_wave_bound_grid_refuses_a_negative_step_count_before_solving(n_max):
     with pytest.raises(ValueError, match="^step count must be nonnegative$"):
         w.wave_bound_grid(s, n_max)
     assert "_wave_measure" not in s.__dict__
+
+
+def _refuse_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before refusing the grid's size")
+
+    monkeypatch.setattr(merging, "_singular_values", no_solve)
+    monkeypatch.setattr(w.WaveSystem, "wave_measure", property(no_solve))
+
+
+def test_wave_bound_grid_refuses_an_oversized_grid_before_solving(monkeypatch):
+    # n_max = 4900 gives 4901 * 101**2 = 49_995_101 cells, which fit; 4901 does not
+    s = circle_system(101)
+    _refuse_solving(monkeypatch)
+    with pytest.raises(errors.TooLarge, match="^bound grid would not fit; query wave_bound pointwise$"):
+        w.wave_bound_grid(s, 4901)
+    assert "_wave_measure" not in s.__dict__
+    with pytest.raises(AssertionError, match="solved before refusing"):
+        w.wave_bound_grid(s, 4900)
+
+
+def test_an_obstructed_oversized_grid_is_refused_for_its_size(monkeypatch):
+    # the size comes before the obstruction: the four-point example is
+    # reducible, so a grid that fits is NotMerging
+    s = w.four_point_example()
+    _refuse_solving(monkeypatch)
+    with pytest.raises(errors.TooLarge):
+        w.wave_bound_grid(s, 50_000_000 // 16)
+    with pytest.raises(errors.NotMerging):
+        w.wave_bound_grid(s, 50_000_000 // 16 - 1)
 
 
 def test_wave_bound_grid_matches_pointwise_calls():
