@@ -4,8 +4,10 @@ Builds a system through the model registry `models.MODELS`, or from a
 kernel JSON file with the identity map; runs each requested analysis
 through one library call; and writes machine-readable outputs into the
 chosen directory: report.json plus trace.csv / profile.csv / scan.csv as
-the analyses call for them.  Integer parameters and flag values must be
-integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
+the analyses call for them.  This module is the package's one writer: the
+library returns values, and only the runners here turn them into report
+entries and CSV text (`_csv_text`).  Integer parameters and flag values
+must be integral: 5.0 reads as 5, 5.5 is an input error; a boolean is an input
 error wherever a number is read, and so is a number quoted as a string
 in a JSON document; flag text is read by `_coerce`.  Every subcommand writes
 through `_emit`, once its results are complete, so a failing command
@@ -23,9 +25,11 @@ fails numerically; in that case report.json names the violated inequality.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import gc
 import glob
+import io
 import json
 import math
 import os
@@ -52,7 +56,7 @@ from .errors import (
     ModelUnknown,
     WavechainError,
 )
-from .interchange import _csv_text, _integer, _number, load_kernel
+from .interchange import _integer, _number, load_kernel
 from .merging import (
     _METRICS,
     bound_dominance,
@@ -62,11 +66,7 @@ from .merging import (
 )
 from .models import MODELS, build_model, scaling_study, scan_permutations
 from .sim import empirical_distribution, empirical_wave_profile
-from .spectral import (
-    _singular_values,
-    eigenvalues,
-    spectral_report_document,
-)
+from .spectral import _period_or_none, _singular_values, eigenvalues
 
 # keys of the parameter document consumed by the runner, not by model builders
 _RUN_KEYS = frozenset(
@@ -139,7 +139,7 @@ def _parse_bijection(raw, space, seed: int) -> Permutation:
     if text == "identity":
         return make_permutation(space, np.arange(size))
     if text.startswith("shift:"):
-        s = _integer(_coerce(text.split(":", 1)[1]), "bijection shift")
+        s = _integer(_coerce(text.split(":", 1)[1]), "bijection shift") % size
         return make_permutation(space, (np.arange(size) + s) % size)
     if text == "random" or text.startswith("random:"):
         key = seed if text == "random" else _integer(_coerce(text.split(":", 1)[1]), "bijection random key")
@@ -188,9 +188,42 @@ class _AnalysisOut:
     lines: tuple = ()
 
 
+def _csv_text(header, rows) -> str:
+    """Header row, then one line per row, `\\n` line ends.  csv writes a float
+    (numpy float64 too) as its shortest round-trip repr, infinity as `inf`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _mass_csv(dist: Distribution) -> str:
     labels = [dist.space.label(i) for i in range(dist.space.size)]
     return _csv_text(["state", "mass"], zip(labels, dist.weights))
+
+
+def _spectral_document(kernel, singular_values, eigen, stationary) -> dict:
+    """The report entry of the spectral analysis.  "sigma" lists
+    `singular_values` as given: `_run_spectral` passes the values of
+    `_singular_values`, all of them up to DENSE_LIMIT states, from the
+    values-only SVD, and the top two above it, from the Lanczos path
+    (sticky n=6 lists 720, n=7 lists two)."""
+    per = _period_or_none(kernel)
+    doc = {
+        "sigma": [float(s) for s in singular_values],
+        "eigenvalues": (
+            [[float(v.real), float(v.imag)] for v in eigen.eigenvalues] if eigen else None
+        ),
+        "stationary": [float(x) for x in stationary.weights] if stationary else None,
+        "flags": {
+            "irreducible": per is not None,
+            "diagonalizable": eigen.flag if eigen else None,
+        },
+    }
+    if per is not None:
+        doc["flags"]["period"] = per
+    return doc
 
 
 def _run_spectral(system, config, knobs) -> _AnalysisOut:
@@ -199,7 +232,7 @@ def _run_spectral(system, config, knobs) -> _AnalysisOut:
     mu = pi if pi is not None else Distribution.uniform(system.space)
     sigma = _singular_values(shifted, mu, mu)
     eig = eigenvalues(shifted) if _reports_eigenvalues(shifted) else None
-    doc = spectral_report_document(shifted, sigma, eig, pi)
+    doc = _spectral_document(shifted, sigma, eig, pi)
     lines = (f"spectral: second singular value {float(sigma[1]):.8f}",) if len(sigma) > 1 else ()
     return _AnalysisOut(doc=doc, lines=lines)
 
@@ -213,7 +246,16 @@ def _run_merging(system, config, knobs) -> _AnalysisOut:
         line = f"merging: unbounded within {horizon} steps{tail}"
     else:
         line = f"merging: time {rep.merging_time} to reach {metric} < {config.epsilon_threshold}"
-    return _AnalysisOut(doc=rep.to_document(), files={"trace.csv": rep.to_csv()}, lines=(line,))
+    doc = {
+        "metric": rep.metric,
+        "epsilon": rep.epsilon,
+        "trace": rep.values,
+        "merging_time": rep.merging_time if rep.merging_time is not None else "unbounded",
+    }
+    if rep.reason is not None:
+        doc["reason"] = rep.reason
+    files = {"trace.csv": _csv_text(["n", "distance"], rep.values)}
+    return _AnalysisOut(doc=doc, files=files, lines=(line,))
 
 
 def _run_stability(system, config, knobs) -> _AnalysisOut:
@@ -491,7 +533,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigInvalid("config document must be a JSON object")
@@ -509,6 +551,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
     if not isinstance(analyses, list) or not all(isinstance(a, str) for a in analyses):
         raise ConfigInvalid(f"analyses {analyses!r} is not a list of names")
+    if not analyses and args.command == "analyze":
+        raise ConfigInvalid(f"analyze needs an analysis; choose from {list(ANALYSES)}")
     model = args.model if args.model is not None else doc.get("model", "")
     output = args.out if args.out is not None else doc.get("output", ".")
     for what, value in (("model", model), ("output", output)):

@@ -47,7 +47,6 @@ import numpy as np
 from .errors import (
     NegativeEntry,
     NotBijective,
-    NotIrreducible,
     RowSumViolation,
     SpaceMismatch,
     TooLarge,
@@ -494,12 +493,12 @@ class WaveSystem:
     def wave_measure_or_none(self) -> Optional[Distribution]:
         cached = self.__dict__.get("_wave_measure", _MISSING)
         if cached is _MISSING:
-            from .spectral import stationary_distribution
+            from .spectral import _period_or_none, _shifted_stationary_weights
 
-            try:
-                cached = stationary_distribution(self.shifted)
-            except NotIrreducible:
-                cached = None
+            cached = None
+            if _period_or_none(self.shifted) is not None:
+                weights = _shifted_stationary_weights(self.shifted, [np.arange(self.space.size)])
+                cached = Distribution(self.space, weights[0])
             object.__setattr__(self, "_wave_measure", cached)
         return cached
 

@@ -1,16 +1,14 @@
-"""Kernel and permutation interchange documents, and the CSV writer.
+"""Kernel and permutation interchange documents.
 
 Kernels travel as JSON objects {size, labels?, triplets} where triplets is
 the kernel's CSR triple read straight off: [row, col, value] for each
 positive entry, sorted by (row, col), so a document is byte-stable for a
 given kernel.  Loading builds like any other construction path, so the
 round trip stores the same triple; a malformed document is ConfigInvalid.
-Every CSV the package writes comes from `_csv_text`.
+The command line's report and CSV files are written by `cli` alone.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -111,7 +109,7 @@ def load_kernel(path: str) -> MarkovKernel:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ConfigInvalid(f"not a JSON kernel document: {exc}") from exc
     return kernel_from_document(doc)
 
@@ -135,13 +133,3 @@ def permutation_from_document(doc: dict, space: StateSpace | None = None) -> Per
     elif space.size != size:
         raise ConfigInvalid("permutation document size differs from the target space")
     return make_permutation(space, forward)
-
-
-def _csv_text(header, rows) -> str:
-    """Header row, then one line per row, `\\n` line ends.  csv writes a float
-    (numpy float64 too) as its shortest round-trip repr, infinity as `inf`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()

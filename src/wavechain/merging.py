@@ -43,7 +43,6 @@ from .errors import (
     WindowInverted,
     ZeroWeight,
 )
-from .interchange import _csv_text
 from .spectral import (
     _check_positive,
     _merging_obstruction,
@@ -192,20 +191,6 @@ class MergingReport:
     merging_time: Optional[int]
     max_steps: int
     reason: Optional[str] = None
-
-    def to_document(self) -> dict:
-        doc = {
-            "metric": self.metric,
-            "epsilon": self.epsilon,
-            "trace": [[n, v if math.isfinite(v) else "inf"] for n, v in self.values],
-            "merging_time": self.merging_time if self.merging_time is not None else "unbounded",
-        }
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        return doc
-
-    def to_csv(self) -> str:
-        return _csv_text(["n", "distance"], self.values)
 
 
 def merging_time(

@@ -21,7 +21,9 @@ which only solves: it takes shifted kernels of one base that its caller
 knows to be irreducible, a batch at a time, with one stacked direct solve
 up to DENSE_LIMIT states (a uniform start above it) and a damped
 refinement of each on CSR products (`core._vec_mat`).
-`stationary_distribution` checks irreducibility and is its batch of one.
+`stationary_distribution` and `WaveSystem.wave_measure_or_none` check
+irreducibility and call its batch of one.  Every answer here is a value;
+the command line's report entry for it is written in `cli`.
 """
 from __future__ import annotations
 
@@ -568,33 +570,3 @@ def second_singular_value_bound_gap(
     sigma1 = float(_singular_values(q, uniform, uniform)[1])
     bound = 1.0 - (1.0 - eps) ** 2 * (1.0 - sigma1) / c**2
     return computed, bound
-
-
-def spectral_report_document(
-    kernel: MarkovKernel,
-    singular_values: np.ndarray,
-    eigen: Optional[EigenDecomposition],
-    stationary: Optional[Distribution],
-) -> dict:
-    """Plain-JSON summary used by the command line reports.
-
-    "sigma" lists `singular_values` as given.  The command line passes the
-    values of `_singular_values`: all of them up to DENSE_LIMIT states, from
-    the values-only SVD, and the top two above it, from the Lanczos path
-    (sticky n=6 lists 720, n=7 lists two).
-    """
-    per = _period_or_none(kernel)
-    doc = {
-        "sigma": [float(s) for s in singular_values],
-        "eigenvalues": (
-            [[float(v.real), float(v.imag)] for v in eigen.eigenvalues] if eigen else None
-        ),
-        "stationary": [float(x) for x in stationary.weights] if stationary else None,
-        "flags": {
-            "irreducible": per is not None,
-            "diagonalizable": eigen.flag if eigen else None,
-        },
-    }
-    if per is not None:
-        doc["flags"]["period"] = per
-    return doc

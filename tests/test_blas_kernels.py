@@ -12,7 +12,10 @@ on the corpus and the zoo's systems of at most 200 states, the bound
 agrees within the SVD's backward error, N spacings of 1.0 a factor
 (LAPACK Users' Guide, section 4.9).  The powers behind a merging time are
 BLAS products under either stepping rule, and may round differently under
-each kernel; the times and no-merge reasons must not move.
+each kernel; the times and no-merge reasons must not move.  Three of the
+benchmark's CLI commands are rerun under each kernel as well: their exit
+codes and integer and structural answers must agree exactly, their floats
+within 1e-12 relative.
 
 Only the x86-64 kernel families these three name are covered: other
 architectures (ARM, for example) load other kernels and are not tested.
@@ -26,6 +29,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wavechain as w
 from wavechain import models, spectral
@@ -110,15 +114,22 @@ def merging_times():
 CHILDREN = {"laws": child_results, "merging": merging_times}
 
 
-def start_child(coretype, child):
-    """The child process computing CHILDREN[child] under the given kernel."""
+def child_env(coretype):
+    """This process's environment with the given kernel and the package's
+    source on the path."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     src = str(Path(w.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def start_child(coretype, child):
+    """The child process computing CHILDREN[child] under the given kernel."""
     return subprocess.Popen(
-        [sys.executable, __file__, child], env=env, stdout=subprocess.PIPE, text=True
+        [sys.executable, __file__, child], env=child_env(coretype), stdout=subprocess.PIPE,
+        text=True,
     )
 
 
@@ -162,6 +173,79 @@ def test_merging_times_are_the_same_under_every_blas_kernel():
         for proc in children.values():
             proc.kill()
             proc.wait()
+
+
+EPS = "0.36787944117144233"  # 1/e, the merging threshold of the benchmark's cases
+# three benchmark cases, argv as perfbench/cases.py builds them
+CLI_CASES = {
+    "lazy41-scan": ["scan", "--model", "lazy-circle", "--param", "n=41", "--count", "1000",
+                    "--seed", "1"],
+    "circle101-relsup": ["merge-time", "--model", "circle", "--param", "n=101",
+                         "--metric", "relative_sup", "--param", "horizon=25000",
+                         "--epsilon", EPS],
+    "sticky6-merging": ["analyze", "--model", "sticky", "--param", "n=6",
+                        "--param", "horizon=400", "--epsilon", EPS,
+                        "--analyses", "spectral,stability,merging"],
+}
+CLI_RTOL = 1e-12
+
+
+def start_cli(coretype, argv, out):
+    """The CLI process running argv under the given kernel, writing into out."""
+    return subprocess.Popen([sys.executable, "-m", "wavechain.cli", *argv, "--out", str(out)],
+                            env=child_env(coretype), stdout=subprocess.DEVNULL)
+
+
+def cli_answers(out):
+    """(exact, rounded): what must agree exactly, and the floats that may
+    move with the kernel's rounding, from one CLI run's files."""
+    exact, rounded = {}, {}
+    if (out / "scan.csv").is_file():
+        rows = [line.split(",") for line in (out / "scan.csv").read_text().splitlines()[1:]]
+        exact["scan"] = [(name, status) for name, _, status in rows]
+        rounded["scan ratio"] = [float(ratio) for _, ratio, _ in rows]
+    results = json.loads((out / "report.json").read_text())["results"]
+    if "merging" in results:
+        doc = results["merging"]
+        exact["merging time"] = doc["merging_time"]
+        exact["trace length"] = len(doc["trace"])
+        rounded["trace"] = [v for _, v in doc["trace"]]
+    if "spectral" in results:
+        exact["flags"] = {k: results["spectral"]["flags"].get(k) for k in ("irreducible", "period")}
+        rounded["sigma"] = results["spectral"]["sigma"]
+    if "stability" in results:
+        # the witness is left out: sticky-6's c is 1 up to rounding, and the
+        # witness, an argmax over that tie, names state 719, 5 or 143 under
+        # one kernel or another (ROADMAP item 19's tie rule)
+        rounded["c"] = [results["stability"]["c"]]
+    return exact, rounded
+
+
+def close(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):  # a trace value "inf"
+        return a == b
+    return abs(a - b) <= CLI_RTOL * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_answers_agree_under_every_blas_kernel(tmp_path, case):
+    outs = {coretype: tmp_path / str(coretype) for coretype in CORETYPES}
+    procs = {coretype: start_cli(coretype, CLI_CASES[case], out) for coretype, out in outs.items()}
+    try:
+        codes = {coretype: proc.wait(timeout=120) for coretype, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    assert set(codes.values()) == {0}
+    (want_exact, want_rounded), *others = [cli_answers(out) for out in outs.values()]
+    assert want_exact and want_rounded
+    for got_exact, got_rounded in others:
+        assert got_exact == want_exact
+        assert got_rounded.keys() == want_rounded.keys()
+        for key, want in want_rounded.items():
+            got = got_rounded[key]
+            assert len(got) == len(want) and all(map(close, got, want)), key
 
 
 if __name__ == "__main__":

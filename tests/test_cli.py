@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavechain as w
@@ -151,6 +151,12 @@ def outside_input(tmp_path, case):
     if case == "config-not-an-object":
         config.write_text(json.dumps(["circle"]))
         return ["analyze", "--config", str(config)]
+    if case in ("config-not-utf8", "config-nested-too-deep"):
+        config.write_bytes(b"\xff{" if case == "config-not-utf8" else b"[" * 100_000)
+        return ["analyze", "--config", str(config)]
+    if case in ("kernel-not-utf8", "kernel-nested-too-deep"):
+        kernel.write_bytes(b"\xff{" if case == "kernel-not-utf8" else b"[" * 100_000)
+        return ["analyze", "--model", str(kernel)]
     if case == "param-without-equals":
         return ["analyze", "--model", "circle", "--param", "n5"]
     kernel.write_text(json.dumps({"size": 2, "triplets": [[0, 0, 1.0], [1, 2, 1.0]]}))
@@ -158,7 +164,9 @@ def outside_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["config-unreadable", "config-not-json", "config-not-an-object",
-                                  "param-without-equals", "kernel-triplet-outside"])
+                                  "config-not-utf8", "config-nested-too-deep",
+                                  "param-without-equals", "kernel-triplet-outside",
+                                  "kernel-not-utf8", "kernel-nested-too-deep"])
 def test_malformed_outside_input_is_config_invalid_and_one_error_line(tmp_path, capsys, case):
     argv = outside_input(tmp_path, case)
     with pytest.raises(errors.ConfigInvalid):
@@ -570,11 +578,12 @@ def test_each_subcommand_writes_its_files_and_lines(tmp_path, capsys, argv, file
         ["scaling", "--family", "circle", "--n-list", "5,9", "--model", "sticky"],
         ["scaling", "--family", "circle", "--n-list", "5,9", "--bijection", "shift:1"],
         ["analyze", *CIRCLE5, "--analyses", "spectral,nope"],
+        ["analyze", *CIRCLE5, "--analyses", ",,,"],
     ],
     ids=["wave-profile", "analyze", "scaling", "scaling-repeated-sizes",
          "scaling-even-size", "scan-bijection", "sticky-rho-past-the-end",
          "sticky-negative-rho", "regular-degree-and-r", "scaling-sizes-not-a-list",
-         "scaling-model", "scaling-bijection", "unknown-analysis"],
+         "scaling-model", "scaling-bijection", "unknown-analysis", "no-analyses"],
 )
 def test_failing_commands_create_no_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -702,8 +711,10 @@ def test_scan_rejects_a_bijection_from_the_config_document(tmp_path, capsys):
         ({"model": "circle", "model_params": 5}, "error: model_params 5 is not an object\n"),
         ({"model": "circle", "seed": 1.5, "analyses": ["simulate"]},
          "error: seed 1.5 is not an integer\n"),
+        ({"model": "circle", "analyses": []},
+         f"error: analyze needs an analysis; choose from {list(cli.ANALYSES)}\n"),
     ],
-    ids=["model-params-not-an-object", "seed-not-an-integer"],
+    ids=["model-params-not-an-object", "seed-not-an-integer", "no-analyses"],
 )
 def test_config_document_fields_are_checked(tmp_path, capsys, doc, message):
     config = tmp_path / "exp.json"
@@ -857,6 +868,18 @@ def test_a_descending_n_list_runs_every_size(tmp_path, capsys):
     assert [row.split(",")[0] for row in rows[1:]] == ["9", "7", "5"]
 
 
+def test_csv_text_dialect():
+    # the one CSV writer: header row, \n line ends, floats as their repr
+    text = cli._csv_text(
+        ["state", "mass"],
+        [(0, 0.1), ("b", np.float64(1 / 3)), (2, float("inf")), (3, "inf"), (4, 7),
+         (5, np.float64(2.5e-05))],
+    )
+    assert text == "state,mass\n0,0.1\nb,0.3333333333333333\n2,inf\n3,inf\n4,7\n5,2.5e-05\n"
+    assert "\r" not in text
+    assert cli._csv_text(["n", "time"], []) == "n,time\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -987,6 +1010,45 @@ def test_any_json_config_document_exits_cleanly(data):
             os.chdir(here)
     lines = err.getvalue().splitlines()
     assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+FLAG_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.integers(-3, 12).map(str),
+    st.floats().map(str),
+    st.builds("".join, st.lists(st.sampled_from("0123456789,:-+. e"), max_size=12)),
+    st.sampled_from(["true", "nan", "-inf", "1e400", "0x10", "2.5", " 7 ", "", "=", "1,0",
+                     "total_variation", "chi_square"]),
+)
+BIJECTION_TEXT = st.one_of(
+    st.builds(str.__add__, st.sampled_from(["", "shift:", "random:"]), FLAG_TEXT),
+    st.sampled_from(["identity", "random", "1,0,2,4,3", "0,0,1,2,3", "1,2", "4,3,2,1,0,",
+                     "1.5,0,2,3,4", "shift:1e30", "random:1e30"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(["eps", "metric"]), value=FLAG_TEXT,
+       bijection=st.one_of(st.none(), BIJECTION_TEXT))
+@example(key="eps", value="1", bijection="shift:9.223372036854776e+18")  # once an OverflowError
+def test_any_param_or_bijection_text_runs_or_is_one_error_line(key, value, bijection):
+    # circle-5 at the default horizon: no drawn text sets a size or a step
+    # count; the flags are passed as --flag=text, so that a text starting
+    # with "-" is read as a value
+    argv = ["analyze", "--model", "circle", "--param", "n=5", "--analyses", "stability,merging",
+            f"--param={key}={value}"]
+    if bijection is not None:
+        argv.append(f"--bijection={bijection}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        written = os.path.exists(out)
+    lines = err.getvalue().splitlines()
+    assert (code, written) == (0, True) or (
+        code == 1 and not written and len(lines) == 1 and lines[0].startswith("error: ")
+    )
 
 
 ENTRY_CASES = {

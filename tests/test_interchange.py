@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavechain as w
 from wavechain import errors
-from wavechain.interchange import _csv_text
 
 
 def test_kernel_document_round_trip(tmp_path):
@@ -175,18 +176,6 @@ def test_permutation_document_round_trip():
     assert json.dumps(doc)  # plain data, no numpy leakage
 
 
-def test_csv_text_dialect():
-    # the one CSV writer: header row, \n line ends, floats as their repr
-    text = _csv_text(
-        ["state", "mass"],
-        [(0, 0.1), ("b", np.float64(1 / 3)), (2, float("inf")), (3, "inf"), (4, 7),
-         (5, np.float64(2.5e-05))],
-    )
-    assert text == "state,mass\n0,0.1\nb,0.3333333333333333\n2,inf\n3,inf\n4,7\n5,2.5e-05\n"
-    assert "\r" not in text
-    assert _csv_text(["n", "time"], []) == "n,time\n"
-
-
 def test_permutation_document_rejects_images_that_are_not_integers():
     with pytest.raises(errors.ConfigInvalid):
         w.permutation_from_document({"size": 3, "forward": [0.7, 1.2, 2.9]})
@@ -251,3 +240,74 @@ def test_a_document_larger_than_its_triplets_allocates_nothing():
         w.kernel_from_document({"size": 3, "triplets": [[0, 0, 1.0], [1, 1, 1.0]]})
     one_per_row = {"size": 2, "triplets": [[0, 1, 1.0], [1, 0, 1.0]]}
     assert w.kernel_from_document(one_per_row).dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.integers(), st.floats(), st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+# entries near the ones a loader accepts, so that draws reach its deeper checks
+ENTRIES = st.one_of(
+    st.integers(-1, 3), st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, 1e308, np.nan, np.inf]), SCALARS
+)
+SIZES = st.one_of(st.integers(-1, 4), JSON_VALUES)
+# the documents of permutation kernels and of the permutations themselves
+PERMUTATIONS = st.integers(1, 4).flatmap(lambda n: st.permutations(range(n)))
+KERNEL_DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    PERMUTATIONS.map(lambda p: {"size": len(p), "triplets": [[i, j, 1.0] for i, j in enumerate(p)]}),
+    st.fixed_dictionaries(
+        {"size": SIZES,
+         "triplets": st.one_of(st.lists(st.one_of(st.lists(ENTRIES, min_size=3, max_size=3),
+                                                  JSON_VALUES), max_size=6), JSON_VALUES)},
+        optional={"labels": st.one_of(st.lists(st.one_of(st.text(max_size=1), ENTRIES),
+                                               max_size=4), JSON_VALUES)},
+    ),
+)
+PERMUTATION_DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    PERMUTATIONS.map(lambda p: {"size": len(p), "forward": p}),
+    st.fixed_dictionaries({"size": SIZES,
+                           "forward": st.one_of(st.lists(ENTRIES, max_size=5), JSON_VALUES)}),
+)
+# what the kernel and map constructors refuse on every input path
+CONSTRUCTION_ERRORS = (errors.RowSumViolation, errors.NegativeEntry, errors.NotBijective,
+                       errors.SpaceMismatch)
+
+
+def loads_or_refuses(load, doc):
+    """load(doc), which must return or raise ConfigInvalid for a malformed
+    document or a constructor's own typed error for a well-formed one."""
+    try:
+        load(doc)
+    except (errors.ConfigInvalid, *CONSTRUCTION_ERRORS):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_DOCUMENTS)
+def test_any_json_value_loads_as_a_kernel_or_is_refused(doc):
+    loads_or_refuses(w.kernel_from_document, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PERMUTATION_DOCUMENTS)
+def test_any_json_value_loads_as_a_permutation_or_is_refused(doc):
+    loads_or_refuses(w.permutation_from_document, doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(KERNEL_DOCUMENTS.map(lambda doc: json.dumps(doc).encode()),
+                 st.binary(max_size=12), st.just(b"[" * 100_000)))
+def test_any_kernel_file_loads_or_is_refused(tmp_path_factory, data):
+    # bytes that are not UTF-8, or JSON nested past the recursion limit,
+    # are ConfigInvalid like any other file that is not a document
+    path = tmp_path_factory.mktemp("kernel") / "k.json"
+    path.write_bytes(data)
+    loads_or_refuses(w.load_kernel, str(path))

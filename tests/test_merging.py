@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wavechain as w
-from wavechain import errors, merging, models, spectral
+from wavechain import cli, errors, merging, models, spectral
 
 
 def circle_system(n=5, eps=1.0, shift=-1, lazy=False):
@@ -122,6 +122,14 @@ def test_four_point_merges_in_tv_but_not_relative_sup():
 REDUCIBLE_TEXT = "shifted kernel reducible; pairwise merging cannot occur"
 
 
+def merging_entry(system, epsilon, horizon, metric="relative_sup"):
+    """The report.json entry and the trace.csv text the command line writes
+    for one merging run."""
+    config = cli.ExperimentConfig("four-point", epsilon_threshold=epsilon)
+    out = cli._run_merging(system, config, {"horizon": horizon, "metric": metric})
+    return out.doc, out.files["trace.csv"]
+
+
 @pytest.mark.parametrize("member, horizon", [(None, 5), (8, 3)], ids=["four-point", "corpus-8"])
 def test_tv_gives_no_reason_on_a_reducible_kernel(corpus, member, horizon):
     # a reducible shifted kernel with one closed aperiodic class merges in TV
@@ -129,7 +137,7 @@ def test_tv_gives_no_reason_on_a_reducible_kernel(corpus, member, horizon):
     assert spectral._merging_obstruction(s.shifted) == "reducible"
     tv = w.merging_time(s, 0.01, horizon, metric="total_variation")
     assert tv.merging_time is None and tv.reason is None
-    assert "reason" not in tv.to_document()
+    assert "reason" not in merging_entry(s, 0.01, horizon, "total_variation")[0]
     assert w.merging_time(s, 0.01, 100, metric="total_variation").merging_time is not None
     for metric in ("relative_sup", "chi_square"):
         assert w.merging_time(s, 0.01, horizon, metric).reason == REDUCIBLE_TEXT
@@ -308,13 +316,14 @@ def test_circle_merging_time_frozen_value():
 
 def test_report_document_schema():
     s = w.four_point_example()
-    doc = w.merging_time(s, 0.01, 5).to_document()
+    doc, _ = merging_entry(s, 0.01, 5)
     assert doc["metric"] == "relative_sup"
     assert doc["epsilon"] == 0.01
     assert doc["merging_time"] == "unbounded"
-    assert doc["trace"][0] == [0, "inf"]
+    assert doc["trace"][0] == (0, math.inf)
+    assert '[\n        0,\n        "inf"\n      ]' in cli._json_text({"merging": doc})
     assert "reason" in doc
-    csv = w.merging_time(s, 0.01, 5, metric="total_variation").to_csv()
+    _, csv = merging_entry(s, 0.01, 5, metric="total_variation")
     assert csv.splitlines()[0] == "n,distance"
 
 

@@ -171,12 +171,11 @@ def test_eigen_containment_in_the_closed_window():
 
 
 def test_spectral_report_document_shape():
+    # the report entry the command line writes for `analyze spectral`
     s = circle_system(5)
     pi = s.wave_measure
     sigma = spectral._singular_values(s.shifted, pi, pi)
-    doc = w.spectral_report_document(
-        s.shifted, sigma, w.eigenvalues(s.shifted), pi
-    )
+    doc = cli._spectral_document(s.shifted, sigma, w.eigenvalues(s.shifted), pi)
     assert set(doc) >= {"sigma", "eigenvalues", "stationary", "flags"}
     assert doc["flags"]["irreducible"] is True
     assert all(len(pair) == 2 for pair in doc["eigenvalues"])

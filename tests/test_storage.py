@@ -187,13 +187,13 @@ def test_every_kernel_stores_its_positive_entries_with_intp_indices(corpus):
 
 def test_analyses_share_one_stationary_solve(tmp_path, monkeypatch):
     calls = []
-    solve = spectral.stationary_distribution
+    solve = spectral._shifted_stationary_weights
 
-    def counted(kernel):
-        calls.append(kernel.size)
-        return solve(kernel)
+    def counted(base, forwards):
+        calls.append((base.size, len(forwards)))
+        return solve(base, forwards)
 
-    monkeypatch.setattr(spectral, "stationary_distribution", counted)
+    monkeypatch.setattr(spectral, "_shifted_stationary_weights", counted)
     config = cli.ExperimentConfig(
         model="circle",
         model_params={"n": 9},
@@ -203,7 +203,7 @@ def test_analyses_share_one_stationary_solve(tmp_path, monkeypatch):
     code, report = cli.run(config)
     assert code == 0
     assert set(report["results"]) == {"spectral", "stability", "bounds"}
-    assert calls == [9]
+    assert calls == [(9, 1)]
 
 
 def test_make_kernel_leaves_the_callers_ndarray_writable():

@@ -20,9 +20,11 @@ and `spectral._closed_class`.  No module calls `weighted_singular_values`:
 every singular value the package uses comes from
 `spectral._singular_values`, and `merging` builds no step kernel's full
 decomposition, wave measure or window product.  A structural answer is
-a value, not an exception: the only `except` clauses that name a class of
-`wavechain.errors` are `cli.main`'s catch-all and the public Optional view
-`WaveSystem.wave_measure_or_none`.
+a value, not an exception: the only `except` clause that names a class of
+`wavechain.errors` is `cli.main`'s catch-all.  `cli` is the one writer of
+output files: no other module imports `csv` or `io`, only `cli` and
+`interchange` (the kernel documents) import `json`, and no other module
+defines a CSV writer or a report document.
 """
 import ast
 from pathlib import Path
@@ -371,11 +373,9 @@ def error_handlers(paths, classes) -> list:
     return sorted(found)
 
 
-def test_only_the_catch_all_and_the_optional_view_catch_a_package_error():
+def test_only_the_catch_all_catches_a_package_error():
     classes = error_classes(PACKAGE / "errors.py")
-    assert error_handlers(sorted(PACKAGE.glob("*.py")), classes) == [
-        "cli:main WavechainError", "core:wave_measure_or_none NotIrreducible"
-    ]
+    assert error_handlers(sorted(PACKAGE.glob("*.py")), classes) == ["cli:main WavechainError"]
 
 
 def test_the_check_sees_a_planted_error_handler(tmp_path):
@@ -394,4 +394,81 @@ def test_the_check_sees_a_planted_error_handler(tmp_path):
     classes = error_classes(tmp_path / "errors.py")
     assert error_handlers(sorted(tmp_path.glob("*.py")), classes) == [
         "mod:<module> Missing", "mod:g Base"
+    ]
+
+
+def importers(paths, module) -> list:
+    """The modules that import the top-level module `module`, by `import`
+    or by `from ... import`."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        named += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        if module in {name.split(".")[0] for name in named}:
+            found.append(path.stem)
+    return found
+
+
+# documents that carry a kernel or a map, not a result
+INTERCHANGE_DOCUMENTS = {
+    "kernel_document", "kernel_from_document", "permutation_document", "permutation_from_document"
+}
+
+
+def output_formatters(paths) -> list:
+    """Each function or method outside `cli` that formats an output file, as
+    "module:line name": a CSV writer (`_csv_text`, `to_csv`) or a report
+    document (a name ending in "document"), `interchange`'s own excepted."""
+    found = []
+    for path in paths:
+        if path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.stem == "interchange" and node.name in INTERCHANGE_DOCUMENTS:
+                continue
+            if node.name in ("_csv_text", "to_csv") or node.name.endswith("document"):
+                found.append(f"{path.stem}:{node.lineno} {node.name}")
+    return sorted(found)
+
+
+def test_the_cli_alone_formats_output_files():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert importers(paths, "csv") == importers(paths, "io") == ["cli"]
+    assert importers(paths, "json") == ["cli", "interchange"]
+    assert output_formatters(paths) == []
+
+
+def test_the_check_sees_a_planted_output_format(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import csv\nimport io\nfrom json.encoder import encode_basestring_ascii\n"
+        "def _csv_text(h, rows):\n    return h\n"
+        "def _spectral_document(k):\n    return {}\n"
+    )
+    (tmp_path / "interchange.py").write_text(
+        "import json\ndef kernel_document(k):\n    return {}\n"
+        "def kernel_from_document(d):\n    return d\n"
+    )
+    (tmp_path / "merging.py").write_text(
+        "from io import StringIO\nclass Report:\n"
+        "    def to_document(self):\n        return {}\n"
+        "    def to_csv(self):\n        return StringIO().getvalue()\n"
+    )
+    (tmp_path / "spectral.py").write_text(
+        "import json.decoder\nfrom .interchange import kernel_document\n"
+        "def spectral_report_document(k):\n    return kernel_document(k)\n"
+        "def _csv_text(h, rows):\n    return h\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert importers(paths, "csv") == ["cli"]
+    assert importers(paths, "io") == ["cli", "merging"]
+    assert importers(paths, "json") == ["cli", "interchange", "spectral"]
+    assert output_formatters(paths) == [
+        "merging:3 to_document", "merging:5 to_csv",
+        "spectral:3 spectral_report_document", "spectral:5 _csv_text",
     ]
